@@ -13,6 +13,13 @@ are estimated with common random numbers: a perturbed control changes only
 the deviating agent's own consumption on the spike window and shifts her
 terminal wealth, so the payoff difference is computed path by path from one
 base simulation.
+
+One Euler loop, :func:`_euler`, serves :func:`simulate_paths` and the payoff
+simulations.  It keeps wealth, consumption and utility exponents as (n, N)
+arrays, one contiguous row of N paths per agent, in buffers updated in place.
+The noise stream is unchanged: one (N, n+1) standard normal draw per step (n
+idiosyncratic factors, then the common one), negated in the second half for
+antithetic runs, so a seed gives the same draws as before.
 """
 
 from __future__ import annotations
@@ -104,24 +111,6 @@ def _euler_times(t0: float, horizon: float, dt: float):
     return times, dt_eff, steps
 
 
-class _Noise:
-    """Step-wise standard normal draws, optionally antithetic over path pairs."""
-
-    def __init__(self, cfg: SimConfig, n_factors: int, seed_seq=None):
-        self._rng = np.random.default_rng(
-            seed_seq if seed_seq is not None else np.random.SeedSequence(cfg.seed)
-        )
-        self._n = cfg.n_paths
-        self._f = n_factors
-        self._anti = cfg.antithetic
-
-    def step(self) -> np.ndarray:
-        if not self._anti:
-            return self._rng.standard_normal((self._n, self._f))
-        half = self._rng.standard_normal((self._n // 2, self._f))
-        return np.concatenate([half, -half], axis=0)
-
-
 def _x0_vector(x0, n: int) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 0:
@@ -129,6 +118,50 @@ def _x0_vector(x0, n: int) -> np.ndarray:
     if x0.shape != (n,):
         raise ValidationError(f"x0 must be scalar or length {n}")
     return x0.copy()
+
+
+def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarray,
+           cfg: SimConfig, seed_seq=None):
+    """Euler-Maruyama on the (n, N) state, yielding ``(k, X, c, Z)`` per node.
+
+    X and c = P[k] X + q[k] are wealth and consumption at ``times[k]``; Z holds
+    the (N, n+1) normals moving X to ``times[k + 1]`` (None at the last node).
+    The buffers are reused, so copy what must outlive the step.
+    """
+    n, N = pop.n, cfg.n_paths
+    p = pop._params
+    PI = strategy.pi_at(times)                # (steps+1, n)
+    P, q = strategy.consumption_at(times)     # (steps+1, n, n), (steps+1, n)
+    sqdt = np.sqrt(dt)
+    drift = PI * p["mu"] * dt
+    vol_w = PI * p["nu"] * sqdt
+    vol_b = PI * p["sigma"] * sqdt
+    # Step-k loadings: vol_w on the diagonal, vol_b in the common-noise column.
+    load, diag = np.zeros((n, n + 1)), np.diag_indices(n)
+    rng = np.random.default_rng(
+        seed_seq if seed_seq is not None else np.random.SeedSequence(cfg.seed))
+    X = np.repeat(x0[:, None], N, axis=1)
+    c, dX, Z = np.empty((n, N)), np.empty((n, N)), np.empty((N, n + 1))
+    half, steps = N // 2, times.size - 1
+    for k in range(steps + 1):
+        np.matmul(P[k], X, out=c)
+        c += q[k][:, None]
+        if k == steps:
+            yield k, X, c, None
+            return
+        if cfg.antithetic:
+            rng.standard_normal(out=Z[:half])
+            np.negative(Z[:half], out=Z[half:])
+        else:
+            rng.standard_normal(out=Z)
+        yield k, X, c, Z
+        load[diag] = vol_w[k]
+        load[:, n] = vol_b[k]
+        np.matmul(load, Z.T, out=dX)
+        c *= dt
+        dX -= c
+        dX += drift[k][:, None]
+        X += dX
 
 
 def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
@@ -148,7 +181,6 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     Identical inputs and seed produce a bit-identical bundle.
     """
     n = pop.n
-    p = pop._params
     x0 = _x0_vector(x0, n)
     times, dt, steps = _euler_times(t0, horizon, cfg.dt)
 
@@ -161,34 +193,21 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
         )
     rec_pos = {int(k): j for j, k in enumerate(rec_idx)}
 
-    PI = strategy.pi_at(times)                # (steps+1, n)
-    P, q = strategy.consumption_at(times)     # (steps+1, n, n), (steps+1, n)
-
     N = cfg.n_paths
-    X = np.tile(x0, (N, 1))
     wealth = np.empty((N, rec_idx.size, n))
     cons = np.empty((N, rec_idx.size, n))
-    noise = _Noise(cfg, n + 1)
     sqdt = np.sqrt(dt)
     dW_all = np.empty((N, steps, n)) if store_noise else None
     dB_all = np.empty((N, steps)) if store_noise else None
 
-    for k in range(steps + 1):
-        c = X @ P[k].T + q[k]
-        if k in rec_pos:
-            j = rec_pos[k]
-            wealth[:, j, :] = X
-            cons[:, j, :] = c
-        if k == steps:
-            break
-        Z = noise.step()
-        dW = Z[:, :n] * sqdt
-        dB = Z[:, n:] * sqdt
-        if store_noise:
-            dW_all[:, k, :] = dW
-            dB_all[:, k] = dB[:, 0]
-        X = X + (PI[k] * p["mu"] - c) * dt + (PI[k] * p["nu"]) * dW \
-            + (PI[k] * p["sigma"]) * dB
+    for k, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg):
+        j = rec_pos.get(k)
+        if j is not None:
+            wealth[:, j, :] = X.T
+            cons[:, j, :] = c.T
+        if store_noise and Z is not None:
+            np.multiply(Z[:, :n], sqdt, out=dW_all[:, k, :])
+            np.multiply(Z[:, n], sqdt, out=dB_all[:, k])
 
     return PathBundle(times=times[rec_idx], wealth=wealth, consumption=cons,
                       seed=cfg.seed, common_noise=dB_all, idio_noise=dW_all)
@@ -286,7 +305,8 @@ class PayoffEstimate:
 
 class _PayoffSim:
     """One closed-loop base simulation with the bookkeeping needed to price
-    spike perturbations of any agent by common random numbers."""
+    spike perturbations of any agent by common random numbers.  Per-agent
+    arrays are (n, N), per-spike arrays (E, n, N) or (E, N)."""
 
     def __init__(self, pop: Population, discount: DiscountFunction, strategy,
                  t0: float, x0, horizon: float, cfg: SimConfig,
@@ -295,81 +315,59 @@ class _PayoffSim:
         p = pop._params
         x0 = _x0_vector(x0, n)
         times, dt, steps = _euler_times(t0, horizon, cfg.dt)
-        self.pop = pop
-        self.t0 = t0
-        self.horizon = horizon
-        self.dt = dt
-        self.n_clamped = 0
+        self.pop, self.n_clamped = pop, 0
 
-        # Utility exponent coefficients per agent.
+        # Row i of expo applied to (n, N) values gives agent i's utility exponent.
         self.own_coef = -(1.0 - p["theta"] / n) / p["delta"]
-        self.cross_coef = p["theta"] / p["delta"]
+        self.expo = np.repeat((p["theta"] / p["delta"] / n)[:, None], n, axis=1)
+        np.fill_diagonal(self.expo, self.own_coef)
 
-        eps_steps = []
-        self.eps_eff = []
-        for eps in eps_list:
-            ks = int(round(eps / dt))
+        eps_steps = [int(round(eps / dt)) for eps in eps_list]
+        for eps, ks in zip(eps_list, eps_steps):
             if ks < 1 or ks > steps:
                 raise ValidationError(f"eps={eps} not representable on the Euler grid")
-            eps_steps.append(ks)
-            self.eps_eff.append(ks * dt)
+        self.eps_eff = [ks * dt for ks in eps_steps]
 
-        PI = strategy.pi_at(times)
-        Pmat, q = strategy.consumption_at(times)
-        lam_run = discount.value(times[:-1] - t0)
+        lam_dt = discount.value(times[:-1] - t0) * dt
         self.lam_T = float(discount.value(horizon - t0))
 
-        N = cfg.n_paths
-        E = len(eps_list)
-        X = np.tile(x0, (N, 1))
-        self.run = np.zeros((N, n))
-        self.S = np.zeros((N, E, n))
-        self.dW_win = np.zeros((N, E, n))
-        self.dB_win = np.zeros((N, E))
-        acc = np.zeros((N, n))
-        cumW = np.zeros((N, n))
-        cumB = np.zeros(N)
-
-        noise = _Noise(cfg, n + 1, seed_seq=seed_seq)
+        N, E = cfg.n_paths, len(eps_list)
+        self.run, u = np.zeros((n, N)), np.empty((n, N))
+        self.S, self.dW_win = np.empty((E, n, N)), np.empty((E, n, N))
+        self.dB_win = np.empty((E, N))
+        # Window noise sums, kept only up to the longest spike window.
+        cumZ, last = np.zeros((n + 1, N)), max(eps_steps, default=0)
         sqdt = np.sqrt(dt)
-        for k in range(steps):
-            c = X @ Pmat[k].T + q[k]
-            u = self._utility(c)
-            self.run += lam_run[k] * u * dt
-            if E:
-                acc += lam_run[k] * u * dt
-            Z = noise.step()
-            dW = Z[:, :n] * sqdt
-            dB = Z[:, n] * sqdt
-            if E:
-                cumW += dW
-                cumB += dB
+
+        for k, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg, seed_seq):
+            if Z is None:
+                self.term_u = -np.exp(self._clamp(np.matmul(self.expo, X, out=u)))
+                break
+            np.exp(self._clamp(np.matmul(self.expo, c, out=u)), out=u)
+            u *= -lam_dt[k]
+            self.run += u
+            if k < last:
+                cumZ += Z.T
                 for e, ks in enumerate(eps_steps):
                     if k + 1 == ks:
-                        self.S[:, e, :] = acc
-                        self.dW_win[:, e, :] = cumW
-                        self.dB_win[:, e] = cumB
-            X = X + (PI[k] * p["mu"] - c) * dt + (PI[k] * p["nu"]) * dW \
-                + (PI[k] * p["sigma"])[None, :] * dB[:, None]
-        self.term_u = self._utility(X)
+                        self.S[e] = self.run
+                        np.multiply(cumZ[:n], sqdt, out=self.dW_win[e])
+                        np.multiply(cumZ[n], sqdt, out=self.dB_win[e])
 
-    def _utility(self, values: np.ndarray) -> np.ndarray:
-        """U_i applied row-wise: values (N, n) of own consumption or wealth."""
-        n = values.shape[1]
-        tot = values.sum(axis=1, keepdims=True)
-        cross_avg = (tot - values) / n
-        arg = self.own_coef * values + self.cross_coef * cross_avg
-        clipped = np.clip(arg, -EXP_CLAMP, EXP_CLAMP)
-        self.n_clamped += int(np.count_nonzero(clipped != arg))
-        return -np.exp(clipped)
+    def _clamp(self, arg: np.ndarray) -> np.ndarray:
+        """Clip exponents to +-EXP_CLAMP in place, counting clipped ones and NaN."""
+        if not (arg.min() >= -EXP_CLAMP and arg.max() <= EXP_CLAMP):
+            clipped = np.clip(arg, -EXP_CLAMP, EXP_CLAMP)
+            self.n_clamped += int(np.count_nonzero(clipped != arg))
+            arg[...] = clipped
+        return arg
 
     def payoff_paths(self, agent: int) -> np.ndarray:
-        return self.run[:, agent] + self.lam_T * self.term_u[:, agent]
+        return self.run[agent] + self.lam_T * self.term_u[agent]
 
     def payoff(self, agent: int) -> PayoffEstimate:
         j = self.payoff_paths(agent)
-        se = float(j.std(ddof=1) / np.sqrt(j.size)) if j.size > 1 else 0.0
-        return PayoffEstimate(float(j.mean()), se, self.n_clamped, j.size)
+        return PayoffEstimate(*_mean_se(j), self.n_clamped, j.size)
 
     def delta_payoff(self, agent: int, e: int, v: tuple[float, float]) -> np.ndarray:
         """Per-path payoff change from the spike (CRN-exact)."""
@@ -379,13 +377,17 @@ class _PayoffSim:
         eps = self.eps_eff[e]
         fac_c = np.expm1(own * v2)
         dx = (v1 * p["mu"][agent] - v2) * eps + v1 * (
-            p["nu"][agent] * self.dW_win[:, e, agent]
-            + p["sigma"][agent] * self.dB_win[:, e]
+            p["nu"][agent] * self.dW_win[e, agent]
+            + p["sigma"][agent] * self.dB_win[e]
         )
-        arg = np.clip(own * dx, -EXP_CLAMP, EXP_CLAMP)
-        self.n_clamped += int(np.count_nonzero(arg != own * dx))
-        fac_T = np.expm1(arg)
-        return self.S[:, e, agent] * fac_c + self.lam_T * self.term_u[:, agent] * fac_T
+        fac_T = np.expm1(self._clamp(own * dx))
+        return self.S[e, agent] * fac_c + self.lam_T * self.term_u[agent] * fac_T
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; the error of one sample is 0."""
+    se = values.std(ddof=1) / np.sqrt(values.size) if values.size > 1 else 0.0
+    return float(values.mean()), float(se)
 
 
 def expected_payoff(pop: Population, discount: DiscountFunction, strategy,
@@ -413,8 +415,7 @@ def expected_payoff(pop: Population, discount: DiscountFunction, strategy,
     j = sim.payoff_paths(agent)
     if spike is not None:
         j = j + sim.delta_payoff(agent, 0, spike.v)
-    se = float(j.std(ddof=1) / np.sqrt(j.size)) if j.size > 1 else 0.0
-    return PayoffEstimate(float(j.mean()), se, sim.n_clamped, j.size)
+    return PayoffEstimate(*_mean_se(j), sim.n_clamped, j.size)
 
 
 @dataclass
@@ -445,12 +446,14 @@ class SpikeReport:
     passed: bool
     base_payoff: float
     slope_tol: float
+    n_clamped: int = 0   # clamped utility exponents, simulation and pricing
 
     def to_dict(self) -> dict:
         return {
             "verdict": "PASS" if self.passed else "FAIL",
             "base_payoff": self.base_payoff,
             "slope_tol": self.slope_tol,
+            "n_clamped": self.n_clamped,
             "results": [r.to_dict() for r in self.results],
         }
 
@@ -463,6 +466,21 @@ def _check_spike_args(v, eps_list, time, horizon, v_bound):
         raise ValidationError("eps_list must contain positive values")
     if max(eps) > horizon - time + 1e-12:
         raise ValidationError("eps values must not exceed horizon - t")
+
+
+def _price_spikes(sim: _PayoffSim, agent: int, time: float, vs, eps_list,
+                  slope_tol: float | None):
+    """Base payoff, slope tolerance and one SpikeResult per (v, eps) of agent."""
+    base = sim.payoff(agent)
+    tol = slope_tol if slope_tol is not None else 1e-2 * abs(base.value)
+    rows = []
+    for v in vs:
+        for e, eps in enumerate(eps_list):
+            mean, se = _mean_se(sim.delta_payoff(agent, e, v))
+            slope, se = mean / sim.eps_eff[e], se / sim.eps_eff[e]
+            rows.append(SpikeResult(time, agent, tuple(v), eps, slope, se,
+                                    slope > 3.0 * se + tol))
+    return base.value, tol, rows
 
 
 def spike_test(pop: Population, discount: DiscountFunction, strategy,
@@ -479,19 +497,9 @@ def spike_test(pop: Population, discount: DiscountFunction, strategy,
     """
     _check_spike_args(v, eps_list, time, horizon, v_bound)
     sim = _PayoffSim(pop, discount, strategy, time, x0, horizon, cfg, eps_list)
-    base = sim.payoff(agent)
-    tol = slope_tol if slope_tol is not None else 1e-2 * abs(base.value)
-    results = []
-    ok = True
-    for e, eps in enumerate(eps_list):
-        d = sim.delta_payoff(agent, e, v)
-        eps_eff = sim.eps_eff[e]
-        slope = float(d.mean() / eps_eff)
-        se = float(d.std(ddof=1) / np.sqrt(d.size) / eps_eff) if d.size > 1 else 0.0
-        gain = slope > 3.0 * se + tol
-        ok = ok and not gain
-        results.append(SpikeResult(time, agent, tuple(v), eps, slope, se, gain))
-    return SpikeReport(results, ok, base.value, tol)
+    base, tol, rows = _price_spikes(sim, agent, time, [v], eps_list, slope_tol)
+    return SpikeReport(rows, not any(r.significant_gain for r in rows), base, tol,
+                       sim.n_clamped)
 
 
 @dataclass
@@ -499,6 +507,7 @@ class SpikeGridReport:
     results: list[SpikeResult]
     passed: bool
     base_payoffs: dict[float, dict[int, float]] = field(default_factory=dict)
+    n_clamped: int = 0   # summed over the base simulations and their pricing
 
     def worst(self) -> SpikeResult | None:
         if not self.results:
@@ -512,6 +521,7 @@ class SpikeGridReport:
                 str(t): {str(a): j for a, j in by_agent.items()}
                 for t, by_agent in self.base_payoffs.items()
             },
+            "n_clamped": self.n_clamped,
             "results": [r.to_dict() for r in self.results],
         }
 
@@ -534,25 +544,15 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
         _check_spike_args(v, eps_list, max(times), horizon, v_bound)
     children = np.random.SeedSequence(cfg.seed).spawn(len(times))
 
-    def run_time(idx: int) -> tuple[list[SpikeResult], dict[int, float]]:
+    def run_time(idx: int) -> tuple[list[SpikeResult], dict[int, float], int]:
         t = times[idx]
         sim = _PayoffSim(pop, discount, strategy, t, x0, horizon, cfg,
                          eps_list, seed_seq=children[idx])
-        rows = []
-        base = {}
+        rows, base = [], {}
         for a in agents:
-            est = sim.payoff(a)
-            base[a] = est.value
-            tol = slope_tol if slope_tol is not None else 1e-2 * abs(est.value)
-            for v in vs:
-                for e, eps in enumerate(eps_list):
-                    d = sim.delta_payoff(a, e, v)
-                    eps_eff = sim.eps_eff[e]
-                    slope = float(d.mean() / eps_eff)
-                    se = float(d.std(ddof=1) / np.sqrt(d.size) / eps_eff)
-                    rows.append(SpikeResult(t, a, tuple(v), eps, slope, se,
-                                            slope > 3.0 * se + tol))
-        return rows, base
+            base[a], _, agent_rows = _price_spikes(sim, a, t, vs, eps_list, slope_tol)
+            rows.extend(agent_rows)
+        return rows, base, sim.n_clamped
 
     all_rows: list[SpikeResult] = []
     base_payoffs: dict[float, dict[int, float]] = {}
@@ -562,11 +562,11 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
             outs = list(pool.map(run_time, range(len(times))))
     else:
         outs = [run_time(i) for i in range(len(times))]
-    for t, (rows, base) in zip(times, outs):
+    for t, (rows, base, _) in zip(times, outs):
         all_rows.extend(rows)
         base_payoffs[float(t)] = base
     return SpikeGridReport(all_rows, not any(r.significant_gain for r in all_rows),
-                           base_payoffs)
+                           base_payoffs, sum(clamped for _, _, clamped in outs))
 
 
 @dataclass

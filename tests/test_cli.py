@@ -123,6 +123,18 @@ def test_spike_test_zero_direction(two_agent_cfg, tmp_path):
     assert all(r["slope"] == 0.0 for r in payload["results"])
 
 
+def test_spike_test_reports_clamped_exponents(tmp_path):
+    cfg = tmp_path / "rich.json"
+    cfg.write_text(json.dumps(TWO_AGENT_SINGLE_STOCK | {"x0": 1e4}))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["--deterministic", "spike-test", "--config", str(cfg),
+                     "--times", "1", "--eps", "0.1", "--v", "1,0",
+                     "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert json.loads(outs[0].read_text())["n_clamped"] > 0
+
+
 def test_figures_monotone_curves(tmp_path):
     rc = main(["--deterministic", "figures", "--out-dir", str(tmp_path),
                "--n-points", "81"])

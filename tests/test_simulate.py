@@ -252,6 +252,152 @@ def test_spike_fails_on_merton_ignoring_competition():
     assert worst.slope > 3 * worst.std_error
 
 
+# Reference Euler loop: (N, n) state, one (N, n+1) standard normal draw per
+# step (n idiosyncratic factors, then the common one), the update formula
+# written out per step, and the spike simulated as an open-loop deviation.
+REF_T0 = 1.0
+REF_X0 = np.array([1.0, 2.0, 0.5])
+
+
+def reference_paths(pop, strategy, cfg):
+    n, N = pop.n, cfg.n_paths
+    mu, nu, sigma = (np.array([getattr(a, f) for a in pop.agents])
+                     for f in ("mu", "nu", "sigma"))
+    steps = int(round((T - REF_T0) / cfg.dt))
+    dt = (T - REF_T0) / steps
+    times = REF_T0 + dt * np.arange(steps + 1)
+    times[-1] = T
+    PI = strategy.pi_at(times)
+    P, q = strategy.consumption_at(times)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    X = np.tile(REF_X0[:n], (N, 1))
+    xs, cs, zs = [], [], []
+    for k in range(steps + 1):
+        c = X @ P[k].T + q[k]
+        xs.append(X)
+        cs.append(c)
+        if k == steps:
+            break
+        if cfg.antithetic:
+            half = rng.standard_normal((N // 2, n + 1))
+            Z = np.concatenate([half, -half])
+        else:
+            Z = rng.standard_normal((N, n + 1))
+        zs.append(Z)
+        dW, dB = Z[:, :n] * np.sqrt(dt), Z[:, n:] * np.sqrt(dt)
+        X = X + (PI[k] * mu - c) * dt + PI[k] * nu * dW + PI[k] * sigma * dB
+    return (times, dt, PI, np.stack(xs, axis=1), np.stack(cs, axis=1),
+            np.stack(zs, axis=1) * np.sqrt(dt))
+
+
+def reference_payoff(pop, discount, strategy, agent, cfg, spike=None):
+    """Per-path payoff of ``agent``; with ``spike`` (eps, (v1, v2)) the agent's
+    controls are shifted on the window while all other control processes,
+    and her own consumption after it, keep their base values."""
+    times, dt, PI, X, C, noise = reference_paths(pop, strategy, cfg)
+    a = pop.agents[agent]
+    n = pop.n
+
+    def utility(y):
+        return -np.exp(-(y[:, agent] - a.theta * y.mean(axis=1)) / a.delta)
+
+    eps, (v1, v2) = (0.0, (0.0, 0.0)) if spike is None else spike
+    ks = round(eps / dt)
+    x_dev = X[:, 0, agent].copy()
+    total = np.zeros(cfg.n_paths)
+    for k in range(times.size - 1):
+        on = k < ks
+        c = C[:, k].copy()
+        c[:, agent] += v2 * on
+        total += discount.value(times[k] - REF_T0) * utility(c) * dt
+        pi = PI[k, agent] + v1 * on
+        x_dev = x_dev + (pi * a.mu - c[:, agent]) * dt \
+            + pi * (a.nu * noise[:, k, agent] + a.sigma * noise[:, k, n])
+    x_T = X[:, -1].copy()
+    x_T[:, agent] = x_dev
+    return total + discount.value(T - REF_T0) * utility(x_T)
+
+
+def cross_coupled_strategy():
+    """Three agents whose consumption loads on every agent's wealth."""
+    grid = TimeGrid(0.0, T, 9)
+    t = grid.times
+    pi = np.vstack([1.0 + 0.2 * t, 0.8 - 0.1 * t, np.full_like(t, 0.5)])
+    p = np.empty((3, 3, t.size))
+    for i in range(3):
+        for k in range(3):
+            p[i, k] = (0.5 if i == k else 0.1 * (k - i)) + 0.05 * t
+    q = np.vstack([0.1 * t, np.full_like(t, -0.2), np.cos(t)])
+    return GridStrategyN(grid, pi, p, q)
+
+
+TRIO = Population([AgentType(1.0, 0.5, 1.0, 1.0, 1.0),
+                   AgentType(2.0, 0.2, 0.5, 0.0, 1.0),
+                   AgentType(0.8, 0.6, 1.2, 0.7, 0.0)])
+REFERENCE_CASES = {
+    "closed_form": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T),
+                    SimConfig(48, 0.05, 11)),
+    "cross_coupled": (TRIO, cross_coupled_strategy, SimConfig(48, 0.05, 12)),
+    "antithetic": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T),
+                   SimConfig(48, 0.05, 13, antithetic=True)),
+}
+
+
+def rel_gap(a, b):
+    return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_kernel_matches_reference_loop(case):
+    pop, make, cfg = REFERENCE_CASES[case]
+    strategy = make()
+    times, _, _, X, C, noise = reference_paths(pop, strategy, cfg)
+    bundle = simulate_paths(pop, strategy, REF_T0, REF_X0[:pop.n], T, cfg,
+                            store_noise=True)
+    assert np.array_equal(bundle.times, times)
+    assert np.array_equal(bundle.idio_noise, noise[:, :, :pop.n])
+    assert np.array_equal(bundle.common_noise, noise[:, :, pop.n])
+    assert rel_gap(bundle.wealth, X) < 1e-12
+    assert rel_gap(bundle.consumption, C) < 1e-12
+
+    for agent, spike in ((0, None), (pop.n - 1, (0.1, (0.7, -0.4)))):
+        ref = reference_payoff(pop, HYP, strategy, agent, cfg, spike)
+        spec = None if spike is None else SpikeSpec(agent, REF_T0, *spike)
+        est = expected_payoff(pop, HYP, strategy, agent, REF_T0, REF_X0[:pop.n], T,
+                              cfg, spike=spec)
+        assert rel_gap(est.value, ref.mean()) < 1e-12
+        assert rel_gap(est.std_error, ref.std(ddof=1) / np.sqrt(ref.size)) < 1e-12
+
+
+def test_one_path_spike_errors_are_finite_and_shared():
+    cfg = SimConfig(1, 0.01, 5)
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    single = spike_test(HET2, HYP, eq, 1, 0.5, (1.0, 0.0), [0.1], cfg, 1.0, T)
+    grid = spike_grid(HET2, HYP, eq, [0.5], [(1.0, 0.0)], [0.1], cfg, 1.0, T,
+                      agents=[1])
+    # spike_grid draws from a child seed, so only the error rule is shared
+    assert single.results[0].std_error == grid.results[0].std_error == 0.0
+    grid_tol = 1e-2 * abs(grid.base_payoffs[0.5][1])
+    for rep, tol in ((single, single.slope_tol), (grid, grid_tol)):
+        assert rep.passed == (rep.results[0].slope <= tol)
+
+
+def test_spike_reports_count_clamped_exponents():
+    cfg = SimConfig(50, 0.05, 2)
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    calm = spike_grid(HET2, HYP, eq, [1.0], [(1, 0)], [0.1], cfg, 10.0, T)
+    assert calm.n_clamped == 0
+    hot = spike_test(HET2, HYP, eq, 0, 1.0, (1, 0), [0.1], cfg, 1e4, T)
+    grid = spike_grid(HET2, HYP, eq, [1.0, 1.5], [(1, 0)], [0.1], cfg, 1e4, T,
+                      agents=[0])
+    # At x0 = 1e4 every U(c) exponent (2 agents, 20 Euler steps from t = 1) and
+    # every U(X_T) exponent is clamped; the grid sums its base simulations.
+    assert hot.n_clamped == 2 * cfg.n_paths * 21
+    assert grid.n_clamped == 2 * cfg.n_paths * (21 + 11)
+    assert hot.to_dict()["n_clamped"] == hot.n_clamped
+    assert grid.to_dict()["n_clamped"] == grid.n_clamped
+
+
 def test_payoff_second_moments_stable_across_seeds():
     eq = NAgentEquilibrium(HET2, HYP, T)
     ests = [expected_payoff(HET2, HYP, eq, 0, 0.0, 10.0, T,
