@@ -44,12 +44,25 @@ class IterationReport:
     residual_history: list[float] = field(default_factory=list)
     converged: bool = False
 
+    @property
+    def contraction(self) -> float:
+        """Observed contraction: the last residual ratio (0.0 before two sweeps)."""
+        hist = self.residual_history
+        return hist[-1] / hist[-2] if len(hist) > 1 else 0.0
+
     def to_dict(self) -> dict:
         return {
             "iterations": self.iterations,
             "residual_history": self.residual_history,
+            "contraction": self.contraction,
             "converged": self.converged,
         }
+
+
+def _sup_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| through a single temporary."""
+    gap = np.subtract(a, b)
+    return float(np.abs(gap, out=gap).max())
 
 
 @dataclass
@@ -90,9 +103,7 @@ class GridStrategyN:
         n, m = eq.n_agents, grid.n_points
         pi = eq.pi_at(times).T.copy()
         p = np.zeros((n, n, m))
-        slope = 1.0 / (eq.horizon + 1.0 - times)
-        for i in range(n):
-            p[i, i] = slope
+        p[np.arange(n), np.arange(n)] = 1.0 / (eq.horizon + 1.0 - times)
         q = eq.intercepts_at(times)
         return cls(grid, pi, p, np.asarray(q))
 
@@ -117,13 +128,8 @@ class GridStrategyN:
         return P, q
 
     def sup_distance(self, other: "GridStrategyN") -> float:
-        return float(
-            max(
-                np.abs(self.pi - other.pi).max(),
-                np.abs(self.p - other.p).max(),
-                np.abs(self.q - other.q).max(),
-            )
-        )
+        return max(_sup_gap(self.pi, other.pi), _sup_gap(self.p, other.p),
+                   _sup_gap(self.q, other.q))
 
     def max_cross_coefficient(self) -> float:
         """Largest |p[i,k]| with k != i (zero for simple strategies)."""
@@ -144,58 +150,70 @@ def _quad_layout(times: np.ndarray, panels: int = _QUAD_PANELS):
 
 
 def _right_integrals(vals: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Reverse-cumulative Simpson integrals; vals shape (m-1, len(w))."""
+    """Reverse-cumulative Simpson integrals; vals shape (..., m-1, len(w))."""
     seg = h / 3.0 * (vals @ w)
-    out = np.zeros(seg.size + 1)
-    out[:-1] = np.cumsum(seg[::-1])[::-1]
+    out = np.zeros(seg.shape[:-1] + (seg.shape[-1] + 1,))
+    out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
     return out
+
+
+def _interp_rows(s: np.ndarray, times: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Linear interpolation of every row of ``rows`` (sampled on ``times``) at s."""
+    j = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
+    frac = (s - times[j]) / (times[j + 1] - times[j])
+    return rows[:, j] + (rows[:, j + 1] - rows[:, j]) * frac
+
+
+def _reply_h(discount: DiscountFunction, grid: TimeGrid,
+             types: Population | TypeDistribution, aggregates) -> np.ndarray:
+    """Reply intercept profiles h(t) = (1/(T+1-t)) integral_t^T (T+1-s) G(s) ds.
+
+    One row per agent or atom of ``types``.  ``aggregates(s)`` gives the
+    competitor terms at the quadrature points s, each broadcastable to
+    (rows, len(s)): the average sigma-weighted investment sbar, the
+    mu-weighted mbar and the second moment sbar^2 + vbar, where vbar is the
+    idiosyncratic variance (zero in the mean-field limit).
+    """
+    times, T = grid.times, grid.T
+    delta, theta, mu, nu, sigma = (
+        types.field(k)[:, None] for k in ("delta", "theta", "mu", "nu", "sigma"))
+    pts, w, h = _quad_layout(times)
+    s = pts.ravel()
+    rem_s = T + 1.0 - s
+    sbar, mbar, second = aggregates(s)
+    g = (theta / delta) / rem_s
+    G = (
+        -discount.log_value(T - s) / rem_s
+        - 0.5 * (mu + sigma * g * sbar) ** 2 / (nu**2 + sigma**2)
+        + g * mbar
+        + 0.5 * g**2 * second
+    )
+    integrals = _right_integrals((rem_s * G).reshape((-1,) + pts.shape), w, h)
+    return integrals / (T + 1.0 - times)
 
 
 def _response_h_all(pop: Population, discount: DiscountFunction,
                     strategy: GridStrategyN) -> np.ndarray:
     """Reply intercept profiles h_i(t) for all agents, shape (n, m).
 
-    h_i(t) = (1/(T+1-t)) * integral_t^T (T+1-s) G_i(s) ds, where G_i
-    aggregates the competitors' sampled investments (linearly interpolated
-    between nodes) together with the discount term.
+    G_i aggregates the competitors' sampled investments (linearly
+    interpolated between nodes), excluding agent i's own, over n.
     """
-    grid = strategy.grid
-    times = grid.times
-    T = grid.T
-    n, m = strategy.n_agents, grid.n_points
+    n = strategy.n_agents
     p = pop._params
-    delta, theta = p["delta"], p["theta"]
     mu, nu, sigma = p["mu"], p["nu"], p["sigma"]
 
-    pts, w, h = _quad_layout(times)
-    s = pts.ravel()
-    rem_s = T + 1.0 - s
-    loglam_s = discount.log_value(T - s)
+    def aggregates(s):
+        pi_s = _interp_rows(s, strategy.grid.times, strategy.pi)
+        sig_pi = sigma[:, None] * pi_s
+        mu_pi = mu[:, None] * pi_s
+        nu_pi2 = (nu[:, None] * pi_s) ** 2
+        sbar = (sig_pi.sum(0) - sig_pi) / n
+        mbar = (mu_pi.sum(0) - mu_pi) / n
+        vbar = (nu_pi2.sum(0) - nu_pi2) / n**2
+        return sbar, mbar, sbar**2 + vbar
 
-    pi_s = np.empty((n, s.size))
-    for k in range(n):
-        pi_s[k] = np.interp(s, times, strategy.pi[k])
-    sig_pi = sigma[:, None] * pi_s
-    mu_pi = mu[:, None] * pi_s
-    nu_pi2 = (nu[:, None] * pi_s) ** 2
-    tot_sig, tot_mu, tot_nu2 = sig_pi.sum(0), mu_pi.sum(0), nu_pi2.sum(0)
-
-    out = np.empty((n, m))
-    rem_nodes = T + 1.0 - times
-    for i in range(n):
-        sbar = (tot_sig - sig_pi[i]) / n
-        mbar = (tot_mu - mu_pi[i]) / n
-        vbar = (tot_nu2 - nu_pi2[i]) / n**2
-        g = (theta[i] / delta[i]) / rem_s
-        G = (
-            -loglam_s / rem_s
-            - 0.5 * (mu[i] + sigma[i] * g * sbar) ** 2 / (nu[i] ** 2 + sigma[i] ** 2)
-            + g * mbar
-            + 0.5 * g**2 * (sbar**2 + vbar)
-        )
-        integrals = _right_integrals((rem_s * G).reshape(pts.shape), w, h)
-        out[i] = integrals / rem_nodes
-    return out
+    return _reply_h(discount, strategy.grid, pop, aggregates)
 
 
 def response_h(pop: Population, discount: DiscountFunction,
@@ -218,32 +236,28 @@ def best_response_profile(pop: Population, discount: DiscountFunction,
     mu, nu, sigma = p["mu"], p["nu"], p["sigma"]
     rem = T + 1.0 - times
     own = 1.0 - theta / n
+    couple = theta / own
 
     sig_pi = sigma[:, None] * strategy.pi
-    tot_sig = sig_pi.sum(0)
-    new_pi = np.empty_like(strategy.pi)
-    for i in range(n):
-        sbar = (tot_sig - sig_pi[i]) / n
-        new_pi[i] = (delta[i] * mu[i] * rem + theta[i] * sigma[i] * sbar) / (
-            (nu[i] ** 2 + sigma[i] ** 2) * own[i]
-        )
+    sbar = (sig_pi.sum(0) - sig_pi) / n
+    new_pi = (np.multiply.outer(delta * mu, rem) + (theta * sigma)[:, None] * sbar) / (
+        ((nu**2 + sigma**2) * own)[:, None])
+
+    # With column sums P_k = sum_j p[j, k]: new_p[i, k] is
+    # (couple_i / n) (P_k - p[i, k] - 1/rem) off the diagonal and
+    # (couple_i / n) (P_i - p[i, i]) + 1/rem on it.
+    scale = (couple / n)[:, None]
+    p_tot = strategy.p.sum(axis=0)
+    new_p = np.subtract((p_tot - 1.0 / rem)[None], strategy.p)
+    new_p *= scale[:, :, None]
+    diag = np.arange(n)
+    new_p[diag, diag] = scale * (p_tot - strategy.p[diag, diag]) + 1.0 / rem
 
     h_all = _response_h_all(pop, discount, strategy)
     loglam = discount.log_value(T - times)
-    p_tot = strategy.p.sum(axis=0)  # (n, m): column sums over responders
-    q_tot = strategy.q.sum(axis=0)
-    new_p = np.empty_like(strategy.p)
-    new_q = np.empty_like(strategy.q)
-    for i in range(n):
-        couple = theta[i] / own[i]
-        pbar = (p_tot - strategy.p[i]) / n   # (n, m) competitor average per column
-        new_p[i] = couple * pbar
-        new_p[i, i] += 1.0 / rem
-        for j in range(n):
-            if j != i:
-                new_p[i, j] -= couple / n / rem
-        new_q[i] = (-delta[i] / own[i] * (h_all[i] + loglam)
-                    + couple * (q_tot - strategy.q[i]) / n)
+    q = strategy.q
+    new_q = ((-delta / own)[:, None] * (h_all + loglam)
+             + couple[:, None] * (q.sum(axis=0) - q) / n)
     return GridStrategyN(grid, new_pi, new_p, new_q)
 
 
@@ -320,51 +334,25 @@ class MFGridStrategy:
         return cls(grid, eq.dist, pi, 1.0 / rem, np.zeros((K, m)), np.asarray(q))
 
     def sup_distance(self, other: "MFGridStrategy") -> float:
-        return float(
-            max(
-                np.abs(self.pi - other.pi).max(),
-                np.abs(self.p1 - other.p1).max(),
-                np.abs(self.p2 - other.p2).max(),
-                np.abs(self.q - other.q).max(),
-            )
-        )
+        return max(_sup_gap(self.pi, other.pi), _sup_gap(self.p1, other.p1),
+                   _sup_gap(self.p2, other.p2), _sup_gap(self.q, other.q))
 
 
 def _mfg_response_h_all(dist: TypeDistribution, discount: DiscountFunction,
                         strategy: MFGridStrategy) -> np.ndarray:
     """Reply intercept profiles h(t) per atom, shape (K, m)."""
-    grid = strategy.grid
-    times = grid.times
-    T = grid.T
     w = dist.weights
-    delta, theta = dist.field("delta"), dist.field("theta")
-    mu, nu, sigma = dist.field("mu"), dist.field("nu"), dist.field("sigma")
-
+    mu, sigma = dist.field("mu"), dist.field("sigma")
     # E[sigma pi](t) and E[mu pi](t) are piecewise linear on the grid, so
     # interpolating the aggregated nodes is exact.
-    e_sig_nodes = w @ (sigma[:, None] * strategy.pi)
-    e_mu_nodes = w @ (mu[:, None] * strategy.pi)
+    nodes = np.stack([w @ (sigma[:, None] * strategy.pi),
+                      w @ (mu[:, None] * strategy.pi)])
 
-    pts, wq, h = _quad_layout(times)
-    s = pts.ravel()
-    rem_s = T + 1.0 - s
-    loglam_s = discount.log_value(T - s)
-    e_sig = np.interp(s, times, e_sig_nodes)
-    e_mu = np.interp(s, times, e_mu_nodes)
+    def aggregates(s):
+        e_sig, e_mu = _interp_rows(s, strategy.grid.times, nodes)
+        return e_sig, e_mu, e_sig**2
 
-    out = np.empty((dist.n_atoms, grid.n_points))
-    rem_nodes = T + 1.0 - times
-    for k in range(dist.n_atoms):
-        g = (theta[k] / delta[k]) / rem_s
-        G = (
-            -loglam_s / rem_s
-            - 0.5 * (mu[k] + sigma[k] * g * e_sig) ** 2 / (nu[k] ** 2 + sigma[k] ** 2)
-            + g * e_mu
-            + 0.5 * g**2 * e_sig**2
-        )
-        integrals = _right_integrals((rem_s * G).reshape(pts.shape), wq, h)
-        out[k] = integrals / rem_nodes
-    return out
+    return _reply_h(discount, strategy.grid, dist, aggregates)
 
 
 def best_response_mfg(dist: TypeDistribution, discount: DiscountFunction,

@@ -2,8 +2,8 @@
 
 Subcommands: equilibrium, mfg, best-response, simulate, spike-test, figures,
 verify.  Exit codes: 0 success, 1 validation error, 2 numerical failure
-(non-convergence or non-finite results, with a diagnostic JSON when an
-output path is available).
+(non-convergence, a degenerate fixed point or non-finite results, with a
+diagnostic JSON when the command has a JSON output).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import best_response as br
 from . import diagnostics, mfg, nagent, simulate
 from .core import AgentType, TimeGrid, TypeDistribution, ValidationError
 from .discount import DiscountFunction, HyperbolicDiscount, discount_from_dict
-from .nagent import NAgentEquilibrium, Population
+from .nagent import DegenerateFixedPointError, NAgentEquilibrium, Population
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -60,6 +60,14 @@ class RunConfig:
         return self.distribution
 
 
+def _section(raw: dict, name: str) -> dict:
+    """Config section ``name``, which must be a JSON object."""
+    value = raw[name]
+    if not isinstance(value, dict):
+        raise ValidationError(f"config section {name!r} must be a JSON object")
+    return value
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
@@ -69,14 +77,18 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
 
-    population = Population.from_dict(raw["population"]) if "population" in raw else None
-    distribution = (TypeDistribution.from_dict(raw["type_distribution"])
+    if not isinstance(raw, dict):
+        raise ValidationError("config must be a JSON object")
+    population = (Population.from_dict(_section(raw, "population"))
+                  if "population" in raw else None)
+    distribution = (TypeDistribution.from_dict(_section(raw, "type_distribution"))
                     if "type_distribution" in raw else None)
     if "discount" not in raw:
         raise ValidationError("config is missing 'discount'")
-    discount = discount_from_dict(raw["discount"])
-    grid = TimeGrid.from_dict(raw.get("grid", {"t0": 0.0, "T": 2.0, "n_points": 200}))
-    sim_raw = raw.get("sim", {})
+    discount = discount_from_dict(_section(raw, "discount"))
+    grid = (TimeGrid.from_dict(_section(raw, "grid")) if "grid" in raw
+            else TimeGrid(0.0, 2.0, 200))
+    sim_raw = _section(raw, "sim") if "sim" in raw else {}
     sim = simulate.SimConfig(
         n_paths=int(sim_raw.get("n_paths", 100_000)),
         dt=float(sim_raw.get("dt", 1e-3)),
@@ -250,7 +262,7 @@ def cmd_spike_test(args) -> int:
     agents = None if args.agent is None else [args.agent]
     report = simulate.spike_grid(pop, cfg.discount, eq, times, vs, eps_list,
                                  cfg.sim, cfg.x0, cfg.grid.T, agents=agents)
-    _write_json(args.out, report.to_dict(), args.deterministic)
+    _write_json(args.out_json, report.to_dict(), args.deterministic)
     return EXIT_OK
 
 
@@ -407,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", action="append", default=None,
                    help="perturbation 'v1,v2'; repeatable")
     p.add_argument("--eps", default="0.1,0.05,0.025")
-    p.add_argument("--out", default="spike.json")
+    p.add_argument("--out", dest="out_json", default="spike.json")
     p.set_defaults(fn=cmd_spike_test)
 
     p = sub.add_parser("figures", help="average-consumption curves (fig1/fig2 CSV)")
@@ -437,13 +449,14 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalFailure as exc:
+    except (NumericalFailure, DegenerateFixedPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        out = getattr(args, "out_json", None) or getattr(args, "out", None)
+        # Only a JSON output takes the diagnostic, never a CSV one.
+        out = getattr(args, "out_json", None)
         if out:
+            detail = getattr(exc, "detail", {})
             try:
-                _write_json(out, {"error": str(exc), **exc.detail},
-                            getattr(args, "deterministic", True))
+                _write_json(out, {"error": str(exc), **detail}, args.deterministic)
             except OSError:
                 pass
         return EXIT_NUMERICAL

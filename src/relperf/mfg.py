@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import rk4
 from .core import AgentType, TimeGrid, TypeDistribution, ValidationError
 from .discount import DiscountFunction
 from .nagent import DegenerateFixedPointError
@@ -96,18 +95,22 @@ def _coefficient_for(dist: TypeDistribution, xi: AgentType) -> float:
     return (xi.delta * xi.mu + xi.theta * xi.sigma * agg.phi / (1.0 - agg.psi)) / vol2
 
 
-def mfg_type_constants(dist: TypeDistribution, xi0: AgentType) -> MFGTypeConstants:
-    """Constants (a, b, d) of type ``xi0`` against the population law."""
+def _type_constants(dist: TypeDistribution, delta, theta, mu, nu, sigma):
+    """Constants (a, b, d) of types given as scalars or as per-atom arrays."""
     w = dist.weights
     coef = _atom_coefficients(dist)
-    sigma, mu = dist.field("sigma"), dist.field("mu")
-    e_sig = float(w @ (sigma * coef))
-    e_mu = float(w @ (mu * coef))
-    ratio = xi0.theta / xi0.delta
+    e_sig = float(w @ (dist.field("sigma") * coef))
+    e_mu = float(w @ (dist.field("mu") * coef))
+    ratio = theta / delta
     a = ratio * e_sig
     b = ratio * e_mu
-    vol2 = xi0.nu**2 + xi0.sigma**2
-    d = 0.5 * (xi0.mu + xi0.sigma * a) ** 2 / vol2 - 0.5 * a**2 - b
+    d = 0.5 * (mu + sigma * a) ** 2 / (nu**2 + sigma**2) - 0.5 * a**2 - b
+    return a, b, d
+
+
+def mfg_type_constants(dist: TypeDistribution, xi0: AgentType) -> MFGTypeConstants:
+    """Constants (a, b, d) of type ``xi0`` against the population law."""
+    a, b, d = _type_constants(dist, xi0.delta, xi0.theta, xi0.mu, xi0.nu, xi0.sigma)
     return MFGTypeConstants(a=a, b=b, d=d)
 
 
@@ -146,8 +149,15 @@ class MeanFieldEquilibrium:
     """Evaluator bundling a type law, discount, and horizon.
 
     Exposes the closed forms for arbitrary query types (not only atoms) and
-    the consumption the law induces on average, plus the average-consumption
-    curve obtained by integrating the per-atom mean-wealth ODE.
+    the consumption the law induces on average.  With rem = T+1-t and
+    L(t) = integral_t^T ln lam(T-s) ds, every consumption intercept has the
+    form
+
+        q(t) = A (1/rem - rem) + B (L(t)/rem - ln lam(T-t)),
+        A = -(delta d + comp E[delta d]) / 2,   B = delta + comp E[delta],
+
+    with comp = theta / (1 - E[theta]); the per-atom (A, B) are computed once
+    here, and they give each atom's mean wealth in closed form.
     """
 
     def __init__(self, dist: TypeDistribution, discount: DiscountFunction,
@@ -160,9 +170,26 @@ class MeanFieldEquilibrium:
         self.aggregates = mfg_aggregates(dist)
         self.atom_coefficients = _atom_coefficients(dist)
         # Per-atom constants d(xi); the E[delta H] profile needs them all.
-        self._atom_d = np.array(
-            [mfg_type_constants(dist, a).d for a in dist.types]
-        )
+        delta, theta, mu, nu, sigma = (
+            dist.field(k) for k in ("delta", "theta", "mu", "nu", "sigma"))
+        _, _, atom_d = _type_constants(dist, delta, theta, mu, nu, sigma)
+        self._e_delta_d = float(dist.weights @ (delta * atom_d))
+        self._atom_ab = self._intercept_constants(delta, theta, atom_d)
+
+    def _intercept_constants(self, delta, theta, d):
+        """(A, B) of the intercept q(t) for types (delta, theta, d)."""
+        agg = self.aggregates
+        comp = theta / (1.0 - agg.e_theta)
+        return (-0.5 * (delta * d + comp * self._e_delta_d),
+                delta + comp * agg.e_delta)
+
+    def _intercept_curves(self, t):
+        """(1/rem - rem, L(t)/rem - ln lam(T-t)), the two shapes of q(t)."""
+        t = np.asarray(t, dtype=float)
+        rem = self.horizon + 1.0 - t
+        lint = self.discount.log_integral(t, self.horizon)
+        return (1.0 / rem - rem,
+                lint / rem - self.discount.log_value(self.horizon - t))
 
     def coefficient(self, xi0: AgentType) -> float:
         return _coefficient_for(self.dist, xi0)
@@ -171,35 +198,28 @@ class MeanFieldEquilibrium:
         return self.coefficient(xi0) * (self.horizon + 1.0 - np.asarray(t, dtype=float))
 
     def hhat(self, xi0: AgentType, t):
-        const = mfg_type_constants(self.dist, xi0)
-        t = np.asarray(t, dtype=float)
-        rem = self.horizon + 1.0 - t
-        return 0.5 * const.d * (1.0 / rem - rem) - self.discount.log_integral(
-            t, self.horizon) / rem
+        return mfg_hhat(self.dist, self.discount, xi0, t, self.horizon)
 
     def effective_delta(self, xi0: AgentType) -> float:
         return effective_delta(self.dist, xi0)
 
     def e_delta_hhat(self, t):
         """E[delta H(t)] over the atoms (exact weighted sum)."""
-        w = self.dist.weights
-        delta = self.dist.field("delta")
         t = np.asarray(t, dtype=float)
         rem = self.horizon + 1.0 - t
-        bracket = 1.0 / rem - rem
         lint = self.discount.log_integral(t, self.horizon)
-        e_dd = float(w @ (delta * self._atom_d))
-        e_d = float(w @ delta)
-        return 0.5 * e_dd * bracket - e_d * lint / rem
+        return (0.5 * self._e_delta_d * (1.0 / rem - rem)
+                - self.aggregates.e_delta * lint / rem)
 
     def intercept(self, xi0: AgentType, t):
-        """Consumption intercept q(t) of type ``xi0``."""
-        agg = self.aggregates
-        t = np.asarray(t, dtype=float)
-        log_lam = self.discount.log_value(self.horizon - t)
-        comp = xi0.theta / (1.0 - agg.e_theta)
-        return (-xi0.delta * self.hhat(xi0, t) - comp * self.e_delta_hhat(t)
-                - (xi0.delta + comp * agg.e_delta) * log_lam)
+        """Consumption intercept q(t) of type ``xi0``:
+
+        q = -delta H(t) - comp E[delta H(t)] - (delta + comp E[delta]) ln lam(T-t).
+        """
+        a, b = self._intercept_constants(
+            xi0.delta, xi0.theta, mfg_type_constants(self.dist, xi0).d)
+        bracket, logs = self._intercept_curves(t)
+        return a * bracket + b * logs
 
     def consumption(self, xi0: AgentType, t, x):
         t = np.asarray(t, dtype=float)
@@ -207,29 +227,36 @@ class MeanFieldEquilibrium:
 
     def atom_intercepts(self, t) -> np.ndarray:
         """q(t) for every atom; shape (n_atoms,) + shape(t)."""
-        return np.stack([self.intercept(a, t) for a in self.dist.types])
+        a, b = self._atom_ab
+        bracket, logs = self._intercept_curves(t)
+        return np.multiply.outer(a, bracket) + np.multiply.outer(b, logs)
 
     def mean_wealth(self, grid: TimeGrid, x0: float) -> np.ndarray:
         """Per-atom unconditional mean wealth on the grid, shape (K, m).
 
-        Consumption is affine in wealth, so the mean of each atom's wealth
-        follows the closed linear ODE
+        Consumption is affine in wealth with slope 1/rem, so the mean of each
+        atom's wealth follows m' = a mu rem - m/rem - q(t), that is
+        (m/rem)' = a mu - q/rem.  Since (1/rem)' = 1/rem^2 and
+        (L/rem)' = L/rem^2 - ln lam(T-t)/rem, the right side integrates
+        exactly:
 
-            m'(t) = a mu (T+1-t) - m(t)/(T+1-t) - q(t),
-
-        integrated here with classic RK4 on the grid step.
+            m(t)/rem(t) = x0/rem(t0) + a mu (t - t0)
+                          - A [(1/rem(t) - 1/rem(t0)) - (t - t0)]
+                          - B [L(t)/rem(t) - L(t0)/rem(t0)].
         """
         if grid.T > self.horizon + 1e-12:
             raise ValidationError("grid extends past the equilibrium horizon")
-        mu = self.dist.field("mu")
-        coef = self.atom_coefficients
-
-        def rhs(t, m):
-            rem = self.horizon + 1.0 - t
-            return coef * mu * rem - m / rem - self.atom_intercepts(t)
-
-        m0 = np.full(self.dist.n_atoms, float(x0))
-        return rk4(rhs, m0, grid.times).T
+        times = grid.times
+        rem = self.horizon + 1.0 - times
+        elapsed = times - times[0]
+        inv = 1.0 / rem
+        lrem = self.discount.log_integral(times, self.horizon) / rem
+        a, b = self._atom_ab
+        drift = self.atom_coefficients * self.dist.field("mu")
+        scaled = (float(x0) * inv[0] + np.multiply.outer(drift, elapsed)
+                  - np.multiply.outer(a, inv - inv[0] - elapsed)
+                  - np.multiply.outer(b, lrem - lrem[0]))
+        return scaled * rem
 
     def average_consumption(self, grid: TimeGrid, x0: float) -> np.ndarray:
         """E[c(t, X_t)] on the grid for wealth started at ``x0`` at grid.t0."""

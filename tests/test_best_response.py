@@ -7,6 +7,7 @@ from relperf import (
     ExponentialDiscount,
     GridStrategyN,
     HyperbolicDiscount,
+    IterationReport,
     MeanFieldEquilibrium,
     MFGridStrategy,
     NAgentEquilibrium,
@@ -160,6 +161,76 @@ def test_reply_investment_is_state_independent_by_construction():
     ra = best_response_profile(HET2, HYP, strat_a)
     rb = best_response_profile(HET2, HYP, strat_b)
     assert np.array_equal(ra.pi, rb.pi)
+
+
+def reference_profile(pop, d, strategy):
+    """Agent-by-agent loop form of the simultaneous best reply."""
+    times, T = strategy.grid.times, strategy.grid.T
+    n, m = pop.n, times.size
+    delta, theta, mu, nu, sigma = (pop.field(k) for k in
+                                   ("delta", "theta", "mu", "nu", "sigma"))
+    rem = T + 1.0 - times
+    own = 1.0 - theta / n
+
+    # h_i(t) by two Simpson panels per interval on interpolated investments
+    offs = np.linspace(0.0, 1.0, 5)
+    pts = times[:-1, None] + np.diff(times)[:, None] * offs[None, :]
+    wq = np.array([1.0, 4.0, 2.0, 4.0, 1.0])
+    s = pts.ravel()
+    rem_s = T + 1.0 - s
+    pi_s = np.array([np.interp(s, times, strategy.pi[k]) for k in range(n)])
+    h = np.empty((n, m))
+    for i in range(n):
+        others = [k for k in range(n) if k != i]
+        sbar = sum(sigma[k] * pi_s[k] for k in others) / n
+        mbar = sum(mu[k] * pi_s[k] for k in others) / n
+        vbar = sum((nu[k] * pi_s[k]) ** 2 for k in others) / n**2
+        g = (theta[i] / delta[i]) / rem_s
+        G = (-d.log_value(T - s) / rem_s
+             - 0.5 * (mu[i] + sigma[i] * g * sbar) ** 2 / (nu[i]**2 + sigma[i]**2)
+             + g * mbar + 0.5 * g**2 * (sbar**2 + vbar))
+        seg = np.diff(times) / 12.0 * ((rem_s * G).reshape(pts.shape) @ wq)
+        h[i] = np.append(np.cumsum(seg[::-1])[::-1], 0.0) / rem
+
+    pi = np.empty((n, m))
+    p = np.empty((n, n, m))
+    q = np.empty((n, m))
+    for i in range(n):
+        others = [k for k in range(n) if k != i]
+        sbar = sum(sigma[k] * strategy.pi[k] for k in others) / n
+        pi[i] = (delta[i] * mu[i] * rem + theta[i] * sigma[i] * sbar) / (
+            (nu[i]**2 + sigma[i]**2) * own[i])
+        couple = theta[i] / own[i]
+        for j in range(n):
+            pbar = sum(strategy.p[k, j] for k in others) / n
+            p[i, j] = couple * pbar + (1.0 / rem if j == i else -couple / n / rem)
+        qbar = sum(strategy.q[k] for k in others) / n
+        q[i] = -delta[i] / own[i] * (h[i] + d.log_value(T - times)) + couple * qbar
+    return pi, p, q
+
+
+def test_profile_matches_reference_loop(rng):
+    pop = random_population(rng, n=5)
+    grid = TimeGrid(0.0, T, 41)
+    shape = (pop.n, grid.n_points)
+    strat = GridStrategyN(grid, rng.normal(size=shape),
+                          rng.normal(size=(pop.n,) + shape), rng.normal(size=shape))
+    assert strat.max_cross_coefficient() > 0.1
+    reply = best_response_profile(pop, HYP, strat)
+    for got, want in zip((reply.pi, reply.p, reply.q),
+                         reference_profile(pop, HYP, strat)):
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def test_iteration_report_contraction():
+    assert IterationReport(0).contraction == 0.0
+    assert IterationReport(1, [0.5]).contraction == 0.0
+    _, report = fixed_point_nagent(HET2, HYP, GridStrategyN.zeros(GRID, 2),
+                                   tol=1e-10, max_iter=100)
+    hist = report.residual_history
+    assert report.contraction == hist[-1] / hist[-2]
+    assert 0.0 < report.contraction < 1.0
+    assert report.to_dict()["contraction"] == report.contraction
 
 
 # ---------------------------------------------------------------------------

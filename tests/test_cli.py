@@ -206,3 +206,72 @@ def test_command_requires_matching_input_kind(mfg_cfg, tmp_path, capsys):
     rc = main(["equilibrium", "--config", mfg_cfg, "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "population" in capsys.readouterr().err
+
+
+NEAR_ONE_THETA = {"delta": 1.0, "theta": 1.0 - 1e-13, "mu": 1.0, "nu": 0.0,
+                  "sigma": 1.0}
+
+
+def test_degenerate_equilibrium_is_numerical_failure(tmp_path, capsys):
+    cfg = dict(TWO_AGENT_SINGLE_STOCK,
+               population={"agents": [NEAR_ONE_THETA, NEAR_ONE_THETA]})
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "eq.csv"
+    rc = main(["--deterministic", "equilibrium", "--config", str(path),
+               "--out", str(out)])
+    assert rc == 2
+    assert "numerical failure:" in capsys.readouterr().err
+    # the diagnostic goes to JSON outputs only, never over the CSV
+    assert not out.exists()
+
+
+def test_degenerate_mfg_is_numerical_failure(tmp_path, capsys):
+    cfg = dict(MFG_CONFIG, type_distribution={"atoms": [
+        {"type": NEAR_ONE_THETA, "weight": 1.0}]})
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(cfg))
+    out_csv, out_json = tmp_path / "m.csv", tmp_path / "m.json"
+    rc = main(["--deterministic", "mfg", "--config", str(path),
+               "--out-csv", str(out_csv), "--out-json", str(out_json)])
+    assert rc == 2
+    assert "numerical failure:" in capsys.readouterr().err
+    assert "degenerate" in json.loads(out_json.read_text())["error"]
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("section, value", [
+    ("population", [1, 2]), ("sim", 3), ("grid", "x"), ("discount", None),
+    ("type_distribution", True),
+])
+def test_wrong_section_type_is_validation_error(section, value, tmp_path, capsys):
+    cfg = dict(TWO_AGENT_SINGLE_STOCK, **{section: value})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["equilibrium", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and section in err
+
+
+def test_config_that_is_not_an_object_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(["discount"]))
+    rc = main(["equilibrium", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_best_response_reports_contraction(two_agent_cfg, tmp_path):
+    outs = []
+    for name in ("a", "b"):
+        out_json = tmp_path / f"{name}.json"
+        assert main(["--deterministic", "best-response", "--config", two_agent_cfg,
+                     "--out-json", str(out_json),
+                     "--out-csv", str(tmp_path / f"{name}.csv")]) == 0
+        outs.append(out_json.read_bytes())
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    hist = report["residual_history"]
+    assert report["contraction"] == hist[-1] / hist[-2]
+    assert 0.0 < report["contraction"] < 1.0

@@ -14,6 +14,7 @@ from relperf import (
     ExponentialDiscount,
     HyperbolicDiscount,
     MeanFieldEquilibrium,
+    TabulatedDiscount,
     TimeGrid,
     TypeDistribution,
     agent_constants,
@@ -242,6 +243,53 @@ def test_average_consumption_matches_ivp_oracle():
         sol.y / (T + 1.0 - grid.times)[None, :]
         + np.asarray(eq.atom_intercepts(grid.times)))
     assert np.abs(avg - want).max() < 1e-7
+
+
+# Kinks of ln lam at 0.5 and 1.3 (the log interpolates linearly between knots).
+TAB = TabulatedDiscount([0.0, 0.5, 1.3, 2.0], [1.0, 0.9, 0.7, 0.6])
+
+
+@pytest.mark.parametrize("d", [EXP, HYP, TAB], ids=["exp", "hyp", "tab"])
+@pytest.mark.parametrize("t0, n_points", [(0.0, 201), (0.7, 51)])
+def test_mean_wealth_matches_ivp(rng, d, t0, n_points):
+    # The closed form against an adaptive solve of m' = a mu rem - m/rem - q.
+    dist = random_distribution(rng, k=6)
+    eq = MeanFieldEquilibrium(dist, d, T)
+    grid = TimeGrid(t0, T, n_points)
+    got = eq.mean_wealth(grid, 10.0)
+    drift = eq.atom_coefficients * dist.field("mu")
+
+    def rhs(t, m):
+        rem = T + 1.0 - t
+        return drift * rem - m / rem - eq.atom_intercepts(t)
+
+    sol = solve_ivp(rhs, (t0, T), np.full(dist.n_atoms, 10.0), method="DOP853",
+                    t_eval=grid.times, rtol=1e-11, atol=1e-12)
+    assert sol.success
+    assert got.shape == sol.y.shape
+    assert np.abs(got - sol.y).max() <= 1e-9 * np.abs(sol.y).max()
+    assert np.array_equal(got[:, 0], np.full(dist.n_atoms, 10.0))
+
+
+def test_atom_intercepts_match_per_type_intercepts(rng):
+    # One formula for atoms and for arbitrary query types, and both equal
+    # the definition -delta H - comp E[delta H] - (delta + comp E[delta]) ln lam.
+    times = TimeGrid(0.0, T, 57).times
+    for d in (EXP, HYP, TAB):
+        dist = random_distribution(rng)
+        eq = MeanFieldEquilibrium(dist, d, T)
+        agg = eq.aggregates
+        got = eq.atom_intercepts(times)
+        stacked = np.stack([eq.intercept(a, times) for a in dist.types])
+        comp = dist.field("theta")[:, None] / (1.0 - agg.e_theta)
+        delta = dist.field("delta")[:, None]
+        hh = np.stack([eq.hhat(a, times) for a in dist.types])
+        defined = (-delta * hh - comp * eq.e_delta_hhat(times)
+                   - (delta + comp * agg.e_delta) * d.log_value(T - times))
+        scale = np.abs(defined).max()
+        assert got.shape == (dist.n_atoms, times.size)
+        assert np.abs(got - stacked).max() <= 1e-13 * scale
+        assert np.abs(got - defined).max() <= 1e-13 * scale
 
 
 def test_average_consumption_monotone_in_patience_and_tolerance():
