@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TimeGrid, TypeDistribution, ValidationError
+from .core import _FIELDS, TimeGrid, TypeDistribution, ValidationError
 from .discount import DiscountFunction
-from .mfg import MeanFieldEquilibrium
-from .nagent import NAgentEquilibrium, Population
+from .mfg import MeanFieldEquilibrium, _mfg_law
+from .nagent import NAgentEquilibrium, Population, _nagent_law
 
 __all__ = [
     "GridStrategyN",
@@ -109,23 +109,13 @@ class GridStrategyN:
 
     def pi_at(self, times) -> np.ndarray:
         """(len(times), n) investments by linear interpolation."""
-        times = np.asarray(times, dtype=float)
-        out = np.empty((times.size, self.n_agents))
-        for i in range(self.n_agents):
-            out[:, i] = np.interp(times, self.grid.times, self.pi[i])
-        return out
+        return _interp_rows(np.asarray(times, dtype=float), self.grid.times, self.pi).T
 
     def consumption_at(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(P, q) with P (len, n, n) and q (len, n) by linear interpolation."""
         times = np.asarray(times, dtype=float)
-        n = self.n_agents
-        P = np.empty((times.size, n, n))
-        q = np.empty((times.size, n))
-        for i in range(n):
-            q[:, i] = np.interp(times, self.grid.times, self.q[i])
-            for k in range(n):
-                P[:, i, k] = np.interp(times, self.grid.times, self.p[i, k])
-        return P, q
+        P = _interp_rows(times, self.grid.times, self.p)
+        return P.transpose(2, 0, 1), _interp_rows(times, self.grid.times, self.q).T
 
     def sup_distance(self, other: "GridStrategyN") -> float:
         return max(_sup_gap(self.pi, other.pi), _sup_gap(self.p, other.p),
@@ -158,68 +148,73 @@ def _right_integrals(vals: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarr
 
 
 def _interp_rows(s: np.ndarray, times: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Linear interpolation of every row of ``rows`` (sampled on ``times``) at s."""
+    """Linear interpolation along the last axis of ``rows`` (sampled on
+    ``times``) at s; shape rows.shape[:-1] + s.shape.  Two result-sized
+    arrays, the second one updated in place."""
     j = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
     frac = (s - times[j]) / (times[j + 1] - times[j])
-    return rows[:, j] + (rows[:, j + 1] - rows[:, j]) * frac
+    out, step = rows[..., j], rows[..., j + 1]
+    step -= out
+    step *= frac
+    out += step
+    return out
 
 
-def _reply_h(discount: DiscountFunction, grid: TimeGrid,
-             types: Population | TypeDistribution, aggregates) -> np.ndarray:
+def _reply_h(discount: DiscountFunction, grid: TimeGrid, p, w, s: float,
+             pi: np.ndarray) -> np.ndarray:
     """Reply intercept profiles h(t) = (1/(T+1-t)) integral_t^T (T+1-s) G(s) ds.
 
-    One row per agent or atom of ``types``.  ``aggregates(s)`` gives the
-    competitor terms at the quadrature points s, each broadcastable to
-    (rows, len(s)): the average sigma-weighted investment sbar, the
-    mu-weighted mbar and the second moment sbar^2 + vbar, where vbar is the
-    idiosyncratic variance (zero in the mean-field limit).
+    One row per agent or atom: ``p`` holds the rows' parameters, ``w`` their
+    law weights and ``s`` a row's own share (w = s = 1/n for n agents, the
+    law's weights and s = 0 for the mean field), and ``pi`` their sampled
+    investments, linearly interpolated between nodes.  G collects the
+    competitor averages E_w[x] - s x of the sigma- and mu-weighted
+    investments (sbar, mbar) and the idiosyncratic variance
+    vbar = s (E_w[(nu pi)^2] - s (nu pi)^2), which vanishes in the mean field.
     """
     times, T = grid.times, grid.T
-    delta, theta, mu, nu, sigma = (
-        types.field(k)[:, None] for k in ("delta", "theta", "mu", "nu", "sigma"))
-    pts, w, h = _quad_layout(times)
-    s = pts.ravel()
-    rem_s = T + 1.0 - s
-    sbar, mbar, second = aggregates(s)
-    g = (theta / delta) / rem_s
+    delta, theta, mu, nu, sigma = (p[k][:, None] for k in _FIELDS)
+    pts, wq, h = _quad_layout(times)
+    u = pts.ravel()
+    rem_u = T + 1.0 - u
+    pi_u = _interp_rows(u, times, pi)
+    sbar, mbar, nbar = (w @ x - s * x for x in (sigma * pi_u, mu * pi_u, (nu * pi_u) ** 2))
+    g = (theta / delta) / rem_u
     G = (
-        -discount.log_value(T - s) / rem_s
+        -discount.log_value(T - u) / rem_u
         - 0.5 * (mu + sigma * g * sbar) ** 2 / (nu**2 + sigma**2)
         + g * mbar
-        + 0.5 * g**2 * second
+        + 0.5 * g**2 * (sbar**2 + s * nbar)
     )
-    integrals = _right_integrals((rem_s * G).reshape((-1,) + pts.shape), w, h)
+    integrals = _right_integrals((rem_u * G).reshape((-1,) + pts.shape), wq, h)
     return integrals / (T + 1.0 - times)
 
 
-def _response_h_all(pop: Population, discount: DiscountFunction,
-                    strategy: GridStrategyN) -> np.ndarray:
-    """Reply intercept profiles h_i(t) for all agents, shape (n, m).
+def _reply(discount: DiscountFunction, grid: TimeGrid, p, w, s: float,
+           pi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best-reply investments and consumption intercepts of every row.
 
-    G_i aggregates the competitors' sampled investments (linearly
-    interpolated between nodes), excluding agent i's own, over n.
+    Rows, ``p``, ``w`` and ``s`` are as in :func:`_reply_h`; ``q`` holds the
+    rows' sampled consumption intercepts.  With own = 1 - theta s:
+
+        pi' = (delta mu (T+1-t) + theta sigma sbar) / ((nu^2 + sigma^2) own),
+        q'  = -(delta/own) (h + ln lam(T-t)) + (theta/own) (E_w[q] - s q).
     """
-    n = strategy.n_agents
-    p = pop._params
-    mu, nu, sigma = p["mu"], p["nu"], p["sigma"]
-
-    def aggregates(s):
-        pi_s = _interp_rows(s, strategy.grid.times, strategy.pi)
-        sig_pi = sigma[:, None] * pi_s
-        mu_pi = mu[:, None] * pi_s
-        nu_pi2 = (nu[:, None] * pi_s) ** 2
-        sbar = (sig_pi.sum(0) - sig_pi) / n
-        mbar = (mu_pi.sum(0) - mu_pi) / n
-        vbar = (nu_pi2.sum(0) - nu_pi2) / n**2
-        return sbar, mbar, sbar**2 + vbar
-
-    return _reply_h(discount, strategy.grid, pop, aggregates)
+    times, T = grid.times, grid.T
+    delta, theta, mu, nu, sigma = (p[k][:, None] for k in _FIELDS)
+    own = 1.0 - theta * s
+    sbar = w @ (sigma * pi) - s * sigma * pi
+    new_pi = (delta * mu * (T + 1.0 - times) + theta * sigma * sbar) / ((nu**2 + sigma**2) * own)
+    h = _reply_h(discount, grid, p, w, s, pi)
+    new_q = (-(delta / own) * (h + discount.log_value(T - times))
+             + (theta / own) * (w @ q - s * q))
+    return new_pi, new_q
 
 
 def response_h(pop: Population, discount: DiscountFunction,
                strategy: GridStrategyN, i: int) -> np.ndarray:
     """Reply intercept profile h_i(t) of agent ``i`` on the strategy grid."""
-    return _response_h_all(pop, discount, strategy)[i]
+    return _reply_h(discount, strategy.grid, *_nagent_law(pop), strategy.pi)[i]
 
 
 def best_response_profile(pop: Population, discount: DiscountFunction,
@@ -228,36 +223,20 @@ def best_response_profile(pop: Population, discount: DiscountFunction,
     if strategy.n_agents != pop.n:
         raise ValidationError("strategy and population sizes differ")
     grid = strategy.grid
-    times = grid.times
-    T = grid.T
     n = pop.n
-    p = pop._params
-    delta, theta = p["delta"], p["theta"]
-    mu, nu, sigma = p["mu"], p["nu"], p["sigma"]
-    rem = T + 1.0 - times
-    own = 1.0 - theta / n
-    couple = theta / own
+    theta = pop._params["theta"]
+    rem = grid.T + 1.0 - grid.times
+    new_pi, new_q = _reply(discount, grid, *_nagent_law(pop), strategy.pi, strategy.q)
 
-    sig_pi = sigma[:, None] * strategy.pi
-    sbar = (sig_pi.sum(0) - sig_pi) / n
-    new_pi = (np.multiply.outer(delta * mu, rem) + (theta * sigma)[:, None] * sbar) / (
-        ((nu**2 + sigma**2) * own)[:, None])
-
-    # With column sums P_k = sum_j p[j, k]: new_p[i, k] is
-    # (couple_i / n) (P_k - p[i, k] - 1/rem) off the diagonal and
-    # (couple_i / n) (P_i - p[i, i]) + 1/rem on it.
-    scale = (couple / n)[:, None]
+    # With column sums P_k = sum_j p[j, k] and couple_i = theta_i/(1 - theta_i/n):
+    # new_p[i, k] is (couple_i / n) (P_k - p[i, k] - 1/rem) off the diagonal
+    # and (couple_i / n) (P_i - p[i, i]) + 1/rem on it.
+    scale = (theta / (1.0 - theta / n) / n)[:, None]
     p_tot = strategy.p.sum(axis=0)
     new_p = np.subtract((p_tot - 1.0 / rem)[None], strategy.p)
     new_p *= scale[:, :, None]
     diag = np.arange(n)
     new_p[diag, diag] = scale * (p_tot - strategy.p[diag, diag]) + 1.0 / rem
-
-    h_all = _response_h_all(pop, discount, strategy)
-    loglam = discount.log_value(T - times)
-    q = strategy.q
-    new_q = ((-delta / own)[:, None] * (h_all + loglam)
-             + couple[:, None] * (q.sum(axis=0) - q) / n)
     return GridStrategyN(grid, new_pi, new_p, new_q)
 
 
@@ -270,6 +249,26 @@ def best_response_nagent(pop: Population, discount: DiscountFunction,
     return reply.pi[i], reply.p[i], reply.q[i]
 
 
+def _picard(reply, init, tol: float, max_iter: int):
+    """Iterate ``reply`` from ``init`` until one sweep moves the profile by at
+    most ``tol`` in sup norm; non-convergence is reported, not raised."""
+    if not tol > 0:
+        raise ValidationError("tol must be > 0")
+    current = init
+    history: list[float] = []
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        new = reply(current)
+        res = new.sup_distance(current)
+        history.append(res)
+        current = new
+        if res <= tol:
+            converged = True
+            break
+    return current, IterationReport(iterations, history, converged)
+
+
 def fixed_point_nagent(pop: Population, discount: DiscountFunction,
                        init: GridStrategyN, tol: float = 1e-10,
                        max_iter: int = 500) -> tuple[GridStrategyN, IterationReport]:
@@ -278,21 +277,7 @@ def fixed_point_nagent(pop: Population, discount: DiscountFunction,
     Stops when the sup-norm change of one sweep drops to ``tol``;
     non-convergence is reported through the flag, not raised.
     """
-    if not tol > 0:
-        raise ValidationError("tol must be > 0")
-    current = init
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        new = best_response_profile(pop, discount, current)
-        res = new.sup_distance(current)
-        history.append(res)
-        current = new
-        if res <= tol:
-            converged = True
-            break
-    return current, IterationReport(iterations, history, converged)
+    return _picard(lambda s: best_response_profile(pop, discount, s), init, tol, max_iter)
 
 
 @dataclass
@@ -338,69 +323,21 @@ class MFGridStrategy:
                    _sup_gap(self.p2, other.p2), _sup_gap(self.q, other.q))
 
 
-def _mfg_response_h_all(dist: TypeDistribution, discount: DiscountFunction,
-                        strategy: MFGridStrategy) -> np.ndarray:
-    """Reply intercept profiles h(t) per atom, shape (K, m)."""
-    w = dist.weights
-    mu, sigma = dist.field("mu"), dist.field("sigma")
-    # E[sigma pi](t) and E[mu pi](t) are piecewise linear on the grid, so
-    # interpolating the aggregated nodes is exact.
-    nodes = np.stack([w @ (sigma[:, None] * strategy.pi),
-                      w @ (mu[:, None] * strategy.pi)])
-
-    def aggregates(s):
-        e_sig, e_mu = _interp_rows(s, strategy.grid.times, nodes)
-        return e_sig, e_mu, e_sig**2
-
-    return _reply_h(discount, strategy.grid, dist, aggregates)
-
-
 def best_response_mfg(dist: TypeDistribution, discount: DiscountFunction,
                       strategy: MFGridStrategy) -> MFGridStrategy:
     """Best reply of every type to the per-atom profile."""
     if strategy.dist.n_atoms != dist.n_atoms:
         raise ValidationError("strategy and distribution atom counts differ")
     grid = strategy.grid
-    times = grid.times
-    T = grid.T
-    w = dist.weights
-    delta, theta = dist.field("delta"), dist.field("theta")
-    mu, nu, sigma = dist.field("mu"), dist.field("nu"), dist.field("sigma")
-    rem = T + 1.0 - times
-    vol2 = nu**2 + sigma**2
-
-    e_sig = w @ (sigma[:, None] * strategy.pi)
-    new_pi = (delta * mu / vol2)[:, None] * rem[None, :] + (
-        (sigma * theta / vol2)[:, None] * e_sig[None, :]
-    )
-
-    h_all = _mfg_response_h_all(dist, discount, strategy)
-    loglam = discount.log_value(T - times)
-    e_p2 = w @ strategy.p2
-    e_q = w @ strategy.q
-    new_p1 = 1.0 / rem
-    new_p2 = theta[:, None] * (strategy.p1 + e_p2 - 1.0 / rem)[None, :]
-    new_q = (-delta[:, None] * (h_all + loglam[None, :])
-             + theta[:, None] * e_q[None, :])
-    return MFGridStrategy(grid, strategy.dist, new_pi, new_p1, new_p2, new_q)
+    rem = grid.T + 1.0 - grid.times
+    new_pi, new_q = _reply(discount, grid, *_mfg_law(dist), strategy.pi, strategy.q)
+    e_p2 = dist.weights @ strategy.p2
+    new_p2 = dist.field("theta")[:, None] * (strategy.p1 + e_p2 - 1.0 / rem)[None, :]
+    return MFGridStrategy(grid, strategy.dist, new_pi, 1.0 / rem, new_p2, new_q)
 
 
 def fixed_point_mfg(dist: TypeDistribution, discount: DiscountFunction,
                     init: MFGridStrategy, tol: float = 1e-10,
                     max_iter: int = 500) -> tuple[MFGridStrategy, IterationReport]:
     """Picard iteration of the mean-field best-response map."""
-    if not tol > 0:
-        raise ValidationError("tol must be > 0")
-    current = init
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        new = best_response_mfg(dist, discount, current)
-        res = new.sup_distance(current)
-        history.append(res)
-        current = new
-        if res <= tol:
-            converged = True
-            break
-    return current, IterationReport(iterations, history, converged)
+    return _picard(lambda s: best_response_mfg(dist, discount, s), init, tol, max_iter)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import best_response as br
 from . import diagnostics, mfg, nagent, simulate
-from .core import AgentType, TimeGrid, TypeDistribution, ValidationError
+from .core import AgentType, TimeGrid, TypeDistribution, ValidationError, _json_section
 from .discount import DiscountFunction, HyperbolicDiscount, discount_from_dict
 from .nagent import DegenerateFixedPointError, NAgentEquilibrium, Population
 
@@ -89,13 +89,16 @@ def load_config(path: str) -> RunConfig:
     grid = (TimeGrid.from_dict(_section(raw, "grid")) if "grid" in raw
             else TimeGrid(0.0, 2.0, 200))
     sim_raw = _section(raw, "sim") if "sim" in raw else {}
-    sim = simulate.SimConfig(
-        n_paths=int(sim_raw.get("n_paths", 100_000)),
-        dt=float(sim_raw.get("dt", 1e-3)),
-        seed=int(sim_raw.get("seed", 42)),
-        antithetic=bool(sim_raw.get("antithetic", False)),
-    )
+    with _json_section("sim"):
+        sim = simulate.SimConfig(
+            n_paths=int(sim_raw.get("n_paths", 100_000)),
+            dt=float(sim_raw.get("dt", 1e-3)),
+            seed=int(sim_raw.get("seed", 42)),
+            antithetic=bool(sim_raw.get("antithetic", False)),
+        )
     x0 = raw.get("x0", 10.0)
+    with _json_section("x0"):
+        np.asarray(x0, dtype=float)
     return RunConfig(population, distribution, discount, grid, sim, x0)
 
 
@@ -113,6 +116,16 @@ def _write_csv(path: str, header: list[str], rows, deterministic: bool):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_strategy_csv(path: str, id_name: str, times, pi, slope, q,
+                        deterministic: bool):
+    """CSV of sampled strategies, one block of rows per agent or atom: the
+    investment ``pi`` and intercept ``q`` are (rows, m), ``slope`` broadcasts."""
+    slope = np.broadcast_to(slope, pi.shape)
+    rows = [[k, f"{t:.10g}", f"{pi[k, j]:.12g}", f"{slope[k, j]:.12g}", f"{q[k, j]:.12g}"]
+            for k in range(pi.shape[0]) for j, t in enumerate(times)]
+    _write_csv(path, [id_name, "t", "pi", "c_slope", "c_intercept"], rows, deterministic)
 
 
 def _write_json(path: str, payload: dict, deterministic: bool):
@@ -137,14 +150,8 @@ def cmd_equilibrium(args) -> int:
     times = cfg.grid.times
     strat = eq.sample(cfg.grid)
     _check_finite("equilibrium", strat.intercepts, strat.pi_coeff)
-    rows = []
-    for i in range(pop.n):
-        pis = strat.pi_values(i)
-        for j, t in enumerate(times):
-            rows.append([i, f"{t:.10g}", f"{pis[j]:.12g}",
-                         f"{strat.c_slope[j]:.12g}", f"{strat.intercepts[i, j]:.12g}"])
-    _write_csv(args.out, ["agent_id", "t", "pi", "c_slope", "c_intercept"], rows,
-               args.deterministic)
+    _write_strategy_csv(args.out, "agent_id", times, strat.pi_at(times).T, strat.c_slope,
+                        strat.intercepts, args.deterministic)
     return EXIT_OK
 
 
@@ -156,14 +163,9 @@ def cmd_mfg(args) -> int:
     icpts = np.asarray(eq.atom_intercepts(times))
     _check_finite("mfg equilibrium", icpts, eq.atom_coefficients)
     rem = cfg.grid.T + 1.0 - times
-    rows = []
-    for k, atom in enumerate(dist.types):
-        pis = eq.atom_coefficients[k] * rem
-        for j, t in enumerate(times):
-            rows.append([k, f"{t:.10g}", f"{pis[j]:.12g}",
-                         f"{1.0 / rem[j]:.12g}", f"{icpts[k, j]:.12g}"])
-    _write_csv(args.out_csv, ["atom_id", "t", "pi", "c_slope", "c_intercept"], rows,
-               args.deterministic)
+    _write_strategy_csv(args.out_csv, "atom_id", times,
+                        np.multiply.outer(eq.atom_coefficients, rem), 1.0 / rem, icpts,
+                        args.deterministic)
     agg = eq.aggregates
     payload = {
         "aggregates": {"phi": agg.phi, "psi": agg.psi,
@@ -190,13 +192,8 @@ def cmd_best_response(args) -> int:
         NAgentEquilibrium(pop, cfg.discount, cfg.grid.T), cfg.grid)
     payload["gap_to_closed_form"] = final.sup_distance(closed)
     _write_json(args.out_json, payload, args.deterministic)
-    rows = []
-    for i in range(pop.n):
-        for j, t in enumerate(cfg.grid.times):
-            rows.append([i, f"{t:.10g}", f"{final.pi[i, j]:.12g}",
-                         f"{final.p[i, i, j]:.12g}", f"{final.q[i, j]:.12g}"])
-    _write_csv(args.out_csv, ["agent_id", "t", "pi", "c_slope", "c_intercept"],
-               rows, args.deterministic)
+    _write_strategy_csv(args.out_csv, "agent_id", cfg.grid.times, final.pi,
+                        np.diagonal(final.p).T, final.q, args.deterministic)
     if not report.converged:
         raise NumericalFailure("fixed-point iteration did not converge",
                                detail=payload)
@@ -356,7 +353,7 @@ def _verify_checks(cfg: RunConfig):
         yield ("mean-field investment fixed-point identity", resid < 1e-12,
                f"residual={resid:.3g}")
         e_q = dist.weights @ np.asarray(eq.atom_intercepts(times))
-        target = -(np.array([eq.e_delta_hhat(t) for t in times])
+        target = -(eq.e_delta_hhat(times)
                    + agg.e_delta * d.log_value(grid.T - times)) / (1.0 - agg.e_theta)
         gap = float(np.abs(e_q - target).max())
         yield ("mean-field consumption fixed-point identity", gap < 1e-10,

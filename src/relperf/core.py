@@ -6,7 +6,8 @@ pure functions, so objects can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -27,6 +28,18 @@ WEIGHT_TOL = 1e-12
 
 class ValidationError(ValueError):
     """A domain object violates one of its parameter constraints."""
+
+
+@contextmanager
+def _json_section(name: str):
+    """Report a missing field, or a JSON value of the wrong type or size, in
+    the config section ``name`` as a :class:`ValidationError` naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{name} is missing field {exc.args[0]!r}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValidationError(f"{name} has a value of the wrong JSON type ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -57,28 +70,23 @@ class AgentType:
     sigma: float
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "theta": self.theta,
-            "mu": self.mu,
-            "nu": self.nu,
-            "sigma": self.sigma,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AgentType":
-        try:
-            agent = cls(
-                delta=float(data["delta"]),
-                theta=float(data["theta"]),
-                mu=float(data["mu"]),
-                nu=float(data["nu"]),
-                sigma=float(data["sigma"]),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"agent is missing field {exc.args[0]!r}") from None
+        return cls._from_json(data, "agent")
+
+    @classmethod
+    def _from_json(cls, data: Mapping, name: str) -> "AgentType":
+        """Validated agent from the JSON object ``data`` of config item ``name``."""
+        with _json_section(name):
+            agent = cls(**{k: float(data[k]) for k in _FIELDS})
         validate_agent(agent)
         return agent
+
+
+# The parameter names of an agent, in the order of its fields.
+_FIELDS = ("delta", "theta", "mu", "nu", "sigma")
 
 
 def agent_violations(agent: AgentType) -> list[str]:
@@ -143,10 +151,8 @@ class TimeGrid:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TimeGrid":
-        try:
+        with _json_section("grid"):
             return cls(float(data["t0"]), float(data["T"]), int(data["n_points"]))
-        except KeyError as exc:
-            raise ValidationError(f"grid is missing field {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -208,13 +214,10 @@ class TypeDistribution:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TypeDistribution":
-        try:
+        with _json_section("type_distribution"):
             atoms = [
-                (AgentType.from_dict(item["type"]), float(item["weight"]))
-                for item in data["atoms"]
+                (AgentType._from_json(item["type"], f"type_distribution atom {k}"),
+                 float(item["weight"]))
+                for k, item in enumerate(data["atoms"])
             ]
-        except KeyError as exc:
-            raise ValidationError(
-                f"type distribution is missing field {exc.args[0]!r}"
-            ) from None
         return cls(atoms)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _json_section
 
 __all__ = [
     "DiscountFunction",
@@ -229,19 +229,13 @@ def discount_log_integral(d: DiscountFunction, t, T):
 
 def discount_from_dict(data: Mapping) -> DiscountFunction:
     """Build a discount function from its JSON form (see ``to_dict``)."""
-    try:
+    with _json_section("discount"):
         variant = data["variant"]
-    except KeyError:
-        raise ValidationError("discount is missing field 'variant'") from None
-    try:
+    with _json_section(f"{variant} discount"):
         if variant == "exponential":
             return ExponentialDiscount(rho=float(data["rho"]))
         if variant == "hyperbolic":
             return HyperbolicDiscount(rho=float(data["rho"]), beta=float(data["beta"]))
         if variant == "tabulated":
             return TabulatedDiscount(data["times"], data["values"])
-    except KeyError as exc:
-        raise ValidationError(
-            f"{variant} discount is missing field {exc.args[0]!r}"
-        ) from None
     raise ValidationError(f"unknown discount variant {variant!r}")

@@ -12,7 +12,9 @@ expectations over the types:
              - (delta + theta E[delta] / (1 - E[theta])) ln lam(T - t),
 
 where phi = E[delta mu sigma / (sigma^2 + nu^2)] and
-psi = E[theta sigma^2 / (sigma^2 + nu^2)].
+psi = E[theta sigma^2 / (sigma^2 + nu^2)].  These are the n-agent formulas
+with the population averages taken over the law and the agent's own share
+1/n set to 0, and they are evaluated by the same closed-form core.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AgentType, TimeGrid, TypeDistribution, ValidationError
+from .core import _FIELDS, AgentType, TimeGrid, TypeDistribution, ValidationError
 from .discount import DiscountFunction
-from .nagent import DegenerateFixedPointError
+from .nagent import _ClosedForm, _Equilibrium, _pi_lines
 
 __all__ = [
     "MFGAggregates",
@@ -36,8 +38,6 @@ __all__ = [
     "mfg_pi_star",
     "mfg_type_constants",
 ]
-
-_PSI_GUARD = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,63 +60,29 @@ class MFGTypeConstants:
     d: float
 
 
+def _mfg_law(dist: TypeDistribution):
+    """(p, w, s) of a type law: its atoms, its weights and own share s = 0."""
+    return {k: dist.field(k) for k in _FIELDS}, dist.weights, 0.0
+
+
+def _mfg_core(dist: TypeDistribution) -> _ClosedForm:
+    return _ClosedForm(*_mfg_law(dist), ("mean-field fixed point", "psi", "E[theta]"))
+
+
 def mfg_aggregates(dist: TypeDistribution) -> MFGAggregates:
     """(phi, psi, E[delta], E[theta]) as exact weighted sums over the atoms."""
-    w = dist.weights
-    delta, theta = dist.field("delta"), dist.field("theta")
-    mu, nu, sigma = dist.field("mu"), dist.field("nu"), dist.field("sigma")
-    vol2 = sigma**2 + nu**2
-    agg = MFGAggregates(
-        phi=float(w @ (delta * mu * sigma / vol2)),
-        psi=float(w @ (theta * sigma**2 / vol2)),
-        e_delta=float(w @ delta),
-        e_theta=float(w @ theta),
-    )
-    if agg.psi >= _PSI_GUARD or agg.e_theta >= _PSI_GUARD:
-        raise DegenerateFixedPointError(
-            f"mean-field fixed point is degenerate: psi={agg.psi:.17g}, "
-            f"E[theta]={agg.e_theta:.17g}"
-        )
-    return agg
-
-
-def _atom_coefficients(dist: TypeDistribution) -> np.ndarray:
-    """Investment slopes a(xi) for every atom."""
-    agg = mfg_aggregates(dist)
-    delta, theta = dist.field("delta"), dist.field("theta")
-    mu, nu, sigma = dist.field("mu"), dist.field("nu"), dist.field("sigma")
-    vol2 = sigma**2 + nu**2
-    return (delta * mu + theta * sigma * agg.phi / (1.0 - agg.psi)) / vol2
-
-
-def _coefficient_for(dist: TypeDistribution, xi: AgentType) -> float:
-    agg = mfg_aggregates(dist)
-    vol2 = xi.sigma**2 + xi.nu**2
-    return (xi.delta * xi.mu + xi.theta * xi.sigma * agg.phi / (1.0 - agg.psi)) / vol2
-
-
-def _type_constants(dist: TypeDistribution, delta, theta, mu, nu, sigma):
-    """Constants (a, b, d) of types given as scalars or as per-atom arrays."""
-    w = dist.weights
-    coef = _atom_coefficients(dist)
-    e_sig = float(w @ (dist.field("sigma") * coef))
-    e_mu = float(w @ (dist.field("mu") * coef))
-    ratio = theta / delta
-    a = ratio * e_sig
-    b = ratio * e_mu
-    d = 0.5 * (mu + sigma * a) ** 2 / (nu**2 + sigma**2) - 0.5 * a**2 - b
-    return a, b, d
+    return MFGAggregates(*_mfg_core(dist).aggregates)
 
 
 def mfg_type_constants(dist: TypeDistribution, xi0: AgentType) -> MFGTypeConstants:
     """Constants (a, b, d) of type ``xi0`` against the population law."""
-    a, b, d = _type_constants(dist, xi0.delta, xi0.theta, xi0.mu, xi0.nu, xi0.sigma)
+    a, b, _, d = _mfg_core(dist).constants(xi0.to_dict())
     return MFGTypeConstants(a=a, b=b, d=d)
 
 
 def mfg_pi_star(dist: TypeDistribution, xi0: AgentType, t, horizon: float):
     """Equilibrium investment of a type-``xi0`` agent (vectorized in t)."""
-    return _coefficient_for(dist, xi0) * (horizon + 1.0 - np.asarray(t, dtype=float))
+    return _pi_lines(horizon, _mfg_core(dist).slopes(xi0.to_dict()), t)
 
 
 def mfg_hhat(dist: TypeDistribution, d: DiscountFunction, xi0: AgentType, t,
@@ -126,100 +92,69 @@ def mfg_hhat(dist: TypeDistribution, d: DiscountFunction, xi0: AgentType, t,
     H(t) = (d/2) [1/(T+1-t) - (T+1-t)]
            - (1/(T+1-t)) * integral_t^T ln lam(T-s) ds.
     """
-    const = mfg_type_constants(dist, xi0)
-    t = np.asarray(t, dtype=float)
-    rem = horizon + 1.0 - t
-    return 0.5 * const.d * (1.0 / rem - rem) - d.log_integral(t, horizon) / rem
+    return MeanFieldEquilibrium(dist, d, horizon).hhat(xi0, t)
 
 
 def effective_delta(dist: TypeDistribution, xi0: AgentType) -> float:
     """Competition-inflated risk tolerance delta + theta E[delta]/(1 - E[theta])."""
-    agg = mfg_aggregates(dist)
-    return xi0.delta + xi0.theta * agg.e_delta / (1.0 - agg.e_theta)
+    return _mfg_core(dist).effective_delta(xi0.to_dict())
 
 
 def mfg_c_star(dist: TypeDistribution, d: DiscountFunction, xi0: AgentType, t,
                x, horizon: float):
     """Equilibrium consumption rate of a type-``xi0`` agent with wealth ``x``."""
-    eq = MeanFieldEquilibrium(dist, d, horizon)
-    return eq.consumption(xi0, t, x)
+    return MeanFieldEquilibrium(dist, d, horizon).consumption(xi0, t, x)
 
 
-class MeanFieldEquilibrium:
+class MeanFieldEquilibrium(_Equilibrium):
     """Evaluator bundling a type law, discount, and horizon.
 
-    Exposes the closed forms for arbitrary query types (not only atoms) and
-    the consumption the law induces on average.  With rem = T+1-t and
+    Exposes the closed forms for arbitrary query types (not only atoms),
+    against the law's expectations computed once here, and the consumption
+    the law induces on average.  With rem = T+1-t and
     L(t) = integral_t^T ln lam(T-s) ds, every consumption intercept has the
     form
 
         q(t) = A (1/rem - rem) + B (L(t)/rem - ln lam(T-t)),
         A = -(delta d + comp E[delta d]) / 2,   B = delta + comp E[delta],
 
-    with comp = theta / (1 - E[theta]); the per-atom (A, B) are computed once
-    here, and they give each atom's mean wealth in closed form.
+    with comp = theta / (1 - E[theta]); the per-atom (A, B) also give each
+    atom's mean wealth in closed form.
     """
 
     def __init__(self, dist: TypeDistribution, discount: DiscountFunction,
                  horizon: float):
-        if not horizon > 0:
-            raise ValidationError("horizon must be > 0")
+        super().__init__(discount, horizon)
         self.dist = dist
-        self.discount = discount
-        self.horizon = float(horizon)
-        self.aggregates = mfg_aggregates(dist)
-        self.atom_coefficients = _atom_coefficients(dist)
-        # Per-atom constants d(xi); the E[delta H] profile needs them all.
-        delta, theta, mu, nu, sigma = (
-            dist.field(k) for k in ("delta", "theta", "mu", "nu", "sigma"))
-        _, _, atom_d = _type_constants(dist, delta, theta, mu, nu, sigma)
-        self._e_delta_d = float(dist.weights @ (delta * atom_d))
-        self._atom_ab = self._intercept_constants(delta, theta, atom_d)
-
-    def _intercept_constants(self, delta, theta, d):
-        """(A, B) of the intercept q(t) for types (delta, theta, d)."""
-        agg = self.aggregates
-        comp = theta / (1.0 - agg.e_theta)
-        return (-0.5 * (delta * d + comp * self._e_delta_d),
-                delta + comp * agg.e_delta)
-
-    def _intercept_curves(self, t):
-        """(1/rem - rem, L(t)/rem - ln lam(T-t)), the two shapes of q(t)."""
-        t = np.asarray(t, dtype=float)
-        rem = self.horizon + 1.0 - t
-        lint = self.discount.log_integral(t, self.horizon)
-        return (1.0 / rem - rem,
-                lint / rem - self.discount.log_value(self.horizon - t))
+        self._core = _mfg_core(dist)
+        self.aggregates = MFGAggregates(*self._core.aggregates)
+        self.atom_coefficients = self._core.coef
 
     def coefficient(self, xi0: AgentType) -> float:
-        return _coefficient_for(self.dist, xi0)
+        return self._core.slopes(xi0.to_dict())
 
     def pi(self, xi0: AgentType, t):
-        return self.coefficient(xi0) * (self.horizon + 1.0 - np.asarray(t, dtype=float))
+        return _pi_lines(self.horizon, self.coefficient(xi0), t)
 
     def hhat(self, xi0: AgentType, t):
-        return mfg_hhat(self.dist, self.discount, xi0, t, self.horizon)
+        return self._hhat(self._core.constants(xi0.to_dict())[3], t)
 
     def effective_delta(self, xi0: AgentType) -> float:
-        return effective_delta(self.dist, xi0)
+        return self._core.effective_delta(xi0.to_dict())
 
     def e_delta_hhat(self, t):
         """E[delta H(t)] over the atoms (exact weighted sum)."""
-        t = np.asarray(t, dtype=float)
-        rem = self.horizon + 1.0 - t
-        lint = self.discount.log_integral(t, self.horizon)
-        return (0.5 * self._e_delta_d * (1.0 / rem - rem)
-                - self.aggregates.e_delta * lint / rem)
+        bracket, lrem, _ = self._curves(t)
+        return 0.5 * self._core.e_delta_d * bracket - self._core.e_delta * lrem
 
     def intercept(self, xi0: AgentType, t):
         """Consumption intercept q(t) of type ``xi0``:
 
         q = -delta H(t) - comp E[delta H(t)] - (delta + comp E[delta]) ln lam(T-t).
         """
-        a, b = self._intercept_constants(
-            xi0.delta, xi0.theta, mfg_type_constants(self.dist, xi0).d)
-        bracket, logs = self._intercept_curves(t)
-        return a * bracket + b * logs
+        p = xi0.to_dict()
+        ab = self._core.intercept_constants(p, self._core.constants(p)[3])
+        return self._intercepts(*ab, t)
 
     def consumption(self, xi0: AgentType, t, x):
         t = np.asarray(t, dtype=float)
@@ -227,9 +162,7 @@ class MeanFieldEquilibrium:
 
     def atom_intercepts(self, t) -> np.ndarray:
         """q(t) for every atom; shape (n_atoms,) + shape(t)."""
-        a, b = self._atom_ab
-        bracket, logs = self._intercept_curves(t)
-        return np.multiply.outer(a, bracket) + np.multiply.outer(b, logs)
+        return self._intercepts(self._core.A, self._core.B, t)
 
     def mean_wealth(self, grid: TimeGrid, x0: float) -> np.ndarray:
         """Per-atom unconditional mean wealth on the grid, shape (K, m).
@@ -251,7 +184,7 @@ class MeanFieldEquilibrium:
         elapsed = times - times[0]
         inv = 1.0 / rem
         lrem = self.discount.log_integral(times, self.horizon) / rem
-        a, b = self._atom_ab
+        a, b = self._core.A, self._core.B
         drift = self.atom_coefficients * self.dist.field("mu")
         scaled = (float(x0) * inv[0] + np.multiply.outer(drift, elapsed)
                   - np.multiply.outer(a, inv - inv[0] - elapsed)

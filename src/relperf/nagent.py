@@ -15,7 +15,9 @@ affine-consumption strategies is explicit:
 
 where phi, psi are population averages (see :func:`aggregates`) and the
 intercept q_i collects a per-agent drift adjustment ``hhat`` plus the
-discount term, see :func:`c_star`.
+discount term, see :func:`c_star`.  The mean-field game of :mod:`relperf.mfg`
+is the n -> infinity limit of these formulas, and both games are evaluated
+by the one closed-form core below.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AgentType, TimeGrid, ValidationError, validate_agent
+from .core import (_FIELDS, AgentType, TimeGrid, ValidationError, _json_section,
+                   validate_agent)
 from .discount import DiscountFunction
 
 __all__ = [
@@ -81,7 +84,7 @@ class Population:
 
     @cached_property
     def _params(self) -> dict[str, np.ndarray]:
-        out = {k: self.field(k) for k in ("delta", "theta", "mu", "nu", "sigma")}
+        out = {k: self.field(k) for k in _FIELDS}
         for v in out.values():
             v.flags.writeable = False
         return out
@@ -91,10 +94,9 @@ class Population:
 
     @classmethod
     def from_dict(cls, data) -> "Population":
-        try:
-            agents = [AgentType.from_dict(item) for item in data["agents"]]
-        except KeyError as exc:
-            raise ValidationError(f"population is missing field {exc.args[0]!r}") from None
+        with _json_section("population"):
+            agents = [AgentType._from_json(item, f"population agent {k}")
+                      for k, item in enumerate(data["agents"])]
         return cls(agents)
 
 
@@ -130,69 +132,149 @@ class AgentConstants:
     d: float
 
 
-def _weights(pop: Population) -> np.ndarray:
-    p = pop._params
-    return p["sigma"] ** 2 + (1.0 - p["theta"] / pop.n) * p["nu"] ** 2
+class _ClosedForm:
+    """Closed-form core shared by the n-agent game and its mean-field limit.
+
+    Built from per-type parameters ``p`` (arrays keyed by field name), law
+    weights ``w`` and the share ``s`` of a type's own term in its competitor
+    sums E_w[x] - s x: the n-agent game uses w = s = 1/n, the mean-field
+    game the law's weights and s = 0.  With vol = sigma^2 + (1 - theta s) nu^2,
+
+        phi = E_w[delta sigma mu / vol],   psi = E_w[theta sigma^2 / vol],
+        coef = (delta mu + theta sigma phi / (1 - psi)) / vol,
+
+    the investment slope, and ``constants`` gives (a, b, c, d).  Every
+    consumption intercept is A (1/rem - rem) + B (L/rem - ln lam(T-t)) with
+    A = -(delta d + comp E_w[delta d])/2, B = delta + comp E_w[delta] and
+    comp = theta / (1 - E_w[theta]).  The methods also take the parameters of
+    types outside the law (scalars), against the law's expectations.
+    """
+
+    def __init__(self, p, w: np.ndarray, s: float, names: tuple[str, str, str]):
+        self.s = s
+        delta, theta, mu, sigma = p["delta"], p["theta"], p["mu"], p["sigma"]
+        vol = self._vol(p)
+        self.aggregates = tuple(float(w @ x) for x in (
+            delta * sigma * mu / vol, theta * sigma**2 / vol, delta, theta))
+        self.phi, self.psi, self.e_delta, self.e_theta = self.aggregates
+        if self.psi >= _PSI_GUARD or self.e_theta >= _PSI_GUARD:
+            what, psi_name, theta_name = names
+            raise DegenerateFixedPointError(
+                f"{what} is degenerate: {psi_name}={self.psi:.17g}, "
+                f"{theta_name}={self.e_theta:.17g}"
+            )
+        self.coef = self.slopes(p)
+        self.e_sig, self.e_mu, self.e_nu2 = (
+            float(w @ x) for x in (sigma * self.coef, mu * self.coef,
+                                   (p["nu"] * self.coef) ** 2))
+        self.a, self.b, self.c, self.d = self.constants(p)
+        self.e_delta_d = float(w @ (delta * self.d))
+        self.A, self.B = self.intercept_constants(p, self.d)
+
+    def at(self, i: int) -> tuple[float, float, float, float]:
+        """(a, b, c, d) of agent ``i`` of the law."""
+        if not 0 <= i < self.coef.size:
+            raise IndexError(f"agent index {i} out of range for n={self.coef.size}")
+        return tuple(float(x[i]) for x in (self.a, self.b, self.c, self.d))
+
+    def _vol(self, p):
+        return p["sigma"] ** 2 + (1.0 - p["theta"] * self.s) * p["nu"] ** 2
+
+    def slopes(self, p):
+        """Investment slopes a(xi) of pi(t) = a(xi) (T+1-t)."""
+        return (p["delta"] * p["mu"]
+                + p["theta"] * p["sigma"] * self.phi / (1.0 - self.psi)) / self._vol(p)
+
+    def constants(self, p):
+        """(a, b, c, d); c vanishes in the mean-field limit s = 0."""
+        coef, s = self.slopes(p), self.s
+        ratio = p["theta"] / p["delta"]
+        a = ratio * (self.e_sig - s * p["sigma"] * coef)
+        b = ratio * (self.e_mu - s * p["mu"] * coef)
+        c = ratio**2 * s * (self.e_nu2 - s * (p["nu"] * coef) ** 2)
+        vol2 = p["nu"] ** 2 + p["sigma"] ** 2
+        d = 0.5 * (p["mu"] + p["sigma"] * a) ** 2 / vol2 - 0.5 * (a**2 + c) - b
+        return a, b, c, d
+
+    def effective_delta(self, p):
+        """Competition-inflated risk tolerance delta + comp E_w[delta]."""
+        return p["delta"] + p["theta"] * self.e_delta / (1.0 - self.e_theta)
+
+    def intercept_constants(self, p, d):
+        """(A, B) of the consumption intercept; B is the effective delta."""
+        comp = p["theta"] / (1.0 - self.e_theta)
+        return -0.5 * (p["delta"] * d + comp * self.e_delta_d), self.effective_delta(p)
+
+
+class _Equilibrium:
+    """A closed-form core evaluated in time under a discount and a horizon."""
+
+    def __init__(self, discount: DiscountFunction, horizon: float):
+        if not horizon > 0:
+            raise ValidationError("horizon must be > 0")
+        self.discount = discount
+        self.horizon = float(horizon)
+
+    def _curves(self, t):
+        """(1/rem - rem, L(t)/rem, ln lam(T-t)) with rem = T+1-t and
+        L(t) = integral_t^T ln lam(T-s) ds."""
+        t = np.asarray(t, dtype=float)
+        rem = self.horizon + 1.0 - t
+        return (1.0 / rem - rem, self.discount.log_integral(t, self.horizon) / rem,
+                self.discount.log_value(self.horizon - t))
+
+    def _hhat(self, d, t):
+        """hhat(t) = (d/2) (1/rem - rem) - L(t)/rem for constants d."""
+        bracket, lrem, _ = self._curves(t)
+        return 0.5 * np.multiply.outer(d, bracket) - lrem
+
+    def _intercepts(self, a, b, t):
+        """A (1/rem - rem) + B (L/rem - ln lam(T-t)); shape shape(A) + shape(t)."""
+        bracket, lrem, loglam = self._curves(t)
+        return np.multiply.outer(a, bracket) + np.multiply.outer(b, lrem - loglam)
+
+
+def _nagent_law(pop: Population):
+    """(p, w, s) of n agents: weights w = 1/n and own share s = 1/n."""
+    return pop._params, np.full(pop.n, 1.0 / pop.n), 1.0 / pop.n
+
+
+def _nagent_core(pop: Population) -> _ClosedForm:
+    return _ClosedForm(*_nagent_law(pop),
+                       ("investment/consumption fixed point", "psi_n", "theta_bar"))
+
+
+def _pi_lines(horizon: float, coef, times) -> np.ndarray:
+    """Investment coef (T+1-t) at ``times``; shape shape(times) + shape(coef)."""
+    return np.multiply.outer(horizon + 1.0 - np.asarray(times, dtype=float), coef)
+
+
+def _slope_matrices(horizon: float, times: np.ndarray, n: int) -> np.ndarray:
+    """Consumption slopes 1/(T+1-t) on the diagonal of (m, n, n) matrices."""
+    P = np.zeros((times.size, n, n))
+    idx = np.arange(n)
+    P[:, idx, idx] = (1.0 / (horizon + 1.0 - times))[:, None]
+    return P
 
 
 def aggregates(pop: Population) -> NAgentAggregates:
     """Population averages (phi_n, psi_n, delta_bar, theta_bar)."""
-    p = pop._params
-    w = _weights(pop)
-    phi = float(np.mean(p["delta"] * p["sigma"] * p["mu"] / w))
-    psi = float(np.mean(p["theta"] * p["sigma"] ** 2 / w))
-    agg = NAgentAggregates(
-        phi_n=phi,
-        psi_n=psi,
-        delta_bar=float(np.mean(p["delta"])),
-        theta_bar=float(np.mean(p["theta"])),
-    )
-    if agg.psi_n >= _PSI_GUARD or agg.theta_bar >= _PSI_GUARD:
-        raise DegenerateFixedPointError(
-            "investment/consumption fixed point is degenerate: "
-            f"psi_n={agg.psi_n:.17g}, theta_bar={agg.theta_bar:.17g}"
-        )
-    return agg
+    return NAgentAggregates(*_nagent_core(pop).aggregates)
 
 
 def investment_coefficients(pop: Population) -> np.ndarray:
     """Slopes a_i of the equilibrium investment lines pi_i(t) = a_i (T+1-t)."""
-    p = pop._params
-    agg = aggregates(pop)
-    w = _weights(pop)
-    return (p["delta"] * p["mu"] + p["theta"] * p["sigma"] * agg.phi_n / (1.0 - agg.psi_n)) / w
-
-
-def _constants_arrays(pop: Population) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (a, b, c, d) for all agents at once."""
-    p = pop._params
-    n = pop.n
-    coef = investment_coefficients(pop)
-    sig_c = p["sigma"] * coef
-    mu_c = p["mu"] * coef
-    nu_c2 = (p["nu"] * coef) ** 2
-    ratio = p["theta"] / p["delta"]
-    # Competitor sums via totals minus the own term.
-    a = ratio * (sig_c.sum() - sig_c) / n
-    b = ratio * (mu_c.sum() - mu_c) / n
-    c = ratio**2 * (nu_c2.sum() - nu_c2) / n**2
-    vol2 = p["nu"] ** 2 + p["sigma"] ** 2
-    d = 0.5 * (p["mu"] + p["sigma"] * a) ** 2 / vol2 - 0.5 * (a**2 + c) - b
-    return a, b, c, d
+    return _nagent_core(pop).coef
 
 
 def agent_constants(pop: Population, i: int) -> AgentConstants:
     """Constants (a, b, c, d) of agent ``i``; requires psi_n < 1."""
-    if not 0 <= i < pop.n:
-        raise IndexError(f"agent index {i} out of range for n={pop.n}")
-    a, b, c, d = _constants_arrays(pop)
-    return AgentConstants(a=float(a[i]), b=float(b[i]), c=float(c[i]), d=float(d[i]))
+    return AgentConstants(*_nagent_core(pop).at(i))
 
 
 def pi_star(pop: Population, i: int, t, horizon: float):
     """Equilibrium investment of agent ``i`` at time ``t`` (vectorized in t)."""
-    coef = investment_coefficients(pop)[i]
-    return coef * (horizon + 1.0 - np.asarray(t, dtype=float))
+    return _pi_lines(horizon, _nagent_core(pop).coef[i], t)
 
 
 def hhat(pop: Population, d: DiscountFunction, i: int, t, horizon: float):
@@ -201,33 +283,7 @@ def hhat(pop: Population, d: DiscountFunction, i: int, t, horizon: float):
     hhat_i(t) = (d_i/2) [1/(T+1-t) - (T+1-t)]
                 - (1/(T+1-t)) * integral_t^T ln lam(T-s) ds.
     """
-    di = agent_constants(pop, i).d
-    t = np.asarray(t, dtype=float)
-    rem = horizon + 1.0 - t
-    return 0.5 * di * (1.0 / rem - rem) - d.log_integral(t, horizon) / rem
-
-
-def _hhat_all(pop: Population, d: DiscountFunction, t, horizon: float) -> np.ndarray:
-    """hhat for every agent; shape (n,) + shape(t)."""
-    _, _, _, dd = _constants_arrays(pop)
-    t = np.asarray(t, dtype=float)
-    rem = horizon + 1.0 - t
-    bracket = 1.0 / rem - rem
-    lint = d.log_integral(t, horizon)
-    return 0.5 * np.multiply.outer(dd, bracket) - (lint / rem)[None, ...]
-
-
-def consumption_intercept(pop: Population, d: DiscountFunction, i: int, t,
-                          horizon: float):
-    """Intercept q_i(t) of the affine equilibrium consumption rule."""
-    p = pop._params
-    agg = aggregates(pop)
-    hh = _hhat_all(pop, d, t, horizon)
-    davg = p["delta"] @ hh / pop.n
-    log_lam = d.log_value(horizon - np.asarray(t, dtype=float))
-    comp = p["theta"][i] / (1.0 - agg.theta_bar)
-    return (-p["delta"][i] * hh[i] - comp * davg
-            - (p["delta"][i] + comp * agg.delta_bar) * log_lam)
+    return NAgentEquilibrium(pop, d, horizon).hhat(i, t)
 
 
 def c_star(pop: Population, d: DiscountFunction, i: int, t, x_i, horizon: float):
@@ -237,10 +293,7 @@ def c_star(pop: Population, d: DiscountFunction, i: int, t, x_i, horizon: float)
                 - theta_i/(1-theta_bar) * mean_k(delta_k hhat_k(t))
                 - (delta_i + theta_i delta_bar/(1-theta_bar)) ln lam(T-t).
     """
-    t = np.asarray(t, dtype=float)
-    return np.asarray(x_i, dtype=float) / (horizon + 1.0 - t) + consumption_intercept(
-        pop, d, i, t, horizon
-    )
+    return NAgentEquilibrium(pop, d, horizon).consumption(i, t, x_i)
 
 
 def single_stock_h(mu: float, sigma: float, d: DiscountFunction, t, horizon: float):
@@ -317,27 +370,20 @@ class EquilibriumStrategyN:
         return self.pi_coeff.size
 
     def pi_values(self, i: int) -> np.ndarray:
-        return self.pi_coeff[i] * (self.horizon + 1.0 - self.grid.times)
+        return _pi_lines(self.horizon, self.pi_coeff[i], self.grid.times)
 
     def pi_at(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        return np.multiply.outer(self.horizon + 1.0 - times, self.pi_coeff)
+        return _pi_lines(self.horizon, self.pi_coeff, times)
 
     def consumption_at(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(P, q) with P (m, n, n) diagonal slope matrices and q (m, n)."""
         times = np.asarray(times, dtype=float)
-        m, n = times.size, self.n_agents
-        slope = 1.0 / (self.horizon + 1.0 - times)
-        P = np.zeros((m, n, n))
-        idx = np.arange(n)
-        P[:, idx, idx] = slope[:, None]
-        q = np.empty((m, n))
-        for i in range(n):
-            q[:, i] = np.interp(times, self.grid.times, self.intercepts[i])
-        return P, q
+        q = np.stack([np.interp(times, self.grid.times, row) for row in self.intercepts],
+                     axis=1)
+        return _slope_matrices(self.horizon, times, self.n_agents), q
 
 
-class NAgentEquilibrium:
+class NAgentEquilibrium(_Equilibrium):
     """Evaluator bundling a population, discount, and horizon.
 
     Caches the aggregates and per-agent constants and exposes the closed
@@ -346,54 +392,31 @@ class NAgentEquilibrium:
     """
 
     def __init__(self, pop: Population, discount: DiscountFunction, horizon: float):
-        if not horizon > 0:
-            raise ValidationError("horizon must be > 0")
+        super().__init__(discount, horizon)
         self.pop = pop
-        self.discount = discount
-        self.horizon = float(horizon)
-        self.aggregates = aggregates(pop)
-        self.pi_coefficients = investment_coefficients(pop)
-        self._a, self._b, self._c, self._d = _constants_arrays(pop)
+        self._core = _nagent_core(pop)
+        self.aggregates = NAgentAggregates(*self._core.aggregates)
+        self.pi_coefficients = self._core.coef
 
     @property
     def n_agents(self) -> int:
         return self.pop.n
 
     def constants(self, i: int) -> AgentConstants:
-        return AgentConstants(a=float(self._a[i]), b=float(self._b[i]),
-                              c=float(self._c[i]), d=float(self._d[i]))
+        return AgentConstants(*self._core.at(i))
 
     def pi(self, i: int, t):
-        return self.pi_coefficients[i] * (self.horizon + 1.0 - np.asarray(t, dtype=float))
+        return _pi_lines(self.horizon, self.pi_coefficients[i], t)
 
     def hhat(self, i: int, t):
-        t = np.asarray(t, dtype=float)
-        rem = self.horizon + 1.0 - t
-        lint = self.discount.log_integral(t, self.horizon)
-        return 0.5 * self._d[i] * (1.0 / rem - rem) - lint / rem
-
-    def _hhat_matrix(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        rem = self.horizon + 1.0 - t
-        bracket = 1.0 / rem - rem
-        lint = self.discount.log_integral(t, self.horizon)
-        return 0.5 * np.multiply.outer(self._d, bracket) - (lint / rem)[None, ...]
+        return self._hhat(self._core.d[i], t)
 
     def intercepts_at(self, t) -> np.ndarray:
         """q_i(t) for every agent; shape (n,) + shape(t)."""
-        p = self.pop._params
-        agg = self.aggregates
-        hh = self._hhat_matrix(t)
-        davg = p["delta"] @ hh / self.pop.n
-        log_lam = self.discount.log_value(self.horizon - np.asarray(t, dtype=float))
-        comp = p["theta"] / (1.0 - agg.theta_bar)
-        shape = (-1,) + (1,) * (hh.ndim - 1)
-        return (-p["delta"].reshape(shape) * hh
-                - comp.reshape(shape) * davg[None, ...]
-                - (p["delta"] + comp * agg.delta_bar).reshape(shape) * log_lam[None, ...])
+        return self._intercepts(self._core.A, self._core.B, t)
 
     def intercept(self, i: int, t):
-        return self.intercepts_at(t)[i]
+        return self._intercepts(self._core.A[i], self._core.B[i], t)
 
     def consumption(self, i: int, t, x_i):
         t = np.asarray(t, dtype=float)
@@ -402,18 +425,12 @@ class NAgentEquilibrium:
     # Sampled-strategy interface (exact closed forms).
 
     def pi_at(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        return np.multiply.outer(self.horizon + 1.0 - times, self.pi_coefficients)
+        return _pi_lines(self.horizon, self.pi_coefficients, times)
 
     def consumption_at(self, times) -> tuple[np.ndarray, np.ndarray]:
         times = np.asarray(times, dtype=float)
-        m, n = times.size, self.pop.n
-        slope = 1.0 / (self.horizon + 1.0 - times)
-        P = np.zeros((m, n, n))
-        idx = np.arange(n)
-        P[:, idx, idx] = slope[:, None]
-        q = self.intercepts_at(times).T.copy()
-        return P, q
+        P = _slope_matrices(self.horizon, times, self.pop.n)
+        return P, self.intercepts_at(times).T.copy()
 
     def sample(self, grid: TimeGrid) -> EquilibriumStrategyN:
         """Sample the equilibrium on ``grid`` (grid.T must equal the horizon)."""

@@ -626,12 +626,9 @@ def meanfield_consistency(dist: TypeDistribution, discount: DiscountFunction,
 
     q_atoms = np.asarray(eq.atom_intercepts(times))       # (K, steps+1)
     q_agents = q_atoms[idx]                               # (M, steps+1)
-    w = dist.weights
-    sig_atoms = dist.field("sigma")
-    mu_atoms = dist.field("mu")
-    e_pi_mu = (w @ (eq.atom_coefficients * mu_atoms)) * (horizon + 1.0 - times)
-    e_pi_sig = (w @ (eq.atom_coefficients * sig_atoms)) * (horizon + 1.0 - times)
-    e_q = w @ q_atoms
+    e_pi_mu = eq._core.e_mu * (horizon + 1.0 - times)
+    e_pi_sig = eq._core.e_sig * (horizon + 1.0 - times)
+    e_q = dist.weights @ q_atoms
 
     X = np.full(m_agents, float(x0))
     xbar_ref = float(x0)
@@ -668,7 +665,7 @@ def meanfield_consistency(dist: TypeDistribution, discount: DiscountFunction,
             + float(e_pi_sig[k]) * dB
         record(k + 1)
 
-    sig2 = float(w @ (dist.field("nu") * eq.atom_coefficients) ** 2)
+    sig2 = eq._core.e_nu2
     predicted = np.sqrt(max(sig2, 1e-300) * (horizon - t0)) / sq_m
     return MeanFieldConsistencyReport(m_agents, max_gap, float(predicted),
                                       wealth_cp, cons_cp)

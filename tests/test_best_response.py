@@ -222,6 +222,27 @@ def test_profile_matches_reference_loop(rng):
         assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
 
+def test_grid_strategy_interpolation_matches_np_interp(rng):
+    grid = TimeGrid(0.0, T, 9)
+    n = 4
+    shape = (n, grid.n_points)
+    strat = GridStrategyN(grid, rng.normal(size=shape), rng.normal(size=(n,) + shape),
+                          rng.normal(size=shape))
+    # every node, every midpoint and random points in between
+    mids = (grid.times[:-1] + grid.times[1:]) / 2.0
+    times = np.sort(np.concatenate([grid.times, mids, rng.uniform(0.0, T, 7)]))
+    pi = strat.pi_at(times)
+    P, q = strat.consumption_at(times)
+    assert pi.shape == q.shape == (times.size, n)
+    assert P.shape == (times.size, n, n)
+    for i in range(n):
+        assert np.abs(pi[:, i] - np.interp(times, grid.times, strat.pi[i])).max() <= 1e-14
+        assert np.abs(q[:, i] - np.interp(times, grid.times, strat.q[i])).max() <= 1e-14
+        for k in range(n):
+            want = np.interp(times, grid.times, strat.p[i, k])
+            assert np.abs(P[:, i, k] - want).max() <= 1e-14
+
+
 def test_iteration_report_contraction():
     assert IterationReport(0).contraction == 0.0
     assert IterationReport(1, [0.5]).contraction == 0.0

@@ -243,6 +243,10 @@ def test_degenerate_mfg_is_numerical_failure(tmp_path, capsys):
 @pytest.mark.parametrize("section, value", [
     ("population", [1, 2]), ("sim", 3), ("grid", "x"), ("discount", None),
     ("type_distribution", True),
+    # wrong JSON types inside a section
+    ("population", {"agents": 3}), ("population", {"agents": [1, 2]}),
+    ("type_distribution", {"atoms": [{"type": 5, "weight": 1.0}]}),
+    ("grid", {"t0": 0.0, "T": [2], "n_points": 40}), ("x0", {"a": 1.0}),
 ])
 def test_wrong_section_type_is_validation_error(section, value, tmp_path, capsys):
     cfg = dict(TWO_AGENT_SINGLE_STOCK, **{section: value})

@@ -11,13 +11,16 @@ from conftest import (
 )
 from relperf import (
     AgentType,
+    DegenerateFixedPointError,
     ExponentialDiscount,
+    Population,
     HyperbolicDiscount,
     MeanFieldEquilibrium,
     TabulatedDiscount,
     TimeGrid,
     TypeDistribution,
     agent_constants,
+    aggregates,
     effective_delta,
     hhat,
     mfg_aggregates,
@@ -65,6 +68,16 @@ def test_aggregates_match_loop_oracle(rng):
         assert agg.psi == pytest.approx(psi, rel=1e-14)
         assert agg.e_delta == pytest.approx(ed, rel=1e-14)
         assert agg.e_theta == pytest.approx(et, rel=1e-14)
+
+
+def test_degenerate_theta_guard_in_both_games():
+    # idiosyncratic noise keeps psi near 1/2, but E[theta] sits inside the
+    # guard band, where the consumption feedback 1/(1 - E[theta]) blows up
+    agent = AgentType(1.0, 1.0 - 1e-15, 1.0, 1.0, 1.0)
+    with pytest.raises(DegenerateFixedPointError, match="theta_bar"):
+        aggregates(Population([agent] * 2))
+    with pytest.raises(DegenerateFixedPointError, match=r"E\[theta\]"):
+        mfg_aggregates(TypeDistribution([(agent, 1.0)]))
 
 
 def test_type_constants_no_competition():

@@ -1,0 +1,137 @@
+"""Property tests: relabelling the agents relabels every result, and the CLI
+answers any JSON config with an exit code instead of a traceback."""
+
+import copy
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relperf import (
+    AgentType,
+    GridStrategyN,
+    HyperbolicDiscount,
+    NAgentEquilibrium,
+    Population,
+    TimeGrid,
+    best_response_profile,
+)
+from relperf.cli import main
+
+T = 2.0
+HYP = HyperbolicDiscount(0.1, 1.0)
+GRID = TimeGrid(0.0, T, 11)
+# Derandomized and without an example database, so every run draws the
+# same examples.
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def agents(draw):
+    style = draw(st.integers(0, 2))   # common noise only, idiosyncratic only, both
+    nu = 0.0 if style == 0 else draw(st.floats(0.2, 1.5))
+    sigma = 0.0 if style == 1 else draw(st.floats(0.2, 1.5))
+    return AgentType(delta=draw(st.floats(0.3, 2.5)), theta=draw(st.floats(0.0, 0.8)),
+                     mu=draw(st.floats(0.2, 1.8)), nu=nu, sigma=sigma)
+
+
+@st.composite
+def relabelled(draw):
+    members = draw(st.lists(agents(), min_size=2, max_size=7))
+    return members, np.array(draw(st.permutations(range(len(members)))))
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@PROPERTY
+@given(relabelled(), st.integers(0, 2**32 - 1))
+def test_permuting_agents_permutes_results(case, seed):
+    members, perm = case
+    pop = Population(members)
+    moved = Population([members[k] for k in perm])
+    eq, moved_eq = NAgentEquilibrium(pop, HYP, T), NAgentEquilibrium(moved, HYP, T)
+    assert_close(moved_eq.pi_coefficients, eq.pi_coefficients[perm])
+    for j, k in enumerate(perm):
+        got, want = moved_eq.constants(j), eq.constants(int(k))
+        assert_close([got.a, got.b, got.c, got.d], [want.a, want.b, want.c, want.d])
+    assert_close(moved_eq.intercepts_at(GRID.times), eq.intercepts_at(GRID.times)[perm])
+
+    # one best-response sweep from an arbitrary profile with cross terms
+    rng = np.random.default_rng(seed)
+    n, m = pop.n, GRID.n_points
+    strat = GridStrategyN(GRID, rng.normal(size=(n, m)), rng.normal(size=(n, n, m)),
+                          rng.normal(size=(n, m)))
+    moved_strat = GridStrategyN(GRID, strat.pi[perm], strat.p[perm][:, perm], strat.q[perm])
+    reply = best_response_profile(pop, HYP, strat)
+    moved_reply = best_response_profile(moved, HYP, moved_strat)
+    assert_close(moved_reply.pi, reply.pi[perm])
+    assert_close(moved_reply.p, reply.p[perm][:, perm])
+    assert_close(moved_reply.q, reply.q[perm])
+
+
+AGENT = {"delta": 1.0, "theta": 0.5, "mu": 1.0, "nu": 0.5, "sigma": 1.0}
+BASE_CONFIG = {
+    "population": {"agents": [AGENT, dict(AGENT, delta=2.0, theta=0.2)]},
+    "type_distribution": {"atoms": [{"type": AGENT, "weight": 0.5},
+                                    {"type": dict(AGENT, nu=0.0), "weight": 0.5}]},
+    "grid": {"t0": 0.0, "T": T, "n_points": 6},
+    "sim": {"n_paths": 10, "dt": 0.1, "seed": 1},
+}
+DISCOUNTS = [
+    {"variant": "exponential", "rho": 0.1},
+    {"variant": "hyperbolic", "rho": 0.1, "beta": 1.0},
+    {"variant": "tabulated", "times": [0.0, 1.0, 2.0, 3.0], "values": [1.0, 0.9, 0.8, 0.7]},
+]
+# Numbers stay in a moderate range (and off the subnormals), and lists stay
+# short, so every grid is small and no valid run overflows.
+NUMBERS = st.one_of(st.just(0.0), st.floats(0.05, 3.0), st.floats(-3.0, -0.05),
+                    st.integers(-2, 40))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), NUMBERS, st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def paths(node, prefix=()):
+    """Every key path below ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from paths(value, prefix + (key,))
+
+
+@st.composite
+def broken_configs(draw):
+    """A valid config with one to three values replaced or removed."""
+    cfg = copy.deepcopy(dict(BASE_CONFIG, discount=draw(st.sampled_from(DISCOUNTS))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(paths(cfg))))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return cfg
+
+
+@PROPERTY
+@given(broken_configs())
+def test_any_config_gets_an_exit_code(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        config = out / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["equilibrium", "--config", str(config),
+                     "--out", str(out / "eq.csv")]) in (0, 1, 2)
+        assert main(["mfg", "--config", str(config), "--out-csv", str(out / "mfg.csv"),
+                     "--out-json", str(out / "mfg.json")]) in (0, 1, 2)
