@@ -11,7 +11,9 @@ must agree with the closed-form formulas of :mod:`relperf.nagent` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import mmap
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,8 @@ class IterationReport:
     iterations: int
     residual_history: list[float] = field(default_factory=list)
     converged: bool = False
+    # Rows iterated: type classes (n agents) or atoms (mean field).
+    classes: int = 0
 
     @property
     def contraction(self) -> float:
@@ -51,18 +55,28 @@ class IterationReport:
         return hist[-1] / hist[-2] if len(hist) > 1 else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual_history": self.residual_history,
-            "contraction": self.contraction,
-            "converged": self.converged,
-        }
+        return {**asdict(self), "contraction": self.contraction}
 
 
-def _sup_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| through a single temporary."""
-    gap = np.subtract(a, b)
-    return float(np.abs(gap, out=gap).max())
+def _mapped(shape) -> np.ndarray:
+    """Zero float array in its own private anonymous mapping, for the (n, n, m)
+    slopes: a page takes memory only once written and is returned when the
+    array is freed, so the resident size does not depend on the malloc heap."""
+    size = int(np.prod(shape))
+    buf = mmap.mmap(-1, 8 * max(size, 1), mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, count=size).reshape(shape)
+
+
+def _sup_gap(pairs) -> float:
+    """max |a - b| over the array pairs (a, b), NaN if an entry is; taken over
+    blocks of leading rows so that each temporary stays in cache."""
+    gaps = []
+    for a, b in pairs:
+        rows = max(1, 65536 // max(1, a[0].size))
+        for lo in range(0, len(a), rows):
+            gap = np.subtract(a[lo:lo + rows], b[lo:lo + rows])
+            gaps.append(np.abs(gap, out=gap).max())
+    return float(np.max(gaps))
 
 
 @dataclass
@@ -95,14 +109,14 @@ class GridStrategyN:
     @classmethod
     def zeros(cls, grid: TimeGrid, n: int) -> "GridStrategyN":
         m = grid.n_points
-        return cls(grid, np.zeros((n, m)), np.zeros((n, n, m)), np.zeros((n, m)))
+        return cls(grid, np.zeros((n, m)), _mapped((n, n, m)), np.zeros((n, m)))
 
     @classmethod
     def from_equilibrium(cls, eq: NAgentEquilibrium, grid: TimeGrid) -> "GridStrategyN":
         times = grid.times
-        n, m = eq.n_agents, grid.n_points
+        n = eq.n_agents
         pi = eq.pi_at(times).T.copy()
-        p = np.zeros((n, n, m))
+        p = _mapped((n, n, times.size))
         p[np.arange(n), np.arange(n)] = 1.0 / (eq.horizon + 1.0 - times)
         q = eq.intercepts_at(times)
         return cls(grid, pi, p, np.asarray(q))
@@ -112,14 +126,15 @@ class GridStrategyN:
         return _interp_rows(np.asarray(times, dtype=float), self.grid.times, self.pi).T
 
     def consumption_at(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """(P, q) with P (len, n, n) and q (len, n) by linear interpolation."""
+        """(P, q) with P (len, n, n) and q (len, n), interpolated a row of P at a time."""
         times = np.asarray(times, dtype=float)
-        P = _interp_rows(times, self.grid.times, self.p)
-        return P.transpose(2, 0, 1), _interp_rows(times, self.grid.times, self.q).T
+        P = np.empty((times.size, self.n_agents, self.n_agents))
+        for i, row in enumerate(self.p):
+            P[:, i] = _interp_rows(times, self.grid.times, row).T
+        return P, _interp_rows(times, self.grid.times, self.q).T
 
     def sup_distance(self, other: "GridStrategyN") -> float:
-        return max(_sup_gap(self.pi, other.pi), _sup_gap(self.p, other.p),
-                   _sup_gap(self.q, other.q))
+        return _sup_gap(zip((self.pi, self.p, self.q), (other.pi, other.p, other.q)))
 
     def max_cross_coefficient(self) -> float:
         """Largest |p[i,k]| with k != i (zero for simple strategies)."""
@@ -217,27 +232,98 @@ def response_h(pop: Population, discount: DiscountFunction,
     return _reply_h(discount, strategy.grid, *_nagent_law(pop), strategy.pi)[i]
 
 
+class _ClassProfile(NamedTuple):
+    """n-agent profile on the K classes of a :class:`_ClassSpace`."""
+
+    pi: np.ndarray    # (K, m) investment of each agent of class a
+    q: np.ndarray     # (K, m) its consumption intercept
+    diag: np.ndarray  # (K, m) its slope on its own wealth
+    off: np.ndarray   # (K, K, m) its slope on another agent of class b
+
+    def sup_distance(self, other: "_ClassProfile") -> float:
+        """Sup-norm change; raises if a block is not finite (then so is a gap)."""
+        gap = _sup_gap(zip(self, other))
+        if not np.isfinite(gap):
+            raise ValidationError("strategy samples must be finite")
+        return gap
+
+
+class _ClassSpace:
+    """The n-agent best-reply map on classes of exchangeable agents.
+
+    The classes are those of equal types if ``strategy`` expands back from
+    them exactly, else one per agent; ``start`` is ``strategy`` on them.
+    Classes enter the competitor sums with their multiplicities (weights
+    counts/n, own share 1/n in :func:`_reply`).  With P_b = sum_a counts_a
+    off[a, b] - off[b, b] + diag[b] and scale_a = theta_a / (1 - theta_a/n) / n,
+    and off[a, a] held at 0 for a one-agent class, the slopes map to
+
+        off'[a, b] = scale_a (P_b - off[a, b] - 1/rem),
+        diag'[a]   = scale_a (P_a - diag[a]) + 1/rem."""
+
+    def __init__(self, pop: Population, discount: DiscountFunction,
+                 strategy: GridStrategyN):
+        if strategy.n_agents != pop.n:
+            raise ValidationError("strategy and population sizes differ")
+        n, p = pop.n, strategy.p
+        self.discount, self.grid = discount, strategy.grid
+        index: dict = {}
+        by_type = np.array([index.setdefault(a, len(index)) for a in pop.agents])
+        for labels in (by_type, np.arange(n)):
+            self.labels, self.counts = labels, np.bincount(labels)
+            ends, order = np.cumsum(self.counts), np.argsort(labels, kind="stable")
+            # A class's first and last member: a cross pair if it has two.
+            rep, last = order[ends - self.counts], order[ends - 1]
+            self.shared = (self.counts > 1)[:, None]
+            off = p[rep[:, None], last]
+            np.einsum("aam->am", off)[...] *= self.shared
+            self.start = _ClassProfile(strategy.pi[rep], strategy.q[rep], p[rep, rep], off)
+            if self.counts.size == n or self._expands_to(strategy):
+                break
+        self.law = {k: v[rep] for k, v in pop._params.items()}, self.counts / n, 1.0 / n
+        theta = self.law[0]["theta"]
+        self.scale = (theta / (1.0 - theta / n) / n)[:, None]
+        self.inv_rem = 1.0 / (self.grid.T + 1.0 - self.grid.times)
+
+    def _expands_to(self, strategy: GridStrategyN) -> bool:
+        """Whether ``start`` expands to ``strategy`` exactly, a row of p at a time."""
+        lab, start = self.labels, self.start
+        if not (np.array_equal(start.pi[lab], strategy.pi)
+                and np.array_equal(start.q[lab], strategy.q)):
+            return False
+        for i, a in enumerate(lab):
+            row = start.off[a, lab]
+            row[i] = start.diag[a]
+            if not np.array_equal(row, strategy.p[i]):
+                return False
+        return True
+
+    def expand(self, prof: _ClassProfile) -> GridStrategyN:
+        lab, (k, m) = self.labels, prof.diag.shape
+        p = _mapped((lab.size, lab.size, m))
+        # mode="clip" writes straight into p; the default buffers the copy.
+        np.take(prof.off.reshape(k * k, m), (lab[:, None] * k + lab).ravel(), axis=0,
+                out=p.reshape(-1, m), mode="clip")
+        np.einsum("iim->im", p)[...] = prof.diag[lab]
+        return GridStrategyN(self.grid, prof.pi[lab], p, prof.q[lab])
+
+    def reply(self, prof: _ClassProfile) -> _ClassProfile:
+        pi, q = _reply(self.discount, self.grid, *self.law, prof.pi, prof.q)
+        off, diag = prof.off, prof.diag
+        p_col = (self.counts @ off.reshape(off.shape[0], -1)).reshape(diag.shape)
+        p_col -= np.einsum("aam->am", off)
+        p_col += diag
+        new_off = np.subtract((p_col - self.inv_rem)[None], off)
+        new_off *= self.scale[:, :, None]
+        np.einsum("aam->am", new_off)[...] *= self.shared
+        return _ClassProfile(pi, q, self.scale * (p_col - diag) + self.inv_rem, new_off)
+
+
 def best_response_profile(pop: Population, discount: DiscountFunction,
                           strategy: GridStrategyN) -> GridStrategyN:
     """Simultaneous best reply of every agent to the given profile."""
-    if strategy.n_agents != pop.n:
-        raise ValidationError("strategy and population sizes differ")
-    grid = strategy.grid
-    n = pop.n
-    theta = pop._params["theta"]
-    rem = grid.T + 1.0 - grid.times
-    new_pi, new_q = _reply(discount, grid, *_nagent_law(pop), strategy.pi, strategy.q)
-
-    # With column sums P_k = sum_j p[j, k] and couple_i = theta_i/(1 - theta_i/n):
-    # new_p[i, k] is (couple_i / n) (P_k - p[i, k] - 1/rem) off the diagonal
-    # and (couple_i / n) (P_i - p[i, i]) + 1/rem on it.
-    scale = (theta / (1.0 - theta / n) / n)[:, None]
-    p_tot = strategy.p.sum(axis=0)
-    new_p = np.subtract((p_tot - 1.0 / rem)[None], strategy.p)
-    new_p *= scale[:, :, None]
-    diag = np.arange(n)
-    new_p[diag, diag] = scale * (p_tot - strategy.p[diag, diag]) + 1.0 / rem
-    return GridStrategyN(grid, new_pi, new_p, new_q)
+    space = _ClassSpace(pop, discount, strategy)
+    return space.expand(space.reply(space.start))
 
 
 def best_response_nagent(pop: Population, discount: DiscountFunction,
@@ -266,7 +352,7 @@ def _picard(reply, init, tol: float, max_iter: int):
         if res <= tol:
             converged = True
             break
-    return current, IterationReport(iterations, history, converged)
+    return current, IterationReport(iterations, history, converged, init.pi.shape[0])
 
 
 def fixed_point_nagent(pop: Population, discount: DiscountFunction,
@@ -277,7 +363,9 @@ def fixed_point_nagent(pop: Population, discount: DiscountFunction,
     Stops when the sup-norm change of one sweep drops to ``tol``;
     non-convergence is reported through the flag, not raised.
     """
-    return _picard(lambda s: best_response_profile(pop, discount, s), init, tol, max_iter)
+    space = _ClassSpace(pop, discount, init)
+    final, report = _picard(space.reply, space.start, tol, max_iter)
+    return space.expand(final), report
 
 
 @dataclass
@@ -319,8 +407,8 @@ class MFGridStrategy:
         return cls(grid, eq.dist, pi, 1.0 / rem, np.zeros((K, m)), np.asarray(q))
 
     def sup_distance(self, other: "MFGridStrategy") -> float:
-        return max(_sup_gap(self.pi, other.pi), _sup_gap(self.p1, other.p1),
-                   _sup_gap(self.p2, other.p2), _sup_gap(self.q, other.q))
+        return _sup_gap(zip((self.pi, self.p1, self.p2, self.q),
+                            (other.pi, other.p1, other.p2, other.q)))
 
 
 def best_response_mfg(dist: TypeDistribution, discount: DiscountFunction,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import best_response as br
-from . import diagnostics, mfg, nagent, simulate
+from . import core, diagnostics, mfg, nagent, simulate
 from .core import AgentType, TimeGrid, TypeDistribution, ValidationError, _json_section
 from .discount import DiscountFunction, HyperbolicDiscount, discount_from_dict
 from .nagent import DegenerateFixedPointError, NAgentEquilibrium, Population
@@ -91,9 +91,9 @@ def load_config(path: str) -> RunConfig:
     sim_raw = _section(raw, "sim") if "sim" in raw else {}
     with _json_section("sim"):
         sim = simulate.SimConfig(
-            n_paths=int(sim_raw.get("n_paths", 100_000)),
+            n_paths=core._json_int(sim_raw.get("n_paths", 100_000), "sim", "n_paths"),
             dt=float(sim_raw.get("dt", 1e-3)),
-            seed=int(sim_raw.get("seed", 42)),
+            seed=core._json_int(sim_raw.get("seed", 42), "sim", "seed"),
             antithetic=bool(sim_raw.get("antithetic", False)),
         )
     x0 = raw.get("x0", 10.0)

@@ -42,6 +42,13 @@ def _json_section(name: str):
         raise ValidationError(f"{name} has a value of the wrong JSON type ({exc})") from None
 
 
+def _json_int(value, section: str, name: str) -> int:
+    """Config field ``name`` of ``section``: a JSON integer or an integral number."""
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise ValidationError(f"{section} field {name!r} must be an integer (got {value!r})")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AgentType:
     """Parameter vector of a single agent (or of one type in the mean-field game).
@@ -152,7 +159,8 @@ class TimeGrid:
     @classmethod
     def from_dict(cls, data: Mapping) -> "TimeGrid":
         with _json_section("grid"):
-            return cls(float(data["t0"]), float(data["T"]), int(data["n_points"]))
+            n_points = _json_int(data["n_points"], "grid", "n_points")
+            return cls(float(data["t0"]), float(data["T"]), n_points)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import oracle_hhat_quadrature, random_distribution, random_population
+from conftest import (oracle_hhat_quadrature, random_distribution, random_population,
+                      replicated_population)
 from relperf import (
     AgentType,
     ExponentialDiscount,
@@ -24,6 +27,9 @@ from relperf import (
     aggregates,
     response_h,
 )
+from relperf import best_response as br
+from relperf.best_response import _reply
+from relperf.nagent import _nagent_law
 
 T = 2.0
 GRID = TimeGrid(0.0, T, 200)
@@ -243,6 +249,138 @@ def test_grid_strategy_interpolation_matches_np_interp(rng):
             assert np.abs(P[:, i, k] - want).max() <= 1e-14
 
 
+def test_consumption_at_allocates_one_result(rng):
+    n, grid = 32, TimeGrid(0.0, T, 21)
+    shape = (n, grid.n_points)
+    strat = GridStrategyN(grid, rng.normal(size=shape), rng.normal(size=(n,) + shape),
+                          rng.normal(size=shape))
+    times = np.linspace(0.0, T, 501)
+    tracemalloc.start()
+    try:
+        P, q = strat.consumption_at(times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (P.nbytes + q.nbytes)
+
+
+def test_dense_slopes_are_kept_off_the_heap(rng):
+    # the (n, n, m) slopes of a zero profile, a closed form and a reply live in
+    # mappings of their own: the traced heap peak is the constructor's
+    # finiteness mask (an eighth of p) and (n, m) rows
+    pop = shuffled_classes(rng, n=48)
+    zero = GridStrategyN.zeros(SMALL, pop.n)
+    for make in (lambda: GridStrategyN.zeros(SMALL, pop.n),
+                 lambda: closed_form(pop, HYP, SMALL),
+                 lambda: best_response_profile(pop, HYP, zero)):
+        tracemalloc.start()
+        try:
+            strat = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= strat.p.nbytes / 4
+
+
+# ---------------------------------------------------------------------------
+# The sweep on classes of exchangeable agents against the dense (n, n, m) map
+
+
+def dense_profile(pop, d, strategy):
+    """The simultaneous best reply with the slopes updated as one (n, n, m)
+    array: new p[i, k] = scale_i (P_k - p[i, k] - 1/rem) off the diagonal and
+    scale_i (P_i - p[i, i]) + 1/rem on it, with column sums P."""
+    grid, n = strategy.grid, pop.n
+    theta = pop.field("theta")
+    rem = grid.T + 1.0 - grid.times
+    pi, q = _reply(d, grid, *_nagent_law(pop), strategy.pi, strategy.q)
+    scale = (theta / (1.0 - theta / n) / n)[:, None]
+    p_tot = strategy.p.sum(axis=0)
+    p = np.subtract((p_tot - 1.0 / rem)[None], strategy.p)
+    p *= scale[:, :, None]
+    diag = np.arange(n)
+    p[diag, diag] = scale * (p_tot - strategy.p[diag, diag]) + 1.0 / rem
+    return GridStrategyN(grid, pi, p, q)
+
+
+def dense_fixed_point(pop, d, init, tol):
+    current, history = init, []
+    while not history or history[-1] > tol:
+        new = dense_profile(pop, d, current)
+        history.append(new.sup_distance(current))
+        current = new
+    return current, history
+
+
+def assert_same_profile(got, want, tol):
+    for a, b in zip((got.pi, got.p, got.q), (want.pi, want.p, want.q)):
+        assert np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
+
+
+SMALL = TimeGrid(0.0, T, 41)
+
+
+def shuffled_classes(rng, k=3, n=24):
+    """n agents of k types, replicated from a random law in shuffled order."""
+    agents = replicated_population(random_distribution(rng, k=k), n).agents
+    return Population([agents[j] for j in rng.permutation(n)])
+
+
+def class_profile(rng, pop, grid=SMALL):
+    """A random profile with cross terms that is constant on the type classes."""
+    index = {}
+    lab = np.array([index.setdefault(a, len(index)) for a in pop.agents])
+    K, m = len(index), grid.n_points
+    p = rng.normal(size=(K, K, m))[lab[:, None], lab]
+    p[np.arange(pop.n), np.arange(pop.n)] = rng.normal(size=(K, m))[lab]
+    return GridStrategyN(grid, rng.normal(size=(K, m))[lab], p, rng.normal(size=(K, m))[lab])
+
+
+def test_class_picard_matches_dense_iteration(rng):
+    # three types in shuffled order from zeros, the same with one agent's
+    # intercept row perturbed (one class per agent), and two distinct agents
+    shuffled = shuffled_classes(rng)
+    perturbed = GridStrategyN.zeros(SMALL, shuffled.n)
+    perturbed.q[5] += 1e-3
+    for pop, init, classes in ((shuffled, GridStrategyN.zeros(SMALL, shuffled.n), 3),
+                               (shuffled, perturbed, shuffled.n),
+                               (HET2, GridStrategyN.zeros(SMALL, 2), 2)):
+        got, report = fixed_point_nagent(pop, HYP, init, tol=1e-11)
+        want, history = dense_fixed_point(pop, HYP, init, 1e-11)
+        assert report.converged and report.classes == classes
+        assert report.iterations == len(history)
+        assert np.abs(np.subtract(report.residual_history, history)).max() <= 1e-13
+        assert_same_profile(got, want, 1e-13)
+
+
+def test_sweep_to_non_finite_profile_is_rejected(rng, monkeypatch):
+    # column sums of 1e307 overflow in the first sweep, on the type classes
+    # and with one class per agent; the iteration stops there
+    sweeps = []
+    monkeypatch.setattr(br, "_reply", lambda *args: sweeps.append(1) or _reply(*args))
+    pop = shuffled_classes(rng)
+    for shift in (0.0, 1.0):
+        huge = GridStrategyN.zeros(SMALL, pop.n)
+        huge.p[...] = 1e307
+        huge.q[0] += shift
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValidationError, match="finite"):
+            fixed_point_nagent(pop, HYP, huge)
+    assert len(sweeps) == 2
+
+
+def test_one_class_sweep_matches_dense_sweep(rng):
+    pop = shuffled_classes(rng)
+    symmetric = class_profile(rng, pop)
+    shape = (pop.n, SMALL.n_points)
+    asymmetric = GridStrategyN(SMALL, rng.normal(size=shape),
+                               rng.normal(size=(pop.n,) + shape), rng.normal(size=shape))
+    for strat, classes in ((symmetric, 3), (asymmetric, pop.n)):
+        assert fixed_point_nagent(pop, HYP, strat, max_iter=1)[1].classes == classes
+        assert_same_profile(best_response_profile(pop, HYP, strat),
+                            dense_profile(pop, HYP, strat), 1e-13)
+
+
 def test_iteration_report_contraction():
     assert IterationReport(0).contraction == 0.0
     assert IterationReport(1, [0.5]).contraction == 0.0
@@ -323,6 +461,23 @@ def test_mfg_contraction_factors():
     late = [q_gaps[k + 1] / q_gaps[k] for k in range(14, 19)]
     for r in late:
         assert r == pytest.approx(agg.e_theta, rel=0.05)
+
+
+def test_criterion_08_through_best_response():
+    # the Picard fixed points of replicated populations approach the
+    # mean-field one at rate 1/n, as the closed forms do in criterion 8
+    grid = TimeGrid(0.0, T, 11)
+    mfp, mrep = fixed_point_mfg(TWO_ATOM, HYP, MFGridStrategy.zeros(grid, TWO_ATOM),
+                                tol=1e-12)
+    assert mrep.converged and mrep.classes == 2
+    gaps = []
+    for n in (50, 500):
+        pop = replicated_population(TWO_ATOM, n)
+        fp, report = fixed_point_nagent(pop, HYP, GridStrategyN.zeros(grid, n), tol=1e-12)
+        assert report.converged and report.classes == 2
+        atom = [TWO_ATOM.types.index(a) for a in pop.agents]
+        gaps.append(np.abs(fp.pi - mfp.pi[atom]).max())
+    assert 5.0 <= gaps[0] / gaps[1] <= 20.0
 
 
 def test_mfg_nonconvergence_flag():

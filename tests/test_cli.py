@@ -258,6 +258,27 @@ def test_wrong_section_type_is_validation_error(section, value, tmp_path, capsys
     assert err.startswith("error:") and section in err
 
 
+@pytest.mark.parametrize("command, section, name, value", [
+    ("equilibrium", "grid", "n_points", 2.9),
+    ("simulate", "sim", "n_paths", 10.7),
+    ("simulate", "sim", "seed", 1.5),
+])
+def test_fractional_integer_field_is_validation_error(command, section, name, value,
+                                                      tmp_path, capsys):
+    cfg = dict(TWO_AGENT_SINGLE_STOCK,
+               **{section: dict(TWO_AGENT_SINGLE_STOCK[section], **{name: value})})
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(cfg))
+    outs = {"equilibrium": ["--out", str(tmp_path / "eq.csv")],
+            "simulate": ["--out-paths", str(tmp_path / "p.csv"),
+                         "--out-summary", str(tmp_path / "s.json")]}[command]
+    rc = main([command, "--config", str(path)] + outs)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and section in err and name in err
+    assert "Traceback" not in err
+
+
 def test_config_that_is_not_an_object_is_validation_error(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text(json.dumps(["discount"]))

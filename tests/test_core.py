@@ -66,6 +66,14 @@ def test_timegrid_invalid(t0, T, n):
         TimeGrid(t0, T, n)
 
 
+def test_timegrid_points_must_be_integral():
+    grid = TimeGrid.from_dict({"t0": 0.0, "T": 2.0, "n_points": 40.0})
+    assert grid.n_points == 40 and isinstance(grid.n_points, int)
+    for bad in (2.9, True, "40", float("inf"), None):
+        with pytest.raises(ValidationError, match="grid field 'n_points'"):
+            TimeGrid.from_dict({"t0": 0.0, "T": 2.0, "n_points": bad})
+
+
 def test_distribution_weights_must_sum_to_one():
     a = AgentType(1, 0, 1, 0, 1)
     with pytest.raises(ValidationError, match="sum to 1"):

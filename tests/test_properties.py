@@ -109,9 +109,9 @@ def paths(node, prefix=()):
 
 
 @st.composite
-def broken_configs(draw):
+def broken_configs(draw, base=BASE_CONFIG):
     """A valid config with one to three values replaced or removed."""
-    cfg = copy.deepcopy(dict(BASE_CONFIG, discount=draw(st.sampled_from(DISCOUNTS))))
+    cfg = copy.deepcopy(dict(base, discount=draw(st.sampled_from(DISCOUNTS))))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(paths(cfg))))
         parent = cfg
@@ -135,3 +135,15 @@ def test_any_config_gets_an_exit_code(cfg):
                      "--out", str(out / "eq.csv")]) in (0, 1, 2)
         assert main(["mfg", "--config", str(config), "--out-csv", str(out / "mfg.csv"),
                      "--out-json", str(out / "mfg.json")]) in (0, 1, 2)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(broken_configs(dict(BASE_CONFIG, grid=dict(BASE_CONFIG["grid"], n_points=11))))
+def test_best_response_gets_an_exit_code(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        config = out / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["best-response", "--config", str(config),
+                     "--out-json", str(out / "it.json"),
+                     "--out-csv", str(out / "it.csv")]) in (0, 1, 2)
