@@ -11,7 +11,6 @@ must agree with the closed-form formulas of :mod:`relperf.nagent` and
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -58,15 +57,6 @@ class IterationReport:
         return {**asdict(self), "contraction": self.contraction}
 
 
-def _mapped(shape) -> np.ndarray:
-    """Zero float array in its own private anonymous mapping, for the (n, n, m)
-    slopes: a page takes memory only once written and is returned when the
-    array is freed, so the resident size does not depend on the malloc heap."""
-    size = int(np.prod(shape))
-    buf = mmap.mmap(-1, 8 * max(size, 1), mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, count=size).reshape(shape)
-
-
 def _sup_gap(pairs) -> float:
     """max |a - b| over the array pairs (a, b), NaN if an entry is; taken over
     blocks of leading rows so that each temporary stays in cache."""
@@ -79,67 +69,158 @@ def _sup_gap(pairs) -> float:
     return float(np.max(gaps))
 
 
-@dataclass
+def _check_finite(*arrays) -> None:
+    if not all(np.all(np.isfinite(x)) for x in arrays):
+        raise ValidationError("strategy samples must be finite")
+
+
+def _refine(*labelings):
+    """Common refinement of labelings of the same agents: (labels, first
+    member of each class, class sizes), classes numbered by first appearance."""
+    index: dict = {}
+    labels = np.array([index.setdefault(key, len(index)) for key in zip(*labelings)])
+    return labels, np.unique(labels, return_index=True)[1], np.bincount(labels)
+
+
+class _ClassProfile(NamedTuple):
+    """n-agent profile on K classes of exchangeable agents."""
+
+    pi: np.ndarray    # (K, m) investment of each agent of class a
+    q: np.ndarray     # (K, m) its consumption intercept
+    diag: np.ndarray  # (K, m) its slope on its own wealth
+    off: np.ndarray   # (K, K, m) its slope on another agent of class b
+
+    def sup_distance(self, other: "_ClassProfile") -> float:
+        """Sup-norm change; raises if a block is not finite (then so is a gap)."""
+        gap = _sup_gap(zip(self, other))
+        if not np.isfinite(gap):
+            raise ValidationError("strategy samples must be finite")
+        return gap
+
+
+def _restrict(blocks: _ClassProfile, src: np.ndarray, counts: np.ndarray) -> _ClassProfile:
+    """``blocks`` on finer classes, class a taking the rows of class src[a].
+
+    A one-agent class has no cross pair, so its off[a, a] is set to 0: then
+    the blocks hold exactly the values of the dense profile, and no others."""
+    off = blocks.off[src[:, None], src]
+    np.einsum("aam->am", off)[counts < 2] = 0.0
+    return _ClassProfile(blocks.pi[src], blocks.q[src], blocks.diag[src], off)
+
+
 class GridStrategyN:
     """Strategy profile of n agents sampled on a common grid.
 
     ``pi[i]`` holds agent i's investment at the grid nodes (linear
     interpolation between nodes), ``p[i, k]`` the consumption coefficient on
     agent k's wealth, and ``q[i]`` the consumption intercept.
+
+    The profiles that :meth:`zeros`, :meth:`from_equilibrium` and the
+    best-response maps make are stored as class blocks: each agent has a
+    class label, and agents of one class share their rows (see
+    :meth:`classes`).  ``pi``, ``p`` and ``q`` are expanded from the blocks
+    the first time they are read and then kept; from then on they are the
+    profile, so changes made to them in place count.  A profile built from
+    dense arrays has one class per agent.
     """
 
-    grid: TimeGrid
-    pi: np.ndarray  # (n, m)
-    p: np.ndarray   # (n, n, m)
-    q: np.ndarray   # (n, m)
-
-    def __post_init__(self):
-        m = self.grid.n_points
-        n = self.pi.shape[0]
-        if self.pi.shape != (n, m) or self.p.shape != (n, n, m) or self.q.shape != (n, m):
+    def __init__(self, grid: TimeGrid, pi: np.ndarray, p: np.ndarray, q: np.ndarray):
+        m = grid.n_points
+        n = pi.shape[0]
+        if pi.shape != (n, m) or p.shape != (n, n, m) or q.shape != (n, m):
             raise ValidationError("strategy arrays do not match the grid")
-        if not (np.all(np.isfinite(self.pi)) and np.all(np.isfinite(self.p))
-                and np.all(np.isfinite(self.q))):
-            raise ValidationError("strategy samples must be finite")
+        _check_finite(pi, p, q)
+        self.grid, self._labels, self._blocks = grid, np.arange(n), None
+        self._dense = {"pi": pi, "p": p, "q": q}
+
+    @classmethod
+    def _of_classes(cls, grid: TimeGrid, labels: np.ndarray,
+                    blocks: _ClassProfile) -> "GridStrategyN":
+        self = cls.__new__(cls)
+        self.grid, self._labels, self._blocks, self._dense = grid, labels, blocks, {}
+        return self
 
     @property
     def n_agents(self) -> int:
-        return self.pi.shape[0]
+        return self._labels.size
+
+    pi = property(lambda self: self._array("pi"), doc="(n, m) investments.")
+    p = property(lambda self: self._array("p"), doc="(n, n, m) consumption slopes.")
+    q = property(lambda self: self._array("q"), doc="(n, m) consumption intercepts.")
+
+    def _array(self, name: str) -> np.ndarray:
+        if name not in self._dense:
+            lab, blocks = self._labels, self._blocks
+            if name == "p":
+                arr = blocks.off[lab[:, None], lab]
+                np.einsum("iim->im", arr)[...] = blocks.diag[lab]
+            else:
+                arr = getattr(blocks, name)[lab]
+            self._dense[name] = arr
+        return self._dense[name]
+
+    def classes(self) -> tuple[np.ndarray, _ClassProfile]:
+        """``(labels, blocks)``: agent i's rows are those of class labels[i].
+
+        Once ``pi``, ``p`` or ``q`` has been read, every agent is its own
+        class and the blocks are views of the dense arrays.  The within-class
+        slope off[a, a] means nothing for a one-agent class."""
+        if not self._dense:
+            return self._labels, self._blocks
+        p = self.p
+        return np.arange(self.n_agents), _ClassProfile(self.pi, self.q,
+                                                       np.einsum("iim->im", p), p)
 
     @classmethod
     def zeros(cls, grid: TimeGrid, n: int) -> "GridStrategyN":
         m = grid.n_points
-        return cls(grid, np.zeros((n, m)), _mapped((n, n, m)), np.zeros((n, m)))
+        pi, q, diag = np.zeros((3, 1, m))
+        return cls._of_classes(grid, np.zeros(n, dtype=int),
+                               _ClassProfile(pi, q, diag, np.zeros((1, 1, m))))
 
     @classmethod
     def from_equilibrium(cls, eq: NAgentEquilibrium, grid: TimeGrid) -> "GridStrategyN":
+        """The closed form on the type classes of the equilibrium's population:
+        slope 1/(T+1-t) on the agent's own wealth and none on the others'."""
         times = grid.times
-        n = eq.n_agents
-        pi = eq.pi_at(times).T.copy()
-        p = _mapped((n, n, times.size))
-        p[np.arange(n), np.arange(n)] = 1.0 / (eq.horizon + 1.0 - times)
-        q = eq.intercepts_at(times)
-        return cls(grid, pi, p, np.asarray(q))
+        labels, rep, _ = _refine(eq.pop.agents)
+        pi = eq.pi_at(times).T[rep]
+        q = np.asarray(eq.intercepts_at(times))[rep]
+        _check_finite(pi, q)
+        diag = np.tile(1.0 / (eq.horizon + 1.0 - times), (rep.size, 1))
+        return cls._of_classes(grid, labels, _ClassProfile(
+            pi, q, diag, np.zeros((rep.size, rep.size, times.size))))
 
     def pi_at(self, times) -> np.ndarray:
         """(len(times), n) investments by linear interpolation."""
-        return _interp_rows(np.asarray(times, dtype=float), self.grid.times, self.pi).T
+        lab, blocks = self.classes()
+        weights = _interp_weights(np.asarray(times, dtype=float), self.grid.times)
+        return _interp_at(blocks.pi, *weights)[lab].T
 
     def consumption_at(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """(P, q) with P (len, n, n) and q (len, n), interpolated a row of P at a time."""
+        """(P, q) with P (len, n, n) and q (len, n), interpolated a class row of P at a time."""
         times = np.asarray(times, dtype=float)
-        P = np.empty((times.size, self.n_agents, self.n_agents))
-        for i, row in enumerate(self.p):
-            P[:, i] = _interp_rows(times, self.grid.times, row).T
-        return P, _interp_rows(times, self.grid.times, self.q).T
+        weights = _interp_weights(times, self.grid.times)
+        lab, blocks = self.classes()
+        own = np.arange(lab.size)
+        P = np.empty((times.size, lab.size, lab.size))
+        for a, row in enumerate(blocks.off):
+            P[:, lab == a] = _interp_at(row, *weights)[lab].T[..., None, :]
+        P[:, own, own] = _interp_at(blocks.diag, *weights)[lab].T
+        return P, _interp_at(blocks.q, *weights)[lab].T
 
     def sup_distance(self, other: "GridStrategyN") -> float:
-        return _sup_gap(zip((self.pi, self.p, self.q), (other.pi, other.p, other.q)))
+        """max |self - other| over pi, p and q, taken on the common refinement
+        of the two profiles' classes: the same values as the dense arrays."""
+        (la, a), (lb, b) = self.classes(), other.classes()
+        _, rep, counts = _refine(la, lb)
+        return _sup_gap(zip(_restrict(a, la[rep], counts), _restrict(b, lb[rep], counts)))
 
     def max_cross_coefficient(self) -> float:
         """Largest |p[i,k]| with k != i (zero for simple strategies)."""
-        mask = ~np.eye(self.n_agents, dtype=bool)
-        return float(np.abs(self.p[mask]).max())
+        lab, blocks = self.classes()
+        cross = ~np.eye(len(blocks.off), dtype=bool) | (np.bincount(lab) > 1)[:, None]
+        return float(np.abs(blocks.off[cross]).max())
 
 
 def _quad_layout(times: np.ndarray, panels: int = _QUAD_PANELS):
@@ -162,101 +243,134 @@ def _right_integrals(vals: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarr
     return out
 
 
-def _interp_rows(s: np.ndarray, times: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Linear interpolation along the last axis of ``rows`` (sampled on
-    ``times``) at s; shape rows.shape[:-1] + s.shape.  Two result-sized
-    arrays, the second one updated in place."""
+def _interp_weights(s: np.ndarray, times: np.ndarray):
+    """Left node index j of each s in ``times`` and its fraction of the way to j + 1."""
     j = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
-    frac = (s - times[j]) / (times[j + 1] - times[j])
+    return j, (s - times[j]) / (times[j + 1] - times[j])
+
+
+def _interp_at(rows: np.ndarray, j: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Linear interpolation along the last axis of ``rows`` at the weights of
+    :func:`_interp_weights`.  Two result-sized arrays, the second one updated
+    in place."""
     out, step = rows[..., j], rows[..., j + 1]
+    if np.ndim(j) == 0:  # then both are views of rows, which the updates would overwrite
+        out, step = out.copy(), step.copy()
     step -= out
     step *= frac
     out += step
     return out
 
 
-def _reply_h(discount: DiscountFunction, grid: TimeGrid, p, w, s: float,
-             pi: np.ndarray) -> np.ndarray:
-    """Reply intercept profiles h(t) = (1/(T+1-t)) integral_t^T (T+1-s) G(s) ds.
+class _ReplyPlan:
+    """The best reply of one law's rows on one grid, with every term that
+    does not depend on the profile computed once.
 
-    One row per agent or atom: ``p`` holds the rows' parameters, ``w`` their
-    law weights and ``s`` a row's own share (w = s = 1/n for n agents, the
-    law's weights and s = 0 for the mean field), and ``pi`` their sampled
-    investments, linearly interpolated between nodes.  G collects the
-    competitor averages E_w[x] - s x of the sigma- and mu-weighted
-    investments (sbar, mbar) and the idiosyncratic variance
-    vbar = s (E_w[(nu pi)^2] - s (nu pi)^2), which vanishes in the mean field.
+    One row per agent, class or atom: ``p`` holds the rows' parameters, ``w``
+    their law weights and ``s`` a row's own share (w = s = 1/n for n agents,
+    the law's weights and s = 0 for the mean field).  With own = 1 - theta s
+    and the competitor averages E_w[x] - s x of the sigma- and mu-weighted
+    investments (sbar, mbar), the reply is
+
+        pi' = (delta mu (T+1-t) + theta sigma sbar) / ((nu^2 + sigma^2) own),
+        q'  = -(delta/own) (h + ln lam(T-t)) + (theta/own) (E_w[q] - s q),
+
+    with h(t) = (1/(T+1-t)) integral_t^T (T+1-u) G(u) du by Simpson's rule on
+    the linearly interpolated investments, where g = theta/delta/(T+1-u) and
+
+        G = -ln lam(T-u)/(T+1-u) - (mu + sigma g sbar)^2 / (2 (nu^2 + sigma^2))
+            + g mbar + g^2 (sbar^2 + vbar) / 2,
+
+    and vbar = s (E_w[(nu pi)^2] - s (nu pi)^2) vanishes in the mean field.
     """
-    times, T = grid.times, grid.T
-    delta, theta, mu, nu, sigma = (p[k][:, None] for k in _FIELDS)
-    pts, wq, h = _quad_layout(times)
-    u = pts.ravel()
-    rem_u = T + 1.0 - u
-    pi_u = _interp_rows(u, times, pi)
-    sbar, mbar, nbar = (w @ x - s * x for x in (sigma * pi_u, mu * pi_u, (nu * pi_u) ** 2))
-    g = (theta / delta) / rem_u
-    G = (
-        -discount.log_value(T - u) / rem_u
-        - 0.5 * (mu + sigma * g * sbar) ** 2 / (nu**2 + sigma**2)
-        + g * mbar
-        + 0.5 * g**2 * (sbar**2 + s * nbar)
-    )
-    integrals = _right_integrals((rem_u * G).reshape((-1,) + pts.shape), wq, h)
-    return integrals / (T + 1.0 - times)
+
+    def __init__(self, discount: DiscountFunction, grid: TimeGrid, p, w, s: float):
+        times, T = grid.times, grid.T
+        delta, theta, mu, nu, sigma = (p[k][:, None] for k in _FIELDS)
+        self.w, self.s, self.mu, self.nu, self.sigma = w, s, mu, nu, sigma
+        pts, self.wq, self.hq = _quad_layout(times)
+        self.quad_shape = (-1,) + pts.shape
+        u = pts.ravel()
+        self.j, self.frac = _interp_weights(u, times)
+        self.rem_u = T + 1.0 - u
+        self.g = (theta / delta) / self.rem_u
+        self.sigma_g, self.half_g2 = sigma * self.g, 0.5 * self.g**2
+        self.G0 = -discount.log_value(T - u) / self.rem_u
+        self.vol = nu**2 + sigma**2
+        self.rem = T + 1.0 - times
+        self.inv_rem = 1.0 / self.rem
+        self.log_lam = discount.log_value(T - times)
+        own = 1.0 - theta * s
+        self.pi_drift, self.vol_own = delta * mu * self.rem, self.vol * own
+        self.pi_couple, self.s_sigma = theta * sigma, s * sigma
+        self.q_own, self.q_couple = -(delta / own), theta / own
+
+    def _competitor(self, x: np.ndarray) -> np.ndarray:
+        return self.w @ x - self.s * x
+
+    def h(self, pi: np.ndarray) -> np.ndarray:
+        """Reply intercept profiles h(t) of the rows, given their investments."""
+        pi_u = _interp_at(pi, self.j, self.frac)
+        sbar = self._competitor(self.sigma * pi_u)
+        G = self.G0 - 0.5 * (self.mu + self.sigma_g * sbar) ** 2 / self.vol
+        G += self.g * self._competitor(self.mu * pi_u)
+        G += self.half_g2 * (sbar**2 + self.s * self._competitor((self.nu * pi_u) ** 2))
+        G *= self.rem_u
+        return _right_integrals(G.reshape(self.quad_shape), self.wq, self.hq) / self.rem
+
+    def reply(self, pi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Best-reply investments and consumption intercepts of every row."""
+        sbar = self.w @ (self.sigma * pi) - self.s_sigma * pi
+        new_pi = (self.pi_drift + self.pi_couple * sbar) / self.vol_own
+        new_q = self.q_own * (self.h(pi) + self.log_lam) + self.q_couple * self._competitor(q)
+        return new_pi, new_q
 
 
 def _reply(discount: DiscountFunction, grid: TimeGrid, p, w, s: float,
-           pi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best-reply investments and consumption intercepts of every row.
-
-    Rows, ``p``, ``w`` and ``s`` are as in :func:`_reply_h`; ``q`` holds the
-    rows' sampled consumption intercepts.  With own = 1 - theta s:
-
-        pi' = (delta mu (T+1-t) + theta sigma sbar) / ((nu^2 + sigma^2) own),
-        q'  = -(delta/own) (h + ln lam(T-t)) + (theta/own) (E_w[q] - s q).
-    """
-    times, T = grid.times, grid.T
-    delta, theta, mu, nu, sigma = (p[k][:, None] for k in _FIELDS)
-    own = 1.0 - theta * s
-    sbar = w @ (sigma * pi) - s * sigma * pi
-    new_pi = (delta * mu * (T + 1.0 - times) + theta * sigma * sbar) / ((nu**2 + sigma**2) * own)
-    h = _reply_h(discount, grid, p, w, s, pi)
-    new_q = (-(delta / own) * (h + discount.log_value(T - times))
-             + (theta / own) * (w @ q - s * q))
-    return new_pi, new_q
+           pi: np.ndarray, q: np.ndarray, plan: _ReplyPlan | None = None):
+    """Best-reply ``(pi, q)`` of the rows of :class:`_ReplyPlan`; ``plan``, if
+    given, is that of ``(discount, grid, p, w, s)``."""
+    return (plan or _ReplyPlan(discount, grid, p, w, s)).reply(pi, q)
 
 
 def response_h(pop: Population, discount: DiscountFunction,
                strategy: GridStrategyN, i: int) -> np.ndarray:
     """Reply intercept profile h_i(t) of agent ``i`` on the strategy grid."""
-    return _reply_h(discount, strategy.grid, *_nagent_law(pop), strategy.pi)[i]
+    lab, blocks = strategy.classes()
+    return _ReplyPlan(discount, strategy.grid, *_nagent_law(pop)).h(blocks.pi[lab])[i]
 
 
-class _ClassProfile(NamedTuple):
-    """n-agent profile on the K classes of a :class:`_ClassSpace`."""
-
-    pi: np.ndarray    # (K, m) investment of each agent of class a
-    q: np.ndarray     # (K, m) its consumption intercept
-    diag: np.ndarray  # (K, m) its slope on its own wealth
-    off: np.ndarray   # (K, K, m) its slope on another agent of class b
-
-    def sup_distance(self, other: "_ClassProfile") -> float:
-        """Sup-norm change; raises if a block is not finite (then so is a gap)."""
-        gap = _sup_gap(zip(self, other))
-        if not np.isfinite(gap):
-            raise ValidationError("strategy samples must be finite")
-        return gap
+def _on_types(blocks: _ClassProfile, types: np.ndarray) -> _ClassProfile | None:
+    """One-class-per-agent ``blocks`` on the classes ``types``, or None if
+    they do not expand back to ``blocks`` exactly.  The check compares a row
+    of slopes at a time, so it makes no dense copy."""
+    counts = np.bincount(types)
+    ends, order = np.cumsum(counts), np.argsort(types, kind="stable")
+    # A class's first and last member: a cross pair if it has two.
+    rep, last = order[ends - counts], order[ends - 1]
+    coarse = _ClassProfile(blocks.pi[rep], blocks.q[rep], blocks.diag[rep],
+                           blocks.off[rep[:, None], last])
+    if not all(np.array_equal(c[types], b) for c, b in zip(coarse[:3], blocks[:3])):
+        return None
+    for i, a in enumerate(types):
+        row = coarse.off[a, types]
+        row[i] = blocks.off[i, i]
+        if not np.array_equal(row, blocks.off[i]):
+            return None
+    return coarse
 
 
 class _ClassSpace:
     """The n-agent best-reply map on classes of exchangeable agents.
 
-    The classes are those of equal types if ``strategy`` expands back from
-    them exactly, else one per agent; ``start`` is ``strategy`` on them.
-    Classes enter the competitor sums with their multiplicities (weights
-    counts/n, own share 1/n in :func:`_reply`).  With P_b = sum_a counts_a
-    off[a, b] - off[b, b] + diag[b] and scale_a = theta_a / (1 - theta_a/n) / n,
-    and off[a, a] held at 0 for a one-agent class, the slopes map to
+    The classes are the common refinement of the profile's classes and the
+    agents' types, so ``start`` holds ``strategy`` exactly.  A profile with
+    one class per agent (built from or read as dense arrays) is first put on
+    the type classes if it expands back from them exactly.  Classes enter the
+    competitor sums with their multiplicities (weights counts/n, own share
+    1/n in :class:`_ReplyPlan`).  With P_b = sum_a counts_a off[a, b] -
+    off[b, b] + diag[b] and scale_a = theta_a / (1 - theta_a/n) / n, and
+    off[a, a] held at 0 for a one-agent class, the slopes map to
 
         off'[a, b] = scale_a (P_b - off[a, b] - 1/rem),
         diag'[a]   = scale_a (P_a - diag[a]) + 1/rem."""
@@ -265,65 +379,48 @@ class _ClassSpace:
                  strategy: GridStrategyN):
         if strategy.n_agents != pop.n:
             raise ValidationError("strategy and population sizes differ")
-        n, p = pop.n, strategy.p
+        n = pop.n
+        types, type_rep, _ = _refine(pop.agents)
+        labels, blocks = strategy.classes()
+        if len(blocks.pi) == n > type_rep.size:
+            coarse = _on_types(blocks, types)
+            if coarse is not None:
+                labels, blocks = types, coarse
+        self.labels, rep, self.counts = _refine(labels, types)
+        self._blocks, self._src = blocks, labels[rep]
         self.discount, self.grid = discount, strategy.grid
-        index: dict = {}
-        by_type = np.array([index.setdefault(a, len(index)) for a in pop.agents])
-        for labels in (by_type, np.arange(n)):
-            self.labels, self.counts = labels, np.bincount(labels)
-            ends, order = np.cumsum(self.counts), np.argsort(labels, kind="stable")
-            # A class's first and last member: a cross pair if it has two.
-            rep, last = order[ends - self.counts], order[ends - 1]
-            self.shared = (self.counts > 1)[:, None]
-            off = p[rep[:, None], last]
-            np.einsum("aam->am", off)[...] *= self.shared
-            self.start = _ClassProfile(strategy.pi[rep], strategy.q[rep], p[rep, rep], off)
-            if self.counts.size == n or self._expands_to(strategy):
-                break
         self.law = {k: v[rep] for k, v in pop._params.items()}, self.counts / n, 1.0 / n
+        self.plan = _ReplyPlan(discount, self.grid, *self.law)
         theta = self.law[0]["theta"]
         self.scale = (theta / (1.0 - theta / n) / n)[:, None]
-        self.inv_rem = 1.0 / (self.grid.T + 1.0 - self.grid.times)
+        self.shared = (self.counts > 1)[:, None]
 
-    def _expands_to(self, strategy: GridStrategyN) -> bool:
-        """Whether ``start`` expands to ``strategy`` exactly, a row of p at a time."""
-        lab, start = self.labels, self.start
-        if not (np.array_equal(start.pi[lab], strategy.pi)
-                and np.array_equal(start.q[lab], strategy.q)):
-            return False
-        for i, a in enumerate(lab):
-            row = start.off[a, lab]
-            row[i] = start.diag[a]
-            if not np.array_equal(row, strategy.p[i]):
-                return False
-        return True
-
-    def expand(self, prof: _ClassProfile) -> GridStrategyN:
-        lab, (k, m) = self.labels, prof.diag.shape
-        p = _mapped((lab.size, lab.size, m))
-        # mode="clip" writes straight into p; the default buffers the copy.
-        np.take(prof.off.reshape(k * k, m), (lab[:, None] * k + lab).ravel(), axis=0,
-                out=p.reshape(-1, m), mode="clip")
-        np.einsum("iim->im", p)[...] = prof.diag[lab]
-        return GridStrategyN(self.grid, prof.pi[lab], p, prof.q[lab])
+    def start(self) -> _ClassProfile:
+        """The profile on the classes."""
+        return _restrict(self._blocks, self._src, self.counts)
 
     def reply(self, prof: _ClassProfile) -> _ClassProfile:
-        pi, q = _reply(self.discount, self.grid, *self.law, prof.pi, prof.q)
-        off, diag = prof.off, prof.diag
+        pi, q = _reply(self.discount, self.grid, *self.law, prof.pi, prof.q, self.plan)
+        off, diag, inv_rem = prof.off, prof.diag, self.plan.inv_rem
         p_col = (self.counts @ off.reshape(off.shape[0], -1)).reshape(diag.shape)
         p_col -= np.einsum("aam->am", off)
         p_col += diag
-        new_off = np.subtract((p_col - self.inv_rem)[None], off)
+        new_off = np.subtract((p_col - inv_rem)[None], off)
         new_off *= self.scale[:, :, None]
         np.einsum("aam->am", new_off)[...] *= self.shared
-        return _ClassProfile(pi, q, self.scale * (p_col - diag) + self.inv_rem, new_off)
+        return _ClassProfile(pi, q, self.scale * (p_col - diag) + inv_rem, new_off)
+
+    def profile(self, blocks: _ClassProfile) -> GridStrategyN:
+        return GridStrategyN._of_classes(self.grid, self.labels, blocks)
 
 
 def best_response_profile(pop: Population, discount: DiscountFunction,
                           strategy: GridStrategyN) -> GridStrategyN:
     """Simultaneous best reply of every agent to the given profile."""
     space = _ClassSpace(pop, discount, strategy)
-    return space.expand(space.reply(space.start))
+    reply = space.reply(space.start())
+    _check_finite(*reply)
+    return space.profile(reply)
 
 
 def best_response_nagent(pop: Population, discount: DiscountFunction,
@@ -331,16 +428,21 @@ def best_response_nagent(pop: Population, discount: DiscountFunction,
     """Agent ``i``'s best reply (pi_i, p_i, q_i) on the strategy grid."""
     if not 0 <= i < pop.n:
         raise IndexError(f"agent index {i} out of range for n={pop.n}")
-    reply = best_response_profile(pop, discount, strategy)
-    return reply.pi[i], reply.p[i], reply.q[i]
+    lab, blocks = best_response_profile(pop, discount, strategy).classes()
+    p_i = blocks.off[lab[i], lab]
+    p_i[i] = blocks.diag[lab[i]]
+    return blocks.pi[lab[i]], p_i, blocks.q[lab[i]]
 
 
-def _picard(reply, init, tol: float, max_iter: int):
-    """Iterate ``reply`` from ``init`` until one sweep moves the profile by at
-    most ``tol`` in sup norm; non-convergence is reported, not raised."""
+def _picard(reply, start, tol: float, max_iter: int):
+    """Iterate ``reply`` from the profile ``start()`` until one sweep moves
+    the profile by at most ``tol`` in sup norm; non-convergence is reported,
+    not raised.  Nothing else need hold the start, so a sweep can hold two
+    profiles, not three."""
     if not tol > 0:
         raise ValidationError("tol must be > 0")
-    current = init
+    current = start()
+    classes = current.pi.shape[0]
     history: list[float] = []
     converged = False
     iterations = 0
@@ -352,7 +454,7 @@ def _picard(reply, init, tol: float, max_iter: int):
         if res <= tol:
             converged = True
             break
-    return current, IterationReport(iterations, history, converged, init.pi.shape[0])
+    return current, IterationReport(iterations, history, converged, classes)
 
 
 def fixed_point_nagent(pop: Population, discount: DiscountFunction,
@@ -361,11 +463,12 @@ def fixed_point_nagent(pop: Population, discount: DiscountFunction,
     """Picard iteration of the simultaneous best-response map.
 
     Stops when the sup-norm change of one sweep drops to ``tol``;
-    non-convergence is reported through the flag, not raised.
+    non-convergence is reported through the flag, not raised.  Each sweep's
+    blocks are checked to be finite.
     """
     space = _ClassSpace(pop, discount, init)
     final, report = _picard(space.reply, space.start, tol, max_iter)
-    return space.expand(final), report
+    return space.profile(final), report
 
 
 @dataclass
@@ -411,21 +514,30 @@ class MFGridStrategy:
                             (other.pi, other.p1, other.p2, other.q)))
 
 
+def _mfg_reply_map(dist: TypeDistribution, discount: DiscountFunction, grid: TimeGrid):
+    """The mean-field best-reply map of ``dist`` on ``grid``."""
+    plan = _ReplyPlan(discount, grid, *_mfg_law(dist))
+    theta = dist.field("theta")[:, None]
+
+    def reply(strategy: MFGridStrategy) -> MFGridStrategy:
+        if strategy.dist.n_atoms != dist.n_atoms:
+            raise ValidationError("strategy and distribution atom counts differ")
+        new_pi, new_q = plan.reply(strategy.pi, strategy.q)
+        e_p2 = dist.weights @ strategy.p2
+        new_p2 = theta * (strategy.p1 + e_p2 - plan.inv_rem)[None, :]
+        return MFGridStrategy(grid, strategy.dist, new_pi, plan.inv_rem.copy(), new_p2, new_q)
+
+    return reply
+
+
 def best_response_mfg(dist: TypeDistribution, discount: DiscountFunction,
                       strategy: MFGridStrategy) -> MFGridStrategy:
     """Best reply of every type to the per-atom profile."""
-    if strategy.dist.n_atoms != dist.n_atoms:
-        raise ValidationError("strategy and distribution atom counts differ")
-    grid = strategy.grid
-    rem = grid.T + 1.0 - grid.times
-    new_pi, new_q = _reply(discount, grid, *_mfg_law(dist), strategy.pi, strategy.q)
-    e_p2 = dist.weights @ strategy.p2
-    new_p2 = dist.field("theta")[:, None] * (strategy.p1 + e_p2 - 1.0 / rem)[None, :]
-    return MFGridStrategy(grid, strategy.dist, new_pi, 1.0 / rem, new_p2, new_q)
+    return _mfg_reply_map(dist, discount, strategy.grid)(strategy)
 
 
 def fixed_point_mfg(dist: TypeDistribution, discount: DiscountFunction,
                     init: MFGridStrategy, tol: float = 1e-10,
                     max_iter: int = 500) -> tuple[MFGridStrategy, IterationReport]:
     """Picard iteration of the mean-field best-response map."""
-    return _picard(lambda s: best_response_mfg(dist, discount, s), init, tol, max_iter)
+    return _picard(_mfg_reply_map(dist, discount, init.grid), lambda: init, tol, max_iter)

@@ -192,8 +192,9 @@ def cmd_best_response(args) -> int:
         NAgentEquilibrium(pop, cfg.discount, cfg.grid.T), cfg.grid)
     payload["gap_to_closed_form"] = final.sup_distance(closed)
     _write_json(args.out_json, payload, args.deterministic)
+    labels, blocks = final.classes()
     _write_strategy_csv(args.out_csv, "agent_id", cfg.grid.times, final.pi,
-                        np.diagonal(final.p).T, final.q, args.deterministic)
+                        blocks.diag[labels], final.q, args.deterministic)
     if not report.converged:
         raise NumericalFailure("fixed-point iteration did not converge",
                                detail=payload)

@@ -24,7 +24,6 @@ antithetic runs, so a seed gives the same draws as before.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -60,6 +59,12 @@ EXP_CLAMP = 700.0
 
 # Default bound on spike perturbations (the definition requires bounded v).
 V_BOUND = 10.0
+
+# Largest path bundle, in bytes, that simulate_paths allocates.
+MAX_BUNDLE_BYTES = 2 * 2**30
+
+# Rows that export_paths_csv formats in one block.
+_CSV_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,8 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
         Times at which wealth/consumption are stored (snapped to the Euler
         grid; defaults to every Euler node).  Consumption is recorded as the
         feedback value C(t, X_t) at left endpoints, including t = horizon.
+        A bundle (with the noise, if stored) larger than
+        ``MAX_BUNDLE_BYTES`` is refused with a ValidationError.
 
     Identical inputs and seed produce a bit-identical bundle.
     """
@@ -194,6 +201,11 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     rec_pos = {int(k): j for j, k in enumerate(rec_idx)}
 
     N = cfg.n_paths
+    size = 8 * N * (2 * rec_idx.size * n + (steps * (n + 1) if store_noise else 0))
+    if size > MAX_BUNDLE_BYTES:
+        raise ValidationError(
+            f"the path bundle would take {size / 2**30:.3g} GiB, over the "
+            f"{MAX_BUNDLE_BYTES / 2**30:.3g} GiB limit: record fewer times or paths")
     wealth = np.empty((N, rec_idx.size, n))
     cons = np.empty((N, rec_idx.size, n))
     sqdt = np.sqrt(dt)
@@ -672,17 +684,25 @@ def meanfield_consistency(dist: TypeDistribution, discount: DiscountFunction,
 
 
 def export_paths_csv(bundle: PathBundle, path, header_comment: str | None = None):
-    """Write a bundle as CSV rows (path_id, t, agent_id, wealth, consumption)."""
+    """Write a bundle as CSV rows (path_id, t, agent_id, wealth, consumption),
+    ordered by path, time and agent, in the dialect of ``csv.writer``.
+
+    The cells of a block of whole paths are laid out as one object array
+    and formatted by one ``%`` operation."""
+    m, n = bundle.times.size, bundle.n_agents
+    per_path = m * n
+    block = max(1, _CSV_BLOCK_ROWS // max(1, per_path))
+    cells = np.empty((block * per_path, 5), dtype=object)
+    cells[:, 1] = np.tile(np.repeat([f"{t:.10g}" for t in bundle.times], n), block)
+    cells[:, 2] = np.tile(np.arange(n), block * m)
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "t", "agent_id", "wealth", "consumption"])
-        for pid in range(bundle.n_paths):
-            for j, t in enumerate(bundle.times):
-                for a in range(bundle.n_agents):
-                    writer.writerow([
-                        pid, f"{t:.10g}", a,
-                        f"{bundle.wealth[pid, j, a]:.12g}",
-                        f"{bundle.consumption[pid, j, a]:.12g}",
-                    ])
+        fh.write("path_id,t,agent_id,wealth,consumption\r\n")
+        for lo in range(0, bundle.n_paths, block):
+            hi = min(lo + block, bundle.n_paths)
+            rows = cells[:(hi - lo) * per_path]
+            rows[:, 0] = np.repeat(np.arange(lo, hi), per_path)
+            rows[:, 3] = bundle.wealth[lo:hi].ravel()
+            rows[:, 4] = bundle.consumption[lo:hi].ravel()
+            fh.write("%d,%s,%d,%.12g,%.12g\r\n" * len(rows) % tuple(rows.ravel()))

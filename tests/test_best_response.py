@@ -249,6 +249,22 @@ def test_grid_strategy_interpolation_matches_np_interp(rng):
             assert np.abs(P[:, i, k] - want).max() <= 1e-14
 
 
+def test_scalar_time_interpolation_leaves_profile_unchanged(rng):
+    grid, n, t = TimeGrid(0.0, T, 9), 3, 0.7
+    shape = (n, grid.n_points)
+    strat = GridStrategyN(grid, rng.normal(size=shape), rng.normal(size=(n,) + shape),
+                          rng.normal(size=shape))
+    before = [x.copy() for x in (strat.pi, strat.p, strat.q)]
+    pi = strat.pi_at(t)
+    P, q = strat.consumption_at(t)
+    assert np.abs(pi - [np.interp(t, grid.times, row) for row in before[0]]).max() <= 1e-14
+    assert np.abs(P[0] - [[np.interp(t, grid.times, row) for row in rows]
+                          for rows in before[1]]).max() <= 1e-14
+    assert np.abs(q - [np.interp(t, grid.times, row) for row in before[2]]).max() <= 1e-14
+    for got, want in zip((strat.pi, strat.p, strat.q), before):
+        assert np.array_equal(got, want)
+
+
 def test_consumption_at_allocates_one_result(rng):
     n, grid = 32, TimeGrid(0.0, T, 21)
     shape = (n, grid.n_points)
@@ -379,6 +395,94 @@ def test_one_class_sweep_matches_dense_sweep(rng):
         assert fixed_point_nagent(pop, HYP, strat, max_iter=1)[1].classes == classes
         assert_same_profile(best_response_profile(pop, HYP, strat),
                             dense_profile(pop, HYP, strat), 1e-13)
+
+
+def block_profile(rng, labels, grid=SMALL):
+    """A random profile stored as class blocks; off[a, a] of a one-agent
+    class is 1e3, a value that no entry of the dense profile holds."""
+    K, m = labels.max() + 1, grid.n_points
+    off = rng.normal(size=(K, K, m))
+    np.einsum("aam->am", off)[np.bincount(labels, minlength=K) == 1] = 1e3
+    return GridStrategyN._of_classes(grid, labels,
+                                     br._ClassProfile(*rng.normal(size=(3, K, m)), off))
+
+
+def dense_copy(strat):
+    """The same profile built from dense arrays, expanded here from its blocks."""
+    lab, blocks = strat.classes()
+    p = blocks.off[lab][:, lab]
+    p[np.arange(lab.size), np.arange(lab.size)] = blocks.diag[lab]
+    return GridStrategyN(strat.grid, blocks.pi[lab], p, blocks.q[lab])
+
+
+def test_block_profiles_match_their_dense_arrays(rng):
+    # one class, classes with a one-agent class (3) and one class per agent:
+    # sup distances, cross coefficients and interpolations equal the dense
+    # ones bit for bit
+    types = np.array([0, 1, 0, 2, 1, 0, 1, 2, 0, 3])
+    n = types.size
+    one, typed, typed2 = (block_profile(rng, lab) for lab in (np.zeros(n, dtype=int),
+                                                                types, types))
+    per_agent = dense_copy(block_profile(rng, np.arange(n)))
+    for a, b in ((one, typed), (typed, one), (typed, typed2), (typed, per_agent),
+                 (per_agent, typed), (one, per_agent)):
+        da, db = dense_copy(a), dense_copy(b)
+        want = max(np.abs(x - y).max() for x, y in zip((da.pi, da.p, da.q),
+                                                       (db.pi, db.p, db.q)))
+        assert a.sup_distance(b) == want
+    times = np.linspace(0.0, T, 57)
+    for strat in (one, typed, per_agent):
+        dense = dense_copy(strat)
+        assert strat.max_cross_coefficient() == np.abs(
+            dense.p[~np.eye(n, dtype=bool)]).max()
+        assert np.array_equal(strat.pi_at(times), dense.pi_at(times))
+        for got, want in zip(strat.consumption_at(times), dense.consumption_at(times)):
+            assert np.array_equal(got, want)
+
+
+def test_reply_on_classes_finer_than_the_types(rng):
+    # a block profile that splits the type classes is iterated on its own
+    # classes, not on the types
+    pop = shuffled_classes(rng)
+    index = {}
+    split = np.array([index.setdefault(a, len(index)) for a in pop.agents])
+    split[np.flatnonzero(split == 0)[1:3]] = 3
+    strat = block_profile(rng, split)
+    assert fixed_point_nagent(pop, HYP, strat, max_iter=1)[1].classes == 4
+    assert_same_profile(best_response_profile(pop, HYP, strat),
+                        dense_profile(pop, HYP, dense_copy(strat)), 1e-13)
+
+
+def test_profile_arrays_once_read_are_the_profile(rng):
+    pop = shuffled_classes(rng)
+    zero = GridStrategyN.zeros(SMALL, pop.n)
+    moved = GridStrategyN.zeros(SMALL, pop.n)
+    moved.p[0, 1] += 1.0
+    assert moved.max_cross_coefficient() == 1.0
+    assert moved.sup_distance(zero) == zero.sup_distance(moved) == 1.0
+    assert_same_profile(best_response_profile(pop, HYP, moved),
+                        dense_profile(pop, HYP, moved), 1e-13)
+
+
+def test_solve_path_allocates_no_dense_slopes(rng):
+    # the zero start, the closed form and the Picard result at n = 128 on 32
+    # type classes stay far below one (n, n, m) array
+    pop = replicated_population(random_distribution(rng, k=32), 128)
+    n, m = pop.n, GRID.n_points
+    eq = NAgentEquilibrium(pop, HYP, T)
+    for make in (lambda: GridStrategyN.zeros(GRID, n),
+                 lambda: GridStrategyN.from_equilibrium(eq, GRID),
+                 lambda: fixed_point_nagent(pop, HYP, GridStrategyN.zeros(GRID, n))):
+        tracemalloc.start()
+        try:
+            make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * m * 8 / 4
+    fp, report = make()
+    assert report.converged and report.classes == 32
+    assert fp.sup_distance(GridStrategyN.from_equilibrium(eq, GRID)) < 1e-8
 
 
 def test_iteration_report_contraction():

@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -23,6 +26,7 @@ from relperf import (
     spike_grid,
     spike_test,
 )
+from relperf import simulate
 
 T = 2.0
 GRID = TimeGrid(0.0, T, 100)
@@ -449,6 +453,51 @@ def test_export_paths_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path_id,t,agent_id,wealth,consumption"
     assert len(lines) == 1 + 3 * len(bundle.times) * 2
+
+
+def reference_paths_csv(bundle, path, header_comment=None):
+    """Cell-by-cell csv.writer form of export_paths_csv."""
+    with open(path, "w", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["path_id", "t", "agent_id", "wealth", "consumption"])
+        for pid in range(bundle.n_paths):
+            for j, t in enumerate(bundle.times):
+                for a in range(bundle.n_agents):
+                    writer.writerow([pid, f"{t:.10g}", a,
+                                     f"{bundle.wealth[pid, j, a]:.12g}",
+                                     f"{bundle.consumption[pid, j, a]:.12g}"])
+
+
+def test_export_paths_csv_matches_cell_writer(tmp_path, monkeypatch, rng):
+    times = np.array([0.0, 1.0 / 3.0, 1.0, 2.0])
+    shape = (5, times.size, 3)
+    wealth = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    wealth.flat[:8] = [0.0, -0.0, 1e-300, -1e300, np.nan, np.inf, -np.inf, 123456789012345.0]
+    bundle = PathBundle(times, wealth, -wealth[::-1].copy(), seed=0)
+    # 24 rows a block: blocks of two paths, the last one partial; then one block
+    for block_rows in (24, simulate._CSV_BLOCK_ROWS):
+        monkeypatch.setattr(simulate, "_CSV_BLOCK_ROWS", block_rows)
+        for comment in (None, "generated-at: now"):
+            export_paths_csv(bundle, tmp_path / "got.csv", header_comment=comment)
+            reference_paths_csv(bundle, tmp_path / "want.csv", header_comment=comment)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_simulate_paths_refuses_oversized_bundle():
+    # every Euler node of 1e5 paths at dt = 1e-3 over T = 2 (6.4 GB), and the
+    # noise of that run (4.8 GB): refused before anything is allocated
+    cfg = SimConfig(100_000, 1e-3, 0)
+    tracemalloc.start()
+    try:
+        for kwargs in ({}, {"record_times": [0.0, T], "store_noise": True}):
+            with pytest.raises(ValidationError, match=r"would take \d.* GiB"):
+                simulate_paths(PAIR, constant_strategy(1.0), 0.0, 0.0, T, cfg, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_thread_count_respects_env(monkeypatch):
