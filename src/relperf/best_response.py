@@ -59,12 +59,14 @@ class IterationReport:
 
 def _sup_gap(pairs) -> float:
     """max |a - b| over the array pairs (a, b), NaN if an entry is; taken over
-    blocks of leading rows so that each temporary stays in cache."""
+    blocks of leading rows in one buffer, which stays in cache."""
+    blocks = [(a, b, max(1, 65536 // max(1, a[0].size))) for a, b in pairs]
+    buf = np.empty(max(min(len(a), rows) * a[0].size for a, _, rows in blocks))
     gaps = []
-    for a, b in pairs:
-        rows = max(1, 65536 // max(1, a[0].size))
+    for a, b, rows in blocks:
         for lo in range(0, len(a), rows):
-            gap = np.subtract(a[lo:lo + rows], b[lo:lo + rows])
+            x = a[lo:lo + rows]
+            gap = np.subtract(x, b[lo:lo + rows], out=buf[:x.size].reshape(x.shape))
             gaps.append(np.abs(gap, out=gap).max())
     return float(np.max(gaps))
 

@@ -21,7 +21,8 @@ import numpy as np
 from . import best_response as br
 from . import core, diagnostics, mfg, nagent, simulate
 from .core import AgentType, TimeGrid, TypeDistribution, ValidationError, _json_section
-from .discount import DiscountFunction, HyperbolicDiscount, discount_from_dict
+from .discount import (DiscountFunction, HyperbolicDiscount, TabulatedDiscount,
+                       discount_from_dict)
 from .nagent import DegenerateFixedPointError, NAgentEquilibrium, Population
 
 EXIT_OK = 0
@@ -310,12 +311,21 @@ def _verify_checks(cfg: RunConfig):
     times = grid.times
     yield ("discount lam(0)=1", abs(float(d.value(0.0)) - 1.0) < 1e-12,
            f"lam(0)={float(d.value(0.0)):.17g}")
+    # log_integral(t0, T) - log_integral(mid, T) against 8-point Gauss-Legendre
+    # on 16 panels of [t0, mid], split at the tabulated knots: exact for a
+    # piecewise-linear ln lam and within rounding for the smooth families.
     mid = 0.5 * (grid.t0 + grid.T)
-    split = abs(float(d.log_integral(grid.t0, grid.T))
-                - float(d.log_integral(grid.t0, grid.T)
-                        - d.log_integral(mid, grid.T))
-                - float(d.log_integral(mid, grid.T)))
-    yield ("discount log-integral additivity", split < 1e-10, f"split gap={split:.3g}")
+    knots = grid.T - d.times if isinstance(d, TabulatedDiscount) else np.empty(0)
+    edges = np.union1d(np.linspace(grid.t0, mid, 17),
+                       knots[(knots > grid.t0) & (knots < mid)])
+    x, w = np.polynomial.legendre.leggauss(8)
+    half = np.diff(edges)[:, None] / 2.0
+    s = edges[:-1, None] + half * (1.0 + x)
+    quad = float(np.sum(half * w * d.log_value(grid.T - s)))
+    split = float(d.log_integral(grid.t0, grid.T) - d.log_integral(mid, grid.T))
+    gap = abs(split - quad)
+    yield ("discount log-integral against quadrature", gap <= 1e-10 * max(1.0, abs(quad)),
+           f"gap={gap:.3g}, tolerance 1e-10 relative")
 
     if cfg.population is not None:
         pop = cfg.population
@@ -443,11 +453,13 @@ def main(argv=None) -> int:
     if getattr(args, "v", None) is None and args.command == "spike-test":
         args.v = ["1,0", "-1,0", "0,1", "0,-1", "1,1", "-1,-1"]
     try:
-        return args.fn(args)
+        # An overflow or a NaN from valid input is a numerical failure.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.fn(args)
     except (ValidationError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalFailure, DegenerateFixedPointError) as exc:
+    except (NumericalFailure, DegenerateFixedPointError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         # Only a JSON output takes the diagnostic, never a CSV one.
         out = getattr(args, "out_json", None)

@@ -63,6 +63,12 @@ V_BOUND = 10.0
 # Largest path bundle, in bytes, that simulate_paths allocates.
 MAX_BUNDLE_BYTES = 2 * 2**30
 
+# Equal RK4 steps of gaussian_moments over [t0, horizon].
+RK4_STEPS = 2000
+
+# Evenly spaced Euler nodes at which meanfield_consistency reports its gaps.
+MF_CHECKPOINTS = 9
+
 # Rows that export_paths_csv formats in one block.
 _CSV_BLOCK_ROWS = 1 << 16
 
@@ -225,14 +231,14 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
                       seed=cfg.seed, common_noise=dB_all, idio_noise=dW_all)
 
 
-def gaussian_moments(pop: Population, strategy, t0: float, x0, times,
-                     horizon: float, n_steps: int = 2000):
+def gaussian_moments(pop: Population, strategy, t0: float, x0, times, horizon: float):
     """Exact Gaussian law of the closed-loop wealth at the query times.
 
     The mean and covariance solve m' = A(t) m + b(t) and
     P' = A P + P A' + D D' with A(t) = -C(t) (the consumption coefficient
     matrix), b(t) = pi(t) mu - q(t), and D D' = diag((pi nu)^2) +
-    outer(pi sigma, pi sigma); integrated with classic RK4.
+    outer(pi sigma, pi sigma); integrated with classic RK4 on RK4_STEPS equal
+    steps over [t0, horizon] and the query times.
 
     Returns ``(means, covs)`` of shapes (len(times), n) and (len(times), n, n).
     """
@@ -242,57 +248,33 @@ def gaussian_moments(pop: Population, strategy, t0: float, x0, times,
     query = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(query < t0 - 1e-12) or np.any(query > horizon + 1e-12):
         raise ValidationError("query times must lie in [t0, horizon]")
-    base = np.linspace(t0, horizon, n_steps + 1)
-    all_t = np.union1d(base, query)
-    mids = (all_t[:-1] + all_t[1:]) / 2.0
+    nodes = np.union1d(np.linspace(t0, horizon, RK4_STEPS + 1), query)
+    # The profile at the nodes (even rows) and the midpoints (odd rows).
+    ts = np.empty(2 * nodes.size - 1)
+    ts[0::2], ts[1::2] = nodes, (nodes[:-1] + nodes[1:]) / 2.0
+    PI = strategy.pi_at(ts)
+    P, q = strategy.consumption_at(ts)
+    A, b = -P, PI * p["mu"] - q
+    pn, ps = PI * p["nu"], PI * p["sigma"]
+    dd = pn[:, :, None] ** 2 * np.eye(n)[None, :, :] + ps[:, :, None] * ps[:, None, :]
 
-    def coeffs(ts):
-        PI = strategy.pi_at(ts)
-        Pmat, qv = strategy.consumption_at(ts)
-        b = PI * p["mu"] - qv
-        pn = PI * p["nu"]
-        ps = PI * p["sigma"]
-        dd = pn[:, :, None] ** 2 * np.eye(n)[None, :, :] \
-            + ps[:, :, None] * ps[:, None, :]
-        return -Pmat, b, dd
+    def rhs(j, mean, cov):
+        return A[j] @ mean + b[j], A[j] @ cov + cov @ A[j].T + dd[j]
 
-    A_n, b_n, dd_n = coeffs(all_t)
-    A_m, b_m, dd_m = coeffs(mids)
-
-    mean = x0.copy()
-    cov = np.zeros((n, n))
-    where = {float(t): j for j, t in enumerate(all_t)}
-    out_idx = [where[float(t)] for t in query]
-    means = np.empty((query.size, n))
-    covs = np.empty((query.size, n, n))
-
-    def store(j_all, mean, cov):
-        for jq, ja in enumerate(out_idx):
-            if ja == j_all:
-                means[jq] = mean
-                covs[jq] = cov
-
-    store(0, mean, cov)
-    for k in range(all_t.size - 1):
-        h = all_t[k + 1] - all_t[k]
-        stages = ((A_n[k], b_n[k], dd_n[k]),
-                  (A_m[k], b_m[k], dd_m[k]),
-                  (A_m[k], b_m[k], dd_m[k]),
-                  (A_n[k + 1], b_n[k + 1], dd_n[k + 1]))
-        km = []
-        kc = []
-        for s, (A, b, dd) in enumerate(stages):
-            if s == 0:
-                mm, cc = mean, cov
-            elif s == 3:
-                mm, cc = mean + h * km[2], cov + h * kc[2]
-            else:
-                mm, cc = mean + h / 2.0 * km[s - 1], cov + h / 2.0 * kc[s - 1]
-            km.append(A @ mm + b)
-            kc.append(A @ cc + cc @ A.T + dd)
-        mean = mean + h / 6.0 * (km[0] + 2 * km[1] + 2 * km[2] + km[3])
-        cov = cov + h / 6.0 * (kc[0] + 2 * kc[1] + 2 * kc[2] + kc[3])
-        store(k + 1, mean, cov)
+    at = np.searchsorted(nodes, query)
+    means, covs = np.empty((query.size, n)), np.empty((query.size, n, n))
+    mean, cov, done = x0, np.zeros((n, n)), 0
+    for stop in np.unique(at):
+        for k in range(done, stop):
+            h = nodes[k + 1] - nodes[k]
+            m1, c1 = rhs(2 * k, mean, cov)
+            m2, c2 = rhs(2 * k + 1, mean + h / 2.0 * m1, cov + h / 2.0 * c1)
+            m3, c3 = rhs(2 * k + 1, mean + h / 2.0 * m2, cov + h / 2.0 * c2)
+            m4, c4 = rhs(2 * k + 2, mean + h * m3, cov + h * c3)
+            mean = mean + h / 6.0 * (m1 + 2 * m2 + 2 * m3 + m4)
+            cov = cov + h / 6.0 * (c1 + 2 * c2 + 2 * c3 + c4)
+        done = stop
+        means[at == stop], covs[at == stop] = mean, cov
     return means, covs
 
 
@@ -613,8 +595,7 @@ class MeanFieldConsistencyReport:
 
 def meanfield_consistency(dist: TypeDistribution, discount: DiscountFunction,
                           m_agents: int, cfg: SimConfig, t0: float, x0,
-                          horizon: float,
-                          n_checkpoints: int = 9) -> MeanFieldConsistencyReport:
+                          horizon: float) -> MeanFieldConsistencyReport:
     """Finite-population check of the mean-field consistency condition.
 
     Simulates ``m_agents`` agents with i.i.d. types from ``dist`` sharing one
@@ -627,58 +608,43 @@ def meanfield_consistency(dist: TypeDistribution, discount: DiscountFunction,
     if m_agents < 100:
         raise ValidationError("meanfield_consistency needs m_agents >= 100")
     eq = MeanFieldEquilibrium(dist, discount, horizon)
+    core = eq._core
     times, dt, steps = _euler_times(t0, horizon, cfg.dt)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
 
     idx = rng.choice(dist.n_atoms, size=m_agents, p=dist.weights)
-    mu = dist.field("mu")[idx]
-    nu = dist.field("nu")[idx]
-    sigma = dist.field("sigma")[idx]
+    mu, nu, sigma = (dist.field(name)[idx] for name in ("mu", "nu", "sigma"))
     coef = eq.atom_coefficients[idx]
-
     q_atoms = np.asarray(eq.atom_intercepts(times))       # (K, steps+1)
-    q_agents = q_atoms[idx]                               # (M, steps+1)
-    e_pi_mu = eq._core.e_mu * (horizon + 1.0 - times)
-    e_pi_sig = eq._core.e_sig * (horizon + 1.0 - times)
     e_q = dist.weights @ q_atoms
+    rem = horizon + 1.0 - times
+    checks = set(np.linspace(0, steps, MF_CHECKPOINTS).round().astype(int).tolist())
 
     X = np.full(m_agents, float(x0))
     xbar_ref = float(x0)
-    check_idx = np.unique(np.linspace(0, steps, n_checkpoints).round().astype(int))
     wealth_cp: list[CheckpointGap] = []
     cons_cp: list[CheckpointGap] = []
     max_gap = 0.0
-    sqdt = np.sqrt(dt)
-    sq_m = np.sqrt(m_agents)
-
-    def record(k: int):
-        nonlocal max_gap
-        rem = horizon + 1.0 - times[k]
+    sqdt, sq_m = np.sqrt(dt), np.sqrt(m_agents)
+    for k in range(steps + 1):
         gap = abs(float(X.mean()) - xbar_ref)
         max_gap = max(max_gap, gap)
-        if k in check_set:
+        c_k = X / rem[k] + q_atoms[idx, k]
+        if k in checks:
             wealth_cp.append(CheckpointGap(times[k], gap, float(X.std() / sq_m)))
-            c_agents = X / rem + q_agents[:, k]
-            c_ref = xbar_ref / rem + float(e_q[k])
-            cons_cp.append(CheckpointGap(
-                times[k], abs(float(c_agents.mean()) - c_ref),
-                float(c_agents.std() / sq_m)))
-
-    check_set = set(int(k) for k in check_idx)
-    record(0)
-    for k in range(steps):
-        rem = horizon + 1.0 - times[k]
-        pi_k = coef * rem
-        c_k = X / rem + q_agents[:, k]
+            c_ref = xbar_ref / rem[k] + e_q[k]
+            cons_cp.append(CheckpointGap(times[k], abs(float(c_k.mean()) - c_ref),
+                                         float(c_k.std() / sq_m)))
+        if k == steps:
+            break
+        pi_k = coef * rem[k]
         dB = rng.standard_normal() * sqdt
         dW = rng.standard_normal(m_agents) * sqdt
         X = X + (pi_k * mu - c_k) * dt + pi_k * nu * dW + pi_k * sigma * dB
-        xbar_ref = xbar_ref + (float(e_pi_mu[k]) - xbar_ref / rem - float(e_q[k])) * dt \
-            + float(e_pi_sig[k]) * dB
-        record(k + 1)
+        xbar_ref = xbar_ref + (core.e_mu * rem[k] - xbar_ref / rem[k] - e_q[k]) * dt \
+            + core.e_sig * rem[k] * dB
 
-    sig2 = eq._core.e_nu2
-    predicted = np.sqrt(max(sig2, 1e-300) * (horizon - t0)) / sq_m
+    predicted = np.sqrt(max(core.e_nu2, 1e-300) * (horizon - t0)) / sq_m
     return MeanFieldConsistencyReport(m_agents, max_gap, float(predicted),
                                       wealth_cp, cons_cp)
 

@@ -281,9 +281,9 @@ def test_consumption_at_allocates_one_result(rng):
 
 
 def test_dense_slopes_are_kept_off_the_heap(rng):
-    # the (n, n, m) slopes of a zero profile, a closed form and a reply live in
-    # mappings of their own: the traced heap peak is the constructor's
-    # finiteness mask (an eighth of p) and (n, m) rows
+    # a zero profile, a closed form and a reply are stored as class blocks, so
+    # building one allocates no (n, n, m) slopes: the traced heap peak stays
+    # under a quarter of the dense p, which is built here only to size the bound
     pop = shuffled_classes(rng, n=48)
     zero = GridStrategyN.zeros(SMALL, pop.n)
     for make in (lambda: GridStrategyN.zeros(SMALL, pop.n),
@@ -483,6 +483,22 @@ def test_solve_path_allocates_no_dense_slopes(rng):
     fp, report = make()
     assert report.converged and report.classes == 32
     assert fp.sup_distance(GridStrategyN.from_equilibrium(eq, GRID)) < 1e-8
+
+
+def test_class_sup_distance_holds_one_block_buffer(rng):
+    # the (K, K, m) blocks at K = 32, m = 200 are compared ten rows (500 KiB)
+    # at a time in one reused buffer; two live temporaries would take 1000 KiB
+    K, m = 32, 200
+    a, b = (br._ClassProfile(*rng.normal(size=(3, K, m)), rng.normal(size=(K, K, m)))
+            for _ in range(2))
+    tracemalloc.start()
+    try:
+        gap = a.sup_distance(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 1024
+    assert gap == max(np.abs(x - y).max() for x, y in zip(a, b))
 
 
 def test_iteration_report_contraction():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from relperf.cli import main
+from relperf.discount import discount_from_dict
 
 TWO_AGENT_SINGLE_STOCK = {
     "population": {"agents": [
@@ -180,6 +181,37 @@ def test_verify_passes_on_valid_config(two_agent_cfg, capsys):
 def test_verify_runs_mfg_checks(mfg_cfg, capsys):
     assert main(["verify", "--config", mfg_cfg]) == 0
     assert "mean-field" in capsys.readouterr().out
+
+
+VERIFY_DISCOUNTS = {
+    "exponential": {"variant": "exponential", "rho": 0.1},
+    "hyperbolic": {"variant": "hyperbolic", "rho": 0.3, "beta": 2.0},
+    # knots off the quadrature's panel edges, before and after mid; on the
+    # nodes of a 201-point grid, where the best reply integrates ln lam exactly
+    "tabulated": {"variant": "tabulated", "times": [0.0, 0.37, 1.13, 1.71, 2.5],
+                  "values": [1.0, 0.93, 0.71, 0.69, 0.5]},
+}
+
+
+@pytest.mark.parametrize("family", sorted(VERIFY_DISCOUNTS))
+@pytest.mark.parametrize("base", [TWO_AGENT_SINGLE_STOCK, MFG_CONFIG],
+                         ids=["population", "distribution"])
+def test_verify_checks_log_integral_by_quadrature(base, family, tmp_path, monkeypatch,
+                                                  capsys):
+    spec = VERIFY_DISCOUNTS[family]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(base, discount=spec,
+                                    grid=dict(base["grid"], n_points=201))))
+    assert main(["verify", "--config", str(path)]) == 0
+    assert "PASS  discount log-integral" in capsys.readouterr().out
+
+    # an affine map of the right integral keeps every identity between values
+    # of log_integral, so only the quadrature can see it
+    cls = type(discount_from_dict(spec))
+    right = cls.log_integral
+    monkeypatch.setattr(cls, "log_integral", lambda d, t, T: 1.37 * right(d, t, T) + 0.25)
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "FAIL  discount log-integral" in capsys.readouterr().out
 
 
 def test_missing_config_is_validation_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Property tests: relabelling the agents relabels every result, and the CLI
-answers any JSON config with an exit code instead of a traceback."""
+"""Property tests: relabelling the agents relabels every result, every
+discount's log_integral integrates its log_value, and the CLI answers any
+JSON config or argument with an exit code instead of a traceback."""
 
 import copy
 import json
@@ -7,15 +8,19 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from relperf import (
     AgentType,
+    ExponentialDiscount,
     GridStrategyN,
     HyperbolicDiscount,
     NAgentEquilibrium,
     Population,
+    TabulatedDiscount,
     TimeGrid,
     best_response_profile,
 )
@@ -147,3 +152,80 @@ def test_best_response_gets_an_exit_code(cfg):
         assert main(["best-response", "--config", str(config),
                      "--out-json", str(out / "it.json"),
                      "--out-csv", str(out / "it.csv")]) in (0, 1, 2)
+
+
+@st.composite
+def discounts(draw, last=3.0):
+    """A discount of any family, defined on at least [0, last]."""
+    family = draw(st.sampled_from(["exponential", "hyperbolic", "tabulated"]))
+    if family == "exponential":
+        return ExponentialDiscount(draw(st.floats(0.0, 3.0)))
+    if family == "hyperbolic":
+        return HyperbolicDiscount(draw(st.floats(0.01, 3.0)), draw(st.floats(0.01, 20.0)))
+    inner = sorted(draw(st.lists(st.floats(0.01, last - 0.01), unique=True, max_size=6)))
+    logs = draw(st.lists(st.floats(-3.0, 1.0), min_size=len(inner) + 1,
+                         max_size=len(inner) + 1))
+    return TabulatedDiscount([0.0, *inner, last], np.exp([0.0, *logs]))
+
+
+@PROPERTY
+@given(discounts(), st.floats(0.05, 3.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_log_integral_differences_integrate_log_value(d, horizon, u1, u2):
+    t1, t2 = horizon * min(u1, u2), horizon * max(u1, u2)
+    knots = horizon - d.times if isinstance(d, TabulatedDiscount) else np.empty(0)
+    want, _ = quad(lambda s: float(d.log_value(horizon - s)), t1, t2,
+                   points=knots[(knots > t1) & (knots < t2)] if t2 > t1 else None,
+                   epsabs=1e-13, epsrel=1e-12, limit=200)
+    got = float(d.log_integral(t1, horizon) - d.log_integral(t2, horizon))
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def exit_code(argv) -> int:
+    """main's exit code, argparse's usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Values a user may pass for a number, a count or a list of numbers.
+ARG_VALUES = st.sampled_from(["0", "1", "2", "-1", "0.5", "1e308", "nan", "inf", "-inf",
+                              "", ",", "0.1,0.5", "1,-1", "abc", "3,", "1e-300"])
+
+
+# Each command's output files and its arguments beyond --config.
+COMMANDS = {
+    "simulate": ({"--out-paths": "p.csv", "--out-summary": "s.json"},
+                 ["--checkpoints", "--export-paths"]),
+    "spike-test": ({"--out": "spike.json"}, ["--times", "--eps", "--v", "--agent"]),
+    "verify": ({}, []),
+}
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.one_of(st.sampled_from([dict(BASE_CONFIG, discount=d) for d in DISCOUNTS]),
+                 broken_configs()),
+       st.sampled_from(sorted(COMMANDS)), st.data())
+def test_config_commands_get_an_exit_code(cfg, command, data):
+    outputs, flags = COMMANDS[command]
+    extra = data.draw(st.lists(st.tuples(st.sampled_from(flags), ARG_VALUES), max_size=2)
+                      if flags else st.just([]))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(config)]
+        argv += [f"{flag}={Path(tmp) / name}" for flag, name in outputs.items()]
+        argv += [f"{flag}={value}" for flag, value in extra]
+        assert exit_code(argv) in (0, 1, 2)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(st.lists(st.tuples(st.sampled_from(["--rho", "--betas", "--delta-hats",
+                                           "--beta-fig2", "--T", "--x0", "--n-points"]),
+                          ARG_VALUES), max_size=3))
+def test_figures_gets_an_exit_code(extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["figures", "--out-dir", tmp, "--n-points", "21"]
+        for flag, value in extra:
+            argv += [f"{flag}={value}"]
+        assert exit_code(argv) in (0, 1, 2)

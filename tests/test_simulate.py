@@ -10,6 +10,7 @@ from relperf import (
     ExponentialDiscount,
     GridStrategyN,
     HyperbolicDiscount,
+    MeanFieldEquilibrium,
     NAgentEquilibrium,
     PathBundle,
     Population,
@@ -443,6 +444,166 @@ def test_meanfield_consistency_needs_enough_agents():
     dist = TypeDistribution([(AgentType(1.0, 0.4, 1.0, 0.0, 1.0), 1.0)])
     with pytest.raises(ValidationError):
         meanfield_consistency(dist, HYP, 50, SimConfig(1, 0.01, 3), 0.0, 10.0, T)
+
+
+# ---------------------------------------------------------------------------
+# The two Monte Carlo oracles against their earlier loops
+
+
+def reference_gaussian_moments(pop, strategy, t0, x0, times, horizon, n_steps=2000):
+    """Stage-by-stage RK4 form of gaussian_moments, the profile evaluated
+    separately at the nodes and at the midpoints."""
+    n = pop.n
+    p = pop._params
+    x0 = simulate._x0_vector(x0, n)
+    query = np.atleast_1d(np.asarray(times, dtype=float))
+    base = np.linspace(t0, horizon, n_steps + 1)
+    all_t = np.union1d(base, query)
+    mids = (all_t[:-1] + all_t[1:]) / 2.0
+
+    def coeffs(ts):
+        PI = strategy.pi_at(ts)
+        Pmat, qv = strategy.consumption_at(ts)
+        b = PI * p["mu"] - qv
+        pn = PI * p["nu"]
+        ps = PI * p["sigma"]
+        dd = pn[:, :, None] ** 2 * np.eye(n)[None, :, :] \
+            + ps[:, :, None] * ps[:, None, :]
+        return -Pmat, b, dd
+
+    A_n, b_n, dd_n = coeffs(all_t)
+    A_m, b_m, dd_m = coeffs(mids)
+
+    mean = x0.copy()
+    cov = np.zeros((n, n))
+    where = {float(t): j for j, t in enumerate(all_t)}
+    out_idx = [where[float(t)] for t in query]
+    means = np.empty((query.size, n))
+    covs = np.empty((query.size, n, n))
+
+    def store(j_all, mean, cov):
+        for jq, ja in enumerate(out_idx):
+            if ja == j_all:
+                means[jq] = mean
+                covs[jq] = cov
+
+    store(0, mean, cov)
+    for k in range(all_t.size - 1):
+        h = all_t[k + 1] - all_t[k]
+        stages = ((A_n[k], b_n[k], dd_n[k]),
+                  (A_m[k], b_m[k], dd_m[k]),
+                  (A_m[k], b_m[k], dd_m[k]),
+                  (A_n[k + 1], b_n[k + 1], dd_n[k + 1]))
+        km = []
+        kc = []
+        for s, (A, b, dd) in enumerate(stages):
+            if s == 0:
+                mm, cc = mean, cov
+            elif s == 3:
+                mm, cc = mean + h * km[2], cov + h * kc[2]
+            else:
+                mm, cc = mean + h / 2.0 * km[s - 1], cov + h / 2.0 * kc[s - 1]
+            km.append(A @ mm + b)
+            kc.append(A @ cc + cc @ A.T + dd)
+        mean = mean + h / 6.0 * (km[0] + 2 * km[1] + 2 * km[2] + km[3])
+        cov = cov + h / 6.0 * (kc[0] + 2 * kc[1] + 2 * kc[2] + kc[3])
+        store(k + 1, mean, cov)
+    return means, covs
+
+
+MOMENT_CASES = {
+    "closed_form": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T), 10.0,
+                    np.linspace(0.0, T, 5)),
+    "cross_coupled": (TRIO, cross_coupled_strategy, [1.0, -2.0, 0.5],
+                      [0.0, 0.35, 1.1, T]),
+    "zeros": (PAIR, lambda: GridStrategyN.zeros(GRID, 2), 5.0, [0.5, 2.0]),
+    # off the RK4 nodes, unsorted and repeated, and ending before the horizon
+    "unsorted": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T), [3.0, -1.0],
+                 [1.3, 0.0, 0.7, 1.3, 1e-4 / 3.0, 0.7, 1.0 / 3.0]),
+    "unsorted_cross": (TRIO, cross_coupled_strategy, 2.0, [T, 1.0 / 7.0, T, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MOMENT_CASES))
+def test_gaussian_moments_match_reference_loop(case):
+    pop, make, x0, query = MOMENT_CASES[case]
+    strategy = make()
+    means, covs = gaussian_moments(pop, strategy, 0.0, x0, query, T)
+    ref_means, ref_covs = reference_gaussian_moments(pop, strategy, 0.0, x0, query, T)
+    assert means.shape == (len(query), pop.n) and covs.shape == (len(query), pop.n, pop.n)
+    assert np.array_equal(means, ref_means)
+    assert np.array_equal(covs, ref_covs)
+
+
+def reference_meanfield_consistency(dist, discount, m_agents, cfg, t0, x0, horizon,
+                                    n_checkpoints=9):
+    """meanfield_consistency with a recording closure called after each step."""
+    eq = MeanFieldEquilibrium(dist, discount, horizon)
+    times, dt, steps = simulate._euler_times(t0, horizon, cfg.dt)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+
+    idx = rng.choice(dist.n_atoms, size=m_agents, p=dist.weights)
+    mu = dist.field("mu")[idx]
+    nu = dist.field("nu")[idx]
+    sigma = dist.field("sigma")[idx]
+    coef = eq.atom_coefficients[idx]
+
+    q_atoms = np.asarray(eq.atom_intercepts(times))
+    q_agents = q_atoms[idx]
+    e_pi_mu = eq._core.e_mu * (horizon + 1.0 - times)
+    e_pi_sig = eq._core.e_sig * (horizon + 1.0 - times)
+    e_q = dist.weights @ q_atoms
+
+    X = np.full(m_agents, float(x0))
+    xbar_ref = float(x0)
+    check_idx = np.unique(np.linspace(0, steps, n_checkpoints).round().astype(int))
+    wealth_cp, cons_cp = [], []
+    max_gap = 0.0
+    sqdt = np.sqrt(dt)
+    sq_m = np.sqrt(m_agents)
+
+    def record(k):
+        nonlocal max_gap
+        rem = horizon + 1.0 - times[k]
+        gap = abs(float(X.mean()) - xbar_ref)
+        max_gap = max(max_gap, gap)
+        if k in check_set:
+            wealth_cp.append(simulate.CheckpointGap(times[k], gap, float(X.std() / sq_m)))
+            c_agents = X / rem + q_agents[:, k]
+            c_ref = xbar_ref / rem + float(e_q[k])
+            cons_cp.append(simulate.CheckpointGap(
+                times[k], abs(float(c_agents.mean()) - c_ref),
+                float(c_agents.std() / sq_m)))
+
+    check_set = set(int(k) for k in check_idx)
+    record(0)
+    for k in range(steps):
+        rem = horizon + 1.0 - times[k]
+        pi_k = coef * rem
+        c_k = X / rem + q_agents[:, k]
+        dB = rng.standard_normal() * sqdt
+        dW = rng.standard_normal(m_agents) * sqdt
+        X = X + (pi_k * mu - c_k) * dt + pi_k * nu * dW + pi_k * sigma * dB
+        xbar_ref = xbar_ref + (float(e_pi_mu[k]) - xbar_ref / rem - float(e_q[k])) * dt \
+            + float(e_pi_sig[k]) * dB
+        record(k + 1)
+
+    predicted = np.sqrt(max(eq._core.e_nu2, 1e-300) * (horizon - t0)) / sq_m
+    return simulate.MeanFieldConsistencyReport(m_agents, max_gap, float(predicted),
+                                               wealth_cp, cons_cp)
+
+
+@pytest.mark.parametrize("atoms, m_agents, cfg", [
+    ([(AgentType(1.0, 0.4, 1.0, 0.8, 0.6), 1.0)], 300, SimConfig(1, 0.01, 12)),
+    ([(AgentType(1.0, 0.4, 1.0, 0.8, 0.6), 0.3),
+      (AgentType(2.0, 0.2, 0.7, 0.5, 1.0), 0.7)], 500, SimConfig(1, 0.007, 8)),
+])
+def test_meanfield_consistency_matches_reference_loop(atoms, m_agents, cfg):
+    dist = TypeDistribution(atoms)
+    got = meanfield_consistency(dist, HYP, m_agents, cfg, 0.5, 10.0, T)
+    want = reference_meanfield_consistency(dist, HYP, m_agents, cfg, 0.5, 10.0, T)
+    assert len(got.wealth_checkpoints) == len(got.consumption_checkpoints) == 9
+    assert got.to_dict() == want.to_dict()
 
 
 def test_export_paths_csv(tmp_path):
