@@ -33,10 +33,6 @@ __all__ = [
     "response_h",
 ]
 
-# Simpson panels per grid interval for the reply-consumption time integral.
-_QUAD_PANELS = 2
-
-
 @dataclass
 class IterationReport:
     """Record of one Picard run: per-sweep sup-norm changes and the outcome."""
@@ -225,24 +221,19 @@ class GridStrategyN:
         return float(np.abs(blocks.off[cross]).max())
 
 
-def _quad_layout(times: np.ndarray, panels: int = _QUAD_PANELS):
-    """Per-interval Simpson nodes/weights (points shape (m-1, 2*panels+1))."""
-    k = 2 * panels
-    offs = np.linspace(0.0, 1.0, k + 1)
-    pts = times[:-1, None] + np.diff(times)[:, None] * offs[None, :]
-    w = np.ones(k + 1)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    h = np.diff(times) / k
-    return pts, w, h
-
-
-def _right_integrals(vals: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Reverse-cumulative Simpson integrals; vals shape (..., m-1, len(w))."""
-    seg = h / 3.0 * (vals @ w)
-    out = np.zeros(seg.shape[:-1] + (seg.shape[-1] + 1,))
-    out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
+def _right_integrals(seg: np.ndarray) -> np.ndarray:
+    """Integrals from each node to the last along the last axis, given each
+    interval's integral at its left node and 0 at the last node."""
+    out = np.empty(seg.shape)
+    np.cumsum(seg[..., ::-1], axis=-1, out=out[..., ::-1])
     return out
+
+
+def _pairs(x: np.ndarray):
+    """x_j and x_{j+1} at the ends of every interval of the rows of ``x``
+    (R, m), flat; the pair across two rows meets a zero weight."""
+    flat = x.reshape(-1)
+    return flat[:-1], flat[1:]
 
 
 def _interp_weights(s: np.ndarray, times: np.ndarray):
@@ -277,54 +268,116 @@ class _ReplyPlan:
         pi' = (delta mu (T+1-t) + theta sigma sbar) / ((nu^2 + sigma^2) own),
         q'  = -(delta/own) (h + ln lam(T-t)) + (theta/own) (E_w[q] - s q),
 
-    with h(t) = (1/(T+1-t)) integral_t^T (T+1-u) G(u) du by Simpson's rule on
-    the linearly interpolated investments, where g = theta/delta/(T+1-u) and
+    with h(t) = (1/(T+1-t)) integral_t^T (T+1-u) G(u) du by Simpson's rule,
+    two panels per grid interval, on the linearly interpolated investments.
+    With k = theta/delta, vol = nu^2 + sigma^2 and rem_u = T+1-u,
 
-        G = -ln lam(T-u)/(T+1-u) - (mu + sigma g sbar)^2 / (2 (nu^2 + sigma^2))
-            + g mbar + g^2 (sbar^2 + vbar) / 2,
+        rem_u G = c0(u) + alpha sbar + k mbar + (beta sbar^2 + gamma vbar) / rem_u,
 
-    and vbar = s (E_w[(nu pi)^2] - s (nu pi)^2) vanishes in the mean field.
+        c0 = -ln lam(T-u) - rem_u mu^2 / (2 vol),   alpha = -mu sigma k / vol,
+        beta = k^2 nu^2 / (2 vol),                  gamma = k^2 s / 2,
+
+    and vbar = E_w[(nu pi)^2] - s (nu pi)^2, which the mean field (s = 0)
+    drops.  On interval j an interpolated x is (1-phi) x_j + phi x_{j+1}, so
+    the rule integrates a linear term exactly, as (t_{j+1} - t_j)(x_j +
+    x_{j+1})/2, and x^2/rem_u as Q_j[x] = A_j x_j^2 + 2 B_j x_j x_{j+1} +
+    C_j x_{j+1}^2, where A, B and C are the rule's weights times (1-phi)^2,
+    phi (1-phi) and phi^2, over rem_u, summed over its points.  With S =
+    E_w[sigma pi] and M = E_w[mu pi], sbar = S - s sigma pi and mbar = M -
+    s mu pi, so every term but those in a row's own investment is one
+    (K, 6) @ (6, m) product.  An interval's integral is kept at its left
+    node, with 0 at the last node.
     """
 
     def __init__(self, discount: DiscountFunction, grid: TimeGrid, p, w, s: float):
         times, T = grid.times, grid.T
         delta, theta, mu, nu, sigma = (p[k][:, None] for k in _FIELDS)
-        self.w, self.s, self.mu, self.nu, self.sigma = w, s, mu, nu, sigma
-        pts, self.wq, self.hq = _quad_layout(times)
-        self.quad_shape = (-1,) + pts.shape
-        u = pts.ravel()
-        self.j, self.frac = _interp_weights(u, times)
-        self.rem_u = T + 1.0 - u
-        self.g = (theta / delta) / self.rem_u
-        self.sigma_g, self.half_g2 = sigma * self.g, 0.5 * self.g**2
-        self.G0 = -discount.log_value(T - u) / self.rem_u
-        self.vol = nu**2 + sigma**2
+        self.discount, self.grid, self.w, self.s = discount, grid, w, s
         self.rem = T + 1.0 - times
         self.inv_rem = 1.0 / self.rem
         self.log_lam = discount.log_value(T - times)
+        step, phi = np.diff(times)[:, None], np.linspace(0.0, 1.0, 5)
+        u, weights = times[:-1, None] + step * phi, step / 12.0 * np.array([1, 4, 2, 4, 1])
+        self.half_step = np.append(step / 2.0, 0.0)
+        # Rows of the integrals of ln lam, rem_u, S, M, S^2 (mean field) and E_w[nu^2 Q[pi]].
+        self.rows = np.zeros((6, times.size))
+        self.rows[0, :-1] = (weights * discount.log_value(T - u)).sum(axis=1)
+        self.rows[1, :-1] = self.half_step[:-1] * (self.rem[:-1] + self.rem[1:])
+        weights /= T + 1.0 - u
+        self.quad = np.array([np.tile(np.append(weights @ f, 0.0), len(mu))
+                              for f in ((1.0 - phi)**2, 2.0 * phi * (1.0 - phi), phi**2)])
+        vol, k = nu**2 + sigma**2, theta / delta
+        alpha, beta, gamma = -mu * sigma * k / vol, k**2 * nu**2 / (2.0 * vol), k**2 * s / 2.0
+        self.coef = np.hstack([-np.ones_like(mu), -mu**2 / (2.0 * vol), alpha, k, beta, gamma])
+        self.sums, self.minus_s_sigma = np.stack([w * sigma[:, 0], w * mu[:, 0]]), -s * sigma
+        if s:  # full (K, m) factors of the terms in a row's own investment
+            self.w_nu2, full = w * nu[:, 0]**2, np.ones_like(self.rem)
+            self.beta, self.own_q = beta * full, -s * gamma * nu**2 * full
+            self.own_lin = _pairs(-s * (alpha * sigma + k * mu) * self.half_step)[0]
         own = 1.0 - theta * s
-        self.pi_drift, self.vol_own = delta * mu * self.rem, self.vol * own
-        self.pi_couple, self.s_sigma = theta * sigma, s * sigma
+        self.pi_drift, self.vol_own = delta * mu * self.rem, vol * own
+        self.pi_couple = theta * sigma
         self.q_own, self.q_couple = -(delta / own), theta / own
 
     def _competitor(self, x: np.ndarray) -> np.ndarray:
         return self.w @ x - self.s * x
 
+    def _sbar(self, pi: np.ndarray, S: np.ndarray) -> np.ndarray:
+        sbar = self.minus_s_sigma * pi
+        sbar += S
+        return sbar
+
+    def _squares(self, x: np.ndarray) -> np.ndarray:
+        """Q_j[x] of the rows of x (R, m), at the intervals' left nodes."""
+        out = np.empty(x.shape)
+        q, (left, right) = out.reshape(-1)[:-1], _pairs(x)
+        a, b2, c = self.quad[:, :q.size]
+        np.multiply(a, left, out=q)
+        q += b2 * right
+        q *= left
+        tail = c * right
+        tail *= right
+        q += tail
+        out[-1, -1] = 0.0
+        return out
+
     def h(self, pi: np.ndarray) -> np.ndarray:
-        """Reply intercept profiles h(t) of the rows, given their investments."""
-        pi_u = _interp_at(pi, self.j, self.frac)
-        sbar = self._competitor(self.sigma * pi_u)
-        G = self.G0 - 0.5 * (self.mu + self.sigma_g * sbar) ** 2 / self.vol
-        G += self.g * self._competitor(self.mu * pi_u)
-        G += self.half_g2 * (sbar**2 + self.s * self._competitor((self.nu * pi_u) ** 2))
-        G *= self.rem_u
-        return _right_integrals(G.reshape(self.quad_shape), self.wq, self.hq) / self.rem
+        """Reply intercept profiles h(t) of the rows, given their investments.
+        Its temporaries are a few (K, m) arrays, none (K, 5(m-1))."""
+        sums = self.sums @ pi
+        rows = self.rows.copy()
+        rows[2:4, :-1] = sums[:, :-1] + sums[:, 1:]
+        rows[2:4] *= self.half_step
+        if self.s:
+            seg = self._squares(pi)
+            rows[5] = self.w_nu2 @ seg
+            seg *= self.own_q
+            flat, (left, right) = seg.reshape(-1)[:-1], _pairs(pi)
+            flat += self.own_lin * left
+            flat += self.own_lin * right
+            seg += self.beta * self._squares(self._sbar(pi, sums[0]))
+            seg += self.coef @ rows
+        else:  # sbar = S in every row
+            rows[4] = self._squares(sums[:1])[0]
+            seg = self.coef @ rows
+        out = _right_integrals(seg)
+        out /= self.rem
+        return out
+
+    def q_error(self) -> float:
+        """Bound on the intercepts' error from the rule's integral of ln lam,
+        the only curved term of G along a closed form: max delta/own times
+        its largest gap to ``log_integral`` over [t, T], over T+1-t."""
+        exact = self.discount.log_integral(self.grid.times, self.grid.T)
+        gap = _right_integrals(self.rows[0]) - exact
+        return float(np.abs(self.q_own).max() * np.abs(gap / self.rem).max())
 
     def reply(self, pi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Best-reply investments and consumption intercepts of every row."""
-        sbar = self.w @ (self.sigma * pi) - self.s_sigma * pi
+        sbar = self._sbar(pi, self.sums[0] @ pi)
         new_pi = (self.pi_drift + self.pi_couple * sbar) / self.vol_own
-        new_q = self.q_own * (self.h(pi) + self.log_lam) + self.q_couple * self._competitor(q)
+        new_q = self.q_own * (self.h(pi) + self.log_lam)
+        new_q += self.q_couple * self._competitor(q)
         return new_pi, new_q
 
 

@@ -15,6 +15,7 @@ from relperf import (
     MFGridStrategy,
     NAgentEquilibrium,
     Population,
+    TabulatedDiscount,
     TimeGrid,
     TypeDistribution,
     ValidationError,
@@ -29,6 +30,7 @@ from relperf import (
 )
 from relperf import best_response as br
 from relperf.best_response import _reply
+from relperf.mfg import _mfg_law
 from relperf.nagent import _nagent_law
 
 T = 2.0
@@ -93,6 +95,74 @@ def test_response_h_matches_direct_quadrature_at_equilibrium(rng):
             t = float(GRID.times[j])
             want = oracle_hhat_quadrature(pop, EXP, i, t, T, n=4000)
             assert h[j] == pytest.approx(want, abs=1e-8)
+
+
+def points_h(d, grid, p, w, s, pi):
+    """The reply intercept h by Simpson's rule on the linearly interpolated
+    investments, with G evaluated on (K, 5(m-1)) arrays at every point of
+    the rule: the form of the reply before it worked on node values."""
+    times, T = grid.times, grid.T
+    delta, theta, mu, nu, sigma = (p[k][:, None] for k in ("delta", "theta", "mu", "nu",
+                                                           "sigma"))
+    pts = times[:-1, None] + np.diff(times)[:, None] * np.linspace(0.0, 1.0, 5)
+    u = pts.ravel()
+    j = np.clip(np.searchsorted(times, u, side="right") - 1, 0, times.size - 2)
+    frac = (u - times[j]) / (times[j + 1] - times[j])
+    pi_u = pi[:, j] + (pi[:, j + 1] - pi[:, j]) * frac
+
+    def competitor(x):
+        return w @ x - s * x
+
+    rem_u = T + 1.0 - u
+    g = (theta / delta) / rem_u
+    sbar = competitor(sigma * pi_u)
+    G = (-d.log_value(T - u) / rem_u
+         - 0.5 * (mu + sigma * g * sbar) ** 2 / (nu**2 + sigma**2)
+         + g * competitor(mu * pi_u)
+         + 0.5 * g**2 * (sbar**2 + s * competitor((nu * pi_u) ** 2)))
+    seg = np.diff(times) / 12.0 * ((rem_u * G).reshape((-1,) + pts.shape) @ [1, 4, 2, 4, 1])
+    h = np.zeros(pi.shape)
+    h[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
+    return h / (T + 1.0 - times)
+
+
+def test_node_h_matches_quadrature_point_h(rng):
+    # rows of type classes, of the K = n fallback from an asymmetric start
+    # and of the mean field, for the three discount families
+    tab = TabulatedDiscount([0.0, 0.37, 1.13, 1.71, 2.5], [1.0, 0.93, 0.71, 0.69, 0.5])
+    pop = shuffled_classes(rng)
+    shape = (pop.n, SMALL.n_points)
+    asymmetric = GridStrategyN(SMALL, rng.normal(size=shape),
+                               rng.normal(size=(pop.n,) + shape), rng.normal(size=shape))
+    dist = random_distribution(rng, k=5)
+    for d in (HYP, EXP, tab):
+        cases = []
+        for strat, classes in ((class_profile(rng, pop), 3), (asymmetric, pop.n)):
+            space = br._ClassSpace(pop, d, strat)
+            assert len(space.counts) == classes
+            cases.append((space.law, space.start().pi))
+        cases.append((_mfg_law(dist), rng.normal(size=(dist.n_atoms, SMALL.n_points))))
+        for law, pi in cases:
+            got = br._ReplyPlan(d, SMALL, *law).h(pi)
+            want = points_h(d, SMALL, *law, pi)
+            assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def test_node_h_stays_below_one_quadrature_point_array(rng):
+    # at K = 32, m = 200 a (K, 5(m-1)) array of the old rule takes 255 KB
+    K, m = 32, GRID.n_points
+    dist = random_distribution(rng, k=K)
+    pop = replicated_population(dist, 128)
+    pi = rng.normal(size=(K, m))
+    for law in (_mfg_law(dist), br._ClassSpace(pop, HYP, GridStrategyN.zeros(GRID, 128)).law):
+        plan = br._ReplyPlan(HYP, GRID, *law)
+        tracemalloc.start()
+        try:
+            plan.h(pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < K * 5 * (m - 1) * 8
 
 
 def test_grid_mismatch_rejected():
@@ -483,6 +553,18 @@ def test_solve_path_allocates_no_dense_slopes(rng):
     fp, report = make()
     assert report.converged and report.classes == 32
     assert fp.sup_distance(GridStrategyN.from_equilibrium(eq, GRID)) < 1e-8
+
+
+def test_one_class_per_agent_at_128_agents(rng):
+    # every agent its own type, from a start with cross slopes: the K = n
+    # fallback at the population size of the solve benchmark
+    pop = random_population(rng, n=128)
+    shape = (pop.n, GRID.n_points)
+    init = GridStrategyN(GRID, rng.normal(size=shape), 0.1 * rng.normal(size=(pop.n,) + shape),
+                         rng.normal(size=shape))
+    final, report = fixed_point_nagent(pop, HYP, init)
+    assert report.converged and report.classes == pop.n
+    assert final.sup_distance(closed_form(pop, HYP)) < 1e-8
 
 
 def test_class_sup_distance_holds_one_block_buffer(rng):

@@ -1,11 +1,13 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from relperf.cli import main
 from relperf.discount import discount_from_dict
+from relperf.nagent import NAgentEquilibrium
 
 TWO_AGENT_SINGLE_STOCK = {
     "population": {"agents": [
@@ -124,16 +126,20 @@ def test_spike_test_zero_direction(two_agent_cfg, tmp_path):
     assert all(r["slope"] == 0.0 for r in payload["results"])
 
 
-def test_spike_test_reports_clamped_exponents(tmp_path):
+def test_spike_test_reports_clamped_exponents(tmp_path, capsys):
+    # at x0 = 1e4 every utility exponent clamps, every payoff is about 1e-304
+    # and every SE is 0: the run gives no verdict and is a numerical failure
     cfg = tmp_path / "rich.json"
     cfg.write_text(json.dumps(TWO_AGENT_SINGLE_STOCK | {"x0": 1e4}))
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     for out in outs:
         assert main(["--deterministic", "spike-test", "--config", str(cfg),
                      "--times", "1", "--eps", "0.1", "--v", "1,0",
-                     "--out", str(out)]) == 0
+                     "--out", str(out)]) == 2
+        assert "numerical failure: n_clamped=" in capsys.readouterr().err
     assert outs[0].read_bytes() == outs[1].read_bytes()
-    assert json.loads(outs[0].read_text())["n_clamped"] > 0
+    payload = json.loads(outs[0].read_text())
+    assert payload["n_clamped"] > 0 and "verdict" not in payload
 
 
 def test_figures_monotone_curves(tmp_path):
@@ -212,6 +218,45 @@ def test_verify_checks_log_integral_by_quadrature(base, family, tmp_path, monkey
     monkeypatch.setattr(cls, "log_integral", lambda d, t, T: 1.37 * right(d, t, T) + 0.25)
     assert main(["verify", "--config", str(path)]) == 2
     assert "FAIL  discount log-integral" in capsys.readouterr().out
+
+
+# Valid configs whose ln lam the best reply's Simpson rule integrates with
+# an error above 1e-8: the property tests' base config with its hyperbolic
+# discount on 6 nodes, and tabulated knots off the nodes of a 40-point grid.
+AGENT = {"delta": 1.0, "theta": 0.5, "mu": 1.0, "nu": 0.5, "sigma": 1.0}
+CURVED_LOG_LAMBDA = {
+    "hyperbolic-6": dict(TWO_AGENT_SINGLE_STOCK,
+                         population={"agents": [AGENT, dict(AGENT, delta=2.0, theta=0.2)]},
+                         discount={"variant": "hyperbolic", "rho": 0.1, "beta": 1.0},
+                         grid={"t0": 0.0, "T": 2.0, "n_points": 6}),
+    "tabulated-40": dict(TWO_AGENT_SINGLE_STOCK, discount=VERIFY_DISCOUNTS["tabulated"]),
+}
+FIXED_POINT = "closed form is a best-response fixed point"
+
+
+@pytest.mark.parametrize("name", sorted(CURVED_LOG_LAMBDA))
+def test_verify_allows_the_replys_quadrature_error(name, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CURVED_LOG_LAMBDA[name]))
+    assert main(["verify", "--config", str(path)]) == 0
+    found = re.search(rf"PASS  {FIXED_POINT} \(sup gap=(\S+), "
+                      r"tolerance 1e-8 \+ quadrature error (\S+)\)", capsys.readouterr().out)
+    gap, quad = map(float, found.groups())
+    assert 1e-8 < gap <= 1e-8 + quad
+
+
+@pytest.mark.parametrize("name", ["exponential", "hyperbolic-6"])
+def test_verify_fails_a_shifted_closed_form(name, tmp_path, monkeypatch, capsys):
+    # intercepts 1e-6 off move the reply by more than the quadrature error
+    # (about 1e-7 on the hyperbolic grid, none for an exponential discount)
+    cfg = CURVED_LOG_LAMBDA.get(name, TWO_AGENT_SINGLE_STOCK)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    right = NAgentEquilibrium.intercepts_at
+    monkeypatch.setattr(NAgentEquilibrium, "intercepts_at",
+                        lambda eq, t: right(eq, t) + 1e-6)
+    assert main(["verify", "--config", str(path)]) == 2
+    assert f"FAIL  {FIXED_POINT}" in capsys.readouterr().out
 
 
 def test_missing_config_is_validation_error(tmp_path, capsys):
