@@ -23,14 +23,12 @@ from .discount import (
 from .nagent import (
     AgentConstants,
     DegenerateFixedPointError,
-    EquilibriumStrategyN,
     NAgentAggregates,
     NAgentEquilibrium,
     Population,
     agent_constants,
     aggregates,
     c_star,
-    equilibrium_strategy,
     hhat,
     investment_coefficients,
     pi_star,

@@ -180,6 +180,7 @@ class GridStrategyN:
     def from_equilibrium(cls, eq: NAgentEquilibrium, grid: TimeGrid) -> "GridStrategyN":
         """The closed form on the type classes of the equilibrium's population:
         slope 1/(T+1-t) on the agent's own wealth and none on the others'."""
+        eq._check_grid(grid)
         times = grid.times
         labels, rep, _ = _refine(eq.pop.agents)
         pi = eq.pi_at(times).T[rep]
@@ -195,17 +196,18 @@ class GridStrategyN:
         weights = _interp_weights(np.asarray(times, dtype=float), self.grid.times)
         return _interp_at(blocks.pi, *weights)[lab].T
 
-    def consumption_at(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """(P, q) with P (len, n, n) and q (len, n), interpolated a class row of P at a time."""
+    def consumption_at(self, times):
+        """Class form ``(labels, own, off, q)``, linearly interpolated: own
+        slopes and intercepts (len, n), cross slopes off (len, K, K)."""
         times = np.asarray(times, dtype=float)
         weights = _interp_weights(times, self.grid.times)
         lab, blocks = self.classes()
-        own = np.arange(lab.size)
-        P = np.empty((times.size, lab.size, lab.size))
-        for a, row in enumerate(blocks.off):
-            P[:, lab == a] = _interp_at(row, *weights)[lab].T[..., None, :]
-        P[:, own, own] = _interp_at(blocks.diag, *weights)[lab].T
-        return P, _interp_at(blocks.q, *weights)[lab].T
+        blocks = _restrict(blocks, np.arange(len(blocks.pi)), np.bincount(lab))
+        off = np.empty(times.shape + blocks.off.shape[:2])
+        for a, row in enumerate(blocks.off):  # one row at a time: no second (len, K, K)
+            off[..., a, :] = _interp_at(row, *weights).T
+        own, q = (_interp_at(x, *weights)[lab].T for x in (blocks.diag, blocks.q))
+        return lab, own, off, q
 
     def sup_distance(self, other: "GridStrategyN") -> float:
         """max |self - other| over pi, p and q, taken on the common refinement
@@ -557,6 +559,7 @@ class MFGridStrategy:
     @classmethod
     def from_equilibrium(cls, eq: MeanFieldEquilibrium,
                          grid: TimeGrid) -> "MFGridStrategy":
+        eq._check_grid(grid)
         times = grid.times
         K, m = eq.dist.n_atoms, grid.n_points
         rem = eq.horizon + 1.0 - times

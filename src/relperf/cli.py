@@ -148,11 +148,9 @@ def cmd_equilibrium(args) -> int:
     cfg = load_config(args.config)
     pop = cfg.need_population()
     eq = NAgentEquilibrium(pop, cfg.discount, cfg.grid.T)
-    times = cfg.grid.times
-    strat = eq.sample(cfg.grid)
-    _check_finite("equilibrium", strat.intercepts, strat.pi_coeff)
-    _write_strategy_csv(args.out, "agent_id", times, strat.pi_at(times).T, strat.c_slope,
-                        strat.intercepts, args.deterministic)
+    labels, blocks = br.GridStrategyN.from_equilibrium(eq, cfg.grid).classes()
+    _write_strategy_csv(args.out, "agent_id", cfg.grid.times, blocks.pi[labels],
+                        blocks.diag[labels], blocks.q[labels], args.deterministic)
     return EXIT_OK
 
 

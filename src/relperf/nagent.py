@@ -28,21 +28,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (_FIELDS, AgentType, TimeGrid, ValidationError, _json_section,
+from .core import (_FIELDS, AgentType, ValidationError, _json_section,
                    validate_agent)
 from .discount import DiscountFunction
 
 __all__ = [
     "AgentConstants",
     "DegenerateFixedPointError",
-    "EquilibriumStrategyN",
     "NAgentAggregates",
     "NAgentEquilibrium",
     "Population",
     "agent_constants",
     "aggregates",
     "c_star",
-    "equilibrium_strategy",
     "hhat",
     "investment_coefficients",
     "pi_star",
@@ -215,6 +213,10 @@ class _Equilibrium:
         self.discount = discount
         self.horizon = float(horizon)
 
+    def _check_grid(self, grid) -> None:
+        if abs(grid.T - self.horizon) > 1e-12:
+            raise ValidationError("grid horizon must match the equilibrium horizon")
+
     def _curves(self, t):
         """(1/rem - rem, L(t)/rem, ln lam(T-t)) with rem = T+1-t and
         L(t) = integral_t^T ln lam(T-s) ds."""
@@ -247,14 +249,6 @@ def _nagent_core(pop: Population) -> _ClosedForm:
 def _pi_lines(horizon: float, coef, times) -> np.ndarray:
     """Investment coef (T+1-t) at ``times``; shape shape(times) + shape(coef)."""
     return np.multiply.outer(horizon + 1.0 - np.asarray(times, dtype=float), coef)
-
-
-def _slope_matrices(horizon: float, times: np.ndarray, n: int) -> np.ndarray:
-    """Consumption slopes 1/(T+1-t) on the diagonal of (m, n, n) matrices."""
-    P = np.zeros((times.size, n, n))
-    idx = np.arange(n)
-    P[:, idx, idx] = (1.0 / (horizon + 1.0 - times))[:, None]
-    return P
 
 
 def aggregates(pop: Population) -> NAgentAggregates:
@@ -347,48 +341,12 @@ def single_stock_strategy(delta: float, theta: float, delta_bar: float,
     )
 
 
-@dataclass(frozen=True)
-class EquilibriumStrategyN:
-    """Grid-sampled equilibrium strategy record.
-
-    The investment part is stored exactly through the per-agent slopes
-    ``pi_coeff`` (investment is linear in T+1-t); the consumption intercepts
-    are sampled on the grid.  The own-wealth consumption slope 1/(T+1-t) is
-    shared by all agents, and cross-wealth terms vanish: the equilibrium is
-    simple.
-    """
-
-    grid: TimeGrid
-    horizon: float
-    pi_coeff: np.ndarray          # (n,)
-    c_slope: np.ndarray           # (m,) samples of 1/(T+1-t)
-    intercepts: np.ndarray        # (n, m) samples of q_i(t)
-    simple: bool = True
-
-    @property
-    def n_agents(self) -> int:
-        return self.pi_coeff.size
-
-    def pi_values(self, i: int) -> np.ndarray:
-        return _pi_lines(self.horizon, self.pi_coeff[i], self.grid.times)
-
-    def pi_at(self, times) -> np.ndarray:
-        return _pi_lines(self.horizon, self.pi_coeff, times)
-
-    def consumption_at(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """(P, q) with P (m, n, n) diagonal slope matrices and q (m, n)."""
-        times = np.asarray(times, dtype=float)
-        q = np.stack([np.interp(times, self.grid.times, row) for row in self.intercepts],
-                     axis=1)
-        return _slope_matrices(self.horizon, times, self.n_agents), q
-
-
 class NAgentEquilibrium(_Equilibrium):
     """Evaluator bundling a population, discount, and horizon.
 
     Caches the aggregates and per-agent constants and exposes the closed
-    forms exactly at any time; also implements the sampled-strategy
-    interface (``pi_at`` / ``consumption_at``) used by the simulator.
+    forms exactly at any time; also implements the strategy interface
+    (``pi_at`` / ``consumption_at``) used by the simulator.
     """
 
     def __init__(self, pop: Population, discount: DiscountFunction, horizon: float):
@@ -422,31 +380,15 @@ class NAgentEquilibrium(_Equilibrium):
         t = np.asarray(t, dtype=float)
         return np.asarray(x_i, dtype=float) / (self.horizon + 1.0 - t) + self.intercept(i, t)
 
-    # Sampled-strategy interface (exact closed forms).
+    # Strategy interface (exact closed forms).
 
     def pi_at(self, times) -> np.ndarray:
         return _pi_lines(self.horizon, self.pi_coefficients, times)
 
-    def consumption_at(self, times) -> tuple[np.ndarray, np.ndarray]:
+    def consumption_at(self, times):
+        """Class form ``(labels, own, off, q)`` of the consumption: one class,
+        slope 1/(T+1-t) on the agent's own wealth and none on the others'."""
         times = np.asarray(times, dtype=float)
-        P = _slope_matrices(self.horizon, times, self.pop.n)
-        return P, self.intercepts_at(times).T.copy()
-
-    def sample(self, grid: TimeGrid) -> EquilibriumStrategyN:
-        """Sample the equilibrium on ``grid`` (grid.T must equal the horizon)."""
-        if abs(grid.T - self.horizon) > 1e-12:
-            raise ValidationError("grid horizon must match the equilibrium horizon")
-        times = grid.times
-        return EquilibriumStrategyN(
-            grid=grid,
-            horizon=self.horizon,
-            pi_coeff=self.pi_coefficients.copy(),
-            c_slope=1.0 / (self.horizon + 1.0 - times),
-            intercepts=self.intercepts_at(times),
-        )
-
-
-def equilibrium_strategy(pop: Population, d: DiscountFunction,
-                         grid: TimeGrid) -> EquilibriumStrategyN:
-    """Sample the closed-form equilibrium on ``grid`` (horizon = grid.T)."""
-    return NAgentEquilibrium(pop, d, grid.T).sample(grid)
+        own = np.multiply.outer(1.0 / (self.horizon + 1.0 - times), np.ones(self.pop.n))
+        return (np.zeros(self.pop.n, dtype=int), own, np.zeros(times.shape + (1, 1)),
+                self.intercepts_at(times).T.copy())

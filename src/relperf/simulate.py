@@ -14,9 +14,14 @@ the deviating agent's own consumption on the spike window and shifts her
 terminal wealth, so the payoff difference is computed path by path from one
 base simulation.
 
+A strategy's ``consumption_at`` gives the class form ``(labels, own, off,
+q)``: agent i consumes own[i] X_i + q[i] plus off[labels[i], labels[k]] X_k
+for every other agent k, where off (K, K) holds the slopes between the K
+classes, 0 on the diagonal of a one-agent class.
+
 One Euler loop, :func:`_euler`, serves :func:`simulate_paths` and the payoff
-simulations.  It keeps wealth, consumption and utility exponents as (n, N)
-arrays, one contiguous row of N paths per agent, in buffers updated in place.
+simulations.  It keeps wealth and consumption as (n, N) arrays, one
+contiguous row of N paths per agent, in buffers updated in place.
 The noise stream is unchanged: one (N, n+1) standard normal draw per step (n
 idiosyncratic factors, then the common one), negated in the second half for
 antithetic runs, so a seed gives the same draws as before.
@@ -122,6 +127,13 @@ def _euler_times(t0: float, horizon: float, dt: float):
     return times, dt_eff, steps
 
 
+def _check_times(times, t0: float, horizon: float) -> np.ndarray:
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < t0 - 1e-12) or np.any(times > horizon + 1e-12):
+        raise ValidationError("query times must lie in [t0, horizon]")
+    return times
+
+
 def _x0_vector(x0, n: int) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 0:
@@ -135,18 +147,22 @@ def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarr
            cfg: SimConfig, seed_seq=None):
     """Euler-Maruyama on the (n, N) state, yielding ``(k, X, c, Z)`` per node.
 
-    X and c = P[k] X + q[k] are wealth and consumption at ``times[k]``; Z holds
-    the (N, n+1) normals moving X to ``times[k + 1]`` (None at the last node).
+    X and c are wealth and consumption at ``times[k]``; Z holds the (N, n+1)
+    normals moving X to ``times[k + 1]`` (None at the last node).  At a step
+    with a nonzero cross slope, c = own X + q gains (off @ S)[labels] minus
+    the agent's own term, where S holds the (K, N) class wealth sums.
     The buffers are reused, so copy what must outlive the step.
     """
     n, N = pop.n, cfg.n_paths
     p = pop._params
-    PI = strategy.pi_at(times)                # (steps+1, n)
-    P, q = strategy.consumption_at(times)     # (steps+1, n, n), (steps+1, n)
+    PI = strategy.pi_at(times)  # (steps+1, n)
+    lab, own, off, q = strategy.consumption_at(times)
     sqdt = np.sqrt(dt)
     drift = PI * p["mu"] * dt
     vol_w = PI * p["nu"] * sqdt
     vol_b = PI * p["sigma"] * sqdt
+    order = np.argsort(lab, kind="stable")
+    starts = np.flatnonzero(np.diff(lab[order], prepend=-1))
     # Step-k loadings: vol_w on the diagonal, vol_b in the common-noise column.
     load, diag = np.zeros((n, n + 1)), np.diag_indices(n)
     rng = np.random.default_rng(
@@ -155,8 +171,12 @@ def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarr
     c, dX, Z = np.empty((n, N)), np.empty((n, N)), np.empty((N, n + 1))
     half, steps = N // 2, times.size - 1
     for k in range(steps + 1):
-        np.matmul(P[k], X, out=c)
+        np.multiply(own[k][:, None], X, out=c)
         c += q[k][:, None]
+        if off[k].any():
+            S = np.add.reduceat(X[order], starts)
+            c += (off[k] @ S)[lab]
+            c -= off[k, lab, lab][:, None] * X
         if k == steps:
             yield k, X, c, None
             return
@@ -185,9 +205,10 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     strategy : object with ``pi_at`` / ``consumption_at``
         Any sampled or closed-form strategy profile.
     record_times : array-like, optional
-        Times at which wealth/consumption are stored (snapped to the Euler
-        grid; defaults to every Euler node).  Consumption is recorded as the
-        feedback value C(t, X_t) at left endpoints, including t = horizon.
+        Times in [t0, horizon] at which wealth/consumption are stored
+        (snapped to the Euler grid; defaults to every Euler node).
+        Consumption is recorded as the feedback value C(t, X_t) at left
+        endpoints, including t = horizon.
         A bundle (with the noise, if stored) larger than
         ``MAX_BUNDLE_BYTES`` is refused with a ValidationError.
 
@@ -197,13 +218,8 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     x0 = _x0_vector(x0, n)
     times, dt, steps = _euler_times(t0, horizon, cfg.dt)
 
-    if record_times is None:
-        rec_idx = np.arange(steps + 1)
-    else:
-        rec_idx = np.unique(
-            np.clip(np.round((np.asarray(record_times, dtype=float) - t0) / dt), 0,
-                    steps).astype(int)
-        )
+    record = times if record_times is None else _check_times(record_times, t0, horizon)
+    rec_idx = np.unique(np.round((record - t0) / dt).astype(int))
     rec_pos = {int(k): j for j, k in enumerate(rec_idx)}
 
     N = cfg.n_paths
@@ -235,26 +251,25 @@ def gaussian_moments(pop: Population, strategy, t0: float, x0, times, horizon: f
     """Exact Gaussian law of the closed-loop wealth at the query times.
 
     The mean and covariance solve m' = A(t) m + b(t) and
-    P' = A P + P A' + D D' with A(t) = -C(t) (the consumption coefficient
-    matrix), b(t) = pi(t) mu - q(t), and D D' = diag((pi nu)^2) +
-    outer(pi sigma, pi sigma); integrated with classic RK4 on RK4_STEPS equal
-    steps over [t0, horizon] and the query times.
+    P' = A P + P A' + D D' with A(t) = -C(t) (the (n, n) consumption slopes,
+    expanded from the class form), b(t) = pi(t) mu - q(t), and D D' =
+    diag((pi nu)^2) + outer(pi sigma, pi sigma); integrated with classic RK4
+    on RK4_STEPS equal steps over [t0, horizon] and the query times.
 
     Returns ``(means, covs)`` of shapes (len(times), n) and (len(times), n, n).
     """
     n = pop.n
     p = pop._params
     x0 = _x0_vector(x0, n)
-    query = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(query < t0 - 1e-12) or np.any(query > horizon + 1e-12):
-        raise ValidationError("query times must lie in [t0, horizon]")
+    query = _check_times(times, t0, horizon)
     nodes = np.union1d(np.linspace(t0, horizon, RK4_STEPS + 1), query)
     # The profile at the nodes (even rows) and the midpoints (odd rows).
     ts = np.empty(2 * nodes.size - 1)
     ts[0::2], ts[1::2] = nodes, (nodes[:-1] + nodes[1:]) / 2.0
     PI = strategy.pi_at(ts)
-    P, q = strategy.consumption_at(ts)
-    A, b = -P, PI * p["mu"] - q
+    lab, own, off, q = strategy.consumption_at(ts)
+    A, b = -off[:, lab[:, None], lab], PI * p["mu"] - q
+    A[:, np.arange(n), np.arange(n)] = -own
     pn, ps = PI * p["nu"], PI * p["sigma"]
     dd = pn[:, :, None] ** 2 * np.eye(n)[None, :, :] + ps[:, :, None] * ps[:, None, :]
 
@@ -299,22 +314,27 @@ class PayoffEstimate:
 
 class _PayoffSim:
     """One closed-loop base simulation with the bookkeeping needed to price
-    spike perturbations of any agent by common random numbers.  Per-agent
-    arrays are (n, N), per-spike arrays (E, n, N) or (E, N)."""
+    spike perturbations of the A priced ``agents`` by common random numbers.
+    Per-agent arrays are (A, N), per-spike arrays (E, A, N) or (E, N)."""
 
     def __init__(self, pop: Population, discount: DiscountFunction, strategy,
-                 t0: float, x0, horizon: float, cfg: SimConfig,
+                 t0: float, x0, horizon: float, cfg: SimConfig, agents: Sequence[int],
                  eps_list: Sequence[float] = (), seed_seq=None):
         n = pop.n
         p = pop._params
         x0 = _x0_vector(x0, n)
         times, dt, steps = _euler_times(t0, horizon, cfg.dt)
         self.pop, self.n_clamped = pop, 0
+        bad = [a for a in agents if not (0 <= a < n and a == int(a))]
+        if bad:
+            raise ValidationError(f"agent index {bad[0]} out of range for n={n}")
+        priced = np.array(sorted(set(agents)), dtype=int)
+        self.row = {int(a): r for r, a in enumerate(priced)}
 
-        # Row i of expo applied to (n, N) values gives agent i's utility exponent.
+        # Row r of expo applied to (n, N) values gives agent priced[r]'s exponent.
         self.own_coef = -(1.0 - p["theta"] / n) / p["delta"]
-        self.expo = np.repeat((p["theta"] / p["delta"] / n)[:, None], n, axis=1)
-        np.fill_diagonal(self.expo, self.own_coef)
+        self.expo = np.repeat((p["theta"] / p["delta"] / n)[priced, None], n, axis=1)
+        self.expo[np.arange(priced.size), priced] = self.own_coef[priced]
 
         eps_steps = [int(round(eps / dt)) for eps in eps_list]
         for eps, ks in zip(eps_list, eps_steps):
@@ -325,9 +345,9 @@ class _PayoffSim:
         lam_dt = discount.value(times[:-1] - t0) * dt
         self.lam_T = float(discount.value(horizon - t0))
 
-        N, E = cfg.n_paths, len(eps_list)
-        self.run, u = np.zeros((n, N)), np.empty((n, N))
-        self.S, self.dW_win = np.empty((E, n, N)), np.empty((E, n, N))
+        N, E, A = cfg.n_paths, len(eps_list), priced.size
+        self.run, u = np.zeros((A, N)), np.empty((A, N))
+        self.S, self.dW_win = np.empty((E, A, N)), np.empty((E, A, N))
         self.dB_win = np.empty((E, N))
         # Window noise sums, kept only up to the longest spike window.
         cumZ, last = np.zeros((n + 1, N)), max(eps_steps, default=0)
@@ -345,7 +365,8 @@ class _PayoffSim:
                 for e, ks in enumerate(eps_steps):
                     if k + 1 == ks:
                         self.S[e] = self.run
-                        np.multiply(cumZ[:n], sqdt, out=self.dW_win[e])
+                        np.take(cumZ, priced, axis=0, out=self.dW_win[e], mode="clip")
+                        self.dW_win[e] *= sqdt
                         np.multiply(cumZ[n], sqdt, out=self.dB_win[e])
 
     def _clamp(self, arg: np.ndarray) -> np.ndarray:
@@ -357,25 +378,22 @@ class _PayoffSim:
         return arg
 
     def payoff_paths(self, agent: int) -> np.ndarray:
-        return self.run[agent] + self.lam_T * self.term_u[agent]
-
-    def payoff(self, agent: int) -> PayoffEstimate:
-        j = self.payoff_paths(agent)
-        return PayoffEstimate(*_mean_se(j), self.n_clamped, j.size)
+        r = self.row[agent]
+        return self.run[r] + self.lam_T * self.term_u[r]
 
     def delta_payoff(self, agent: int, e: int, v: tuple[float, float]) -> np.ndarray:
         """Per-path payoff change from the spike (CRN-exact)."""
         p = self.pop._params
         v1, v2 = v
-        own = self.own_coef[agent]
+        r, own = self.row[agent], self.own_coef[agent]
         eps = self.eps_eff[e]
         fac_c = np.expm1(own * v2)
         dx = (v1 * p["mu"][agent] - v2) * eps + v1 * (
-            p["nu"][agent] * self.dW_win[e, agent]
+            p["nu"][agent] * self.dW_win[e, r]
             + p["sigma"][agent] * self.dB_win[e]
         )
         fac_T = np.expm1(self._clamp(own * dx))
-        return self.S[e, agent] * fac_c + self.lam_T * self.term_u[agent] * fac_T
+        return self.S[e, r] * fac_c + self.lam_T * self.term_u[r] * fac_T
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -405,7 +423,7 @@ def expected_payoff(pop: Population, discount: DiscountFunction, strategy,
         if spike.agent != agent:
             raise ValidationError("spike agent must match the payoff agent")
         eps_list = [spike.eps]
-    sim = _PayoffSim(pop, discount, strategy, t0, x0, horizon, cfg, eps_list)
+    sim = _PayoffSim(pop, discount, strategy, t0, x0, horizon, cfg, [agent], eps_list)
     j = sim.payoff_paths(agent)
     if spike is not None:
         j = j + sim.delta_payoff(agent, 0, spike.v)
@@ -465,8 +483,8 @@ def _check_spike_args(v, eps_list, time, horizon, v_bound):
 def _price_spikes(sim: _PayoffSim, agent: int, time: float, vs, eps_list,
                   slope_tol: float | None):
     """Base payoff, slope tolerance and one SpikeResult per (v, eps) of agent."""
-    base = sim.payoff(agent)
-    tol = slope_tol if slope_tol is not None else 1e-2 * abs(base.value)
+    base = _mean_se(sim.payoff_paths(agent))[0]
+    tol = slope_tol if slope_tol is not None else 1e-2 * abs(base)
     rows = []
     for v in vs:
         for e, eps in enumerate(eps_list):
@@ -474,7 +492,7 @@ def _price_spikes(sim: _PayoffSim, agent: int, time: float, vs, eps_list,
             slope, se = mean / sim.eps_eff[e], se / sim.eps_eff[e]
             rows.append(SpikeResult(time, agent, tuple(v), eps, slope, se,
                                     slope > 3.0 * se + tol))
-    return base.value, tol, rows
+    return base, tol, rows
 
 
 def spike_test(pop: Population, discount: DiscountFunction, strategy,
@@ -490,7 +508,7 @@ def spike_test(pop: Population, discount: DiscountFunction, strategy,
     1e-2 of the base payoff magnitude).
     """
     _check_spike_args(v, eps_list, time, horizon, v_bound)
-    sim = _PayoffSim(pop, discount, strategy, time, x0, horizon, cfg, eps_list)
+    sim = _PayoffSim(pop, discount, strategy, time, x0, horizon, cfg, [agent], eps_list)
     base, tol, rows = _price_spikes(sim, agent, time, [v], eps_list, slope_tol)
     return SpikeReport(rows, not any(r.significant_gain for r in rows), base, tol,
                        sim.n_clamped)
@@ -540,7 +558,7 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
 
     def run_time(idx: int) -> tuple[list[SpikeResult], dict[int, float], int]:
         t = times[idx]
-        sim = _PayoffSim(pop, discount, strategy, t, x0, horizon, cfg,
+        sim = _PayoffSim(pop, discount, strategy, t, x0, horizon, cfg, agents,
                          eps_list, seed_seq=children[idx])
         rows, base = [], {}
         for a in agents:

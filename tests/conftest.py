@@ -71,6 +71,17 @@ def replicated_population(dist: TypeDistribution, n: int) -> Population:
     return Population(agents)
 
 
+def dense_consumption(strategy, times):
+    """``(P, q)`` from the class form ``(labels, own, off, q)`` of
+    ``strategy.consumption_at``: P[..., i, k] is agent i's slope on agent
+    k's wealth, off[labels[i], labels[k]] off the diagonal and own[i] on it."""
+    labels, own, off, q = strategy.consumption_at(times)
+    P = off[..., labels[:, None], labels]
+    idx = np.arange(labels.size)
+    P[..., idx, idx] = own
+    return P, q
+
+
 # ---------------------------------------------------------------------------
 # Loop-based oracles for the closed-form constants
 

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (oracle_hhat_quadrature, random_distribution, random_population,
-                      replicated_population)
+from conftest import (dense_consumption, oracle_hhat_quadrature, random_distribution,
+                      random_population, replicated_population)
 from relperf import (
     AgentType,
     ExponentialDiscount,
@@ -308,7 +308,7 @@ def test_grid_strategy_interpolation_matches_np_interp(rng):
     mids = (grid.times[:-1] + grid.times[1:]) / 2.0
     times = np.sort(np.concatenate([grid.times, mids, rng.uniform(0.0, T, 7)]))
     pi = strat.pi_at(times)
-    P, q = strat.consumption_at(times)
+    P, q = dense_consumption(strat, times)
     assert pi.shape == q.shape == (times.size, n)
     assert P.shape == (times.size, n, n)
     for i in range(n):
@@ -326,9 +326,9 @@ def test_scalar_time_interpolation_leaves_profile_unchanged(rng):
                           rng.normal(size=shape))
     before = [x.copy() for x in (strat.pi, strat.p, strat.q)]
     pi = strat.pi_at(t)
-    P, q = strat.consumption_at(t)
+    P, q = dense_consumption(strat, t)
     assert np.abs(pi - [np.interp(t, grid.times, row) for row in before[0]]).max() <= 1e-14
-    assert np.abs(P[0] - [[np.interp(t, grid.times, row) for row in rows]
+    assert np.abs(P - [[np.interp(t, grid.times, row) for row in rows]
                           for rows in before[1]]).max() <= 1e-14
     assert np.abs(q - [np.interp(t, grid.times, row) for row in before[2]]).max() <= 1e-14
     for got, want in zip((strat.pi, strat.p, strat.q), before):
@@ -343,11 +343,11 @@ def test_consumption_at_allocates_one_result(rng):
     times = np.linspace(0.0, T, 501)
     tracemalloc.start()
     try:
-        P, q = strat.consumption_at(times)
+        out = strat.consumption_at(times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * (P.nbytes + q.nbytes)
+    assert peak <= 1.2 * sum(x.nbytes for x in out)
 
 
 def test_dense_slopes_are_kept_off_the_heap(rng):
@@ -506,7 +506,8 @@ def test_block_profiles_match_their_dense_arrays(rng):
         assert strat.max_cross_coefficient() == np.abs(
             dense.p[~np.eye(n, dtype=bool)]).max()
         assert np.array_equal(strat.pi_at(times), dense.pi_at(times))
-        for got, want in zip(strat.consumption_at(times), dense.consumption_at(times)):
+        for got, want in zip(dense_consumption(strat, times),
+                             dense_consumption(dense, times)):
             assert np.array_equal(got, want)
 
 

@@ -126,6 +126,16 @@ def test_spike_test_zero_direction(two_agent_cfg, tmp_path):
     assert all(r["slope"] == 0.0 for r in payload["results"])
 
 
+def test_spike_test_refuses_agent_out_of_range(two_agent_cfg, tmp_path, capsys):
+    out = tmp_path / "spike.json"
+    for agent in ("-1", "2"):
+        assert main(["--deterministic", "spike-test", "--config", two_agent_cfg,
+                     "--times", "1", "--eps", "0.1", "--v", "1,0", "--agent", agent,
+                     "--out", str(out)]) == 1
+        assert f"agent index {agent} out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spike_test_reports_clamped_exponents(tmp_path, capsys):
     # at x0 = 1e4 every utility exponent clamps, every payoff is about 1e-304
     # and every SE is 0: the run gives no verdict and is a numerical failure

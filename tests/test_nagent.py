@@ -11,16 +11,19 @@ from relperf import (
     AgentType,
     DegenerateFixedPointError,
     ExponentialDiscount,
+    GridStrategyN,
     HyperbolicDiscount,
+    MeanFieldEquilibrium,
+    MFGridStrategy,
     NAgentEquilibrium,
     Population,
     TabulatedDiscount,
     TimeGrid,
+    TypeDistribution,
     ValidationError,
     agent_constants,
     aggregates,
     c_star,
-    equilibrium_strategy,
     hhat,
     investment_coefficients,
     pi_star,
@@ -274,14 +277,16 @@ def test_single_stock_requires_positive_sigma():
 
 def test_equilibrium_strategy_sampling_contract():
     grid = TimeGrid(0.0, T, 41)
-    strat = equilibrium_strategy(HET2, HYP, grid)
-    assert strat.simple
     eq = NAgentEquilibrium(HET2, HYP, T)
+    strat = GridStrategyN.from_equilibrium(eq, grid)
+    assert strat.max_cross_coefficient() == 0.0
+    labels, blocks = strat.classes()
     for i in range(2):
-        assert np.allclose(strat.pi_values(i), eq.pi(i, grid.times), rtol=0, atol=0)
-        assert np.allclose(strat.intercepts[i], eq.intercept(i, grid.times),
+        assert np.allclose(blocks.pi[labels[i]], eq.pi(i, grid.times), rtol=0, atol=0)
+        assert np.allclose(blocks.q[labels[i]], eq.intercept(i, grid.times),
                            rtol=0, atol=0)
-    assert np.allclose(strat.c_slope, 1.0 / (T + 1.0 - grid.times), rtol=0, atol=0)
+        assert np.allclose(blocks.diag[labels[i]], 1.0 / (T + 1.0 - grid.times),
+                           rtol=0, atol=0)
 
 
 def test_equilibrium_consumption_consistent_with_c_star():
@@ -293,9 +298,12 @@ def test_equilibrium_consumption_consistent_with_c_star():
 
 
 def test_grid_horizon_must_match():
-    eq = NAgentEquilibrium(HET2, EXP, T)
-    with pytest.raises(ValidationError):
-        eq.sample(TimeGrid(0.0, 1.5, 10))
+    short = TimeGrid(0.0, 1.5, 10)
+    with pytest.raises(ValidationError, match="grid horizon must match"):
+        GridStrategyN.from_equilibrium(NAgentEquilibrium(HET2, EXP, T), short)
+    dist = TypeDistribution([(a, 0.5) for a in HET2.agents])
+    with pytest.raises(ValidationError, match="grid horizon must match"):
+        MFGridStrategy.from_equilibrium(MeanFieldEquilibrium(dist, EXP, T), short)
 
 
 def test_psi_below_one_for_valid_populations(rng):

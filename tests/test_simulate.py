@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from conftest import dense_consumption
 from relperf import (
     AgentType,
     ExponentialDiscount,
@@ -19,6 +20,7 @@ from relperf import (
     TimeGrid,
     TypeDistribution,
     ValidationError,
+    best_response_profile,
     expected_payoff,
     export_paths_csv,
     gaussian_moments,
@@ -264,6 +266,10 @@ REF_T0 = 1.0
 REF_X0 = np.array([1.0, 2.0, 0.5])
 
 
+def ref_x0(n):
+    return np.resize(REF_X0, n)
+
+
 def reference_paths(pop, strategy, cfg):
     n, N = pop.n, cfg.n_paths
     mu, nu, sigma = (np.array([getattr(a, f) for a in pop.agents])
@@ -273,9 +279,9 @@ def reference_paths(pop, strategy, cfg):
     times = REF_T0 + dt * np.arange(steps + 1)
     times[-1] = T
     PI = strategy.pi_at(times)
-    P, q = strategy.consumption_at(times)
+    P, q = dense_consumption(strategy, times)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    X = np.tile(REF_X0[:n], (N, 1))
+    X = np.tile(ref_x0(n), (N, 1))
     xs, cs, zs = [], [], []
     for k in range(steps + 1):
         c = X @ P[k].T + q[k]
@@ -339,12 +345,28 @@ def cross_coupled_strategy():
 TRIO = Population([AgentType(1.0, 0.5, 1.0, 1.0, 1.0),
                    AgentType(2.0, 0.2, 0.5, 0.0, 1.0),
                    AgentType(0.8, 0.6, 1.2, 0.7, 0.0)])
+# 64 agents of HET2's two types, interleaved 2:1.
+MIXED64 = Population([HET2.agents[k % 3 == 1] for k in range(64)])
+
+
+def two_class_strategy():
+    """MIXED64's reply to the zero profile: (2, 2) class blocks, so every
+    agent's consumption loads on every other agent's wealth, within its
+    class and across."""
+    strat = best_response_profile(MIXED64, HYP,
+                                  GridStrategyN.zeros(TimeGrid(0.0, T, 9), 64))
+    labels, blocks = strat.classes()
+    assert np.bincount(labels).tolist() == [43, 21] and np.all(blocks.off != 0.0)
+    return strat
+
+
 REFERENCE_CASES = {
     "closed_form": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T),
                     SimConfig(48, 0.05, 11)),
     "cross_coupled": (TRIO, cross_coupled_strategy, SimConfig(48, 0.05, 12)),
     "antithetic": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T),
                    SimConfig(48, 0.05, 13, antithetic=True)),
+    "two_classes": (MIXED64, two_class_strategy, SimConfig(48, 0.05, 14)),
 }
 
 
@@ -357,7 +379,7 @@ def test_kernel_matches_reference_loop(case):
     pop, make, cfg = REFERENCE_CASES[case]
     strategy = make()
     times, _, _, X, C, noise = reference_paths(pop, strategy, cfg)
-    bundle = simulate_paths(pop, strategy, REF_T0, REF_X0[:pop.n], T, cfg,
+    bundle = simulate_paths(pop, strategy, REF_T0, ref_x0(pop.n), T, cfg,
                             store_noise=True)
     assert np.array_equal(bundle.times, times)
     assert np.array_equal(bundle.idio_noise, noise[:, :, :pop.n])
@@ -368,7 +390,7 @@ def test_kernel_matches_reference_loop(case):
     for agent, spike in ((0, None), (pop.n - 1, (0.1, (0.7, -0.4)))):
         ref = reference_payoff(pop, HYP, strategy, agent, cfg, spike)
         spec = None if spike is None else SpikeSpec(agent, REF_T0, *spike)
-        est = expected_payoff(pop, HYP, strategy, agent, REF_T0, REF_X0[:pop.n], T,
+        est = expected_payoff(pop, HYP, strategy, agent, REF_T0, ref_x0(pop.n), T,
                               cfg, spike=spec)
         assert rel_gap(est.value, ref.mean()) < 1e-12
         assert rel_gap(est.std_error, ref.std(ddof=1) / np.sqrt(ref.size)) < 1e-12
@@ -395,10 +417,13 @@ def test_spike_reports_count_clamped_exponents():
     hot = spike_test(HET2, HYP, eq, 0, 1.0, (1, 0), [0.1], cfg, 1e4, T)
     grid = spike_grid(HET2, HYP, eq, [1.0, 1.5], [(1, 0)], [0.1], cfg, 1e4, T,
                       agents=[0])
-    # At x0 = 1e4 every U(c) exponent (2 agents, 20 Euler steps from t = 1) and
-    # every U(X_T) exponent is clamped; the grid sums its base simulations.
-    assert hot.n_clamped == 2 * cfg.n_paths * 21
-    assert grid.n_clamped == 2 * cfg.n_paths * (21 + 11)
+    every = spike_grid(HET2, HYP, eq, [1.0], [(1, 0)], [0.1], cfg, 1e4, T)
+    # At x0 = 1e4 every U(c) exponent (20 Euler steps from t = 1) and every
+    # U(X_T) exponent is clamped; only the priced agents' exponents are
+    # computed, and the grid sums its base simulations.
+    assert hot.n_clamped == cfg.n_paths * 21
+    assert grid.n_clamped == cfg.n_paths * (21 + 11)
+    assert every.n_clamped == 2 * cfg.n_paths * 21
     assert hot.to_dict()["n_clamped"] == hot.n_clamped
     assert grid.to_dict()["n_clamped"] == grid.n_clamped
 
@@ -463,7 +488,7 @@ def reference_gaussian_moments(pop, strategy, t0, x0, times, horizon, n_steps=20
 
     def coeffs(ts):
         PI = strategy.pi_at(ts)
-        Pmat, qv = strategy.consumption_at(ts)
+        Pmat, qv = dense_consumption(strategy, ts)
         b = PI * p["mu"] - qv
         pn = PI * p["nu"]
         ps = PI * p["sigma"]
@@ -521,15 +546,21 @@ MOMENT_CASES = {
     "unsorted": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T), [3.0, -1.0],
                  [1.3, 0.0, 0.7, 1.3, 1e-4 / 3.0, 0.7, 1.0 / 3.0]),
     "unsorted_cross": (TRIO, cross_coupled_strategy, 2.0, [T, 1.0 / 7.0, T, 0.0]),
+    "two_classes": (MIXED64, two_class_strategy, ref_x0(64), [0.0, 0.35, 1.1, T]),
 }
+# At 64 agents the (n, n) coefficients of 2000 RK4 steps take 130 MB an array.
+MOMENT_STEPS = {"two_classes": 200}
 
 
 @pytest.mark.parametrize("case", sorted(MOMENT_CASES))
-def test_gaussian_moments_match_reference_loop(case):
+def test_gaussian_moments_match_reference_loop(case, monkeypatch):
     pop, make, x0, query = MOMENT_CASES[case]
+    steps = MOMENT_STEPS.get(case, simulate.RK4_STEPS)
+    monkeypatch.setattr(simulate, "RK4_STEPS", steps)
     strategy = make()
     means, covs = gaussian_moments(pop, strategy, 0.0, x0, query, T)
-    ref_means, ref_covs = reference_gaussian_moments(pop, strategy, 0.0, x0, query, T)
+    ref_means, ref_covs = reference_gaussian_moments(pop, strategy, 0.0, x0, query, T,
+                                                     steps)
     assert means.shape == (len(query), pop.n) and covs.shape == (len(query), pop.n, pop.n)
     assert np.array_equal(means, ref_means)
     assert np.array_equal(covs, ref_covs)
@@ -659,6 +690,45 @@ def test_simulate_paths_refuses_oversized_bundle():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_simulate_paths_refuses_record_times_outside_the_horizon():
+    cfg = SimConfig(4, 0.1, 0)
+    for record in ([0.5, 7.0, -3.0], [T + 1e-9], [-1e-9]):
+        with pytest.raises(ValidationError, match=r"must lie in \[t0, horizon\]"):
+            simulate_paths(PAIR, constant_strategy(1.0), 0.0, 0.0, T, cfg,
+                           record_times=record)
+    bundle = simulate_paths(PAIR, constant_strategy(1.0), 0.0, 0.0, T, cfg,
+                            record_times=[T + 1e-13, -1e-13])
+    assert bundle.times.tolist() == [0.0, T]
+
+
+def test_payoff_calls_refuse_agents_out_of_range():
+    cfg = SimConfig(4, 0.1, 0)
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    for bad in (-1, 2, 0.5):
+        with pytest.raises(ValidationError, match=f"agent index {bad} out of range"):
+            spike_grid(HET2, HYP, eq, [1.0], [(1, 0)], [0.1], cfg, 1.0, T,
+                       agents=[0, bad])
+        with pytest.raises(ValidationError, match=f"agent index {bad} out of range"):
+            spike_test(HET2, HYP, eq, bad, 1.0, (1, 0), [0.1], cfg, 1.0, T)
+        with pytest.raises(ValidationError, match=f"agent index {bad} out of range"):
+            expected_payoff(HET2, HYP, eq, bad, 1.0, 1.0, T, cfg)
+
+
+def test_closed_form_paths_build_no_dense_slopes():
+    # the closed form's consumption is one class with no cross slopes, so 256
+    # agents over 200 steps allocate no (201, 256, 256) slopes (105 MB)
+    pop = Population([HET2.agents[k % 2] for k in range(256)])
+    eq = NAgentEquilibrium(pop, HYP, T)
+    tracemalloc.start()
+    try:
+        simulate_paths(pop, eq, 0.0, 1.0, T, SimConfig(8, T / 200, 0),
+                       record_times=[0.0, 1.0, T])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_thread_count_respects_env(monkeypatch):
