@@ -20,11 +20,11 @@ for every other agent k, where off (K, K) holds the slopes between the K
 classes, 0 on the diagonal of a one-agent class.
 
 One Euler loop, :func:`_euler`, serves :func:`simulate_paths` and the payoff
-simulations.  It keeps wealth and consumption as (n, N) arrays, one
-contiguous row of N paths per agent, in buffers updated in place.
-The noise stream is unchanged: one (N, n+1) standard normal draw per step (n
-idiosyncratic factors, then the common one), negated in the second half for
-antithetic runs, so a seed gives the same draws as before.
+simulations.  It steps the (n, N) wealth, one row of N paths per agent, a
+block of paths at a time, in block-sized buffers.  The noise stream is
+unchanged: (N, n+1) standard normals per step (n idiosyncratic factors, then
+the common one), drawn block by block in stream order and negated in the
+second half for antithetic runs, so a seed gives the same draws as before.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ EXP_CLAMP = 700.0
 # Default bound on spike perturbations (the definition requires bounded v).
 V_BOUND = 10.0
 
-# Largest path bundle, in bytes, that simulate_paths allocates.
+# Largest path bundle or set of moment coefficients, in bytes, allocated.
 MAX_BUNDLE_BYTES = 2 * 2**30
 
 # Equal RK4 steps of gaussian_moments over [t0, horizon].
@@ -73,6 +73,9 @@ RK4_STEPS = 2000
 
 # Evenly spaced Euler nodes at which meanfield_consistency reports its gaps.
 MF_CHECKPOINTS = 9
+
+# Elements of the Euler kernel's block buffers, 3n + 1 a path (c, dX and Z).
+_BLOCK_ELEMENTS = 1 << 17
 
 # Rows that export_paths_csv formats in one block.
 _CSV_BLOCK_ROWS = 1 << 16
@@ -143,15 +146,29 @@ def _x0_vector(x0, n: int) -> np.ndarray:
     return x0.copy()
 
 
+def _blocks(n: int, cfg: SimConfig) -> tuple[int, list[tuple[int, int]], int]:
+    """Paths drawn per Euler step (half for antithetic runs), the ``(lo, hi)``
+    blocks of about _BLOCK_ELEMENTS buffer elements that cover them, and the widest.
+    Blocks hold two paths or more (a lone last path joins the one before): on
+    one path the products would take BLAS routines that round differently."""
+    drawn = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    width = max(2, _BLOCK_ELEMENTS // (3 * n + 1))
+    edges = list(range(0, max(drawn - 1, 1), width)) + [drawn]
+    blocks = list(zip(edges[:-1], edges[1:]))
+    return drawn, blocks, max(hi - lo for lo, hi in blocks)
+
+
 def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarray,
            cfg: SimConfig, seed_seq=None):
-    """Euler-Maruyama on the (n, N) state, yielding ``(k, X, c, Z)`` per node.
+    """Euler-Maruyama on the (n, N) state, yielding ``(k, sl, X, c, Z)`` per
+    node and block of paths ``sl``.
 
-    X and c are wealth and consumption at ``times[k]``; Z holds the (N, n+1)
-    normals moving X to ``times[k + 1]`` (None at the last node).  At a step
-    with a nonzero cross slope, c = own X + q gains (off @ S)[labels] minus
-    the agent's own term, where S holds the (K, N) class wealth sums.
-    The buffers are reused, so copy what must outlive the step.
+    X and c are the paths' wealth (a view) and consumption at ``times[k]``;
+    Z holds the (B, n+1) normals moving X to ``times[k + 1]`` (None at the
+    last node), negated in place for the mirrored paths of an antithetic run.
+    At a step with a nonzero cross slope, c = own X + q gains (off @ S)[labels]
+    minus the agent's own term, where S holds the (K, B) class wealth sums.
+    Buffers are reused, so copy what must outlive the block.
     """
     n, N = pop.n, cfg.n_paths
     p = pop._params
@@ -168,31 +185,32 @@ def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarr
     rng = np.random.default_rng(
         seed_seq if seed_seq is not None else np.random.SeedSequence(cfg.seed))
     X = np.repeat(x0[:, None], N, axis=1)
-    c, dX, Z = np.empty((n, N)), np.empty((n, N)), np.empty((N, n + 1))
-    half, steps = N // 2, times.size - 1
+    (drawn, blocks, B), steps = _blocks(n, cfg), times.size - 1
+    c_buf, dX_buf, Z_buf = np.empty((n, B)), np.empty((n, B)), np.empty((B, n + 1))
     for k in range(steps + 1):
-        np.multiply(own[k][:, None], X, out=c)
-        c += q[k][:, None]
-        if off[k].any():
-            S = np.add.reduceat(X[order], starts)
-            c += (off[k] @ S)[lab]
-            c -= off[k, lab, lab][:, None] * X
-        if k == steps:
-            yield k, X, c, None
-            return
-        if cfg.antithetic:
-            rng.standard_normal(out=Z[:half])
-            np.negative(Z[:half], out=Z[half:])
-        else:
-            rng.standard_normal(out=Z)
-        yield k, X, c, Z
         load[diag] = vol_w[k]
         load[:, n] = vol_b[k]
-        np.matmul(load, Z.T, out=dX)
-        c *= dt
-        dX -= c
-        dX += drift[k][:, None]
-        X += dX
+        for lo, hi in blocks:
+            b = hi - lo
+            Z = None if k == steps else rng.standard_normal(out=Z_buf[:b])
+            for shift in (0, drawn) if cfg.antithetic else (0,):
+                if shift and Z is not None:
+                    np.negative(Z, out=Z)
+                sl = slice(shift + lo, shift + hi)
+                Xs, c = X[:, sl], c_buf[:, :b]
+                np.multiply(own[k][:, None], Xs, out=c)
+                c += q[k][:, None]
+                if off[k].any():
+                    S = np.add.reduceat(Xs[order], starts)
+                    c += (off[k] @ S)[lab]
+                    c -= off[k, lab, lab][:, None] * Xs
+                yield k, sl, Xs, c, Z
+                if Z is not None:
+                    dX = np.matmul(load, Z.T, out=dX_buf[:, :b])
+                    c *= dt
+                    dX -= c
+                    dX += drift[k][:, None]
+                    Xs += dX
 
 
 def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
@@ -234,14 +252,14 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     dW_all = np.empty((N, steps, n)) if store_noise else None
     dB_all = np.empty((N, steps)) if store_noise else None
 
-    for k, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg):
+    for k, sl, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg):
         j = rec_pos.get(k)
         if j is not None:
-            wealth[:, j, :] = X.T
-            cons[:, j, :] = c.T
+            wealth[sl, j, :] = X.T
+            cons[sl, j, :] = c.T
         if store_noise and Z is not None:
-            np.multiply(Z[:, :n], sqdt, out=dW_all[:, k, :])
-            np.multiply(Z[:, n], sqdt, out=dB_all[:, k])
+            np.multiply(Z[:, :n], sqdt, out=dW_all[sl, k, :])
+            np.multiply(Z[:, n], sqdt, out=dB_all[sl, k])
 
     return PathBundle(times=times[rec_idx], wealth=wealth, consumption=cons,
                       seed=cfg.seed, common_noise=dB_all, idio_noise=dW_all)
@@ -263,6 +281,11 @@ def gaussian_moments(pop: Population, strategy, t0: float, x0, times, horizon: f
     x0 = _x0_vector(x0, n)
     query = _check_times(times, t0, horizon)
     nodes = np.union1d(np.linspace(t0, horizon, RK4_STEPS + 1), query)
+    # A, and dd with the two products that build it, are (rows, n, n) each.
+    if (size := 24 * (2 * nodes.size - 1) * n * n) > MAX_BUNDLE_BYTES:
+        raise ValidationError(
+            f"the moment coefficients of {n} agents would take {size / 2**30:.3g} "
+            f"GiB, over the {MAX_BUNDLE_BYTES / 2**30:.3g} GiB limit")
     # The profile at the nodes (even rows) and the midpoints (odd rows).
     ts = np.empty(2 * nodes.size - 1)
     ts[0::2], ts[1::2] = nodes, (nodes[:-1] + nodes[1:]) / 2.0
@@ -315,7 +338,7 @@ class PayoffEstimate:
 class _PayoffSim:
     """One closed-loop base simulation with the bookkeeping needed to price
     spike perturbations of the A priced ``agents`` by common random numbers.
-    Per-agent arrays are (A, N), per-spike arrays (E, A, N) or (E, N)."""
+    Per-agent arrays are (A, N), per-spike arrays (E, A, N)."""
 
     def __init__(self, pop: Population, discount: DiscountFunction, strategy,
                  t0: float, x0, horizon: float, cfg: SimConfig, agents: Sequence[int],
@@ -331,10 +354,14 @@ class _PayoffSim:
         priced = np.array(sorted(set(agents)), dtype=int)
         self.row = {int(a): r for r, a in enumerate(priced)}
 
-        # Row r of expo applied to (n, N) values gives agent priced[r]'s exponent.
+        # Row r of expo applied to (n, B) values gives agent priced[r]'s
+        # exponent; a zero row pads one priced agent to two, since BLAS's
+        # vector-matrix routine rounds a path's exponent by its place in a block.
+        N, E, A = cfg.n_paths, len(eps_list), priced.size
         self.own_coef = -(1.0 - p["theta"] / n) / p["delta"]
-        self.expo = np.repeat((p["theta"] / p["delta"] / n)[priced, None], n, axis=1)
-        self.expo[np.arange(priced.size), priced] = self.own_coef[priced]
+        expo = np.zeros((max(A, 2), n))
+        expo[:A] = (p["theta"] / p["delta"] / n)[priced, None]
+        expo[np.arange(A), priced] = self.own_coef[priced]
 
         eps_steps = [int(round(eps / dt)) for eps in eps_list]
         for eps, ks in zip(eps_list, eps_steps):
@@ -345,29 +372,35 @@ class _PayoffSim:
         lam_dt = discount.value(times[:-1] - t0) * dt
         self.lam_T = float(discount.value(horizon - t0))
 
-        N, E, A = cfg.n_paths, len(eps_list), priced.size
-        self.run, u = np.zeros((A, N)), np.empty((A, N))
-        self.S, self.dW_win = np.empty((E, A, N)), np.empty((E, A, N))
-        self.dB_win = np.empty((E, N))
+        self.run = np.zeros((A, N))
+        expo_buf = np.empty((expo.shape[0], _blocks(n, cfg)[2]))
+        # Per window: the payoff so far and each priced agent's nu dW + sigma dB.
+        self.S, self.noise = np.empty((E, A, N)), np.empty((E, A, N))
         # Window noise sums, kept only up to the longest spike window.
         cumZ, last = np.zeros((n + 1, N)), max(eps_steps, default=0)
         sqdt = np.sqrt(dt)
+        nu, sig = p["nu"][priced, None], p["sigma"][priced, None]
 
-        for k, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg, seed_seq):
+        for k, sl, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg, seed_seq):
+            prod = expo_buf[:, :X.shape[1]]
+            u = prod[:A]
+            if k == last and sl.start == 0:   # every spike window has closed
+                cumZ = None
+                self.term_u = np.empty((A, N))
+            np.matmul(expo, X if Z is None else c, out=prod)
+            np.exp(self._clamp(u), out=u)
             if Z is None:
-                self.term_u = -np.exp(self._clamp(np.matmul(self.expo, X, out=u)))
-                break
-            np.exp(self._clamp(np.matmul(self.expo, c, out=u)), out=u)
+                np.negative(u, out=self.term_u[:, sl])
+                continue
             u *= -lam_dt[k]
-            self.run += u
+            self.run[:, sl] += u
             if k < last:
-                cumZ += Z.T
+                cumZ[:, sl] += Z.T
                 for e, ks in enumerate(eps_steps):
                     if k + 1 == ks:
-                        self.S[e] = self.run
-                        np.take(cumZ, priced, axis=0, out=self.dW_win[e], mode="clip")
-                        self.dW_win[e] *= sqdt
-                        np.multiply(cumZ[n], sqdt, out=self.dB_win[e])
+                        self.S[e][:, sl] = self.run[:, sl]
+                        self.noise[e][:, sl] = (nu * (cumZ[priced, sl] * sqdt)
+                                                + sig * (cumZ[n, sl] * sqdt))
 
     def _clamp(self, arg: np.ndarray) -> np.ndarray:
         """Clip exponents to +-EXP_CLAMP in place, counting clipped ones and NaN."""
@@ -388,10 +421,7 @@ class _PayoffSim:
         r, own = self.row[agent], self.own_coef[agent]
         eps = self.eps_eff[e]
         fac_c = np.expm1(own * v2)
-        dx = (v1 * p["mu"][agent] - v2) * eps + v1 * (
-            p["nu"][agent] * self.dW_win[e, r]
-            + p["sigma"][agent] * self.dB_win[e]
-        )
+        dx = (v1 * p["mu"][agent] - v2) * eps + v1 * self.noise[e, r]
         fac_T = np.expm1(self._clamp(own * dx))
         return self.S[e, r] * fac_c + self.lam_T * self.term_u[r] * fac_T
 

@@ -115,6 +115,22 @@ def test_simulate_moment_summary(two_agent_cfg, tmp_path):
     assert {r["path_id"] for r in rows} == {"0", "1"}
 
 
+def test_simulate_refuses_oversized_moments(tmp_path, capsys):
+    # 256 agents: the exact moments' (n, n) coefficients would take 6.3 GB
+    agent = TWO_AGENT_SINGLE_STOCK["population"]["agents"][0]
+    cfg = tmp_path / "many.json"
+    cfg.write_text(json.dumps(TWO_AGENT_SINGLE_STOCK | {
+        "population": {"agents": [agent] * 256},
+        "sim": {"n_paths": 4, "dt": 0.5, "seed": 1}}))
+    summary = tmp_path / "s.json"
+    assert main(["--deterministic", "simulate", "--config", str(cfg),
+                 "--out-paths", str(tmp_path / "p.csv"),
+                 "--out-summary", str(summary)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the moment coefficients of 256 agents would take")
+    assert "Traceback" not in err and not summary.exists()
+
+
 def test_spike_test_zero_direction(two_agent_cfg, tmp_path):
     out = tmp_path / "spike.json"
     rc = main(["--deterministic", "spike-test", "--config", two_agent_cfg,

@@ -374,26 +374,96 @@ def rel_gap(a, b):
     return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_kernel_matches_reference_loop(case):
-    pop, make, cfg = REFERENCE_CASES[case]
-    strategy = make()
-    times, _, _, X, C, noise = reference_paths(pop, strategy, cfg)
+REFERENCE_SPIKES = ((0, None), (-1, (0.1, (0.7, -0.4))))
+
+
+def kernel_run(pop, strategy, cfg):
+    """The paths with their noise, and the payoff estimates of
+    REFERENCE_SPIKES (agent -1 is the last agent)."""
     bundle = simulate_paths(pop, strategy, REF_T0, ref_x0(pop.n), T, cfg,
                             store_noise=True)
+    estimates = []
+    for agent, spike in REFERENCE_SPIKES:
+        agent %= pop.n
+        spec = None if spike is None else SpikeSpec(agent, REF_T0, *spike)
+        estimates.append(expected_payoff(pop, HYP, strategy, agent, REF_T0,
+                                         ref_x0(pop.n), T, cfg, spike=spec))
+    return bundle, estimates
+
+
+def payoff_paths(pop, strategy, cfg):
+    """Per-path payoff and spike payoff change of the last agent alone."""
+    agent, (eps, v) = pop.n - 1, REFERENCE_SPIKES[1][1]
+    sim = simulate._PayoffSim(pop, HYP, strategy, REF_T0, ref_x0(pop.n), T, cfg,
+                              [agent], [eps])
+    return sim.payoff_paths(agent), sim.delta_payoff(agent, 0, v)
+
+
+def assert_matches_reference_loop(pop, strategy, cfg):
+    times, _, _, X, C, noise = reference_paths(pop, strategy, cfg)
+    bundle, estimates = kernel_run(pop, strategy, cfg)
     assert np.array_equal(bundle.times, times)
     assert np.array_equal(bundle.idio_noise, noise[:, :, :pop.n])
     assert np.array_equal(bundle.common_noise, noise[:, :, pop.n])
     assert rel_gap(bundle.wealth, X) < 1e-12
     assert rel_gap(bundle.consumption, C) < 1e-12
 
-    for agent, spike in ((0, None), (pop.n - 1, (0.1, (0.7, -0.4)))):
-        ref = reference_payoff(pop, HYP, strategy, agent, cfg, spike)
-        spec = None if spike is None else SpikeSpec(agent, REF_T0, *spike)
-        est = expected_payoff(pop, HYP, strategy, agent, REF_T0, ref_x0(pop.n), T,
-                              cfg, spike=spec)
+    for (agent, spike), est in zip(REFERENCE_SPIKES, estimates):
+        ref = reference_payoff(pop, HYP, strategy, agent % pop.n, cfg, spike)
         assert rel_gap(est.value, ref.mean()) < 1e-12
         assert rel_gap(est.std_error, ref.std(ddof=1) / np.sqrt(ref.size)) < 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_kernel_matches_reference_loop(case):
+    pop, make, cfg = REFERENCE_CASES[case]
+    assert_matches_reference_loop(pop, make(), cfg)
+
+
+def block_widths(pop, cfg):
+    return [hi - lo for lo, hi in simulate._blocks(pop.n, cfg)[1]]
+
+
+# Paths a block: 5 divides neither the 48 paths of a reference case nor the
+# 24 drawn for its antithetic run; 1 gives the smallest block, two paths.
+BLOCK_PATHS = {"ragged": 5, "smallest": 1}
+
+
+@pytest.mark.parametrize("block", sorted(BLOCK_PATHS))
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_path_blocks_leave_the_kernel_unchanged(case, block, monkeypatch):
+    pop, make, cfg = REFERENCE_CASES[case]
+    strategy = make()
+    assert len(block_widths(pop, cfg)) == 1
+    bundle, estimates = kernel_run(pop, strategy, cfg)
+    paths = payoff_paths(pop, strategy, cfg)
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", BLOCK_PATHS[block] * (3 * pop.n + 1))
+    widths = block_widths(pop, cfg)
+    assert set(widths[:-1]) == {max(2, BLOCK_PATHS[block])} and 2 <= widths[-1] <= 5
+    if pop.n > 7:
+        # a BLAS product may group its sums differently at this size
+        assert_matches_reference_loop(pop, strategy, cfg)
+        return
+    blocked, blocked_estimates = kernel_run(pop, strategy, cfg)
+    for name in ("idio_noise", "common_noise", "wealth", "consumption"):
+        assert np.array_equal(getattr(blocked, name), getattr(bundle, name))
+    assert blocked_estimates == estimates
+    for got, want in zip(payoff_paths(pop, strategy, cfg), paths):
+        assert np.array_equal(got, want)
+
+
+def test_path_blocks_leave_spike_grid_unchanged(monkeypatch):
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    args = ([0.5, 1.5], [(1, 0), (-1, 1)], [0.1, 0.04])
+    for antithetic in (False, True):
+        cfg = SimConfig(202, 0.02, 19, antithetic)
+        whole = spike_grid(HET2, HYP, eq, *args, cfg, 1.0, T).to_dict()
+        # 202 paths, or the 101 drawn for an antithetic run, in blocks of 10
+        # or of two paths; a lone last path joins the block before it
+        for paths, last in ((10, 11 if antithetic else 2), (1, 3 if antithetic else 2)):
+            monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", paths * (3 * HET2.n + 1))
+            assert block_widths(HET2, cfg)[-1] == last
+            assert spike_grid(HET2, HYP, eq, *args, cfg, 1.0, T).to_dict() == whole
 
 
 def test_one_path_spike_errors_are_finite_and_shared():
@@ -729,6 +799,69 @@ def test_closed_form_paths_build_no_dense_slopes():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The call's result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+SPIKE_PAIR = Population([AgentType(1.0, 0.5, 1.0, 0.0, 1.0),
+                         AgentType(1.4, 0.3, 0.8, 0.5, 0.9)])
+
+
+def test_spike_test_temporaries_are_block_sized():
+    # 1e5 paths, 30 Euler steps, three spike windows: the full-width arrays
+    # are the wealth, the running and terminal payoffs, the per-window payoff
+    # and noise and, until the last window closes, the window noise sums
+    eq = NAgentEquilibrium(SPIKE_PAIR, HYP, T)
+    rep, peak = traced_peak(spike_test, SPIKE_PAIR, HYP, eq, 0, 1.625, (1, 0),
+                            (0.1, 0.05, 0.025), SimConfig(100_000, 0.0125, 3), 10.0, T)
+    assert len(rep.results) == 3
+    assert peak < 13e6
+
+
+def test_simulate_paths_keeps_one_full_width_state():
+    # four Euler steps recorded at two times: beside the bundle, the (n, N)
+    # wealth and block-sized buffers
+    n, N = 256, 2048
+    pop = Population([HET2.agents[k % 2] for k in range(n)])
+    eq = NAgentEquilibrium(pop, HYP, T)
+    bundle, peak = traced_peak(simulate_paths, pop, eq, 0.0, 1.0, T,
+                               SimConfig(N, T / 4, 0), record_times=[0.0, T])
+    assert bundle.wealth.shape == (N, 2, n)
+    assert peak <= bundle.wealth.nbytes + bundle.consumption.nbytes + 1.5 * 8 * n * N
+
+
+def test_gaussian_moments_refuses_oversized_coefficients():
+    # 256 agents over 2000 RK4 steps: three (4001, 256, 256) arrays (6.3 GB),
+    # refused before anything large is allocated
+    pop = Population([HET2.agents[k % 2] for k in range(256)])
+    eq = NAgentEquilibrium(pop, HYP, T)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"of 256 agents would take 5.86 GiB"):
+            gaussian_moments(pop, eq, 0.0, 1.0, [T], T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_spike_grid_does_not_depend_on_the_pool(monkeypatch):
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RELPERF_THREADS", threads)
+        rep = spike_grid(HET2, HYP, eq, [0.5, 1.0, 1.5], [(1, 0), (0, -1)], [0.1, 0.05],
+                         SimConfig(2_000, 0.02, 9), 1.0, T)
+        reports.append(rep.to_dict())
+    assert reports[0] == reports[1]
 
 
 def test_thread_count_respects_env(monkeypatch):
