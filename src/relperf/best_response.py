@@ -42,6 +42,9 @@ class IterationReport:
     converged: bool = False
     # Rows iterated: type classes (n agents) or atoms (mean field).
     classes: int = 0
+    # How the n-agent consumption slopes were iterated: "coefficients" of
+    # 1/(T+1-t), one per class pair, or on the "grid" (always the mean field).
+    slope_form: str = "grid"
 
     @property
     def contraction(self) -> float:
@@ -417,6 +420,19 @@ def _on_types(blocks: _ClassProfile, types: np.ndarray) -> _ClassProfile | None:
     return coarse
 
 
+def _on_inv_rem(blocks: _ClassProfile, inv_rem: np.ndarray) -> _ClassProfile | None:
+    """``blocks`` with its slopes as coefficients c of 1/(T+1-t) on a time
+    axis of length 1, or None if c * inv_rem does not give them back exactly.
+    c is read at the last node, where 1/(T+1-t) is 1, and the check compares
+    a row of slopes at a time, so it makes no (K, K, m) copy."""
+    diag, off = (x[..., -1:] / inv_rem[-1] for x in (blocks.diag, blocks.off))
+    if not np.array_equal(diag * inv_rem, blocks.diag):
+        return None
+    if not all(np.array_equal(c * inv_rem, row) for c, row in zip(off, blocks.off)):
+        return None
+    return blocks._replace(diag=diag, off=off)
+
+
 class _ClassSpace:
     """The n-agent best-reply map on classes of exchangeable agents.
 
@@ -430,7 +446,16 @@ class _ClassSpace:
     off[a, a] held at 0 for a one-agent class, the slopes map to
 
         off'[a, b] = scale_a (P_b - off[a, b] - 1/rem),
-        diag'[a]   = scale_a (P_a - diag[a]) + 1/rem."""
+        diag'[a]   = scale_a (P_a - diag[a]) + 1/rem.
+
+    This map is linear, acts node by node and is forced by 1/rem alone, and
+    the slopes and (pi, q) do not read each other.  So slopes c 1/rem map to
+    c' 1/rem, with c' the same map forced by 1: a start whose slopes are
+    exactly c 1/rem (zeros, the closed form) is iterated on the (K, K, 1)
+    coefficients, which are expanded once, by :meth:`profile`.  A sweep
+    moves the slopes by max(1/rem) max|c' - c| in sup norm, as 1/rem > 0,
+    and max(1/rem) is 1, at t = T: so the coefficients' change stands for
+    theirs.  Any other start is iterated on the grid."""
 
     def __init__(self, pop: Population, discount: DiscountFunction,
                  strategy: GridStrategyN):
@@ -444,13 +469,16 @@ class _ClassSpace:
             if coarse is not None:
                 labels, blocks = types, coarse
         self.labels, rep, self.counts = _refine(labels, types)
-        self._blocks, self._src = blocks, labels[rep]
         self.discount, self.grid = discount, strategy.grid
         self.law = {k: v[rep] for k, v in pop._params.items()}, self.counts / n, 1.0 / n
         self.plan = _ReplyPlan(discount, self.grid, *self.law)
         theta = self.law[0]["theta"]
         self.scale = (theta / (1.0 - theta / n) / n)[:, None]
         self.shared = (self.counts > 1)[:, None]
+        coef = _on_inv_rem(blocks, self.plan.inv_rem)
+        self.slope_form = "grid" if coef is None else "coefficients"
+        self.forcing = self.plan.inv_rem if coef is None else 1.0
+        self._blocks, self._src = blocks if coef is None else coef, labels[rep]
 
     def start(self) -> _ClassProfile:
         """The profile on the classes."""
@@ -458,16 +486,19 @@ class _ClassSpace:
 
     def reply(self, prof: _ClassProfile) -> _ClassProfile:
         pi, q = _reply(self.discount, self.grid, *self.law, prof.pi, prof.q, self.plan)
-        off, diag, inv_rem = prof.off, prof.diag, self.plan.inv_rem
+        off, diag, forcing = prof.off, prof.diag, self.forcing
         p_col = (self.counts @ off.reshape(off.shape[0], -1)).reshape(diag.shape)
         p_col -= np.einsum("aam->am", off)
         p_col += diag
-        new_off = np.subtract((p_col - inv_rem)[None], off)
+        new_off = np.subtract((p_col - forcing)[None], off)
         new_off *= self.scale[:, :, None]
         np.einsum("aam->am", new_off)[...] *= self.shared
-        return _ClassProfile(pi, q, self.scale * (p_col - diag) + inv_rem, new_off)
+        return _ClassProfile(pi, q, self.scale * (p_col - diag) + forcing, new_off)
 
     def profile(self, blocks: _ClassProfile) -> GridStrategyN:
+        if self.slope_form == "coefficients":
+            inv_rem = self.plan.inv_rem
+            blocks = blocks._replace(diag=blocks.diag * inv_rem, off=blocks.off * inv_rem)
         return GridStrategyN._of_classes(self.grid, self.labels, blocks)
 
 
@@ -525,6 +556,7 @@ def fixed_point_nagent(pop: Population, discount: DiscountFunction,
     """
     space = _ClassSpace(pop, discount, init)
     final, report = _picard(space.reply, space.start, tol, max_iter)
+    report.slope_form = space.slope_form
     return space.profile(final), report
 
 

@@ -188,6 +188,8 @@ def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarr
     (drawn, blocks, B), steps = _blocks(n, cfg), times.size - 1
     c_buf, dX_buf, Z_buf = np.empty((n, B)), np.empty((n, B)), np.empty((B, n + 1))
     for k in range(steps + 1):
+        if k == steps:  # the last node takes no step: free the step buffers
+            Z_buf = dX_buf = dX = None
         load[diag] = vol_w[k]
         load[:, n] = vol_b[k]
         for lo, hi in blocks:
@@ -376,15 +378,18 @@ class _PayoffSim:
         expo_buf = np.empty((expo.shape[0], _blocks(n, cfg)[2]))
         # Per window: the payoff so far and each priced agent's nu dW + sigma dB.
         self.S, self.noise = np.empty((E, A, N)), np.empty((E, A, N))
-        # Window noise sums, kept only up to the longest spike window.
-        cumZ, last = np.zeros((n + 1, N)), max(eps_steps, default=0)
+        # Window noise sums, kept only up to the longest spike window, if any.
+        last = max(eps_steps, default=0)
+        cumZ = np.zeros((n + 1, N)) if last else None
         sqdt = np.sqrt(dt)
         nu, sig = p["nu"][priced, None], p["sigma"][priced, None]
 
         for k, sl, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg, seed_seq):
             prod = expo_buf[:, :X.shape[1]]
             u = prod[:A]
-            if k == last and sl.start == 0:   # every spike window has closed
+            # Every spike window has closed; with none, wait for the last
+            # node, where _euler has freed its step buffers.
+            if k == (last or steps) and sl.start == 0:
                 cumZ = None
                 self.term_u = np.empty((A, N))
             np.matmul(expo, X if Z is None else c, out=prod)

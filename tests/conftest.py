@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from relperf import AgentType, Population, TypeDistribution
+from relperf import AgentType, GridStrategyN, Population, TypeDistribution
+from relperf.best_response import _reply
+from relperf.nagent import _nagent_law
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,23 @@ def dense_consumption(strategy, times):
     idx = np.arange(labels.size)
     P[..., idx, idx] = own
     return P, q
+
+
+def dense_profile(pop, d, strategy):
+    """The simultaneous best reply with the slopes updated as one (n, n, m)
+    array: new p[i, k] = scale_i (P_k - p[i, k] - 1/rem) off the diagonal and
+    scale_i (P_i - p[i, i]) + 1/rem on it, with column sums P."""
+    grid, n = strategy.grid, pop.n
+    theta = pop.field("theta")
+    rem = grid.T + 1.0 - grid.times
+    pi, q = _reply(d, grid, *_nagent_law(pop), strategy.pi, strategy.q)
+    scale = (theta / (1.0 - theta / n) / n)[:, None]
+    p_tot = strategy.p.sum(axis=0)
+    p = np.subtract((p_tot - 1.0 / rem)[None], strategy.p)
+    p *= scale[:, :, None]
+    diag = np.arange(n)
+    p[diag, diag] = scale * (p_tot - strategy.p[diag, diag]) + 1.0 / rem
+    return GridStrategyN(grid, pi, p, q)
 
 
 # ---------------------------------------------------------------------------

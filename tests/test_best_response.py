@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (dense_consumption, oracle_hhat_quadrature, random_distribution,
-                      random_population, replicated_population)
+from conftest import (dense_consumption, dense_profile, oracle_hhat_quadrature,
+                      random_distribution, random_population, replicated_population)
 from relperf import (
     AgentType,
     ExponentialDiscount,
@@ -31,7 +31,6 @@ from relperf import (
 from relperf import best_response as br
 from relperf.best_response import _reply
 from relperf.mfg import _mfg_law
-from relperf.nagent import _nagent_law
 
 T = 2.0
 GRID = TimeGrid(0.0, T, 200)
@@ -372,23 +371,6 @@ def test_dense_slopes_are_kept_off_the_heap(rng):
 # The sweep on classes of exchangeable agents against the dense (n, n, m) map
 
 
-def dense_profile(pop, d, strategy):
-    """The simultaneous best reply with the slopes updated as one (n, n, m)
-    array: new p[i, k] = scale_i (P_k - p[i, k] - 1/rem) off the diagonal and
-    scale_i (P_i - p[i, i]) + 1/rem on it, with column sums P."""
-    grid, n = strategy.grid, pop.n
-    theta = pop.field("theta")
-    rem = grid.T + 1.0 - grid.times
-    pi, q = _reply(d, grid, *_nagent_law(pop), strategy.pi, strategy.q)
-    scale = (theta / (1.0 - theta / n) / n)[:, None]
-    p_tot = strategy.p.sum(axis=0)
-    p = np.subtract((p_tot - 1.0 / rem)[None], strategy.p)
-    p *= scale[:, :, None]
-    diag = np.arange(n)
-    p[diag, diag] = scale * (p_tot - strategy.p[diag, diag]) + 1.0 / rem
-    return GridStrategyN(grid, pi, p, q)
-
-
 def dense_fixed_point(pop, d, init, tol):
     current, history = init, []
     while not history or history[-1] > tol:
@@ -437,6 +419,70 @@ def test_class_picard_matches_dense_iteration(rng):
         assert report.iterations == len(history)
         assert np.abs(np.subtract(report.residual_history, history)).max() <= 1e-13
         assert_same_profile(got, want, 1e-13)
+
+
+def inv_rem_profile(rng, labels, grid=SMALL):
+    """A random block profile whose slopes are random coefficients times
+    1/(T+1-t), computed as the reply computes 1/(T+1-t)."""
+    K, m = labels.max() + 1, grid.n_points
+    inv_rem = 1.0 / (grid.T + 1.0 - grid.times)
+    off = rng.normal(size=(K, K, 1)) * inv_rem
+    diag = rng.normal(size=(K, 1)) * inv_rem
+    return GridStrategyN._of_classes(grid, labels, br._ClassProfile(
+        *rng.normal(size=(2, K, m)), diag, off))
+
+
+def test_coefficient_picard_matches_dense_iteration(rng):
+    # slopes c / (T+1-t) with random nonzero c, on the type classes and with
+    # one class per agent, are iterated as coefficients; the same starts with
+    # one cross or own slope moved by an ulp are not of that form and take
+    # the grid
+    pop = shuffled_classes(rng, n=12)
+    index = {}
+    types = np.array([index.setdefault(a, len(index)) for a in pop.agents])
+    for labels in (types, np.arange(pop.n)):
+        exact = inv_rem_profile(rng, labels)
+        lab, blocks = exact.classes()
+        starts = [(exact, "coefficients")]
+        for name, at in (("off", (0, -1, 5)), ("diag", (-1, 5))):
+            moved = getattr(blocks, name).copy()
+            moved[at] = np.nextafter(moved[at], np.inf)
+            starts.append((GridStrategyN._of_classes(SMALL, lab,
+                                                     blocks._replace(**{name: moved})),
+                           "grid"))
+        for init, form in starts:
+            got, report = fixed_point_nagent(pop, HYP, init, tol=1e-11)
+            want, history = dense_fixed_point(pop, HYP, init, 1e-11)
+            assert report.converged and report.slope_form == form
+            assert report.classes == labels.max() + 1
+            assert report.iterations == len(history)
+            assert np.abs(np.subtract(report.residual_history, history)).max() <= 1e-13
+            assert_same_profile(got, want, 1e-13)
+
+
+def test_coefficient_sweeps_allocate_no_time_blocks(rng):
+    # 128 agents on 32 type classes from zeros: the sweeps hold (K, K, 1)
+    # coefficients and (K, m) rows, under half a (K, K, m) block (1.6 MB);
+    # the whole call holds one block, the final expansion, where sweeps on
+    # the grid would hold two and their temporaries
+    pop = replicated_population(random_distribution(rng, k=32), 128)
+    K, m = 32, GRID.n_points
+    block = K * K * m * 8
+    space = br._ClassSpace(pop, HYP, GridStrategyN.zeros(GRID, pop.n))
+    assert space.slope_form == "coefficients"
+    tracemalloc.start()
+    try:
+        final, report = br._picard(space.reply, space.start, 1e-10, 500)
+        sweeps = tracemalloc.get_traced_memory()[1]
+        tracemalloc.clear_traces()
+        tracemalloc.reset_peak()
+        fixed_point_nagent(pop, HYP, GridStrategyN.zeros(GRID, pop.n))
+        whole = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.classes == K
+    assert sweeps < block / 2
+    assert block < whole < 1.6 * block
 
 
 def test_sweep_to_non_finite_profile_is_rejected(rng, monkeypatch):
@@ -645,6 +691,13 @@ def test_mfg_fixed_point_from_zero(rng):
         assert report.converged
         assert final.sup_distance(mfg_closed_form(dist, d)) < 1e-8
         assert np.abs(final.p2).max() < 1e-10
+
+
+def test_mfg_report_gives_grid_slopes():
+    _, report = fixed_point_mfg(TWO_ATOM, HYP, MFGridStrategy.zeros(GRID, TWO_ATOM),
+                                max_iter=2)
+    assert report.slope_form == "grid"
+    assert report.to_dict()["slope_form"] == "grid"
 
 
 def test_mfg_contraction_factors():

@@ -403,3 +403,17 @@ def test_best_response_reports_contraction(two_agent_cfg, tmp_path):
     hist = report["residual_history"]
     assert report["contraction"] == hist[-1] / hist[-2]
     assert 0.0 < report["contraction"] < 1.0
+
+
+def test_best_response_reports_slope_form(two_agent_cfg, tmp_path):
+    # from zeros the slopes are iterated as coefficients of 1/(T+1-t); the
+    # report says so, and stays byte-identical under --deterministic
+    outs = []
+    for name in ("a", "b"):
+        out_json = tmp_path / f"{name}.json"
+        assert main(["--deterministic", "best-response", "--config", two_agent_cfg,
+                     "--out-json", str(out_json),
+                     "--out-csv", str(tmp_path / f"{name}.csv")]) == 0
+        outs.append(out_json.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["slope_form"] == "coefficients"

@@ -1,6 +1,7 @@
-"""Property tests: relabelling the agents relabels every result, every
-discount's log_integral integrates its log_value, and the CLI answers any
-JSON config or argument with an exit code instead of a traceback."""
+"""Property tests: relabelling the agents relabels every result, a sweep on
+slopes c / (T+1-t) equals the dense sweep, every discount's log_integral
+integrates its log_value, and the CLI answers any JSON config or argument
+with an exit code instead of a traceback."""
 
 import copy
 import json
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import dense_profile
 from relperf import (
     AgentType,
     ExponentialDiscount,
@@ -23,6 +25,7 @@ from relperf import (
     TabulatedDiscount,
     TimeGrid,
     best_response_profile,
+    fixed_point_nagent,
 )
 from relperf.cli import main
 
@@ -77,6 +80,23 @@ def test_permuting_agents_permutes_results(case, seed):
     assert_close(moved_reply.pi, reply.pi[perm])
     assert_close(moved_reply.p, reply.p[perm][:, perm])
     assert_close(moved_reply.q, reply.q[perm])
+
+
+@PROPERTY
+@given(st.lists(agents(), min_size=2, max_size=7), st.integers(0, 2**32 - 1))
+def test_coefficient_sweep_matches_dense_sweep(members, seed):
+    # slopes c / (T+1-t) with random coefficients c, one class per agent: the
+    # sweep iterates the coefficients and equals the (n, n, m) sweep
+    pop = Population(members)
+    rng = np.random.default_rng(seed)
+    n, m = pop.n, GRID.n_points
+    inv_rem = 1.0 / (T + 1.0 - GRID.times)
+    p = rng.normal(size=(n, n, 1)) * inv_rem
+    strat = GridStrategyN(GRID, rng.normal(size=(n, m)), p, rng.normal(size=(n, m)))
+    assert fixed_point_nagent(pop, HYP, strat, max_iter=1)[1].slope_form == "coefficients"
+    got, want = best_response_profile(pop, HYP, strat), dense_profile(pop, HYP, strat)
+    for a, b in zip((got.pi, got.p, got.q), (want.pi, want.p, want.q)):
+        assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
 
 
 AGENT = {"delta": 1.0, "theta": 0.5, "mu": 1.0, "nu": 0.5, "sigma": 1.0}

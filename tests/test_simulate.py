@@ -826,6 +826,20 @@ def test_spike_test_temporaries_are_block_sized():
     assert peak < 13e6
 
 
+def test_payoff_without_spike_keeps_no_window_sums():
+    # 1e5 paths from t = 1.625 with no spike window: the full-width arrays are
+    # the wealth and the running and terminal payoffs (3.2 MB), and the step
+    # buffers are freed before the terminal payoffs are allocated (3.8 MB in
+    # all); the (n + 1, N) window noise sums (2.4 MB) would lift it to 6.2 MB.
+    # A first small call keeps the imports it triggers out of the peak.
+    eq = NAgentEquilibrium(SPIKE_PAIR, HYP, T)
+    expected_payoff(SPIKE_PAIR, HYP, eq, 0, 1.625, 10.0, T, SimConfig(10, 0.0125, 3))
+    est, peak = traced_peak(expected_payoff, SPIKE_PAIR, HYP, eq, 0, 1.625, 10.0, T,
+                            SimConfig(100_000, 0.0125, 3))
+    assert est.n_paths == 100_000
+    assert peak < 4.1e6
+
+
 def test_simulate_paths_keeps_one_full_width_state():
     # four Euler steps recorded at two times: beside the bundle, the (n, N)
     # wealth and block-sized buffers
