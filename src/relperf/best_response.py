@@ -273,9 +273,9 @@ class _ReplyPlan:
         pi' = (delta mu (T+1-t) + theta sigma sbar) / ((nu^2 + sigma^2) own),
         q'  = -(delta/own) (h + ln lam(T-t)) + (theta/own) (E_w[q] - s q),
 
-    with h(t) = (1/(T+1-t)) integral_t^T (T+1-u) G(u) du by Simpson's rule,
-    two panels per grid interval, on the linearly interpolated investments.
-    With k = theta/delta, vol = nu^2 + sigma^2 and rem_u = T+1-u,
+    with h(t) = (1/(T+1-t)) integral_t^T (T+1-u) G(u) du on the linearly
+    interpolated investments.  With k = theta/delta, vol = nu^2 + sigma^2 and
+    rem_u = T+1-u,
 
         rem_u G = c0(u) + alpha sbar + k mbar + (beta sbar^2 + gamma vbar) / rem_u,
 
@@ -283,11 +283,15 @@ class _ReplyPlan:
         beta = k^2 nu^2 / (2 vol),                  gamma = k^2 s / 2,
 
     and vbar = E_w[(nu pi)^2] - s (nu pi)^2, which the mean field (s = 0)
-    drops.  On interval j an interpolated x is (1-phi) x_j + phi x_{j+1}, so
-    the rule integrates a linear term exactly, as (t_{j+1} - t_j)(x_j +
-    x_{j+1})/2, and x^2/rem_u as Q_j[x] = A_j x_j^2 + 2 B_j x_j x_{j+1} +
-    C_j x_{j+1}^2, where A, B and C are the rule's weights times (1-phi)^2,
-    phi (1-phi) and phi^2, over rem_u, summed over its points.  With S =
+    drops.  The integral of ln lam over an interval is a difference of
+    ``discount.log_integral`` at its nodes.  On interval j an interpolated x
+    is (1-phi) x_j + phi x_{j+1}, so a linear term integrates exactly, as
+    (t_{j+1} - t_j)(x_j + x_{j+1})/2, and x^2/rem_u by Simpson's rule, two
+    panels per interval, as Q_j[x] = A_j x_j^2 + 2 B_j x_j x_{j+1} + C_j
+    x_{j+1}^2, where A, B and C are the rule's weights times (1-phi)^2,
+    phi (1-phi) and phi^2, over rem_u, summed over its points.  The rule is
+    exact for investments linear in rem_u, so the reply to a closed form is
+    exact too.  With S =
     E_w[sigma pi] and M = E_w[mu pi], sbar = S - s sigma pi and mbar = M -
     s mu pi, so every term but those in a row's own investment is one
     (K, 6) @ (6, m) product.  An interval's integral is kept at its left
@@ -297,18 +301,18 @@ class _ReplyPlan:
     def __init__(self, discount: DiscountFunction, grid: TimeGrid, p, w, s: float):
         times, T = grid.times, grid.T
         delta, theta, mu, nu, sigma = (p[k][:, None] for k in _FIELDS)
-        self.discount, self.grid, self.w, self.s = discount, grid, w, s
+        self.w, self.s = w, s
         self.rem = T + 1.0 - times
         self.inv_rem = 1.0 / self.rem
         self.log_lam = discount.log_value(T - times)
         step, phi = np.diff(times)[:, None], np.linspace(0.0, 1.0, 5)
-        u, weights = times[:-1, None] + step * phi, step / 12.0 * np.array([1, 4, 2, 4, 1])
+        u = times[:-1, None] + step * phi
+        weights = step / 12.0 * np.array([1, 4, 2, 4, 1]) / (T + 1.0 - u)
         self.half_step = np.append(step / 2.0, 0.0)
         # Rows of the integrals of ln lam, rem_u, S, M, S^2 (mean field) and E_w[nu^2 Q[pi]].
         self.rows = np.zeros((6, times.size))
-        self.rows[0, :-1] = (weights * discount.log_value(T - u)).sum(axis=1)
+        self.rows[0, :-1] = -np.diff(discount.log_integral(times, T))
         self.rows[1, :-1] = self.half_step[:-1] * (self.rem[:-1] + self.rem[1:])
-        weights /= T + 1.0 - u
         self.quad = np.array([np.tile(np.append(weights @ f, 0.0), len(mu))
                               for f in ((1.0 - phi)**2, 2.0 * phi * (1.0 - phi), phi**2)])
         vol, k = nu**2 + sigma**2, theta / delta
@@ -369,14 +373,6 @@ class _ReplyPlan:
         out /= self.rem
         return out
 
-    def q_error(self) -> float:
-        """Bound on the intercepts' error from the rule's integral of ln lam,
-        the only curved term of G along a closed form: max delta/own times
-        its largest gap to ``log_integral`` over [t, T], over T+1-t."""
-        exact = self.discount.log_integral(self.grid.times, self.grid.T)
-        gap = _right_integrals(self.rows[0]) - exact
-        return float(np.abs(self.q_own).max() * np.abs(gap / self.rem).max())
-
     def reply(self, pi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Best-reply investments and consumption intercepts of every row."""
         sbar = self._sbar(pi, self.sums[0] @ pi)
@@ -384,13 +380,6 @@ class _ReplyPlan:
         new_q = self.q_own * (self.h(pi) + self.log_lam)
         new_q += self.q_couple * self._competitor(q)
         return new_pi, new_q
-
-
-def _reply(discount: DiscountFunction, grid: TimeGrid, p, w, s: float,
-           pi: np.ndarray, q: np.ndarray, plan: _ReplyPlan | None = None):
-    """Best-reply ``(pi, q)`` of the rows of :class:`_ReplyPlan`; ``plan``, if
-    given, is that of ``(discount, grid, p, w, s)``."""
-    return (plan or _ReplyPlan(discount, grid, p, w, s)).reply(pi, q)
 
 
 def response_h(pop: Population, discount: DiscountFunction,
@@ -469,7 +458,7 @@ class _ClassSpace:
             if coarse is not None:
                 labels, blocks = types, coarse
         self.labels, rep, self.counts = _refine(labels, types)
-        self.discount, self.grid = discount, strategy.grid
+        self.grid = strategy.grid
         self.law = {k: v[rep] for k, v in pop._params.items()}, self.counts / n, 1.0 / n
         self.plan = _ReplyPlan(discount, self.grid, *self.law)
         theta = self.law[0]["theta"]
@@ -485,7 +474,7 @@ class _ClassSpace:
         return _restrict(self._blocks, self._src, self.counts)
 
     def reply(self, prof: _ClassProfile) -> _ClassProfile:
-        pi, q = _reply(self.discount, self.grid, *self.law, prof.pi, prof.q, self.plan)
+        pi, q = self.plan.reply(prof.pi, prof.q)
         off, diag, forcing = prof.off, prof.diag, self.forcing
         p_col = (self.counts @ off.reshape(off.shape[0], -1)).reshape(diag.shape)
         p_col -= np.einsum("aam->am", off)

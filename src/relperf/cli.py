@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import best_response as br
-from . import core, diagnostics, mfg, nagent, simulate
+from . import core, diagnostics, mfg, simulate
 from .core import AgentType, TimeGrid, TypeDistribution, ValidationError, _json_section
 from .discount import (DiscountFunction, HyperbolicDiscount, TabulatedDiscount,
                        discount_from_dict)
@@ -346,11 +346,8 @@ def _verify_checks(cfg: RunConfig):
         closed = br.GridStrategyN.from_equilibrium(eq, grid)
         reply = br.best_response_profile(pop, d, closed)
         gap = reply.sup_distance(closed)
-        # The reply's Simpson rule is exact along the closed form but for a
-        # curved ln lam, whose error it may add to the intercepts.
-        quad = br._ReplyPlan(d, grid, *nagent._nagent_law(pop)).q_error()
-        yield ("closed form is a best-response fixed point", gap <= 1e-8 + quad,
-               f"sup gap={gap:.3g}, tolerance 1e-8 + quadrature error {quad:.3g}")
+        yield ("closed form is a best-response fixed point", gap <= 1e-8,
+               f"sup gap={gap:.3g}, tolerance 1e-8")
         fg = max(diagnostics.check_fg(a, pop.n, grid).max() for a in pop.agents)
         yield ("value-function coefficient ODEs", fg < 1e-12, f"max residual={fg:.3g}")
         rng = np.random.default_rng(7)

@@ -165,31 +165,11 @@ class MeanFieldEquilibrium(_Equilibrium):
         return self._intercepts(self._core.A, self._core.B, t)
 
     def mean_wealth(self, grid: TimeGrid, x0: float) -> np.ndarray:
-        """Per-atom unconditional mean wealth on the grid, shape (K, m).
-
-        Consumption is affine in wealth with slope 1/rem, so the mean of each
-        atom's wealth follows m' = a mu rem - m/rem - q(t), that is
-        (m/rem)' = a mu - q/rem.  Since (1/rem)' = 1/rem^2 and
-        (L/rem)' = L/rem^2 - ln lam(T-t)/rem, the right side integrates
-        exactly:
-
-            m(t)/rem(t) = x0/rem(t0) + a mu (t - t0)
-                          - A [(1/rem(t) - 1/rem(t0)) - (t - t0)]
-                          - B [L(t)/rem(t) - L(t0)/rem(t0)].
-        """
+        """Per-atom unconditional mean wealth on the grid, shape (K, m), in
+        closed form (see ``_Equilibrium._mean_wealth``)."""
         if grid.T > self.horizon + 1e-12:
             raise ValidationError("grid extends past the equilibrium horizon")
-        times = grid.times
-        rem = self.horizon + 1.0 - times
-        elapsed = times - times[0]
-        inv = 1.0 / rem
-        lrem = self.discount.log_integral(times, self.horizon) / rem
-        a, b = self._core.A, self._core.B
-        drift = self.atom_coefficients * self.dist.field("mu")
-        scaled = (float(x0) * inv[0] + np.multiply.outer(drift, elapsed)
-                  - np.multiply.outer(a, inv - inv[0] - elapsed)
-                  - np.multiply.outer(b, lrem - lrem[0]))
-        return scaled * rem
+        return self._mean_wealth(float(x0), grid.t0, grid.times, self.dist.field("mu"))
 
     def average_consumption(self, grid: TimeGrid, x0: float) -> np.ndarray:
         """E[c(t, X_t)] on the grid for wealth started at ``x0`` at grid.t0."""

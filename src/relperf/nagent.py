@@ -235,6 +235,28 @@ class _Equilibrium:
         bracket, lrem, loglam = self._curves(t)
         return np.multiply.outer(a, bracket) + np.multiply.outer(b, lrem - loglam)
 
+    def _mean_wealth(self, x0, t0: float, t, mu):
+        """Closed-form mean wealth at times ``t`` of the core's rows (slopes
+        coef, intercept constants A, B) started at ``x0`` at ``t0``, with
+        drifts ``mu``; shape (rows, len(t)).  With consumption slope 1/rem,
+        (m/rem)' = coef mu - q/rem, and (1/rem)' = 1/rem^2, (L/rem)' = L/rem^2
+        - ln lam(T-t)/rem, so the mean, x0 at t = t0 exactly, is
+
+            m(t) = x0 rem(t)/rem(t0) + rem(t) [coef mu (t - t0)
+                   - A ((1/rem(t) - 1/rem(t0)) - (t - t0))
+                   - B (L(t)/rem(t) - L(t0)/rem(t0))].
+        """
+        ts = np.append(float(t0), t)  # t0 first: equal times give equal curves
+        rem = self.horizon + 1.0 - ts
+        elapsed, inv = ts - ts[0], 1.0 / rem
+        lrem = self.discount.log_integral(ts, self.horizon) / rem
+        core = self._core
+        bracket = (np.multiply.outer(core.coef * mu, elapsed)
+                   - np.multiply.outer(core.A, inv - inv[0] - elapsed)
+                   - np.multiply.outer(core.B, lrem - lrem[0]))
+        out = np.multiply.outer(x0, rem / rem[0]) + bracket * rem
+        return out[:, 1:]
+
 
 def _nagent_law(pop: Population):
     """(p, w, s) of n agents: weights w = 1/n and own share s = 1/n."""

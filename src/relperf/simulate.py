@@ -39,7 +39,7 @@ from ._util import thread_count
 from .core import TypeDistribution, ValidationError
 from .discount import DiscountFunction
 from .mfg import MeanFieldEquilibrium
-from .nagent import Population
+from .nagent import NAgentEquilibrium, Population
 
 __all__ = [
     "PathBundle",
@@ -62,7 +62,7 @@ __all__ = [
 # Exponent clamp keeping exp() inside double range; clamped samples counted.
 EXP_CLAMP = 700.0
 
-# Default bound on spike perturbations (the definition requires bounded v).
+# Bound on spike perturbations (the definition requires bounded v).
 V_BOUND = 10.0
 
 # Largest path bundle or set of moment coefficients, in bytes, allocated.
@@ -273,8 +273,12 @@ def gaussian_moments(pop: Population, strategy, t0: float, x0, times, horizon: f
     The mean and covariance solve m' = A(t) m + b(t) and
     P' = A P + P A' + D D' with A(t) = -C(t) (the (n, n) consumption slopes,
     expanded from the class form), b(t) = pi(t) mu - q(t), and D D' =
-    diag((pi nu)^2) + outer(pi sigma, pi sigma); integrated with classic RK4
-    on RK4_STEPS equal steps over [t0, horizon] and the query times.
+    diag((pi nu)^2) + outer(pi sigma, pi sigma).  Under the closed form (an
+    NAgentEquilibrium, pi = a (T+1-t)) Y = X/(T+1-t) is a Brownian motion
+    with drift: the mean is the equilibrium's, with the population's mu, and
+    Cov X(t) = (t - t0) (T+1-t)^2 K, K = outer(a sigma, a sigma) + diag((a
+    nu)^2).  Other profiles are integrated with classic RK4 on RK4_STEPS
+    equal steps over [t0, horizon] and the query times.
 
     Returns ``(means, covs)`` of shapes (len(times), n) and (len(times), n, n).
     """
@@ -282,6 +286,13 @@ def gaussian_moments(pop: Population, strategy, t0: float, x0, times, horizon: f
     p = pop._params
     x0 = _x0_vector(x0, n)
     query = _check_times(times, t0, horizon)
+    if isinstance(strategy, NAgentEquilibrium):
+        coef = strategy.pi_coefficients
+        means = strategy._mean_wealth(x0, t0, query, p["mu"])
+        a_sig, a_nu = coef * p["sigma"], coef * p["nu"]
+        K = np.multiply.outer(a_sig, a_sig) + np.diag(a_nu**2)
+        scale = (query - t0) * (strategy.horizon + 1.0 - query) ** 2
+        return means.T, np.multiply.outer(scale, K)
     nodes = np.union1d(np.linspace(t0, horizon, RK4_STEPS + 1), query)
     # A, and dd with the two products that build it, are (rows, n, n) each.
     if (size := 24 * (2 * nodes.size - 1) * n * n) > MAX_BUNDLE_BYTES:
@@ -505,9 +516,9 @@ class SpikeReport:
         }
 
 
-def _check_spike_args(v, eps_list, time, horizon, v_bound):
-    if abs(v[0]) > v_bound or abs(v[1]) > v_bound:
-        raise ValidationError(f"|v| components must be <= {v_bound}")
+def _check_spike_args(v, eps_list, time, horizon):
+    if abs(v[0]) > V_BOUND or abs(v[1]) > V_BOUND:
+        raise ValidationError(f"|v| components must be <= {V_BOUND}")
     eps = list(eps_list)
     if not eps or any(e <= 0 for e in eps):
         raise ValidationError("eps_list must contain positive values")
@@ -515,11 +526,10 @@ def _check_spike_args(v, eps_list, time, horizon, v_bound):
         raise ValidationError("eps values must not exceed horizon - t")
 
 
-def _price_spikes(sim: _PayoffSim, agent: int, time: float, vs, eps_list,
-                  slope_tol: float | None):
+def _price_spikes(sim: _PayoffSim, agent: int, time: float, vs, eps_list):
     """Base payoff, slope tolerance and one SpikeResult per (v, eps) of agent."""
     base = _mean_se(sim.payoff_paths(agent))[0]
-    tol = slope_tol if slope_tol is not None else 1e-2 * abs(base)
+    tol = 1e-2 * abs(base)
     rows = []
     for v in vs:
         for e, eps in enumerate(eps_list):
@@ -532,19 +542,17 @@ def _price_spikes(sim: _PayoffSim, agent: int, time: float, vs, eps_list,
 
 def spike_test(pop: Population, discount: DiscountFunction, strategy,
                agent: int, time: float, v: tuple[float, float],
-               eps_list: Sequence[float], cfg: SimConfig, x0, horizon: float,
-               slope_tol: float | None = None,
-               v_bound: float = V_BOUND) -> SpikeReport:
+               eps_list: Sequence[float], cfg: SimConfig, x0, horizon: float) -> SpikeReport:
     """First-order optimality check of one spike direction at one time.
 
     For each eps the slope [J(perturbed) - J(base)] / eps is estimated with
     common random numbers; the spike passes when no slope is statistically
-    positive (above 3 standard errors plus an absolute tolerance, default
-    1e-2 of the base payoff magnitude).
+    positive (above 3 standard errors plus an absolute tolerance of 1e-2 of
+    the base payoff magnitude).  Components of v above V_BOUND are refused.
     """
-    _check_spike_args(v, eps_list, time, horizon, v_bound)
+    _check_spike_args(v, eps_list, time, horizon)
     sim = _PayoffSim(pop, discount, strategy, time, x0, horizon, cfg, [agent], eps_list)
-    base, tol, rows = _price_spikes(sim, agent, time, [v], eps_list, slope_tol)
+    base, tol, rows = _price_spikes(sim, agent, time, [v], eps_list)
     return SpikeReport(rows, not any(r.significant_gain for r in rows), base, tol,
                        sim.n_clamped)
 
@@ -576,9 +584,7 @@ class SpikeGridReport:
 def spike_grid(pop: Population, discount: DiscountFunction, strategy,
                times: Sequence[float], vs: Sequence[tuple[float, float]],
                eps_list: Sequence[float], cfg: SimConfig, x0, horizon: float,
-               agents: Sequence[int] | None = None,
-               slope_tol: float | None = None,
-               v_bound: float = V_BOUND) -> SpikeGridReport:
+               agents: Sequence[int] | None = None) -> SpikeGridReport:
     """Spike tests over a grid of times, agents, and directions.
 
     One base simulation per time prices every (agent, v, eps) combination by
@@ -588,7 +594,7 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
     """
     agents = list(range(pop.n)) if agents is None else list(agents)
     for v in vs:
-        _check_spike_args(v, eps_list, max(times), horizon, v_bound)
+        _check_spike_args(v, eps_list, max(times), horizon)
     children = np.random.SeedSequence(cfg.seed).spawn(len(times))
 
     def run_time(idx: int) -> tuple[list[SpikeResult], dict[int, float], int]:
@@ -597,7 +603,7 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
                          eps_list, seed_seq=children[idx])
         rows, base = [], {}
         for a in agents:
-            base[a], _, agent_rows = _price_spikes(sim, a, t, vs, eps_list, slope_tol)
+            base[a], _, agent_rows = _price_spikes(sim, a, t, vs, eps_list)
             rows.extend(agent_rows)
         return rows, base, sim.n_clamped
 
@@ -653,13 +659,16 @@ def meanfield_consistency(dist: TypeDistribution, discount: DiscountFunction,
 
     Simulates ``m_agents`` agents with i.i.d. types from ``dist`` sharing one
     common-noise path, each playing the mean-field equilibrium strategy of
-    her type, and compares the cross-sectional mean wealth against the
+    their type, and compares the cross-sectional mean wealth against the
     aggregate wealth SDE driven by the same common-noise realization.  The
     gap should scale like the cross-sectional standard error, i.e.
-    O(m_agents^{-1/2}).
+    O(m_agents^{-1/2}).  Of ``cfg`` only ``dt`` and ``seed`` are used, and
+    ``n_paths`` must be 1 (so antithetic sampling is refused too).
     """
     if m_agents < 100:
         raise ValidationError("meanfield_consistency needs m_agents >= 100")
+    if cfg.n_paths != 1:
+        raise ValidationError("meanfield_consistency simulates one path: it needs n_paths = 1")
     eq = MeanFieldEquilibrium(dist, discount, horizon)
     core = eq._core
     times, dt, steps = _euler_times(t0, horizon, cfg.dt)

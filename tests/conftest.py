@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from relperf import AgentType, GridStrategyN, Population, TypeDistribution
-from relperf.best_response import _reply
+from relperf.best_response import _ReplyPlan
 from relperf.nagent import _nagent_law
 
 
@@ -91,7 +91,7 @@ def dense_profile(pop, d, strategy):
     grid, n = strategy.grid, pop.n
     theta = pop.field("theta")
     rem = grid.T + 1.0 - grid.times
-    pi, q = _reply(d, grid, *_nagent_law(pop), strategy.pi, strategy.q)
+    pi, q = _ReplyPlan(d, grid, *_nagent_law(pop)).reply(strategy.pi, strategy.q)
     scale = (theta / (1.0 - theta / n) / n)[:, None]
     p_tot = strategy.p.sum(axis=0)
     p = np.subtract((p_tot - 1.0 / rem)[None], strategy.p)

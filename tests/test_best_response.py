@@ -29,7 +29,6 @@ from relperf import (
     response_h,
 )
 from relperf import best_response as br
-from relperf.best_response import _reply
 from relperf.mfg import _mfg_law
 
 T = 2.0
@@ -99,7 +98,8 @@ def test_response_h_matches_direct_quadrature_at_equilibrium(rng):
 def points_h(d, grid, p, w, s, pi):
     """The reply intercept h by Simpson's rule on the linearly interpolated
     investments, with G evaluated on (K, 5(m-1)) arrays at every point of
-    the rule: the form of the reply before it worked on node values."""
+    the rule: the form of the reply before it worked on node values.  The
+    ln lam term is integrated exactly, by ``log_integral``."""
     times, T = grid.times, grid.T
     delta, theta, mu, nu, sigma = (p[k][:, None] for k in ("delta", "theta", "mu", "nu",
                                                            "sigma"))
@@ -115,11 +115,11 @@ def points_h(d, grid, p, w, s, pi):
     rem_u = T + 1.0 - u
     g = (theta / delta) / rem_u
     sbar = competitor(sigma * pi_u)
-    G = (-d.log_value(T - u) / rem_u
-         - 0.5 * (mu + sigma * g * sbar) ** 2 / (nu**2 + sigma**2)
+    G = (-0.5 * (mu + sigma * g * sbar) ** 2 / (nu**2 + sigma**2)
          + g * competitor(mu * pi_u)
          + 0.5 * g**2 * (sbar**2 + s * competitor((nu * pi_u) ** 2)))
     seg = np.diff(times) / 12.0 * ((rem_u * G).reshape((-1,) + pts.shape) @ [1, 4, 2, 4, 1])
+    seg += np.diff(d.log_integral(times, T))  # minus the integral of ln lam
     h = np.zeros(pi.shape)
     h[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
     return h / (T + 1.0 - times)
@@ -247,7 +247,8 @@ def reference_profile(pop, d, strategy):
     rem = T + 1.0 - times
     own = 1.0 - theta / n
 
-    # h_i(t) by two Simpson panels per interval on interpolated investments
+    # h_i(t) by two Simpson panels per interval on interpolated investments,
+    # the ln lam term by log_integral
     offs = np.linspace(0.0, 1.0, 5)
     pts = times[:-1, None] + np.diff(times)[:, None] * offs[None, :]
     wq = np.array([1.0, 4.0, 2.0, 4.0, 1.0])
@@ -261,10 +262,10 @@ def reference_profile(pop, d, strategy):
         mbar = sum(mu[k] * pi_s[k] for k in others) / n
         vbar = sum((nu[k] * pi_s[k]) ** 2 for k in others) / n**2
         g = (theta[i] / delta[i]) / rem_s
-        G = (-d.log_value(T - s) / rem_s
-             - 0.5 * (mu[i] + sigma[i] * g * sbar) ** 2 / (nu[i]**2 + sigma[i]**2)
+        G = (-0.5 * (mu[i] + sigma[i] * g * sbar) ** 2 / (nu[i]**2 + sigma[i]**2)
              + g * mbar + 0.5 * g**2 * (sbar**2 + vbar))
         seg = np.diff(times) / 12.0 * ((rem_s * G).reshape(pts.shape) @ wq)
+        seg -= d.log_integral(times[:-1], T) - d.log_integral(times[1:], T)
         h[i] = np.append(np.cumsum(seg[::-1])[::-1], 0.0) / rem
 
     pi = np.empty((n, m))
@@ -489,7 +490,9 @@ def test_sweep_to_non_finite_profile_is_rejected(rng, monkeypatch):
     # column sums of 1e307 overflow in the first sweep, on the type classes
     # and with one class per agent; the iteration stops there
     sweeps = []
-    monkeypatch.setattr(br, "_reply", lambda *args: sweeps.append(1) or _reply(*args))
+    reply = br._ReplyPlan.reply
+    monkeypatch.setattr(br._ReplyPlan, "reply",
+                        lambda plan, *args: sweeps.append(1) or reply(plan, *args))
     pop = shuffled_classes(rng)
     for shift in (0.0, 1.0):
         huge = GridStrategyN.zeros(SMALL, pop.n)

@@ -116,7 +116,8 @@ def test_simulate_moment_summary(two_agent_cfg, tmp_path):
 
 
 def test_simulate_refuses_oversized_moments(tmp_path, capsys):
-    # 256 agents: the exact moments' (n, n) coefficients would take 6.3 GB
+    # 256 agents: RK4 coefficients would take 6.3 GB, but the closed form's
+    # exact law needs no coefficients, so the moments are not refused
     agent = TWO_AGENT_SINGLE_STOCK["population"]["agents"][0]
     cfg = tmp_path / "many.json"
     cfg.write_text(json.dumps(TWO_AGENT_SINGLE_STOCK | {
@@ -125,10 +126,12 @@ def test_simulate_refuses_oversized_moments(tmp_path, capsys):
     summary = tmp_path / "s.json"
     assert main(["--deterministic", "simulate", "--config", str(cfg),
                  "--out-paths", str(tmp_path / "p.csv"),
-                 "--out-summary", str(summary)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: the moment coefficients of 256 agents would take")
-    assert "Traceback" not in err and not summary.exists()
+                 "--out-summary", str(summary)]) == 0
+    assert capsys.readouterr().err == ""
+    checkpoints = json.loads(summary.read_text())["checkpoints"]
+    assert len(checkpoints) == 5  # the 11 checkpoints snap to the Euler nodes
+    assert checkpoints[0]["max_mean_gap_over_se"] == 0.0
+    assert all(np.isfinite(c["max_mean_gap_over_se"]) for c in checkpoints)
 
 
 def test_spike_test_zero_direction(two_agent_cfg, tmp_path):
@@ -218,8 +221,7 @@ def test_verify_runs_mfg_checks(mfg_cfg, capsys):
 VERIFY_DISCOUNTS = {
     "exponential": {"variant": "exponential", "rho": 0.1},
     "hyperbolic": {"variant": "hyperbolic", "rho": 0.3, "beta": 2.0},
-    # knots off the quadrature's panel edges, before and after mid; on the
-    # nodes of a 201-point grid, where the best reply integrates ln lam exactly
+    # knots off the quadrature's panel edges, before and after mid
     "tabulated": {"variant": "tabulated", "times": [0.0, 0.37, 1.13, 1.71, 2.5],
                   "values": [1.0, 0.93, 0.71, 0.69, 0.5]},
 }
@@ -246,9 +248,11 @@ def test_verify_checks_log_integral_by_quadrature(base, family, tmp_path, monkey
     assert "FAIL  discount log-integral" in capsys.readouterr().out
 
 
-# Valid configs whose ln lam the best reply's Simpson rule integrates with
-# an error above 1e-8: the property tests' base config with its hyperbolic
-# discount on 6 nodes, and tabulated knots off the nodes of a 40-point grid.
+# Valid configs whose curved ln lam a Simpson rule would integrate with an
+# error above 1e-8 (1.1e-7 and 2.5e-6 in the intercepts): the property tests'
+# base config with its hyperbolic discount on 6 nodes, and tabulated knots
+# off the nodes of a 40-point grid.  The best reply integrates ln lam by
+# log_integral, so along the closed form it has no quadrature error.
 AGENT = {"delta": 1.0, "theta": 0.5, "mu": 1.0, "nu": 0.5, "sigma": 1.0}
 CURVED_LOG_LAMBDA = {
     "hyperbolic-6": dict(TWO_AGENT_SINGLE_STOCK,
@@ -262,19 +266,31 @@ FIXED_POINT = "closed form is a best-response fixed point"
 
 @pytest.mark.parametrize("name", sorted(CURVED_LOG_LAMBDA))
 def test_verify_allows_the_replys_quadrature_error(name, tmp_path, capsys):
+    # the reply has none along the closed form: a plain 1e-8 tolerance, met
+    # to rounding
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(CURVED_LOG_LAMBDA[name]))
     assert main(["verify", "--config", str(path)]) == 0
-    found = re.search(rf"PASS  {FIXED_POINT} \(sup gap=(\S+), "
-                      r"tolerance 1e-8 \+ quadrature error (\S+)\)", capsys.readouterr().out)
-    gap, quad = map(float, found.groups())
-    assert 1e-8 < gap <= 1e-8 + quad
+    out = capsys.readouterr().out
+    found = re.search(rf"PASS  {FIXED_POINT} \(sup gap=(\S+), tolerance 1e-8\)\n", out)
+    assert float(found.group(1)) <= 1e-12
+    assert "quadrature error" not in out
+
+
+@pytest.mark.parametrize("name", sorted(CURVED_LOG_LAMBDA))
+def test_picard_from_zeros_lands_on_the_closed_form(name, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CURVED_LOG_LAMBDA[name]))
+    out = tmp_path / "iteration.json"
+    assert main(["--deterministic", "best-response", "--config", str(path),
+                 "--out-json", str(out), "--out-csv", str(tmp_path / "s.csv")]) == 0
+    report = json.loads(out.read_text())
+    assert report["converged"] and report["gap_to_closed_form"] <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["exponential", "hyperbolic-6"])
 def test_verify_fails_a_shifted_closed_form(name, tmp_path, monkeypatch, capsys):
-    # intercepts 1e-6 off move the reply by more than the quadrature error
-    # (about 1e-7 on the hyperbolic grid, none for an exponential discount)
+    # intercepts 1e-6 off move the reply by more than the 1e-8 tolerance
     cfg = CURVED_LOG_LAMBDA.get(name, TWO_AGENT_SINGLE_STOCK)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -17,6 +17,7 @@ from relperf import (
     Population,
     SimConfig,
     SpikeSpec,
+    TabulatedDiscount,
     TimeGrid,
     TypeDistribution,
     ValidationError,
@@ -35,6 +36,7 @@ T = 2.0
 GRID = TimeGrid(0.0, T, 100)
 EXP = ExponentialDiscount(0.1)
 HYP = HyperbolicDiscount(0.1, 1.0)
+TAB = TabulatedDiscount([0.0, 0.37, 1.13, 1.71, 2.5], [1.0, 0.93, 0.71, 0.69, 0.5])
 
 PAIR = Population([AgentType(1.0, 0.0, 1.0, 0.0, 1.0)] * 2)
 HET2 = Population([AgentType(1.0, 0.5, 1.0, 1.0, 1.0),
@@ -541,6 +543,14 @@ def test_meanfield_consistency_needs_enough_agents():
         meanfield_consistency(dist, HYP, 50, SimConfig(1, 0.01, 3), 0.0, 10.0, T)
 
 
+def test_meanfield_consistency_refuses_more_than_one_path():
+    # it simulates one common-noise path, so n_paths and antithetic would be ignored
+    dist = TypeDistribution([(AgentType(1.0, 0.4, 1.0, 0.0, 1.0), 1.0)])
+    for cfg in (SimConfig(2, 0.01, 3), SimConfig(2, 0.01, 3, antithetic=True)):
+        with pytest.raises(ValidationError, match="it needs n_paths = 1"):
+            meanfield_consistency(dist, HYP, 200, cfg, 0.0, 10.0, T)
+
+
 # ---------------------------------------------------------------------------
 # The two Monte Carlo oracles against their earlier loops
 
@@ -606,15 +616,11 @@ def reference_gaussian_moments(pop, strategy, t0, x0, times, horizon, n_steps=20
     return means, covs
 
 
+# Sampled profiles, which gaussian_moments integrates by RK4.
 MOMENT_CASES = {
-    "closed_form": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T), 10.0,
-                    np.linspace(0.0, T, 5)),
     "cross_coupled": (TRIO, cross_coupled_strategy, [1.0, -2.0, 0.5],
                       [0.0, 0.35, 1.1, T]),
     "zeros": (PAIR, lambda: GridStrategyN.zeros(GRID, 2), 5.0, [0.5, 2.0]),
-    # off the RK4 nodes, unsorted and repeated, and ending before the horizon
-    "unsorted": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T), [3.0, -1.0],
-                 [1.3, 0.0, 0.7, 1.3, 1e-4 / 3.0, 0.7, 1.0 / 3.0]),
     "unsorted_cross": (TRIO, cross_coupled_strategy, 2.0, [T, 1.0 / 7.0, T, 0.0]),
     "two_classes": (MIXED64, two_class_strategy, ref_x0(64), [0.0, 0.35, 1.1, T]),
 }
@@ -634,6 +640,31 @@ def test_gaussian_moments_match_reference_loop(case, monkeypatch):
     assert means.shape == (len(query), pop.n) and covs.shape == (len(query), pop.n, pop.n)
     assert np.array_equal(means, ref_means)
     assert np.array_equal(covs, ref_covs)
+
+
+# Queries for the closed form; "unsorted" is off the RK4 nodes, unsorted and
+# repeated, and ends before the horizon.
+EXACT_LAW_CASES = {
+    "closed_form": (10.0, np.linspace(0.0, T, 5)),
+    "unsorted": ([3.0, -1.0], [1.3, 0.0, 0.7, 1.3, 1e-4 / 3.0, 0.7, 1.0 / 3.0]),
+}
+
+
+@pytest.mark.parametrize("discount", [HYP, TAB], ids=["hyperbolic", "tabulated"])
+@pytest.mark.parametrize("case", sorted(EXACT_LAW_CASES))
+def test_gaussian_moments_of_the_closed_form_are_exact(case, discount):
+    # the exact law against the reference RK4 loop, and x0 with a zero
+    # covariance at t0, exactly
+    x0, query = EXACT_LAW_CASES[case]
+    eq = NAgentEquilibrium(HET2, discount, T)
+    means, covs = gaussian_moments(HET2, eq, 0.0, x0, query, T)
+    ref_means, ref_covs = reference_gaussian_moments(HET2, eq, 0.0, x0, query, T)
+    assert means.shape == ref_means.shape and covs.shape == ref_covs.shape
+    assert np.abs(means - ref_means).max() <= 1e-13 * np.abs(ref_means).max()
+    assert np.abs(covs - ref_covs).max() <= 1e-13 * np.abs(ref_covs).max()
+    at_t0 = np.asarray(query) == 0.0
+    assert np.array_equal(means[at_t0], np.broadcast_to(x0, (at_t0.sum(), 2)))
+    assert not covs[at_t0].any()
 
 
 def reference_meanfield_consistency(dist, discount, m_agents, cfg, t0, x0, horizon,
@@ -853,18 +884,25 @@ def test_simulate_paths_keeps_one_full_width_state():
 
 
 def test_gaussian_moments_refuses_oversized_coefficients():
-    # 256 agents over 2000 RK4 steps: three (4001, 256, 256) arrays (6.3 GB),
-    # refused before anything large is allocated
+    # 256 agents over 2000 RK4 steps: three (4001, 256, 256) arrays (6.3 GB)
+    # for a sampled profile, refused before anything large is allocated; the
+    # closed form's exact law allocates little beyond its 5.8 MB output
     pop = Population([HET2.agents[k % 2] for k in range(256)])
     eq = NAgentEquilibrium(pop, HYP, T)
+    sampled = GridStrategyN.from_equilibrium(eq, GRID)
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match=r"of 256 agents would take 5.86 GiB"):
-            gaussian_moments(pop, eq, 0.0, 1.0, [T], T)
+            gaussian_moments(pop, sampled, 0.0, 1.0, [T], T)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+    (means, covs), peak = traced_peak(gaussian_moments, pop, eq, 0.0, 1.0,
+                                      np.linspace(0.0, T, 11), T)
+    assert means.shape == (11, 256) and covs.shape == (11, 256, 256)
+    assert np.all(np.isfinite(means)) and np.all(np.isfinite(covs))
+    assert peak < 10e6
 
 
 def test_spike_grid_does_not_depend_on_the_pool(monkeypatch):
