@@ -42,9 +42,11 @@ class IterationReport:
     converged: bool = False
     # Rows iterated: type classes (n agents) or atoms (mean field).
     classes: int = 0
-    # How the n-agent consumption slopes were iterated: "coefficients" of
-    # 1/(T+1-t), one per class pair, or on the "grid" (always the mean field).
+    # How the consumption slopes were iterated: "coefficients" of 1/(T+1-t),
+    # or on the "grid"; and likewise (pi, q), as coefficients of T+1-t and of
+    # the two intercept functions (f1, f2) of _ReplyPlan.
     slope_form: str = "grid"
+    pi_q_form: str = "grid"
 
     @property
     def contraction(self) -> float:
@@ -84,7 +86,9 @@ def _refine(*labelings):
 
 
 class _ClassProfile(NamedTuple):
-    """n-agent profile on K classes of exchangeable agents."""
+    """n-agent profile on K classes of exchangeable agents; for the mean
+    field, on K atoms, with the shared own slope p1 (m,) in ``diag`` and the
+    slopes p2 (K, m) on the average wealth in ``off``."""
 
     pi: np.ndarray    # (K, m) investment of each agent of class a
     q: np.ndarray     # (K, m) its consumption intercept
@@ -190,8 +194,9 @@ class GridStrategyN:
         q = np.asarray(eq.intercepts_at(times))[rep]
         _check_finite(pi, q)
         diag = np.tile(1.0 / (eq.horizon + 1.0 - times), (rep.size, 1))
+        # No cross slopes: a read-only view, which every reader indexes.
         return cls._of_classes(grid, labels, _ClassProfile(
-            pi, q, diag, np.zeros((rep.size, rep.size, times.size))))
+            pi, q, diag, np.broadcast_to(0.0, (rep.size, rep.size, times.size))))
 
     def pi_at(self, times) -> np.ndarray:
         """(len(times), n) investments by linear interpolation."""
@@ -214,9 +219,16 @@ class GridStrategyN:
 
     def sup_distance(self, other: "GridStrategyN") -> float:
         """max |self - other| over pi, p and q, taken on the common refinement
-        of the two profiles' classes: the same values as the dense arrays."""
+        of the two profiles' classes: the same values as the dense arrays.
+        The blocks are copied only if that relabels them or a one-agent
+        class's off[a, a] differs and is not diag[a] in both."""
         (la, a), (lb, b) = self.classes(), other.classes()
         _, rep, counts = _refine(la, lb)
+        one, ident = counts < 2, np.arange(counts.size)
+        if np.array_equal(la[rep], ident) and np.array_equal(lb[rep], ident):
+            da, db = (np.einsum("aam->am", x.off)[one] for x in (a, b))
+            if np.all((da == db) | ((da == a.diag[one]) & (db == b.diag[one]))):
+                return _sup_gap(zip(a, b))
         return _sup_gap(zip(_restrict(a, la[rep], counts), _restrict(b, lb[rep], counts)))
 
     def max_cross_coefficient(self) -> float:
@@ -296,6 +308,15 @@ class _ReplyPlan:
     s mu pi, so every term but those in a row's own investment is one
     (K, 6) @ (6, m) product.  An interval's integral is kept at its left
     node, with 0 at the last node.
+
+    These rules are exact along pi = c rem, where sbar, mbar and vbar are sb
+    rem, mb rem and vb rem^2 (sb = E_w[sigma c] - s sigma c, and so on).  Then
+    rem_u G = -ln lam(T-u) + g rem_u, g = -mu^2/(2 vol) + alpha sb + k mb +
+    beta sb^2 + gamma vb, and h + ln lam = g f1 + f2, with f1 = R/rem, f2 =
+    ln lam(T-t) - Lam/rem, and R, Lam the right-integrals of rows 1 and 0.
+    So c rem and q = a f1 + b f2 map to c' = (delta mu + theta sigma sb) /
+    (vol own) and (a', b') = -(delta/own) (g, 1) + (theta/own) (E_w[.] - s .):
+    :meth:`reply` on (K, 1) and (K, 2) coefficients.
     """
 
     def __init__(self, discount: DiscountFunction, grid: TimeGrid, p, w, s: float):
@@ -315,16 +336,21 @@ class _ReplyPlan:
         self.rows[1, :-1] = self.half_step[:-1] * (self.rem[:-1] + self.rem[1:])
         self.quad = np.array([np.tile(np.append(weights @ f, 0.0), len(mu))
                               for f in ((1.0 - phi)**2, 2.0 * phi * (1.0 - phi), phi**2)])
+        # The intercept functions f1 and f2 of the coefficient form.
+        self.f = np.stack([_right_integrals(self.rows[1]),
+                           -_right_integrals(self.rows[0])]) / self.rem
+        self.f[1] += self.log_lam
         vol, k = nu**2 + sigma**2, theta / delta
         alpha, beta, gamma = -mu * sigma * k / vol, k**2 * nu**2 / (2.0 * vol), k**2 * s / 2.0
         self.coef = np.hstack([-np.ones_like(mu), -mu**2 / (2.0 * vol), alpha, k, beta, gamma])
         self.sums, self.minus_s_sigma = np.stack([w * sigma[:, 0], w * mu[:, 0]]), -s * sigma
+        self.mu, self.nu2 = mu, nu**2
         if s:  # full (K, m) factors of the terms in a row's own investment
             self.w_nu2, full = w * nu[:, 0]**2, np.ones_like(self.rem)
             self.beta, self.own_q = beta * full, -s * gamma * nu**2 * full
             self.own_lin = _pairs(-s * (alpha * sigma + k * mu) * self.half_step)[0]
         own = 1.0 - theta * s
-        self.pi_drift, self.vol_own = delta * mu * self.rem, vol * own
+        self.pi_drift, self.vol_own = delta * mu, vol * own  # forced by rem, or 1
         self.pi_couple = theta * sigma
         self.q_own, self.q_couple = -(delta / own), theta / own
 
@@ -373,11 +399,25 @@ class _ReplyPlan:
         out /= self.rem
         return out
 
-    def reply(self, pi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Best-reply investments and consumption intercepts of every row."""
+    def _h_coefficients(self, c: np.ndarray, sb: np.ndarray) -> np.ndarray:
+        """(g, 1): h + ln lam = g f1 + f2 along the investments c rem."""
+        drift, alpha, k, beta, gamma = self.coef.T[1:, :, None]
+        g = alpha * sb
+        g += drift
+        g += k * self._competitor(self.mu * c)
+        g += beta * sb**2
+        g += gamma * self._competitor(self.nu2 * c**2)
+        return np.concatenate([g, np.ones_like(g)], axis=1)
+
+    def reply(self, pi: np.ndarray, q: np.ndarray,
+              coefficients: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Best-reply investments and consumption intercepts of every row,
+        on the grid or as coefficients."""
         sbar = self._sbar(pi, self.sums[0] @ pi)
-        new_pi = (self.pi_drift + self.pi_couple * sbar) / self.vol_own
-        new_q = self.q_own * (self.h(pi) + self.log_lam)
+        new_pi = (self.pi_drift * (1.0 if coefficients else self.rem)
+                  + self.pi_couple * sbar) / self.vol_own
+        new_q = self.q_own * (self._h_coefficients(pi, sbar) if coefficients
+                              else self.h(pi) + self.log_lam)
         new_q += self.q_couple * self._competitor(q)
         return new_pi, new_q
 
@@ -409,20 +449,78 @@ def _on_types(blocks: _ClassProfile, types: np.ndarray) -> _ClassProfile | None:
     return coarse
 
 
-def _on_inv_rem(blocks: _ClassProfile, inv_rem: np.ndarray) -> _ClassProfile | None:
-    """``blocks`` with its slopes as coefficients c of 1/(T+1-t) on a time
-    axis of length 1, or None if c * inv_rem does not give them back exactly.
-    c is read at the last node, where 1/(T+1-t) is 1, and the check compares
-    a row of slopes at a time, so it makes no (K, K, m) copy."""
-    diag, off = (x[..., -1:] / inv_rem[-1] for x in (blocks.diag, blocks.off))
-    if not np.array_equal(diag * inv_rem, blocks.diag):
-        return None
-    if not all(np.array_equal(c * inv_rem, row) for c, row in zip(off, blocks.off)):
-        return None
-    return blocks._replace(diag=diag, off=off)
+def _expand(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Rows with coefficients c on one function (m,) or on two (2, m)."""
+    return c * basis if basis.ndim == 1 else c @ basis
 
 
-class _ClassSpace:
+def _fit(fields, bases) -> list | None:
+    """Coefficients that :func:`_expand` takes back to each field bit for
+    bit, or None: on one function read at the last node and checked a row
+    block at a time (no copy of the field), on two by least squares."""
+    coefs = []
+    for x, basis in zip(fields, bases):
+        if basis.ndim == 1:
+            c = x[..., -1:] / basis[-1]
+            pairs = zip(np.atleast_2d(c), np.atleast_2d(x))
+        elif np.all(np.isfinite(x)):
+            c = np.linalg.lstsq(basis.T, x.T, rcond=None)[0].T
+            pairs = [(c, x)]
+        else:
+            return None
+        if not all(np.array_equal(_expand(a, basis), b) for a, b in pairs):
+            return None
+        coefs.append(c)
+    return coefs
+
+
+class _Space:
+    """What the two games' reply maps share: one law's :class:`_ReplyPlan`,
+    and rows held on the grid or as coefficients.
+
+    (pi, q) = (c rem, a f1 + b f2) replies in that family (see the plan), and
+    slopes c/rem reply as c'/rem: both games' slope maps are linear, node by
+    node and forced by 1/rem alone (by 1 on coefficients).  The two pairs
+    never read each other, so each runs on coefficients if the start's rows
+    come back from them bit for bit (zeros do), else on the grid as always.
+    The gap is the grid's sup: max|c' - c| max(b) on one positive function
+    b, one (K, 2) @ (2, m) evaluation for q.  :meth:`expand` ends the run."""
+
+    def __init__(self, plan: _ReplyPlan, blocks: _ClassProfile, fit: bool):
+        self.plan = plan
+        bases = (plan.rem, plan.f), (plan.inv_rem, plan.inv_rem)
+        pi_q, slopes = (fit and _fit(fields, b)
+                        for fields, b in zip((blocks[:2], blocks[2:]), bases))
+        self.pi_q_form, self.slope_form = ("coefficients" if c else "grid"
+                                           for c in (pi_q, slopes))
+        self.bases = [*(bases[0] if pi_q else (None, None)),
+                      *(bases[1] if slopes else (None, None))]
+        self.scales = [None if b is None else b.max() for b in self.bases]
+        self.forcing = np.ones(1) if slopes else plan.inv_rem
+        self._blocks = _ClassProfile(*(pi_q or blocks[:2]), *(slopes or blocks[2:]))
+
+    def gap(self, new: _ClassProfile, old: _ClassProfile) -> float:
+        """The sweep's sup-norm change on the grid; raises if not finite."""
+        gaps = []
+        for a, b, basis, scale in zip(new, old, self.bases, self.scales):
+            if basis is None:
+                gaps.append(_sup_gap([(a, b)]))
+            elif basis.ndim == 2:
+                d = np.subtract(a, b) @ basis
+                gaps.append(np.abs(d, out=d).max())
+            else:
+                gaps.append(np.abs(a - b).max() * scale)
+        gap = float(np.max(gaps))
+        if not np.isfinite(gap):
+            raise ValidationError("strategy samples must be finite")
+        return gap
+
+    def expand(self, blocks: _ClassProfile) -> _ClassProfile:
+        return _ClassProfile(*(x if basis is None else _expand(x, basis)
+                               for x, basis in zip(blocks, self.bases)))
+
+
+class _ClassSpace(_Space):
     """The n-agent best-reply map on classes of exchangeable agents.
 
     The classes are the common refinement of the profile's classes and the
@@ -437,17 +535,10 @@ class _ClassSpace:
         off'[a, b] = scale_a (P_b - off[a, b] - 1/rem),
         diag'[a]   = scale_a (P_a - diag[a]) + 1/rem.
 
-    This map is linear, acts node by node and is forced by 1/rem alone, and
-    the slopes and (pi, q) do not read each other.  So slopes c 1/rem map to
-    c' 1/rem, with c' the same map forced by 1: a start whose slopes are
-    exactly c 1/rem (zeros, the closed form) is iterated on the (K, K, 1)
-    coefficients, which are expanded once, by :meth:`profile`.  A sweep
-    moves the slopes by max(1/rem) max|c' - c| in sup norm, as 1/rem > 0,
-    and max(1/rem) is 1, at t = T: so the coefficients' change stands for
-    theirs.  Any other start is iterated on the grid."""
+    From zeros a sweep costs (K, K) coefficients and the (K, m) gap of q."""
 
     def __init__(self, pop: Population, discount: DiscountFunction,
-                 strategy: GridStrategyN):
+                 strategy: GridStrategyN, fit: bool = True):
         if strategy.n_agents != pop.n:
             raise ValidationError("strategy and population sizes differ")
         n = pop.n
@@ -458,23 +549,19 @@ class _ClassSpace:
             if coarse is not None:
                 labels, blocks = types, coarse
         self.labels, rep, self.counts = _refine(labels, types)
-        self.grid = strategy.grid
+        self.grid, self._src = strategy.grid, labels[rep]
         self.law = {k: v[rep] for k, v in pop._params.items()}, self.counts / n, 1.0 / n
-        self.plan = _ReplyPlan(discount, self.grid, *self.law)
         theta = self.law[0]["theta"]
         self.scale = (theta / (1.0 - theta / n) / n)[:, None]
         self.shared = (self.counts > 1)[:, None]
-        coef = _on_inv_rem(blocks, self.plan.inv_rem)
-        self.slope_form = "grid" if coef is None else "coefficients"
-        self.forcing = self.plan.inv_rem if coef is None else 1.0
-        self._blocks, self._src = blocks if coef is None else coef, labels[rep]
+        super().__init__(_ReplyPlan(discount, self.grid, *self.law), blocks, fit)
 
     def start(self) -> _ClassProfile:
         """The profile on the classes."""
         return _restrict(self._blocks, self._src, self.counts)
 
     def reply(self, prof: _ClassProfile) -> _ClassProfile:
-        pi, q = self.plan.reply(prof.pi, prof.q)
+        pi, q = self.plan.reply(prof.pi, prof.q, self.pi_q_form == "coefficients")
         off, diag, forcing = prof.off, prof.diag, self.forcing
         p_col = (self.counts @ off.reshape(off.shape[0], -1)).reshape(diag.shape)
         p_col -= np.einsum("aam->am", off)
@@ -485,16 +572,13 @@ class _ClassSpace:
         return _ClassProfile(pi, q, self.scale * (p_col - diag) + forcing, new_off)
 
     def profile(self, blocks: _ClassProfile) -> GridStrategyN:
-        if self.slope_form == "coefficients":
-            inv_rem = self.plan.inv_rem
-            blocks = blocks._replace(diag=blocks.diag * inv_rem, off=blocks.off * inv_rem)
-        return GridStrategyN._of_classes(self.grid, self.labels, blocks)
+        return GridStrategyN._of_classes(self.grid, self.labels, self.expand(blocks))
 
 
 def best_response_profile(pop: Population, discount: DiscountFunction,
                           strategy: GridStrategyN) -> GridStrategyN:
-    """Simultaneous best reply of every agent to the given profile."""
-    space = _ClassSpace(pop, discount, strategy)
+    """Simultaneous best reply of every agent to the given profile, on the grid."""
+    space = _ClassSpace(pop, discount, strategy, fit=False)
     reply = space.reply(space.start())
     _check_finite(*reply)
     return space.profile(reply)
@@ -511,27 +595,27 @@ def best_response_nagent(pop: Population, discount: DiscountFunction,
     return blocks.pi[lab[i]], p_i, blocks.q[lab[i]]
 
 
-def _picard(reply, start, tol: float, max_iter: int):
-    """Iterate ``reply`` from the profile ``start()`` until one sweep moves
+def _picard(space: _Space, tol: float, max_iter: int):
+    """Iterate ``space.reply`` from ``space.start()`` until one sweep moves
     the profile by at most ``tol`` in sup norm; non-convergence is reported,
     not raised.  Nothing else need hold the start, so a sweep can hold two
-    profiles, not three."""
+    profiles, not three.  Returns the last profile as the space holds it."""
     if not tol > 0:
         raise ValidationError("tol must be > 0")
-    current = start()
-    classes = current.pi.shape[0]
+    current = space.start()
     history: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new = reply(current)
-        res = new.sup_distance(current)
+        new = space.reply(current)
+        res = space.gap(new, current)
         history.append(res)
         current = new
         if res <= tol:
             converged = True
             break
-    return current, IterationReport(iterations, history, converged, classes)
+    return current, IterationReport(iterations, history, converged, len(current.pi),
+                                    space.slope_form, space.pi_q_form)
 
 
 def fixed_point_nagent(pop: Population, discount: DiscountFunction,
@@ -544,8 +628,7 @@ def fixed_point_nagent(pop: Population, discount: DiscountFunction,
     blocks are checked to be finite.
     """
     space = _ClassSpace(pop, discount, init)
-    final, report = _picard(space.reply, space.start, tol, max_iter)
-    report.slope_form = space.slope_form
+    final, report = _picard(space, tol, max_iter)
     return space.profile(final), report
 
 
@@ -570,6 +653,7 @@ class MFGridStrategy:
         if (self.pi.shape != (K, m) or self.p1.shape != (m,)
                 or self.p2.shape != (K, m) or self.q.shape != (K, m)):
             raise ValidationError("mean-field strategy arrays do not match")
+        _check_finite(self.pi, self.p1, self.p2, self.q)
 
     @classmethod
     def zeros(cls, grid: TimeGrid, dist: TypeDistribution) -> "MFGridStrategy":
@@ -588,35 +672,50 @@ class MFGridStrategy:
         q = eq.atom_intercepts(times)
         return cls(grid, eq.dist, pi, 1.0 / rem, np.zeros((K, m)), np.asarray(q))
 
+    def _rows(self) -> _ClassProfile:
+        return _ClassProfile(self.pi, self.q, self.p1, self.p2)
+
     def sup_distance(self, other: "MFGridStrategy") -> float:
-        return _sup_gap(zip((self.pi, self.p1, self.p2, self.q),
-                            (other.pi, other.p1, other.p2, other.q)))
+        return self._rows().sup_distance(other._rows())
 
 
-def _mfg_reply_map(dist: TypeDistribution, discount: DiscountFunction, grid: TimeGrid):
-    """The mean-field best-reply map of ``dist`` on ``grid``."""
-    plan = _ReplyPlan(discount, grid, *_mfg_law(dist))
-    theta = dist.field("theta")[:, None]
+class _MeanFieldSpace(_Space):
+    """The mean-field best-reply map of a type law on its atoms.  With the
+    shared own slope p1 in ``diag`` and the slopes p2 on the average wealth
+    in ``off``, p1' = 1/rem and p2' = theta (p1 + E_w[p2] - 1/rem)."""
 
-    def reply(strategy: MFGridStrategy) -> MFGridStrategy:
+    def __init__(self, dist: TypeDistribution, discount: DiscountFunction,
+                 strategy: MFGridStrategy, fit: bool = True):
         if strategy.dist.n_atoms != dist.n_atoms:
             raise ValidationError("strategy and distribution atom counts differ")
-        new_pi, new_q = plan.reply(strategy.pi, strategy.q)
-        e_p2 = dist.weights @ strategy.p2
-        new_p2 = theta * (strategy.p1 + e_p2 - plan.inv_rem)[None, :]
-        return MFGridStrategy(grid, strategy.dist, new_pi, plan.inv_rem.copy(), new_p2, new_q)
+        self.grid, self.dist = strategy.grid, strategy.dist
+        self.theta = dist.field("theta")[:, None]
+        super().__init__(_ReplyPlan(discount, self.grid, *_mfg_law(dist)), strategy._rows(), fit)
 
-    return reply
+    def start(self) -> _ClassProfile:
+        return self._blocks
+
+    def reply(self, prof: _ClassProfile) -> _ClassProfile:
+        pi, q = self.plan.reply(prof.pi, prof.q, self.pi_q_form == "coefficients")
+        p2 = self.theta * (prof.diag + self.plan.w @ prof.off - self.forcing)[None, :]
+        return _ClassProfile(pi, q, self.forcing, p2)
+
+    def profile(self, blocks: _ClassProfile) -> MFGridStrategy:
+        pi, q, p1, p2 = self.expand(blocks)
+        return MFGridStrategy(self.grid, self.dist, pi, p1, p2, q)
 
 
 def best_response_mfg(dist: TypeDistribution, discount: DiscountFunction,
                       strategy: MFGridStrategy) -> MFGridStrategy:
-    """Best reply of every type to the per-atom profile."""
-    return _mfg_reply_map(dist, discount, strategy.grid)(strategy)
+    """Best reply of every type to the per-atom profile, on the grid."""
+    space = _MeanFieldSpace(dist, discount, strategy, fit=False)
+    return space.profile(space.reply(space.start()))
 
 
 def fixed_point_mfg(dist: TypeDistribution, discount: DiscountFunction,
                     init: MFGridStrategy, tol: float = 1e-10,
                     max_iter: int = 500) -> tuple[MFGridStrategy, IterationReport]:
     """Picard iteration of the mean-field best-response map."""
-    return _picard(_mfg_reply_map(dist, discount, init.grid), lambda: init, tol, max_iter)
+    space = _MeanFieldSpace(dist, discount, init)
+    final, report = _picard(space, tol, max_iter)
+    return space.profile(final), report

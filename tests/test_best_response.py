@@ -463,7 +463,7 @@ def test_coefficient_picard_matches_dense_iteration(rng):
 
 def test_coefficient_sweeps_allocate_no_time_blocks(rng):
     # 128 agents on 32 type classes from zeros: the sweeps hold (K, K, 1)
-    # coefficients and (K, m) rows, under half a (K, K, m) block (1.6 MB);
+    # coefficients and (K, m) gap rows, under half a (K, K, m) block (1.6 MB);
     # the whole call holds one block, the final expansion, where sweeps on
     # the grid would hold two and their temporaries
     pop = replicated_population(random_distribution(rng, k=32), 128)
@@ -473,7 +473,7 @@ def test_coefficient_sweeps_allocate_no_time_blocks(rng):
     assert space.slope_form == "coefficients"
     tracemalloc.start()
     try:
-        final, report = br._picard(space.reply, space.start, 1e-10, 500)
+        final, report = br._picard(space, 1e-10, 500)
         sweeps = tracemalloc.get_traced_memory()[1]
         tracemalloc.clear_traces()
         tracemalloc.reset_peak()
@@ -484,6 +484,41 @@ def test_coefficient_sweeps_allocate_no_time_blocks(rng):
     assert report.converged and report.classes == K
     assert sweeps < block / 2
     assert block < whole < 1.6 * block
+
+
+TAB = TabulatedDiscount([0.0, 0.37, 1.13, 1.71, 2.5], [1.0, 0.93, 0.71, 0.69, 0.5])
+
+
+def random_coefficients(rng, K, slopes):
+    """Random coefficients of (pi, q) on (T+1-t, (f1, f2)) and of the slopes
+    ``slopes`` (shapes of their time-free arrays) on 1/(T+1-t)."""
+    return br._ClassProfile(rng.uniform(0.2, 2.0, (K, 1)), rng.normal(size=(K, 2)),
+                            *(0.3 * rng.normal(size=shape) for shape in slopes))
+
+
+def test_coefficient_reply_matches_grid_reply(rng):
+    # one reply to a start in the coefficient family, expanded, against the
+    # grid reply to the expanded start; the tabulated discount has its knots
+    # off the nodes of both grids
+    pop = shuffled_classes(rng, n=12)
+    dist = random_distribution(rng, k=4)
+    for grid in (TimeGrid(0.0, T, 6), SMALL):
+        for d in (HYP, EXP, TAB):
+            space = br._ClassSpace(pop, d, GridStrategyN.zeros(grid, pop.n))
+            K = space.counts.size
+            coef = random_coefficients(rng, K, ((K, 1), (K, K, 1)))
+            np.einsum("aam->am", coef.off)[space.counts < 2] = 0.0
+            assert space.pi_q_form == space.slope_form == "coefficients"
+            assert_same_profile(space.profile(space.reply(coef)),
+                                best_response_profile(pop, d, space.profile(coef)), 1e-13)
+            mspace = br._MeanFieldSpace(dist, d, MFGridStrategy.zeros(grid, dist))
+            assert mspace.pi_q_form == mspace.slope_form == "coefficients"
+            coef = random_coefficients(rng, dist.n_atoms, ((1,), (dist.n_atoms, 1)))
+            got = mspace.profile(mspace.reply(coef))
+            want = best_response_mfg(dist, d, mspace.profile(coef))
+            for name in ("pi", "p1", "p2", "q"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
 
 
 def test_sweep_to_non_finite_profile_is_rejected(rng, monkeypatch):
@@ -558,6 +593,41 @@ def test_block_profiles_match_their_dense_arrays(rng):
         for got, want in zip(dense_consumption(strat, times),
                              dense_consumption(dense, times)):
             assert np.array_equal(got, want)
+
+
+def test_sup_distance_compares_shared_classes_in_place(rng):
+    # on the same classes the blocks are compared as they are, unless a
+    # one-agent class's off[a, a] differs and is not diag[a] in both (then
+    # they are restricted first); the gap is the dense one bit for bit
+    types = np.array([0, 1, 0, 2, 1, 0, 1, 2, 0, 3])
+    a, b = (block_profile(rng, types) for _ in range(2))
+    lab, blocks = b.classes()
+    off = blocks.off.copy()
+    off[3, 3] = 7.0
+    moved = GridStrategyN._of_classes(SMALL, lab, blocks._replace(off=off))
+    per_agent, per_agent2 = (dense_copy(block_profile(rng, np.arange(10))) for _ in range(2))
+    for x, y in ((a, b), (a, moved), (per_agent, per_agent2)):
+        dx, dy = dense_copy(x), dense_copy(y)
+        assert x.sup_distance(y) == max(np.abs(u - v).max() for u, v in
+                                        zip((dx.pi, dx.p, dx.q), (dy.pi, dy.p, dy.q)))
+    # at K = 32, n = 128, m = 200 the closed form stores no (K, K, m) cross
+    # block (1.1 blocks traced before) and the solve gate copies none (2.5)
+    pop = replicated_population(random_distribution(rng, k=32), 128)
+    block = 32 * 32 * GRID.n_points * 8
+    fp, _ = fixed_point_nagent(pop, HYP, GridStrategyN.zeros(GRID, pop.n))
+    eq = NAgentEquilibrium(pop, HYP, T)
+    peaks = []
+    tracemalloc.start()
+    try:
+        closed = GridStrategyN.from_equilibrium(eq, GRID)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        gap = fp.sup_distance(closed)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert gap < 1e-8 and max(peaks) < block / 2
 
 
 def test_reply_on_classes_finer_than_the_types(rng):
@@ -697,10 +767,99 @@ def test_mfg_fixed_point_from_zero(rng):
 
 
 def test_mfg_report_gives_grid_slopes():
-    _, report = fixed_point_mfg(TWO_ATOM, HYP, MFGridStrategy.zeros(GRID, TWO_ATOM),
-                                max_iter=2)
-    assert report.slope_form == "grid"
-    assert report.to_dict()["slope_form"] == "grid"
+    # zeros are iterated as coefficients; a start with p1 and pi moved off
+    # zero by the smallest step is not of that form and takes the grid
+    moved = MFGridStrategy.zeros(GRID, TWO_ATOM)
+    moved.p1[3] = moved.pi[0, 3] = np.nextafter(0.0, 1.0)
+    for init, form in ((MFGridStrategy.zeros(GRID, TWO_ATOM), "coefficients"),
+                       (moved, "grid")):
+        _, report = fixed_point_mfg(TWO_ATOM, HYP, init, max_iter=2)
+        assert report.slope_form == report.pi_q_form == form
+        assert report.to_dict()["slope_form"] == report.to_dict()["pi_q_form"] == form
+
+
+def grid_mfg_fixed_point(dist, d, init, tol):
+    """Picard on the grid: best_response_mfg until a sweep moves by tol."""
+    current, history = init, []
+    while not history or history[-1] > tol:
+        new = best_response_mfg(dist, d, current)
+        history.append(new.sup_distance(current))
+        current = new
+    return current, history
+
+
+def mfg_family_start(rng, dist, grid=SMALL):
+    """pi = c (T+1-t), q = 0, p1 = d1/(T+1-t) and p2 = d2/(T+1-t), with
+    random c, d1 and d2, computed as the reply computes T+1-t."""
+    rem = grid.T + 1.0 - grid.times
+    K, m = dist.n_atoms, grid.n_points
+    inv_rem = 1.0 / rem
+    return MFGridStrategy(grid, dist, rng.uniform(0.2, 2.0, (K, 1)) * rem,
+                          rng.normal() * inv_rem, 0.3 * rng.normal(size=(K, 1)) * inv_rem,
+                          np.zeros((K, m)))
+
+
+def test_mfg_coefficient_picard_matches_grid_iteration(rng):
+    # zeros and a random start of the coefficient family take coefficients;
+    # the same starts with one investment or one p1 or p2 entry moved by an
+    # ulp are not of that form and take the grid; every run matches the
+    # grid iteration of best_response_mfg
+    dist = random_distribution(rng, k=4)
+    for exact in (MFGridStrategy.zeros(SMALL, dist), mfg_family_start(rng, dist)):
+        starts = [(exact, "coefficients", "coefficients")]
+        for name, at, forms in (("pi", (1, 7), ("grid", "coefficients")),
+                                ("p1", (7,), ("coefficients", "grid")),
+                                ("p2", (2, 7), ("coefficients", "grid"))):
+            arrays = {k: getattr(exact, k).copy() for k in ("pi", "p1", "p2", "q")}
+            arrays[name][at] = np.nextafter(arrays[name][at], np.inf)
+            starts.append((MFGridStrategy(SMALL, dist, **arrays), *forms))
+        for init, pi_q_form, slope_form in starts:
+            got, report = fixed_point_mfg(dist, HYP, init, tol=1e-11)
+            want, history = grid_mfg_fixed_point(dist, HYP, init, 1e-11)
+            assert report.converged and report.classes == dist.n_atoms
+            assert (report.pi_q_form, report.slope_form) == (pi_q_form, slope_form)
+            assert report.iterations == len(history)
+            assert np.abs(np.subtract(report.residual_history, history)).max() <= 1e-13
+            for name in ("pi", "p1", "p2", "q"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
+
+
+def test_mfg_coefficient_sweeps_allocate_one_gap_row_block(rng):
+    # 32 atoms on 200 nodes from zeros: the sweeps hold coefficients, and
+    # the only (K, m) array is the evaluation of q's change in the gap
+    dist = random_distribution(rng, k=32)
+    row_block = 32 * GRID.n_points * 8
+    space = br._MeanFieldSpace(dist, HYP, MFGridStrategy.zeros(GRID, dist))
+    tracemalloc.start()
+    try:
+        _, report = br._picard(space, 1e-10, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.pi_q_form == report.slope_form == "coefficients"
+    assert row_block < peak < 1.5 * row_block
+
+
+def test_mfg_non_finite_samples_are_rejected():
+    zero = MFGridStrategy.zeros(GRID, TWO_ATOM)
+    for name in ("pi", "p1", "p2", "q"):
+        arrays = {k: getattr(zero, k).copy() for k in ("pi", "p1", "p2", "q")}
+        arrays[name].reshape(-1)[5] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            MFGridStrategy(GRID, TWO_ATOM, **arrays)
+
+
+def test_mfg_sweep_to_non_finite_profile_is_rejected():
+    # investments of 1e307 overflow in the first sweep, on the grid and as
+    # coefficients; the iteration stops there
+    rem = T + 1.0 - GRID.times
+    for pi in (np.full((2, GRID.n_points), 1e307), np.full((2, 1), 1e307 / 3.0) * rem):
+        init = MFGridStrategy(GRID, TWO_ATOM, pi, np.zeros(GRID.n_points),
+                              np.zeros((2, GRID.n_points)), np.zeros((2, GRID.n_points)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValidationError, match="finite"):
+            fixed_point_mfg(TWO_ATOM, HYP, init)
 
 
 def test_mfg_contraction_factors():

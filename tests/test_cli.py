@@ -422,7 +422,7 @@ def test_best_response_reports_contraction(two_agent_cfg, tmp_path):
 
 
 def test_best_response_reports_slope_form(two_agent_cfg, tmp_path):
-    # from zeros the slopes are iterated as coefficients of 1/(T+1-t); the
+    # from zeros the slopes and (pi, q) are iterated as coefficients; the
     # report says so, and stays byte-identical under --deterministic
     outs = []
     for name in ("a", "b"):
@@ -432,4 +432,5 @@ def test_best_response_reports_slope_form(two_agent_cfg, tmp_path):
                      "--out-csv", str(tmp_path / f"{name}.csv")]) == 0
         outs.append(out_json.read_bytes())
     assert outs[0] == outs[1]
-    assert json.loads(outs[0])["slope_form"] == "coefficients"
+    report = json.loads(outs[0])
+    assert report["slope_form"] == report["pi_q_form"] == "coefficients"

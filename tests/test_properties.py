@@ -93,8 +93,9 @@ def test_coefficient_sweep_matches_dense_sweep(members, seed):
     inv_rem = 1.0 / (T + 1.0 - GRID.times)
     p = rng.normal(size=(n, n, 1)) * inv_rem
     strat = GridStrategyN(GRID, rng.normal(size=(n, m)), p, rng.normal(size=(n, m)))
-    assert fixed_point_nagent(pop, HYP, strat, max_iter=1)[1].slope_form == "coefficients"
-    got, want = best_response_profile(pop, HYP, strat), dense_profile(pop, HYP, strat)
+    got, report = fixed_point_nagent(pop, HYP, strat, max_iter=1)
+    assert report.slope_form == "coefficients"
+    want = dense_profile(pop, HYP, strat)
     for a, b in zip((got.pi, got.p, got.q), (want.pi, want.p, want.q)):
         assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
 
