@@ -11,7 +11,9 @@ must agree with the closed-form formulas of :mod:`relperf.nagent` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,13 +60,21 @@ class IterationReport:
         return {**asdict(self), "contraction": self.contraction}
 
 
+_BLOCK = 65536  # entries of a comparison block
+
+
 def _sup_gap(pairs) -> float:
-    """max |a - b| over the array pairs (a, b), NaN if an entry is; taken over
-    blocks of leading rows in one buffer, which stays in cache."""
-    blocks = [(a, b, max(1, 65536 // max(1, a[0].size))) for a, b in pairs]
-    buf = np.empty(max(min(len(a), rows) * a[0].size for a, _, rows in blocks))
-    gaps = []
-    for a, b, rows in blocks:
+    """max |a - b| over the array pairs (a, b), NaN if an entry is.  Arrays
+    over _BLOCK entries are taken a block of leading rows at a time, in one
+    buffer, which stays in cache."""
+    gaps, buf = [], np.empty(0)
+    for a, b in pairs:
+        if a.size <= _BLOCK:
+            gaps.append(np.abs(np.subtract(a, b)).max())
+            continue
+        rows = max(1, _BLOCK // a[0].size)
+        if buf.size < rows * a[0].size:
+            buf = np.empty(rows * a[0].size)
         for lo in range(0, len(a), rows):
             x = a[lo:lo + rows]
             gap = np.subtract(x, b[lo:lo + rows], out=buf[:x.size].reshape(x.shape))
@@ -78,11 +88,18 @@ def _check_finite(*arrays) -> None:
 
 
 def _refine(*labelings):
-    """Common refinement of labelings of the same agents: (labels, first
-    member of each class, class sizes), classes numbered by first appearance."""
-    index: dict = {}
-    labels = np.array([index.setdefault(key, len(index)) for key in zip(*labelings)])
-    return labels, np.unique(labels, return_index=True)[1], np.bincount(labels)
+    """Common refinement of labelings of the same agents, each an array of
+    integers or floats (n,): (labels, first member of each class, class
+    sizes), classes numbered by first appearance.  Equal numbers share a
+    class, so -0.0 and 0.0 do, as they do in an equal AgentType."""
+    keys = np.column_stack(labelings) + 0.0  # floats, with no -0.0
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    labels = rank[inverse.reshape(-1)]
+    return labels, first[order], np.bincount(labels)
 
 
 class _ClassProfile(NamedTuple):
@@ -189,11 +206,12 @@ class GridStrategyN:
         slope 1/(T+1-t) on the agent's own wealth and none on the others'."""
         eq._check_grid(grid)
         times = grid.times
-        labels, rep, _ = _refine(eq.pop.agents)
-        pi = eq.pi_at(times).T[rep]
-        q = np.asarray(eq.intercepts_at(times))[rep]
+        labels, rep, _ = _refine(*eq.pop._params.values())
+        rem = eq.horizon + 1.0 - times
+        pi = np.multiply.outer(eq.pi_coefficients[rep], rem)
+        q = eq._intercepts(eq._core.A[rep], eq._core.B[rep], times)
         _check_finite(pi, q)
-        diag = np.tile(1.0 / (eq.horizon + 1.0 - times), (rep.size, 1))
+        diag = np.tile(1.0 / rem, (rep.size, 1))
         # No cross slopes: a read-only view, which every reader indexes.
         return cls._of_classes(grid, labels, _ClassProfile(
             pi, q, diag, np.broadcast_to(0.0, (rep.size, rep.size, times.size))))
@@ -206,29 +224,35 @@ class GridStrategyN:
 
     def consumption_at(self, times):
         """Class form ``(labels, own, off, q)``, linearly interpolated: own
-        slopes and intercepts (len, n), cross slopes off (len, K, K)."""
+        slopes and intercepts (len, n), cross slopes off (len, K, K), in
+        which a one-agent class's off[a, a] is 0."""
         times = np.asarray(times, dtype=float)
         weights = _interp_weights(times, self.grid.times)
         lab, blocks = self.classes()
-        blocks = _restrict(blocks, np.arange(len(blocks.pi)), np.bincount(lab))
         off = np.empty(times.shape + blocks.off.shape[:2])
         for a, row in enumerate(blocks.off):  # one row at a time: no second (len, K, K)
             off[..., a, :] = _interp_at(row, *weights).T
+        one = np.flatnonzero(np.bincount(lab) < 2)
+        off[..., one, one] = 0.0
         own, q = (_interp_at(x, *weights)[lab].T for x in (blocks.diag, blocks.q))
         return lab, own, off, q
 
     def sup_distance(self, other: "GridStrategyN") -> float:
         """max |self - other| over pi, p and q, taken on the common refinement
         of the two profiles' classes: the same values as the dense arrays.
-        The blocks are copied only if that relabels them or a one-agent
-        class's off[a, a] differs and is not diag[a] in both."""
+        Profiles on the same classes are compared in place, unless the
+        off[a, a] of their one-agent classes differ and are not diag[a] in
+        both."""
         (la, a), (lb, b) = self.classes(), other.classes()
+        if np.array_equal(la, lb):
+            counts = np.bincount(la, minlength=len(a.pi))
+            if len(a.pi) == len(b.pi) == counts.size and counts.all():
+                one = np.flatnonzero(counts < 2)
+                da, db = a.off[one, one], b.off[one, one]
+                if np.array_equal(da, db) or (np.array_equal(da, a.diag[one])
+                                              and np.array_equal(db, b.diag[one])):
+                    return _sup_gap(zip(a, b))
         _, rep, counts = _refine(la, lb)
-        one, ident = counts < 2, np.arange(counts.size)
-        if np.array_equal(la[rep], ident) and np.array_equal(lb[rep], ident):
-            da, db = (np.einsum("aam->am", x.off)[one] for x in (a, b))
-            if np.all((da == db) | ((da == a.diag[one]) & (db == b.diag[one]))):
-                return _sup_gap(zip(a, b))
         return _sup_gap(zip(_restrict(a, la[rep], counts), _restrict(b, lb[rep], counts)))
 
     def max_cross_coefficient(self) -> float:
@@ -316,26 +340,29 @@ class _ReplyPlan:
     ln lam(T-t) - Lam/rem, and R, Lam the right-integrals of rows 1 and 0.
     So c rem and q = a f1 + b f2 map to c' = (delta mu + theta sigma sb) /
     (vol own) and (a', b') = -(delta/own) (g, 1) + (theta/own) (E_w[.] - s .):
-    :meth:`reply` on (K, 1) and (K, 2) coefficients.
+    :meth:`reply` on (K, 1) and (K, 2) coefficients.  It stacks sigma c, mu
+    c, nu^2 c^2, a and b into one (K, 5) array, so one competitor product
+    takes every average, and each row's (c', a', b') is then one product of
+    a (7, 3) map of the plan's constants with (1, sb, mb, vb, E_w[a] - s a,
+    E_w[b] - s b, sb^2).
+
+    The Simpson weights :attr:`quad` and the own-term factor :attr:`own_lin`,
+    the (K, m) terms only a grid reply reads, are built when it first needs
+    them.
     """
 
     def __init__(self, discount: DiscountFunction, grid: TimeGrid, p, w, s: float):
         times, T = grid.times, grid.T
         delta, theta, mu, nu, sigma = (p[k][:, None] for k in _FIELDS)
-        self.w, self.s = w, s
+        self.grid, self.w, self.s = grid, w, s
         self.rem = T + 1.0 - times
         self.inv_rem = 1.0 / self.rem
         self.log_lam = discount.log_value(T - times)
-        step, phi = np.diff(times)[:, None], np.linspace(0.0, 1.0, 5)
-        u = times[:-1, None] + step * phi
-        weights = step / 12.0 * np.array([1, 4, 2, 4, 1]) / (T + 1.0 - u)
-        self.half_step = np.append(step / 2.0, 0.0)
+        self.half_step = np.append(np.diff(times) / 2.0, 0.0)
         # Rows of the integrals of ln lam, rem_u, S, M, S^2 (mean field) and E_w[nu^2 Q[pi]].
         self.rows = np.zeros((6, times.size))
         self.rows[0, :-1] = -np.diff(discount.log_integral(times, T))
         self.rows[1, :-1] = self.half_step[:-1] * (self.rem[:-1] + self.rem[1:])
-        self.quad = np.array([np.tile(np.append(weights @ f, 0.0), len(mu))
-                              for f in ((1.0 - phi)**2, 2.0 * phi * (1.0 - phi), phi**2)])
         # The intercept functions f1 and f2 of the coefficient form.
         self.f = np.stack([_right_integrals(self.rows[1]),
                            -_right_integrals(self.rows[0])]) / self.rem
@@ -344,15 +371,36 @@ class _ReplyPlan:
         alpha, beta, gamma = -mu * sigma * k / vol, k**2 * nu**2 / (2.0 * vol), k**2 * s / 2.0
         self.coef = np.hstack([-np.ones_like(mu), -mu**2 / (2.0 * vol), alpha, k, beta, gamma])
         self.sums, self.minus_s_sigma = np.stack([w * sigma[:, 0], w * mu[:, 0]]), -s * sigma
-        self.mu, self.nu2 = mu, nu**2
-        if s:  # full (K, m) factors of the terms in a row's own investment
-            self.w_nu2, full = w * nu[:, 0]**2, np.ones_like(self.rem)
-            self.beta, self.own_q = beta * full, -s * gamma * nu**2 * full
-            self.own_lin = _pairs(-s * (alpha * sigma + k * mu) * self.half_step)[0]
+        # Factors of the terms in a row's own investment (n agents).
+        self.w_nu2, self.beta, self.own_q = w * nu[:, 0]**2, beta, -s * gamma * nu**2
+        self.own_rate = -s * (alpha * sigma + k * mu)
         own = 1.0 - theta * s
         self.pi_drift, self.vol_own = delta * mu, vol * own  # forced by rem, or 1
         self.pi_couple = theta * sigma
         self.q_own, self.q_couple = -(delta / own), theta / own
+        # Coefficient form: each row's map from (1, sb, mb, vb, E_w[a] - s a,
+        # E_w[b] - s b, sb^2) to (c', a', b').
+        self.sigma_mu, self.nu2 = np.hstack([sigma, mu]), nu**2
+        self.lin = np.zeros((len(w), 7, 3))
+        self.lin[:, :2, 0] = np.hstack([self.pi_drift, self.pi_couple]) / self.vol_own
+        self.lin[:, [0, 1, 2, 6, 3], 1] = self.q_own * self.coef[:, 1:]
+        self.lin[:, 4, 1] = self.lin[:, 5, 2] = self.q_couple[:, 0]
+        self.lin[:, 0, 2] = self.q_own[:, 0]
+
+    @cached_property
+    def quad(self) -> np.ndarray:
+        """The weights (A, B, C) of Q_j at each row's left nodes, (3, K m)."""
+        times, T = self.grid.times, self.grid.T
+        step, phi = np.diff(times)[:, None], np.linspace(0.0, 1.0, 5)
+        u = times[:-1, None] + step * phi
+        weights = step / 12.0 * np.array([1, 4, 2, 4, 1]) / (T + 1.0 - u)
+        return np.array([np.tile(np.append(weights @ f, 0.0), len(self.w))
+                         for f in ((1.0 - phi)**2, 2.0 * phi * (1.0 - phi), phi**2)])
+
+    @cached_property
+    def own_lin(self) -> np.ndarray:
+        """The own linear terms' factor at both ends of every interval, flat."""
+        return _pairs(self.own_rate * self.half_step)[0]
 
     def _competitor(self, x: np.ndarray) -> np.ndarray:
         return self.w @ x - self.s * x
@@ -399,25 +447,23 @@ class _ReplyPlan:
         out /= self.rem
         return out
 
-    def _h_coefficients(self, c: np.ndarray, sb: np.ndarray) -> np.ndarray:
-        """(g, 1): h + ln lam = g f1 + f2 along the investments c rem."""
-        drift, alpha, k, beta, gamma = self.coef.T[1:, :, None]
-        g = alpha * sb
-        g += drift
-        g += k * self._competitor(self.mu * c)
-        g += beta * sb**2
-        g += gamma * self._competitor(self.nu2 * c**2)
-        return np.concatenate([g, np.ones_like(g)], axis=1)
+    def _reply_coefficients(self, c: np.ndarray, q: np.ndarray):
+        """(c', (a', b')) of the reply to c rem and a f1 + b f2."""
+        x = np.concatenate((self.sigma_mu * c, self.nu2 * c**2, q), axis=1)
+        bar = self._competitor(x)  # sb, mb, vb, E_w[a] - s a and E_w[b] - s b
+        terms = np.concatenate((np.ones_like(c), bar, bar[:, :1]**2), axis=1)
+        new = np.matmul(terms[:, None], self.lin)[:, 0]
+        return new[:, :1], new[:, 1:]
 
     def reply(self, pi: np.ndarray, q: np.ndarray,
               coefficients: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Best-reply investments and consumption intercepts of every row,
         on the grid or as coefficients."""
+        if coefficients:
+            return self._reply_coefficients(pi, q)
         sbar = self._sbar(pi, self.sums[0] @ pi)
-        new_pi = (self.pi_drift * (1.0 if coefficients else self.rem)
-                  + self.pi_couple * sbar) / self.vol_own
-        new_q = self.q_own * (self._h_coefficients(pi, sbar) if coefficients
-                              else self.h(pi) + self.log_lam)
+        new_pi = (self.pi_drift * self.rem + self.pi_couple * sbar) / self.vol_own
+        new_q = self.q_own * (self.h(pi) + self.log_lam)
         new_q += self.q_couple * self._competitor(q)
         return new_pi, new_q
 
@@ -456,18 +502,18 @@ def _expand(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def _fit(fields, bases) -> list | None:
     """Coefficients that :func:`_expand` takes back to each field bit for
-    bit, or None: on one function read at the last node and checked a row
-    block at a time (no copy of the field), on two by least squares."""
+    bit, or None: on one function read at the last node, on two by least
+    squares.  A field is checked in one comparison, but a (K, K, m) block a
+    row at a time, so that it is never copied."""
     coefs = []
     for x, basis in zip(fields, bases):
         if basis.ndim == 1:
             c = x[..., -1:] / basis[-1]
-            pairs = zip(np.atleast_2d(c), np.atleast_2d(x))
         elif np.all(np.isfinite(x)):
             c = np.linalg.lstsq(basis.T, x.T, rcond=None)[0].T
-            pairs = [(c, x)]
         else:
             return None
+        pairs = zip(c, x) if x.ndim == 3 else [(c, x)]
         if not all(np.array_equal(_expand(a, basis), b) for a, b in pairs):
             return None
         coefs.append(c)
@@ -495,7 +541,7 @@ class _Space:
                                            for c in (pi_q, slopes))
         self.bases = [*(bases[0] if pi_q else (None, None)),
                       *(bases[1] if slopes else (None, None))]
-        self.scales = [None if b is None else b.max() for b in self.bases]
+        self.scales = [1.0 if b is None or b.ndim == 2 else b.max() for b in self.bases]
         self.forcing = np.ones(1) if slopes else plan.inv_rem
         self._blocks = _ClassProfile(*(pi_q or blocks[:2]), *(slopes or blocks[2:]))
 
@@ -505,15 +551,14 @@ class _Space:
         for a, b, basis, scale in zip(new, old, self.bases, self.scales):
             if basis is None:
                 gaps.append(_sup_gap([(a, b)]))
-            elif basis.ndim == 2:
-                d = np.subtract(a, b) @ basis
-                gaps.append(np.abs(d, out=d).max())
-            else:
-                gaps.append(np.abs(a - b).max() * scale)
-        gap = float(np.max(gaps))
-        if not np.isfinite(gap):
+                continue
+            d = np.subtract(a, b)
+            if basis.ndim == 2:
+                d = d @ basis
+            gaps.append(float(np.abs(d, out=d).max()) * scale)
+        if not all(map(math.isfinite, gaps)):
             raise ValidationError("strategy samples must be finite")
-        return gap
+        return float(max(gaps))
 
     def expand(self, blocks: _ClassProfile) -> _ClassProfile:
         return _ClassProfile(*(x if basis is None else _expand(x, basis)
@@ -542,18 +587,21 @@ class _ClassSpace(_Space):
         if strategy.n_agents != pop.n:
             raise ValidationError("strategy and population sizes differ")
         n = pop.n
-        types, type_rep, _ = _refine(pop.agents)
         labels, blocks = strategy.classes()
-        if len(blocks.pi) == n > type_rep.size:
-            coarse = _on_types(blocks, types)
+        if len(blocks.pi) == n:
+            types, type_rep, _ = _refine(*pop._params.values())
+            coarse = _on_types(blocks, types) if type_rep.size < n else None
             if coarse is not None:
                 labels, blocks = types, coarse
-        self.labels, rep, self.counts = _refine(labels, types)
+        self.labels, rep, self.counts = _refine(labels, *pop._params.values())
         self.grid, self._src = strategy.grid, labels[rep]
         self.law = {k: v[rep] for k, v in pop._params.items()}, self.counts / n, 1.0 / n
         theta = self.law[0]["theta"]
         self.scale = (theta / (1.0 - theta / n) / n)[:, None]
-        self.shared = (self.counts > 1)[:, None]
+        # off' is scaled by scale_a, and off'[a, a] of a one-agent class held at 0.
+        keep = np.repeat(self.scale, len(rep), axis=1)
+        keep[np.diag_indices(len(rep))] *= self.counts > 1
+        self.keep = keep[:, :, None]
         super().__init__(_ReplyPlan(discount, self.grid, *self.law), blocks, fit)
 
     def start(self) -> _ClassProfile:
@@ -562,13 +610,12 @@ class _ClassSpace(_Space):
 
     def reply(self, prof: _ClassProfile) -> _ClassProfile:
         pi, q = self.plan.reply(prof.pi, prof.q, self.pi_q_form == "coefficients")
-        off, diag, forcing = prof.off, prof.diag, self.forcing
-        p_col = (self.counts @ off.reshape(off.shape[0], -1)).reshape(diag.shape)
-        p_col -= np.einsum("aam->am", off)
+        off, diag, forcing, K = prof.off, prof.diag, self.forcing, len(prof.off)
+        p_col = (self.counts @ off.reshape(K, -1)).reshape(diag.shape)
+        p_col -= off.reshape(K * K, -1)[::K + 1]  # off[b, b]
         p_col += diag
         new_off = np.subtract((p_col - forcing)[None], off)
-        new_off *= self.scale[:, :, None]
-        np.einsum("aam->am", new_off)[...] *= self.shared
+        new_off *= self.keep
         return _ClassProfile(pi, q, self.scale * (p_col - diag) + forcing, new_off)
 
     def profile(self, blocks: _ClassProfile) -> GridStrategyN:
@@ -689,7 +736,7 @@ class _MeanFieldSpace(_Space):
         if strategy.dist.n_atoms != dist.n_atoms:
             raise ValidationError("strategy and distribution atom counts differ")
         self.grid, self.dist = strategy.grid, strategy.dist
-        self.theta = dist.field("theta")[:, None]
+        self.theta = dist._params["theta"][:, None]
         super().__init__(_ReplyPlan(discount, self.grid, *_mfg_law(dist)), strategy._rows(), fit)
 
     def start(self) -> _ClassProfile:

@@ -6,9 +6,11 @@ pure functions, so objects can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -94,13 +96,22 @@ class AgentType:
 
 # The parameter names of an agent, in the order of its fields.
 _FIELDS = ("delta", "theta", "mu", "nu", "sigma")
+_values = attrgetter(*_FIELDS)
+
+
+def _agent_params(agents: Sequence[AgentType]) -> dict[str, np.ndarray]:
+    """Read-only per-agent arrays of each parameter, keyed by field name,
+    all read from one table."""
+    cols = np.array([_values(a) for a in agents]).T.astype(float, order="C")
+    cols.flags.writeable = False
+    return dict(zip(_FIELDS, cols))
 
 
 def agent_violations(agent: AgentType) -> list[str]:
     """Return one message per violated parameter constraint (empty if valid)."""
     out = []
-    vals = (agent.delta, agent.theta, agent.mu, agent.nu, agent.sigma)
-    if not all(np.isfinite(v) for v in vals):
+    vals = _values(agent)
+    if not all(map(math.isfinite, vals)):
         out.append("all parameters must be finite")
         return out
     if not agent.delta > 0:
@@ -201,6 +212,10 @@ class TypeDistribution:
     @cached_property
     def types(self) -> tuple[AgentType, ...]:
         return tuple(a for a, _ in self.atoms)
+
+    @cached_property
+    def _params(self) -> dict[str, np.ndarray]:
+        return _agent_params(self.types)
 
     def field(self, name: str) -> np.ndarray:
         """Per-atom array of one agent parameter ('delta', 'theta', ...)."""

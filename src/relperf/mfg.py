@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _FIELDS, AgentType, TimeGrid, TypeDistribution, ValidationError
+from .core import AgentType, TimeGrid, TypeDistribution, ValidationError
 from .discount import DiscountFunction
 from .nagent import _ClosedForm, _Equilibrium, _pi_lines
 
@@ -62,7 +62,7 @@ class MFGTypeConstants:
 
 def _mfg_law(dist: TypeDistribution):
     """(p, w, s) of a type law: its atoms, its weights and own share s = 0."""
-    return {k: dist.field(k) for k in _FIELDS}, dist.weights, 0.0
+    return dist._params, dist.weights, 0.0
 
 
 def _mfg_core(dist: TypeDistribution) -> _ClosedForm:
@@ -169,7 +169,7 @@ class MeanFieldEquilibrium(_Equilibrium):
         closed form (see ``_Equilibrium._mean_wealth``)."""
         if grid.T > self.horizon + 1e-12:
             raise ValidationError("grid extends past the equilibrium horizon")
-        return self._mean_wealth(float(x0), grid.t0, grid.times, self.dist.field("mu"))
+        return self._mean_wealth(float(x0), grid.t0, grid.times, self.dist._params["mu"])
 
     def average_consumption(self, grid: TimeGrid, x0: float) -> np.ndarray:
         """E[c(t, X_t)] on the grid for wealth started at ``x0`` at grid.t0."""

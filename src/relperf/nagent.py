@@ -28,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (_FIELDS, AgentType, ValidationError, _json_section,
-                   validate_agent)
+from .core import AgentType, ValidationError, _agent_params, _json_section, validate_agent
 from .discount import DiscountFunction
 
 __all__ = [
@@ -82,10 +81,7 @@ class Population:
 
     @cached_property
     def _params(self) -> dict[str, np.ndarray]:
-        out = {k: self.field(k) for k in _FIELDS}
-        for v in out.values():
-            v.flags.writeable = False
-        return out
+        return _agent_params(self.agents)
 
     def to_dict(self) -> dict:
         return {"agents": [a.to_dict() for a in self.agents]}

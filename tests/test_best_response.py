@@ -155,6 +155,7 @@ def test_node_h_stays_below_one_quadrature_point_array(rng):
     pi = rng.normal(size=(K, m))
     for law in (_mfg_law(dist), br._ClassSpace(pop, HYP, GridStrategyN.zeros(GRID, 128)).law):
         plan = br._ReplyPlan(HYP, GRID, *law)
+        plan.h(pi)  # the first grid reply builds the plan's Simpson weights
         tracemalloc.start()
         try:
             plan.h(pi)
@@ -484,6 +485,86 @@ def test_coefficient_sweeps_allocate_no_time_blocks(rng):
     assert report.converged and report.classes == K
     assert sweeps < block / 2
     assert block < whole < 1.6 * block
+
+
+def test_coefficient_runs_build_no_grid_plan_terms(rng, monkeypatch):
+    # the Simpson weights (3, K m) and the own-term factors are read only by
+    # a grid reply, so coefficient runs from zeros never build them
+    dist = random_distribution(rng, k=32)
+    pop = replicated_population(dist, 128)
+    plans, init = [], br._ReplyPlan.__init__
+    monkeypatch.setattr(br._ReplyPlan, "__init__",
+                        lambda self, *args: (plans.append(self), init(self, *args))[1])
+    _, report = fixed_point_nagent(pop, HYP, GridStrategyN.zeros(GRID, pop.n))
+    _, mreport = fixed_point_mfg(dist, HYP, MFGridStrategy.zeros(GRID, dist))
+    assert report.converged and mreport.converged
+    assert {report.pi_q_form, mreport.pi_q_form} == {"coefficients"}
+    assert len(plans) == 2
+    assert not any({"quad", "own_lin"} & vars(plan).keys() for plan in plans)
+    best_response_profile(pop, HYP, GridStrategyN.zeros(GRID, pop.n))
+    assert {"quad", "own_lin"} <= vars(plans[-1]).keys()
+    assert plans[-1].quad.shape == (3, 32 * GRID.n_points)
+
+
+def test_slopes_off_the_family_in_any_row_take_the_grid(rng):
+    # slopes c/(T+1-t) fit the coefficient form; one ulp off in any row of
+    # the (n, n, m) cross block, the last included, sends them to the grid
+    pop = random_population(rng, n=5)
+    m = GRID.n_points
+    p = rng.normal(size=(5, 5, 1)) * (1.0 / (T + 1.0 - GRID.times))
+    for row in (None, 0, 4):
+        moved = p.copy()
+        if row is not None:
+            moved[row, 2, 7] = np.nextafter(moved[row, 2, 7], np.inf)
+        strat = GridStrategyN(GRID, rng.normal(size=(5, m)), moved, rng.normal(size=(5, m)))
+        report = fixed_point_nagent(pop, HYP, strat, max_iter=1)[1]
+        assert report.slope_form == ("coefficients" if row is None else "grid")
+
+
+def test_refine_numbers_classes_by_first_appearance():
+    labels, rep, counts = br._refine(np.array([5, 3, 5, 1, 3]), np.array([0, 0, 0, 0, 1]))
+    assert labels.tolist() == [0, 1, 0, 2, 3]
+    assert rep.tolist() == [0, 1, 3, 4] and counts.tolist() == [2, 1, 1, 1]
+    # agents equal as AgentType share a class, -0.0 against 0.0 included
+    a, b = AgentType(1.0, 0.0, 1.0, 0.0, 1.0), AgentType(1.0, -0.0, 1.0, -0.0, 1.0)
+    c = AgentType(2.0, 0.0, 1.0, 0.0, 1.0)
+    assert a == b
+    pop = Population([c, a, b, c, a])
+    labels, rep, counts = br._refine(*pop._params.values())
+    assert labels.tolist() == [0, 1, 1, 0, 1]
+    assert rep.tolist() == [0, 1] and counts.tolist() == [2, 3]
+    space = br._ClassSpace(pop, HYP, GridStrategyN.zeros(GRID, pop.n))
+    assert space.labels.tolist() == [0, 1, 1, 0, 1]
+
+
+def test_consumption_at_interpolates_the_blocks_in_place(rng):
+    # the closed form at K = 32, n = 128, m = 200 holds its zero cross slopes
+    # as a broadcast view: 11 record times build the (11, K, K) result and
+    # no copy of the (K, K, m) block (1.6 MB)
+    pop = replicated_population(random_distribution(rng, k=32), 128)
+    closed = GridStrategyN.from_equilibrium(NAgentEquilibrium(pop, HYP, T), GRID)
+    sampled = fixed_point_nagent(pop, HYP, GridStrategyN.zeros(GRID, pop.n), max_iter=2)[0]
+    m = GRID.n_points
+    dense = GridStrategyN(GRID, rng.normal(size=(6, m)), rng.normal(size=(6, 6, m)),
+                          rng.normal(size=(6, m)))  # one-agent classes: off[a, a] is 0
+    times = np.linspace(0.0, T, 11)
+    for strat in (closed, sampled, dense):
+        tracemalloc.start()
+        try:
+            lab, own, off, q = strat.consumption_at(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
+        # the class form of interpolating the restricted blocks row by row
+        labels, blocks = strat.classes()
+        ref = br._restrict(blocks, np.arange(len(blocks.pi)), np.bincount(labels))
+        j, frac = br._interp_weights(times, GRID.times)
+        want = np.stack([np.stack([row[:, k] + (row[:, k + 1] - row[:, k]) * f
+                                   for row in ref.off]) for k, f in zip(j, frac)])
+        assert np.array_equal(lab, labels) and off.tobytes() == want.tobytes()
+        for got, x in ((own, ref.diag), (q, ref.q)):
+            assert got.tobytes() == (x[:, j] + (x[:, j + 1] - x[:, j]) * frac)[labels].T.tobytes()
 
 
 TAB = TabulatedDiscount([0.0, 0.37, 1.13, 1.71, 2.5], [1.0, 0.93, 0.71, 0.69, 0.5])

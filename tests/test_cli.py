@@ -294,9 +294,9 @@ def test_verify_fails_a_shifted_closed_form(name, tmp_path, monkeypatch, capsys)
     cfg = CURVED_LOG_LAMBDA.get(name, TWO_AGENT_SINGLE_STOCK)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    right = NAgentEquilibrium.intercepts_at
-    monkeypatch.setattr(NAgentEquilibrium, "intercepts_at",
-                        lambda eq, t: right(eq, t) + 1e-6)
+    right = NAgentEquilibrium._intercepts  # every n-agent closed-form intercept
+    monkeypatch.setattr(NAgentEquilibrium, "_intercepts",
+                        lambda eq, a, b, t: right(eq, a, b, t) + 1e-6)
     assert main(["verify", "--config", str(path)]) == 2
     assert f"FAIL  {FIXED_POINT}" in capsys.readouterr().out
 

@@ -106,3 +106,76 @@ def test_distribution_json_roundtrip():
     )
     again = TypeDistribution.from_dict(dist.to_dict())
     assert again.atoms == dist.atoms
+
+
+def reference_violations(agent):
+    """The constraints checked one parameter at a time with np.isfinite, as
+    agent_violations did before it read all agents of a population at once."""
+    out = []
+    vals = (agent.delta, agent.theta, agent.mu, agent.nu, agent.sigma)
+    if not all(np.isfinite(v) for v in vals):
+        return ["all parameters must be finite"]
+    if not agent.delta > 0:
+        out.append("delta must be > 0")
+    if not (0.0 <= agent.theta < 1.0):
+        out.append("theta must lie in [0,1)")
+    if not agent.mu > 0:
+        out.append("mu must be > 0")
+    if agent.nu < 0:
+        out.append("nu must be >= 0")
+    if agent.sigma < 0:
+        out.append("sigma must be >= 0")
+    if agent.sigma >= 0 and agent.nu >= 0 and not agent.sigma + agent.nu > 0:
+        out.append("sigma+nu must be > 0")
+    return out
+
+
+# NaN, both infinities, theta = 1, negative and signed-zero boundaries, the
+# smallest subnormal, and ordinary values.
+SPECIAL = (np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0)
+SPECIAL_AGENTS = [AgentType(*v) for v in
+                  np.array(np.meshgrid(*[SPECIAL] * 5)).reshape(5, -1).T.tolist()]
+GOOD = AgentType(1.0, 0.5, 1.0, 0.2, 0.3)
+
+
+def test_violations_match_the_reference_on_special_values():
+    problems = [agent_violations(a) for a in SPECIAL_AGENTS]
+    assert problems == [reference_violations(a) for a in SPECIAL_AGENTS]
+    assert sum(not p for p in problems) > 100  # valid boundary cases are kept
+    for needle in ("finite", "theta", "nu must", "sigma must", "sigma+nu"):
+        assert any(needle in "; ".join(p) for p in problems)
+
+
+def test_population_names_its_first_bad_agent():
+    from relperf import Population
+
+    rng = np.random.default_rng(3)
+    bad = [a for a in SPECIAL_AGENTS if reference_violations(a)]
+    for agent in rng.choice(np.array(bad, dtype=object), 40, replace=False):
+        k = int(rng.integers(0, 6))
+        members = [GOOD] * 6
+        members[k] = agent
+        members[5] = AgentType(-1.0, 0.5, 1.0, 0.2, 0.3)  # a later bad agent
+        want = "; ".join(reference_violations(agent)) if k < 5 else "delta must be > 0"
+        with pytest.raises(ValidationError) as exc:
+            Population(members)
+        assert str(exc.value) == f"agent {min(k, 5)}: {want}"
+    valid = [a for a in SPECIAL_AGENTS if not reference_violations(a)]
+    assert Population(valid).n == len(valid)
+
+
+def test_distribution_refuses_any_bad_atom():
+    # every distinct set of violations, and a seeded sample of the rest
+    bad = {}
+    for agent in SPECIAL_AGENTS:
+        bad.setdefault("; ".join(reference_violations(agent)), []).append(agent)
+    del bad[""]
+    rng = np.random.default_rng(5)
+    rest = [a for agents in bad.values() for a in agents[1:]]
+    sample = [agents[0] for agents in bad.values()] + list(rng.choice(
+        np.array(rest, dtype=object), 300, replace=False))
+    for agent in sample:
+        for atoms in ([(agent, 1.0)], [(GOOD, 0.5), (agent, 0.5)]):
+            with pytest.raises(ValidationError) as exc:
+                TypeDistribution(atoms)
+            assert str(exc.value) == "; ".join(reference_violations(agent))

@@ -27,6 +27,7 @@ from relperf import (
     best_response_profile,
     fixed_point_nagent,
 )
+from relperf.best_response import _refine
 from relperf.cli import main
 
 T = 2.0
@@ -80,6 +81,26 @@ def test_permuting_agents_permutes_results(case, seed):
     assert_close(moved_reply.pi, reply.pi[perm])
     assert_close(moved_reply.p, reply.p[perm][:, perm])
     assert_close(moved_reply.q, reply.q[perm])
+
+
+def dict_refine(*labelings):
+    """The common refinement by a dict over the agents' label tuples."""
+    index: dict = {}
+    labels = np.array([index.setdefault(key, len(index)) for key in zip(*labelings)])
+    return labels, np.unique(labels, return_index=True)[1], np.bincount(labels)
+
+
+@PROPERTY
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    *[st.lists(st.integers(-3, 5), min_size=n, max_size=n)] * 2)))
+def test_refine_matches_the_dict_refinement(labelings):
+    a, b = (np.array(x) for x in labelings)
+    signed = np.where(a == 0, -0.0, a.astype(float))  # -0.0 and 0.0 are one label
+    signed[::2] = np.abs(signed[::2])
+    for got, want in ((_refine(a, b), dict_refine(a, b)), (_refine(a), dict_refine(a)),
+                      (_refine(signed, b), dict_refine(signed, b))):
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
 
 
 @PROPERTY
