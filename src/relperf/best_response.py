@@ -205,16 +205,13 @@ class GridStrategyN:
         """The closed form on the type classes of the equilibrium's population:
         slope 1/(T+1-t) on the agent's own wealth and none on the others'."""
         eq._check_grid(grid)
-        times = grid.times
         labels, rep, _ = _refine(*eq.pop._params.values())
-        rem = eq.horizon + 1.0 - times
-        pi = np.multiply.outer(eq.pi_coefficients[rep], rem)
-        q = eq._intercepts(eq._core.A[rep], eq._core.B[rep], times)
+        pi, q, inv_rem = eq._sample(grid.times, rep)
         _check_finite(pi, q)
-        diag = np.tile(1.0 / rem, (rep.size, 1))
         # No cross slopes: a read-only view, which every reader indexes.
         return cls._of_classes(grid, labels, _ClassProfile(
-            pi, q, diag, np.broadcast_to(0.0, (rep.size, rep.size, times.size))))
+            pi, q, np.tile(inv_rem, (rep.size, 1)),
+            np.broadcast_to(0.0, (rep.size, rep.size, inv_rem.size))))
 
     def pi_at(self, times) -> np.ndarray:
         """(len(times), n) investments by linear interpolation."""
@@ -475,49 +472,17 @@ def response_h(pop: Population, discount: DiscountFunction,
     return _ReplyPlan(discount, strategy.grid, *_nagent_law(pop)).h(blocks.pi[lab])[i]
 
 
-def _on_types(blocks: _ClassProfile, types: np.ndarray) -> _ClassProfile | None:
-    """One-class-per-agent ``blocks`` on the classes ``types``, or None if
-    they do not expand back to ``blocks`` exactly.  The check compares a row
-    of slopes at a time, so it makes no dense copy."""
-    counts = np.bincount(types)
-    ends, order = np.cumsum(counts), np.argsort(types, kind="stable")
-    # A class's first and last member: a cross pair if it has two.
-    rep, last = order[ends - counts], order[ends - 1]
-    coarse = _ClassProfile(blocks.pi[rep], blocks.q[rep], blocks.diag[rep],
-                           blocks.off[rep[:, None], last])
-    if not all(np.array_equal(c[types], b) for c, b in zip(coarse[:3], blocks[:3])):
-        return None
-    for i, a in enumerate(types):
-        row = coarse.off[a, types]
-        row[i] = blocks.off[i, i]
-        if not np.array_equal(row, blocks.off[i]):
-            return None
-    return coarse
-
-
 def _expand(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Rows with coefficients c on one function (m,) or on two (2, m)."""
     return c * basis if basis.ndim == 1 else c @ basis
 
 
-def _fit(fields, bases) -> list | None:
-    """Coefficients that :func:`_expand` takes back to each field bit for
-    bit, or None: on one function read at the last node, on two by least
-    squares.  A field is checked in one comparison, but a (K, K, m) block a
-    row at a time, so that it is never copied."""
-    coefs = []
-    for x, basis in zip(fields, bases):
-        if basis.ndim == 1:
-            c = x[..., -1:] / basis[-1]
-        elif np.all(np.isfinite(x)):
-            c = np.linalg.lstsq(basis.T, x.T, rcond=None)[0].T
-        else:
-            return None
-        pairs = zip(c, x) if x.ndim == 3 else [(c, x)]
-        if not all(np.array_equal(_expand(a, basis), b) for a, b in pairs):
-            return None
-        coefs.append(c)
-    return coefs
+def _zero_coefficients(fields, bases) -> list | None:
+    """Zero coefficients of each field on its basis of :func:`_expand`, if
+    every entry of the fields is zero, else None."""
+    if any(x.any() for x in fields):
+        return None
+    return [np.zeros(x.shape[:-1] + (b.shape[:-1] or (1,))) for x, b in zip(fields, bases)]
 
 
 class _Space:
@@ -527,15 +492,15 @@ class _Space:
     (pi, q) = (c rem, a f1 + b f2) replies in that family (see the plan), and
     slopes c/rem reply as c'/rem: both games' slope maps are linear, node by
     node and forced by 1/rem alone (by 1 on coefficients).  The two pairs
-    never read each other, so each runs on coefficients if the start's rows
-    come back from them bit for bit (zeros do), else on the grid as always.
+    never read each other, so each runs on coefficients from zeros if every
+    entry of its start rows is zero, and on the grid from any other start.
     The gap is the grid's sup: max|c' - c| max(b) on one positive function
     b, one (K, 2) @ (2, m) evaluation for q.  :meth:`expand` ends the run."""
 
-    def __init__(self, plan: _ReplyPlan, blocks: _ClassProfile, fit: bool):
+    def __init__(self, plan: _ReplyPlan, blocks: _ClassProfile):
         self.plan = plan
         bases = (plan.rem, plan.f), (plan.inv_rem, plan.inv_rem)
-        pi_q, slopes = (fit and _fit(fields, b)
+        pi_q, slopes = (_zero_coefficients(fields, b)
                         for fields, b in zip((blocks[:2], blocks[2:]), bases))
         self.pi_q_form, self.slope_form = ("coefficients" if c else "grid"
                                            for c in (pi_q, slopes))
@@ -569,13 +534,13 @@ class _ClassSpace(_Space):
     """The n-agent best-reply map on classes of exchangeable agents.
 
     The classes are the common refinement of the profile's classes and the
-    agents' types, so ``start`` holds ``strategy`` exactly.  A profile with
-    one class per agent (built from or read as dense arrays) is first put on
-    the type classes if it expands back from them exactly.  Classes enter the
-    competitor sums with their multiplicities (weights counts/n, own share
-    1/n in :class:`_ReplyPlan`).  With P_b = sum_a counts_a off[a, b] -
-    off[b, b] + diag[b] and scale_a = theta_a / (1 - theta_a/n) / n, and
-    off[a, a] held at 0 for a one-agent class, the slopes map to
+    agents' types, so ``start`` holds ``strategy`` exactly; a profile with
+    one class per agent (built from or read as dense arrays) runs on K = n
+    classes.  Classes enter the competitor sums with their multiplicities
+    (weights counts/n, own share 1/n in :class:`_ReplyPlan`).  With P_b =
+    sum_a counts_a off[a, b] - off[b, b] + diag[b] and scale_a = theta_a /
+    (1 - theta_a/n) / n, and off[a, a] held at 0 for a one-agent class, the
+    slopes map to
 
         off'[a, b] = scale_a (P_b - off[a, b] - 1/rem),
         diag'[a]   = scale_a (P_a - diag[a]) + 1/rem.
@@ -583,16 +548,11 @@ class _ClassSpace(_Space):
     From zeros a sweep costs (K, K) coefficients and the (K, m) gap of q."""
 
     def __init__(self, pop: Population, discount: DiscountFunction,
-                 strategy: GridStrategyN, fit: bool = True):
+                 strategy: GridStrategyN):
         if strategy.n_agents != pop.n:
             raise ValidationError("strategy and population sizes differ")
         n = pop.n
         labels, blocks = strategy.classes()
-        if len(blocks.pi) == n:
-            types, type_rep, _ = _refine(*pop._params.values())
-            coarse = _on_types(blocks, types) if type_rep.size < n else None
-            if coarse is not None:
-                labels, blocks = types, coarse
         self.labels, rep, self.counts = _refine(labels, *pop._params.values())
         self.grid, self._src = strategy.grid, labels[rep]
         self.law = {k: v[rep] for k, v in pop._params.items()}, self.counts / n, 1.0 / n
@@ -602,7 +562,7 @@ class _ClassSpace(_Space):
         keep = np.repeat(self.scale, len(rep), axis=1)
         keep[np.diag_indices(len(rep))] *= self.counts > 1
         self.keep = keep[:, :, None]
-        super().__init__(_ReplyPlan(discount, self.grid, *self.law), blocks, fit)
+        super().__init__(_ReplyPlan(discount, self.grid, *self.law), blocks)
 
     def start(self) -> _ClassProfile:
         """The profile on the classes."""
@@ -624,11 +584,11 @@ class _ClassSpace(_Space):
 
 def best_response_profile(pop: Population, discount: DiscountFunction,
                           strategy: GridStrategyN) -> GridStrategyN:
-    """Simultaneous best reply of every agent to the given profile, on the grid."""
-    space = _ClassSpace(pop, discount, strategy, fit=False)
-    reply = space.reply(space.start())
-    _check_finite(*reply)
-    return space.profile(reply)
+    """Simultaneous best reply of every agent to the given profile."""
+    space = _ClassSpace(pop, discount, strategy)
+    reply = space.profile(space.reply(space.start()))
+    _check_finite(*reply.classes()[1])
+    return reply
 
 
 def best_response_nagent(pop: Population, discount: DiscountFunction,
@@ -712,12 +672,8 @@ class MFGridStrategy:
     def from_equilibrium(cls, eq: MeanFieldEquilibrium,
                          grid: TimeGrid) -> "MFGridStrategy":
         eq._check_grid(grid)
-        times = grid.times
-        K, m = eq.dist.n_atoms, grid.n_points
-        rem = eq.horizon + 1.0 - times
-        pi = np.multiply.outer(eq.atom_coefficients, rem)
-        q = eq.atom_intercepts(times)
-        return cls(grid, eq.dist, pi, 1.0 / rem, np.zeros((K, m)), np.asarray(q))
+        pi, q, inv_rem = eq._sample(grid.times)
+        return cls(grid, eq.dist, pi, inv_rem, np.zeros(pi.shape), q)
 
     def _rows(self) -> _ClassProfile:
         return _ClassProfile(self.pi, self.q, self.p1, self.p2)
@@ -732,12 +688,12 @@ class _MeanFieldSpace(_Space):
     in ``off``, p1' = 1/rem and p2' = theta (p1 + E_w[p2] - 1/rem)."""
 
     def __init__(self, dist: TypeDistribution, discount: DiscountFunction,
-                 strategy: MFGridStrategy, fit: bool = True):
+                 strategy: MFGridStrategy):
         if strategy.dist.n_atoms != dist.n_atoms:
             raise ValidationError("strategy and distribution atom counts differ")
         self.grid, self.dist = strategy.grid, strategy.dist
         self.theta = dist._params["theta"][:, None]
-        super().__init__(_ReplyPlan(discount, self.grid, *_mfg_law(dist)), strategy._rows(), fit)
+        super().__init__(_ReplyPlan(discount, self.grid, *_mfg_law(dist)), strategy._rows())
 
     def start(self) -> _ClassProfile:
         return self._blocks
@@ -754,8 +710,8 @@ class _MeanFieldSpace(_Space):
 
 def best_response_mfg(dist: TypeDistribution, discount: DiscountFunction,
                       strategy: MFGridStrategy) -> MFGridStrategy:
-    """Best reply of every type to the per-atom profile, on the grid."""
-    space = _MeanFieldSpace(dist, discount, strategy, fit=False)
+    """Best reply of every type to the per-atom profile."""
+    space = _MeanFieldSpace(dist, discount, strategy)
     return space.profile(space.reply(space.start()))
 
 

@@ -90,12 +90,16 @@ def load_config(path: str) -> RunConfig:
     grid = (TimeGrid.from_dict(_section(raw, "grid")) if "grid" in raw
             else TimeGrid(0.0, 2.0, 200))
     sim_raw = _section(raw, "sim") if "sim" in raw else {}
+    antithetic = sim_raw.get("antithetic", False)
+    if type(antithetic) is not bool:
+        raise ValidationError(
+            f"sim field 'antithetic' must be true or false (got {antithetic!r})")
     with _json_section("sim"):
         sim = simulate.SimConfig(
             n_paths=core._json_int(sim_raw.get("n_paths", 100_000), "sim", "n_paths"),
             dt=float(sim_raw.get("dt", 1e-3)),
             seed=core._json_int(sim_raw.get("seed", 42), "sim", "seed"),
-            antithetic=bool(sim_raw.get("antithetic", False)),
+            antithetic=antithetic,
         )
     x0 = raw.get("x0", 10.0)
     with _json_section("x0"):
@@ -158,12 +162,9 @@ def cmd_mfg(args) -> int:
     cfg = load_config(args.config)
     dist = cfg.need_distribution()
     eq = mfg.MeanFieldEquilibrium(dist, cfg.discount, cfg.grid.T)
-    times = cfg.grid.times
-    icpts = np.asarray(eq.atom_intercepts(times))
+    pi, icpts, inv_rem = eq._sample(cfg.grid.times)
     _check_finite("mfg equilibrium", icpts, eq.atom_coefficients)
-    rem = cfg.grid.T + 1.0 - times
-    _write_strategy_csv(args.out_csv, "atom_id", times,
-                        np.multiply.outer(eq.atom_coefficients, rem), 1.0 / rem, icpts,
+    _write_strategy_csv(args.out_csv, "atom_id", cfg.grid.times, pi, inv_rem, icpts,
                         args.deterministic)
     agg = eq.aggregates
     payload = {

@@ -231,6 +231,14 @@ class _Equilibrium:
         bracket, lrem, loglam = self._curves(t)
         return np.multiply.outer(a, bracket) + np.multiply.outer(b, lrem - loglam)
 
+    def _sample(self, times: np.ndarray, rows=slice(None)):
+        """(pi, q, 1/rem) of the core's ``rows`` on the grid ``times``: the
+        investments coef rem and intercepts (rows, m), and the own slope (m,)."""
+        rem = self.horizon + 1.0 - times
+        core = self._core
+        return (np.multiply.outer(core.coef[rows], rem),
+                self._intercepts(core.A[rows], core.B[rows], times), 1.0 / rem)
+
     def _mean_wealth(self, x0, t0: float, t, mu):
         """Closed-form mean wealth at times ``t`` of the core's rows (slopes
         coef, intercept constants A, B) started at ``x0`` at ``t0``, with

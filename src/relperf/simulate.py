@@ -120,6 +120,8 @@ class PathBundle:
 
 
 def _euler_times(t0: float, horizon: float, dt: float):
+    if not t0 >= 0:
+        raise ValidationError("the start time t0 must be >= 0")
     span = horizon - t0
     if dt > span + 1e-12:
         raise ValidationError("dt exceeds the simulation horizon")
@@ -282,6 +284,8 @@ def gaussian_moments(pop: Population, strategy, t0: float, x0, times, horizon: f
 
     Returns ``(means, covs)`` of shapes (len(times), n) and (len(times), n, n).
     """
+    if not t0 >= 0:
+        raise ValidationError("the start time t0 must be >= 0")
     n = pop.n
     p = pop._params
     x0 = _x0_vector(x0, n)
@@ -593,6 +597,10 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
     ``cfg.seed``, so results do not depend on scheduling.
     """
     agents = list(range(pop.n)) if agents is None else list(agents)
+    if len(set(times)) < len(times):
+        raise ValidationError("spike times must be distinct")
+    if not min(times) >= 0:
+        raise ValidationError("spike times must be >= 0")
     for v in vs:
         _check_spike_args(v, eps_list, max(times), horizon)
     children = np.random.SeedSequence(cfg.seed).spawn(len(times))

@@ -136,7 +136,7 @@ def test_node_h_matches_quadrature_point_h(rng):
     dist = random_distribution(rng, k=5)
     for d in (HYP, EXP, tab):
         cases = []
-        for strat, classes in ((class_profile(rng, pop), 3), (asymmetric, pop.n)):
+        for strat, classes in ((block_profile(rng, type_labels(pop)), 3), (asymmetric, pop.n)):
             space = br._ClassSpace(pop, d, strat)
             assert len(space.counts) == classes
             cases.append((space.law, space.start().pi))
@@ -396,14 +396,10 @@ def shuffled_classes(rng, k=3, n=24):
     return Population([agents[j] for j in rng.permutation(n)])
 
 
-def class_profile(rng, pop, grid=SMALL):
-    """A random profile with cross terms that is constant on the type classes."""
+def type_labels(pop):
+    """Each agent's type class, numbered by first appearance."""
     index = {}
-    lab = np.array([index.setdefault(a, len(index)) for a in pop.agents])
-    K, m = len(index), grid.n_points
-    p = rng.normal(size=(K, K, m))[lab[:, None], lab]
-    p[np.arange(pop.n), np.arange(pop.n)] = rng.normal(size=(K, m))[lab]
-    return GridStrategyN(grid, rng.normal(size=(K, m))[lab], p, rng.normal(size=(K, m))[lab])
+    return np.array([index.setdefault(a, len(index)) for a in pop.agents])
 
 
 def test_class_picard_matches_dense_iteration(rng):
@@ -435,23 +431,26 @@ def inv_rem_profile(rng, labels, grid=SMALL):
 
 
 def test_coefficient_picard_matches_dense_iteration(rng):
-    # slopes c / (T+1-t) with random nonzero c, on the type classes and with
-    # one class per agent, are iterated as coefficients; the same starts with
-    # one cross or own slope moved by an ulp are not of that form and take
-    # the grid
+    # zero slopes, on the type classes and with one class per agent, are
+    # iterated as coefficients; slopes c / (T+1-t) with random nonzero c,
+    # and both starts with one cross or own slope moved by an ulp, take the
+    # grid
     pop = shuffled_classes(rng, n=12)
-    index = {}
-    types = np.array([index.setdefault(a, len(index)) for a in pop.agents])
-    for labels in (types, np.arange(pop.n)):
-        exact = inv_rem_profile(rng, labels)
-        lab, blocks = exact.classes()
-        starts = [(exact, "coefficients")]
-        for name, at in (("off", (0, -1, 5)), ("diag", (-1, 5))):
-            moved = getattr(blocks, name).copy()
-            moved[at] = np.nextafter(moved[at], np.inf)
-            starts.append((GridStrategyN._of_classes(SMALL, lab,
-                                                     blocks._replace(**{name: moved})),
-                           "grid"))
+    m = SMALL.n_points
+    for labels in (type_labels(pop), np.arange(pop.n)):
+        K = labels.max() + 1
+        zeros = GridStrategyN._of_classes(SMALL, labels, br._ClassProfile(
+            *np.zeros((3, K, m)), np.zeros((K, K, m))))
+        starts = []
+        for exact in (zeros, inv_rem_profile(rng, labels)):
+            lab, blocks = exact.classes()
+            starts.append((exact, "coefficients" if exact is zeros else "grid"))
+            for name, at in (("off", (0, -1, 5)), ("diag", (-1, 5))):
+                moved = getattr(blocks, name).copy()
+                moved[at] = np.nextafter(moved[at], np.inf)
+                starts.append((GridStrategyN._of_classes(SMALL, lab,
+                                                         blocks._replace(**{name: moved})),
+                               "grid"))
         for init, form in starts:
             got, report = fixed_point_nagent(pop, HYP, init, tol=1e-11)
             want, history = dense_fixed_point(pop, HYP, init, 1e-11)
@@ -489,7 +488,8 @@ def test_coefficient_sweeps_allocate_no_time_blocks(rng):
 
 def test_coefficient_runs_build_no_grid_plan_terms(rng, monkeypatch):
     # the Simpson weights (3, K m) and the own-term factors are read only by
-    # a grid reply, so coefficient runs from zeros never build them
+    # a grid reply, so coefficient runs from zeros never build them; a reply
+    # to the closed form, a nonzero start, runs on the grid and does
     dist = random_distribution(rng, k=32)
     pop = replicated_population(dist, 128)
     plans, init = [], br._ReplyPlan.__init__
@@ -501,24 +501,51 @@ def test_coefficient_runs_build_no_grid_plan_terms(rng, monkeypatch):
     assert {report.pi_q_form, mreport.pi_q_form} == {"coefficients"}
     assert len(plans) == 2
     assert not any({"quad", "own_lin"} & vars(plan).keys() for plan in plans)
-    best_response_profile(pop, HYP, GridStrategyN.zeros(GRID, pop.n))
+    best_response_profile(pop, HYP, closed_form(pop, HYP))
     assert {"quad", "own_lin"} <= vars(plans[-1]).keys()
     assert plans[-1].quad.shape == (3, 32 * GRID.n_points)
 
 
 def test_slopes_off_the_family_in_any_row_take_the_grid(rng):
-    # slopes c/(T+1-t) fit the coefficient form; one ulp off in any row of
-    # the (n, n, m) cross block, the last included, sends them to the grid
+    # zero slopes take the coefficient form; one nonzero entry, the smallest,
+    # in any row of the (n, n, m) cross block, the last included, sends them
+    # to the grid
     pop = random_population(rng, n=5)
     m = GRID.n_points
-    p = rng.normal(size=(5, 5, 1)) * (1.0 / (T + 1.0 - GRID.times))
     for row in (None, 0, 4):
-        moved = p.copy()
+        moved = np.zeros((5, 5, m))
         if row is not None:
-            moved[row, 2, 7] = np.nextafter(moved[row, 2, 7], np.inf)
+            moved[row, 2, 7] = np.nextafter(0.0, 1.0)
         strat = GridStrategyN(GRID, rng.normal(size=(5, m)), moved, rng.normal(size=(5, m)))
         report = fixed_point_nagent(pop, HYP, strat, max_iter=1)[1]
         assert report.slope_form == ("coefficients" if row is None else "grid")
+
+
+def test_converged_start_takes_the_grid_for_one_sweep(rng):
+    # a Picard result from zeros is not zero, so a run started from it takes
+    # the grid for both pairs and stops after one sweep, in both games
+    pop, dist = shuffled_classes(rng, n=12), random_distribution(rng, k=3)
+    fp = fixed_point_nagent(pop, HYP, GridStrategyN.zeros(SMALL, pop.n), tol=1e-11)[0]
+    mfp = fixed_point_mfg(dist, HYP, MFGridStrategy.zeros(SMALL, dist), tol=1e-11)[0]
+    for report in (fixed_point_nagent(pop, HYP, fp)[1], fixed_point_mfg(dist, HYP, mfp)[1]):
+        assert report.converged and report.iterations == 1
+        assert report.slope_form == report.pi_q_form == "grid"
+        assert report.residual_history[0] <= 1e-10
+
+
+def test_dense_zero_profile_runs_coefficients_on_one_class_per_agent(rng):
+    # once its arrays are read, a zero profile has one class per agent: it
+    # runs on K = n classes from zero coefficients and lands where the run
+    # on the type classes does
+    pop = shuffled_classes(rng)
+    dense = GridStrategyN.zeros(SMALL, pop.n)
+    assert not dense.q.any()  # from here on the dense arrays are the profile
+    got, report = fixed_point_nagent(pop, HYP, dense, tol=1e-11)
+    want, typed = fixed_point_nagent(pop, HYP, GridStrategyN.zeros(SMALL, pop.n), tol=1e-11)
+    assert report.converged and (report.classes, typed.classes) == (pop.n, 3)
+    assert report.slope_form == report.pi_q_form == "coefficients"
+    assert report.iterations == typed.iterations
+    assert_same_profile(got, want, 1e-13)
 
 
 def test_refine_numbers_classes_by_first_appearance():
@@ -622,14 +649,14 @@ def test_sweep_to_non_finite_profile_is_rejected(rng, monkeypatch):
 
 def test_one_class_sweep_matches_dense_sweep(rng):
     pop = shuffled_classes(rng)
-    symmetric = class_profile(rng, pop)
+    symmetric = block_profile(rng, type_labels(pop))
     shape = (pop.n, SMALL.n_points)
     asymmetric = GridStrategyN(SMALL, rng.normal(size=shape),
                                rng.normal(size=(pop.n,) + shape), rng.normal(size=shape))
     for strat, classes in ((symmetric, 3), (asymmetric, pop.n)):
         assert fixed_point_nagent(pop, HYP, strat, max_iter=1)[1].classes == classes
         assert_same_profile(best_response_profile(pop, HYP, strat),
-                            dense_profile(pop, HYP, strat), 1e-13)
+                            dense_profile(pop, HYP, dense_copy(strat)), 1e-13)
 
 
 def block_profile(rng, labels, grid=SMALL):
@@ -715,8 +742,7 @@ def test_reply_on_classes_finer_than_the_types(rng):
     # a block profile that splits the type classes is iterated on its own
     # classes, not on the types
     pop = shuffled_classes(rng)
-    index = {}
-    split = np.array([index.setdefault(a, len(index)) for a in pop.agents])
+    split = type_labels(pop)
     split[np.flatnonzero(split == 0)[1:3]] = 3
     strat = block_profile(rng, split)
     assert fixed_point_nagent(pop, HYP, strat, max_iter=1)[1].classes == 4
@@ -881,16 +907,18 @@ def mfg_family_start(rng, dist, grid=SMALL):
 
 
 def test_mfg_coefficient_picard_matches_grid_iteration(rng):
-    # zeros and a random start of the coefficient family take coefficients;
-    # the same starts with one investment or one p1 or p2 entry moved by an
-    # ulp are not of that form and take the grid; every run matches the
-    # grid iteration of best_response_mfg
+    # zeros take coefficients, and zeros with one investment or one p1 or p2
+    # entry moved by an ulp take the grid for that pair; a random nonzero
+    # start of the coefficient family, moved or not, takes the grid for
+    # both; every run matches the grid iteration of best_response_mfg
     dist = random_distribution(rng, k=4)
-    for exact in (MFGridStrategy.zeros(SMALL, dist), mfg_family_start(rng, dist)):
-        starts = [(exact, "coefficients", "coefficients")]
-        for name, at, forms in (("pi", (1, 7), ("grid", "coefficients")),
-                                ("p1", (7,), ("coefficients", "grid")),
-                                ("p2", (2, 7), ("coefficients", "grid"))):
+    zeros = MFGridStrategy.zeros(SMALL, dist)
+    for exact in (zeros, mfg_family_start(rng, dist)):
+        coef = "coefficients" if exact is zeros else "grid"
+        starts = [(exact, coef, coef)]
+        for name, at, forms in (("pi", (1, 7), ("grid", coef)),
+                                ("p1", (7,), (coef, "grid")),
+                                ("p2", (2, 7), (coef, "grid"))):
             arrays = {k: getattr(exact, k).copy() for k in ("pi", "p1", "p2", "q")}
             arrays[name][at] = np.nextafter(arrays[name][at], np.inf)
             starts.append((MFGridStrategy(SMALL, dist, **arrays), *forms))

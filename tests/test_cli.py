@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from relperf.cli import main
+from relperf.cli import load_config, main
+from relperf.core import ValidationError
 from relperf.discount import discount_from_dict
 from relperf.nagent import NAgentEquilibrium
 
@@ -169,6 +170,33 @@ def test_spike_test_reports_clamped_exponents(tmp_path, capsys):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     payload = json.loads(outs[0].read_text())
     assert payload["n_clamped"] > 0 and "verdict" not in payload
+
+
+@pytest.mark.parametrize("times, message", [("-1,0.5", "spike times must be >= 0"),
+                                            ("0.5,0.5", "spike times must be distinct")])
+def test_spike_test_refuses_bad_times(times, message, two_agent_cfg, tmp_path, capsys):
+    out = tmp_path / "spike.json"
+    assert main(["--deterministic", "spike-test", "--config", two_agent_cfg,
+                 f"--times={times}", "--eps", "0.1", "--v", "1,0", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_antithetic_must_be_a_json_boolean(value, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    for flag in (True, False):
+        path.write_text(json.dumps(dict(TWO_AGENT_SINGLE_STOCK, sim=dict(
+            TWO_AGENT_SINGLE_STOCK["sim"], antithetic=flag))))
+        assert load_config(str(path)).sim.antithetic is flag
+    path.write_text(json.dumps(dict(TWO_AGENT_SINGLE_STOCK, sim=dict(
+        TWO_AGENT_SINGLE_STOCK["sim"], antithetic=value))))
+    with pytest.raises(ValidationError, match="sim field 'antithetic'"):
+        load_config(str(path))
+    assert main(["simulate", "--config", str(path),
+                 "--out-paths", str(tmp_path / "p.csv"),
+                 "--out-summary", str(tmp_path / "s.json")]) == 1
+    assert "sim field 'antithetic' must be true or false" in capsys.readouterr().err
 
 
 def test_figures_monotone_curves(tmp_path):

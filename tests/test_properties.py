@@ -1,5 +1,5 @@
-"""Property tests: relabelling the agents relabels every result, a sweep on
-slopes c / (T+1-t) equals the dense sweep, every discount's log_integral
+"""Property tests: relabelling the agents relabels every result, two sweeps
+from zeros on coefficients equal the dense sweeps, every discount's log_integral
 integrates its log_value, and the CLI answers any JSON config or argument
 with an exit code instead of a traceback."""
 
@@ -104,21 +104,23 @@ def test_refine_matches_the_dict_refinement(labelings):
 
 
 @PROPERTY
-@given(st.lists(agents(), min_size=2, max_size=7), st.integers(0, 2**32 - 1))
-def test_coefficient_sweep_matches_dense_sweep(members, seed):
-    # slopes c / (T+1-t) with random coefficients c, one class per agent: the
-    # sweep iterates the coefficients and equals the (n, n, m) sweep
+@given(st.lists(agents(), min_size=2, max_size=7))
+def test_coefficient_sweep_matches_dense_sweep(members):
+    # two sweeps from zeros, on the type classes and with one class per
+    # agent, iterate coefficients, the second from nonzero ones, and equal
+    # two (n, n, m) sweeps
     pop = Population(members)
-    rng = np.random.default_rng(seed)
-    n, m = pop.n, GRID.n_points
-    inv_rem = 1.0 / (T + 1.0 - GRID.times)
-    p = rng.normal(size=(n, n, 1)) * inv_rem
-    strat = GridStrategyN(GRID, rng.normal(size=(n, m)), p, rng.normal(size=(n, m)))
-    got, report = fixed_point_nagent(pop, HYP, strat, max_iter=1)
-    assert report.slope_form == "coefficients"
-    want = dense_profile(pop, HYP, strat)
-    for a, b in zip((got.pi, got.p, got.q), (want.pi, want.p, want.q)):
-        assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
+    want = GridStrategyN.zeros(GRID, pop.n)
+    for _ in range(2):
+        want = dense_profile(pop, HYP, want)
+    dense = GridStrategyN.zeros(GRID, pop.n)
+    assert not dense.q.any()  # once read, the arrays hold one class per agent
+    for init in (GridStrategyN.zeros(GRID, pop.n), dense):
+        got, report = fixed_point_nagent(pop, HYP, init, max_iter=2)
+        assert report.iterations == 2
+        assert report.slope_form == report.pi_q_form == "coefficients"
+        for a, b in zip((got.pi, got.p, got.q), (want.pi, want.p, want.q)):
+            assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
 
 
 AGENT = {"delta": 1.0, "theta": 0.5, "mu": 1.0, "nu": 0.5, "sigma": 1.0}

@@ -817,6 +817,42 @@ def test_payoff_calls_refuse_agents_out_of_range():
             expected_payoff(HET2, HYP, eq, bad, 1.0, 1.0, T, cfg)
 
 
+def test_start_times_before_zero_are_refused(monkeypatch):
+    # the model lives on [0, T]: every Euler entry point and gaussian_moments
+    # refuse t0 < 0, and spike_grid does before any simulation starts
+    cfg = SimConfig(4, 0.1, 0)
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    sims = []
+    monkeypatch.setattr(simulate._PayoffSim, "__init__",
+                        lambda self, *args, **kw: sims.append(args))
+    calls = [
+        lambda: simulate_paths(HET2, eq, -1.0, 1.0, T, cfg),
+        lambda: gaussian_moments(HET2, eq, -1.0, 1.0, [0.0, 1.0], T),
+        lambda: gaussian_moments(HET2, constant_strategy(1.0), -1.0, 1.0, [0.0, 1.0], T),
+        lambda: meanfield_consistency(TypeDistribution([(HET2.agents[0], 1.0)]), HYP, 100,
+                                      SimConfig(1, 0.1, 0), -1.0, 1.0, T),
+        lambda: spike_grid(HET2, HYP, eq, [0.5, -1.0], [(1, 0)], [0.1], cfg, 1.0, T),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=">= 0"):
+            call()
+    assert sims == []
+    monkeypatch.undo()
+    with pytest.raises(ValidationError, match=">= 0"):
+        expected_payoff(HET2, HYP, eq, 0, -1.0, 1.0, T, cfg)
+    with pytest.raises(ValidationError, match=">= 0"):
+        spike_test(HET2, HYP, eq, 0, -1.0, (1, 0), [0.1], cfg, 1.0, T)
+
+
+def test_spike_grid_refuses_repeated_times():
+    # one base payoff per time: a repeated time would key two simulations'
+    # rows to one entry
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    for times in ([0.5, 0.5], [0.0, 1.0, -0.0]):
+        with pytest.raises(ValidationError, match="distinct"):
+            spike_grid(HET2, HYP, eq, times, [(1, 0)], [0.1], SimConfig(4, 0.1, 0), 1.0, T)
+
+
 def test_closed_form_paths_build_no_dense_slopes():
     # the closed form's consumption is one class with no cross slopes, so 256
     # agents over 200 steps allocate no (201, 256, 256) slopes (105 MB)
