@@ -28,11 +28,9 @@ __all__ = [
     "IterationReport",
     "MFGridStrategy",
     "best_response_mfg",
-    "best_response_nagent",
     "best_response_profile",
     "fixed_point_mfg",
     "fixed_point_nagent",
-    "response_h",
 ]
 
 @dataclass
@@ -87,6 +85,11 @@ def _check_finite(*arrays) -> None:
         raise ValidationError("strategy samples must be finite")
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
 def _refine(*labelings):
     """Common refinement of labelings of the same agents, each an array of
     integers or floats (n,): (labels, first member of each class, class
@@ -137,13 +140,10 @@ class GridStrategyN:
     interpolation between nodes), ``p[i, k]`` the consumption coefficient on
     agent k's wealth, and ``q[i]`` the consumption intercept.
 
-    The profiles that :meth:`zeros`, :meth:`from_equilibrium` and the
-    best-response maps make are stored as class blocks: each agent has a
-    class label, and agents of one class share their rows (see
-    :meth:`classes`).  ``pi``, ``p`` and ``q`` are expanded from the blocks
-    the first time they are read and then kept; from then on they are the
-    profile, so changes made to them in place count.  A profile built from
-    dense arrays has one class per agent.
+    A profile is stored as class blocks: each agent has a class label, and
+    agents of one class share their rows (see :meth:`classes`).  A profile
+    built from dense arrays has one class per agent.  The blocks are
+    read-only, and ``pi``, ``p`` and ``q`` are read-only expansions of them.
     """
 
     def __init__(self, grid: TimeGrid, pi: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -152,46 +152,56 @@ class GridStrategyN:
         if pi.shape != (n, m) or p.shape != (n, n, m) or q.shape != (n, m):
             raise ValidationError("strategy arrays do not match the grid")
         _check_finite(pi, p, q)
-        self.grid, self._labels, self._blocks = grid, np.arange(n), None
-        self._dense = {"pi": pi, "p": p, "q": q}
+        off = np.array(p, dtype=float)
+        diag = np.einsum("iim->im", off).copy()
+        np.einsum("iim->im", off)[...] = 0.0
+        self._set(grid, np.arange(n), _ClassProfile(np.array(pi, dtype=float),
+                                                    np.array(q, dtype=float), diag, off))
 
     @classmethod
     def _of_classes(cls, grid: TimeGrid, labels: np.ndarray,
                     blocks: _ClassProfile) -> "GridStrategyN":
         self = cls.__new__(cls)
-        self.grid, self._labels, self._blocks, self._dense = grid, labels, blocks, {}
+        self._set(grid, labels, blocks)
         return self
+
+    def _set(self, grid: TimeGrid, labels: np.ndarray, blocks: _ClassProfile) -> None:
+        """Hold ``blocks`` read-only, with off[a, a] = 0 for a one-agent class
+        (as :func:`_restrict` sets it), copying ``off`` if that changes it."""
+        one = np.flatnonzero(np.bincount(labels, minlength=len(blocks.off)) < 2)
+        if blocks.off[one, one].any():
+            off = blocks.off.copy()
+            off[one, one] = 0.0
+            blocks = blocks._replace(off=off)
+        self.grid, self._labels = grid, labels
+        self._blocks = _ClassProfile(*map(_read_only, blocks))
 
     @property
     def n_agents(self) -> int:
         return self._labels.size
 
-    pi = property(lambda self: self._array("pi"), doc="(n, m) investments.")
-    p = property(lambda self: self._array("p"), doc="(n, n, m) consumption slopes.")
-    q = property(lambda self: self._array("q"), doc="(n, m) consumption intercepts.")
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """(n, m) investments, read-only."""
+        return _read_only(self._blocks.pi[self._labels])
 
-    def _array(self, name: str) -> np.ndarray:
-        if name not in self._dense:
-            lab, blocks = self._labels, self._blocks
-            if name == "p":
-                arr = blocks.off[lab[:, None], lab]
-                np.einsum("iim->im", arr)[...] = blocks.diag[lab]
-            else:
-                arr = getattr(blocks, name)[lab]
-            self._dense[name] = arr
-        return self._dense[name]
+    @cached_property
+    def p(self) -> np.ndarray:
+        """(n, n, m) consumption slopes, read-only."""
+        lab, blocks = self._labels, self._blocks
+        p = blocks.off[lab[:, None], lab]
+        np.einsum("iim->im", p)[...] = blocks.diag[lab]
+        return _read_only(p)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """(n, m) consumption intercepts, read-only."""
+        return _read_only(self._blocks.q[self._labels])
 
     def classes(self) -> tuple[np.ndarray, _ClassProfile]:
         """``(labels, blocks)``: agent i's rows are those of class labels[i].
-
-        Once ``pi``, ``p`` or ``q`` has been read, every agent is its own
-        class and the blocks are views of the dense arrays.  The within-class
-        slope off[a, a] means nothing for a one-agent class."""
-        if not self._dense:
-            return self._labels, self._blocks
-        p = self.p
-        return np.arange(self.n_agents), _ClassProfile(self.pi, self.q,
-                                                       np.einsum("iim->im", p), p)
+        A one-agent class has no cross pair, and its off[a, a] is 0."""
+        return self._labels, self._blocks
 
     @classmethod
     def zeros(cls, grid: TimeGrid, n: int) -> "GridStrategyN":
@@ -229,34 +239,24 @@ class GridStrategyN:
         off = np.empty(times.shape + blocks.off.shape[:2])
         for a, row in enumerate(blocks.off):  # one row at a time: no second (len, K, K)
             off[..., a, :] = _interp_at(row, *weights).T
-        one = np.flatnonzero(np.bincount(lab) < 2)
-        off[..., one, one] = 0.0
         own, q = (_interp_at(x, *weights)[lab].T for x in (blocks.diag, blocks.q))
         return lab, own, off, q
 
     def sup_distance(self, other: "GridStrategyN") -> float:
         """max |self - other| over pi, p and q, taken on the common refinement
         of the two profiles' classes: the same values as the dense arrays.
-        Profiles on the same classes are compared in place, unless the
-        off[a, a] of their one-agent classes differ and are not diag[a] in
-        both."""
+        Profiles on the same classes are compared in place."""
         (la, a), (lb, b) = self.classes(), other.classes()
         if np.array_equal(la, lb):
             counts = np.bincount(la, minlength=len(a.pi))
             if len(a.pi) == len(b.pi) == counts.size and counts.all():
-                one = np.flatnonzero(counts < 2)
-                da, db = a.off[one, one], b.off[one, one]
-                if np.array_equal(da, db) or (np.array_equal(da, a.diag[one])
-                                              and np.array_equal(db, b.diag[one])):
-                    return _sup_gap(zip(a, b))
+                return _sup_gap(zip(a, b))
         _, rep, counts = _refine(la, lb)
         return _sup_gap(zip(_restrict(a, la[rep], counts), _restrict(b, lb[rep], counts)))
 
     def max_cross_coefficient(self) -> float:
         """Largest |p[i,k]| with k != i (zero for simple strategies)."""
-        lab, blocks = self.classes()
-        cross = ~np.eye(len(blocks.off), dtype=bool) | (np.bincount(lab) > 1)[:, None]
-        return float(np.abs(blocks.off[cross]).max())
+        return float(np.abs(self._blocks.off).max())
 
 
 def _right_integrals(seg: np.ndarray) -> np.ndarray:
@@ -465,13 +465,6 @@ class _ReplyPlan:
         return new_pi, new_q
 
 
-def response_h(pop: Population, discount: DiscountFunction,
-               strategy: GridStrategyN, i: int) -> np.ndarray:
-    """Reply intercept profile h_i(t) of agent ``i`` on the strategy grid."""
-    lab, blocks = strategy.classes()
-    return _ReplyPlan(discount, strategy.grid, *_nagent_law(pop)).h(blocks.pi[lab])[i]
-
-
 def _expand(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Rows with coefficients c on one function (m,) or on two (2, m)."""
     return c * basis if basis.ndim == 1 else c @ basis
@@ -535,7 +528,7 @@ class _ClassSpace(_Space):
 
     The classes are the common refinement of the profile's classes and the
     agents' types, so ``start`` holds ``strategy`` exactly; a profile with
-    one class per agent (built from or read as dense arrays) runs on K = n
+    one class per agent (built from dense arrays) runs on K = n
     classes.  Classes enter the competitor sums with their multiplicities
     (weights counts/n, own share 1/n in :class:`_ReplyPlan`).  With P_b =
     sum_a counts_a off[a, b] - off[b, b] + diag[b] and scale_a = theta_a /
@@ -589,17 +582,6 @@ def best_response_profile(pop: Population, discount: DiscountFunction,
     reply = space.profile(space.reply(space.start()))
     _check_finite(*reply.classes()[1])
     return reply
-
-
-def best_response_nagent(pop: Population, discount: DiscountFunction,
-                         strategy: GridStrategyN, i: int):
-    """Agent ``i``'s best reply (pi_i, p_i, q_i) on the strategy grid."""
-    if not 0 <= i < pop.n:
-        raise IndexError(f"agent index {i} out of range for n={pop.n}")
-    lab, blocks = best_response_profile(pop, discount, strategy).classes()
-    p_i = blocks.off[lab[i], lab]
-    p_i[i] = blocks.diag[lab[i]]
-    return blocks.pi[lab[i]], p_i, blocks.q[lab[i]]
 
 
 def _picard(space: _Space, tol: float, max_iter: int):

@@ -97,13 +97,14 @@ def load_config(path: str) -> RunConfig:
     with _json_section("sim"):
         sim = simulate.SimConfig(
             n_paths=core._json_int(sim_raw.get("n_paths", 100_000), "sim", "n_paths"),
-            dt=float(sim_raw.get("dt", 1e-3)),
+            dt=core._json_float(sim_raw.get("dt", 1e-3), "sim", "dt"),
             seed=core._json_int(sim_raw.get("seed", 42), "sim", "seed"),
             antithetic=antithetic,
         )
     x0 = raw.get("x0", 10.0)
     with _json_section("x0"):
-        np.asarray(x0, dtype=float)
+        x0 = ([core._json_float(x, "config", f"x0[{k}]") for k, x in enumerate(x0)]
+              if type(x0) is list else core._json_float(x0, "config", "x0"))
     return RunConfig(population, distribution, discount, grid, sim, x0)
 
 
@@ -133,6 +134,13 @@ def _write_strategy_csv(path: str, id_name: str, times, pi, slope, q,
     _write_csv(path, [id_name, "t", "pi", "c_slope", "c_intercept"], rows, deterministic)
 
 
+def _write_profile_csv(path: str, strategy: br.GridStrategyN, deterministic: bool):
+    """:func:`_write_strategy_csv` of an n-agent profile, one block per agent."""
+    labels, blocks = strategy.classes()
+    _write_strategy_csv(path, "agent_id", strategy.grid.times, blocks.pi[labels],
+                        blocks.diag[labels], blocks.q[labels], deterministic)
+
+
 def _write_json(path: str, payload: dict, deterministic: bool):
     stamp = _stamp(deterministic)
     if stamp:
@@ -152,9 +160,8 @@ def cmd_equilibrium(args) -> int:
     cfg = load_config(args.config)
     pop = cfg.need_population()
     eq = NAgentEquilibrium(pop, cfg.discount, cfg.grid.T)
-    labels, blocks = br.GridStrategyN.from_equilibrium(eq, cfg.grid).classes()
-    _write_strategy_csv(args.out, "agent_id", cfg.grid.times, blocks.pi[labels],
-                        blocks.diag[labels], blocks.q[labels], args.deterministic)
+    _write_profile_csv(args.out, br.GridStrategyN.from_equilibrium(eq, cfg.grid),
+                       args.deterministic)
     return EXIT_OK
 
 
@@ -192,9 +199,7 @@ def cmd_best_response(args) -> int:
         NAgentEquilibrium(pop, cfg.discount, cfg.grid.T), cfg.grid)
     payload["gap_to_closed_form"] = final.sup_distance(closed)
     _write_json(args.out_json, payload, args.deterministic)
-    labels, blocks = final.classes()
-    _write_strategy_csv(args.out_csv, "agent_id", cfg.grid.times, final.pi,
-                        blocks.diag[labels], final.q, args.deterministic)
+    _write_profile_csv(args.out_csv, final, args.deterministic)
     if not report.converged:
         raise NumericalFailure("fixed-point iteration did not converge",
                                detail=payload)

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +49,15 @@ def _json_int(value, section: str, name: str) -> int:
     if type(value) is not int and not (type(value) is float and value.is_integer()):
         raise ValidationError(f"{section} field {name!r} must be an integer (got {value!r})")
     return int(value)
+
+
+def _json_float(value, section: str, name: str) -> float:
+    """Config field ``name`` of ``section``: a finite JSON number, not a bool,
+    a string or null."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValidationError(f"{section} field {name!r} must be a finite number "
+                              f"(got {value!r})")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,7 @@ class TypeDistribution:
 
     ``atoms`` is a sequence of (AgentType, weight) pairs; weights are strictly
     positive and sum to one (within 1e-12).  Every expectation over the type
-    is an exact weighted sum, see :meth:`expect`.
+    is an exact weighted sum, ``weights @`` per-atom values.
     """
 
     atoms: tuple[tuple[AgentType, float], ...]
@@ -220,15 +229,6 @@ class TypeDistribution:
     def field(self, name: str) -> np.ndarray:
         """Per-atom array of one agent parameter ('delta', 'theta', ...)."""
         return np.array([getattr(a, name) for a, _ in self.atoms])
-
-    def expect(self, fn: Callable[[AgentType], float]) -> float:
-        """Exact expectation of ``fn`` over the type law (weighted sum)."""
-        return float(sum(w * fn(a) for a, w in self.atoms))
-
-    def expect_values(self, values: Sequence[float] | np.ndarray) -> float:
-        """Weighted sum of per-atom values aligned with :attr:`types`."""
-        values = np.asarray(values, dtype=float)
-        return float(self.weights @ values)
 
     def to_dict(self) -> dict:
         return {

@@ -26,9 +26,7 @@ __all__ = [
     "ExponentialDiscount",
     "HyperbolicDiscount",
     "TabulatedDiscount",
-    "discount_eval",
     "discount_from_dict",
-    "discount_log_integral",
 ]
 
 # Negative arguments below this magnitude are treated as rounding noise.
@@ -215,16 +213,6 @@ class TabulatedDiscount(DiscountFunction):
     def __repr__(self) -> str:
         return (f"TabulatedDiscount({self._times.size} knots on "
                 f"[0, {self._times[-1]:g}])")
-
-
-def discount_eval(d: DiscountFunction, t):
-    """lam(t) for any discount family."""
-    return d.value(t)
-
-
-def discount_log_integral(d: DiscountFunction, t, T):
-    """Integral of ln lam(T - s) over s in [t, T]."""
-    return d.log_integral(t, T)
 
 
 def discount_from_dict(data: Mapping) -> DiscountFunction:

@@ -46,7 +46,6 @@ __all__ = [
     "PayoffEstimate",
     "SimConfig",
     "SpikeGridReport",
-    "SpikeReport",
     "SpikeResult",
     "SpikeSpec",
     "MeanFieldConsistencyReport",
@@ -56,7 +55,6 @@ __all__ = [
     "meanfield_consistency",
     "simulate_paths",
     "spike_grid",
-    "spike_test",
 ]
 
 # Exponent clamp keeping exp() inside double range; clamped samples counted.
@@ -502,36 +500,9 @@ class SpikeResult:
         }
 
 
-@dataclass
-class SpikeReport:
-    results: list[SpikeResult]
-    passed: bool
-    base_payoff: float
-    slope_tol: float
-    n_clamped: int = 0   # clamped utility exponents, simulation and pricing
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": "PASS" if self.passed else "FAIL",
-            "base_payoff": self.base_payoff,
-            "slope_tol": self.slope_tol,
-            "n_clamped": self.n_clamped,
-            "results": [r.to_dict() for r in self.results],
-        }
-
-
-def _check_spike_args(v, eps_list, time, horizon):
-    if abs(v[0]) > V_BOUND or abs(v[1]) > V_BOUND:
-        raise ValidationError(f"|v| components must be <= {V_BOUND}")
-    eps = list(eps_list)
-    if not eps or any(e <= 0 for e in eps):
-        raise ValidationError("eps_list must contain positive values")
-    if max(eps) > horizon - time + 1e-12:
-        raise ValidationError("eps values must not exceed horizon - t")
-
-
 def _price_spikes(sim: _PayoffSim, agent: int, time: float, vs, eps_list):
-    """Base payoff, slope tolerance and one SpikeResult per (v, eps) of agent."""
+    """Base payoff and one SpikeResult per (v, eps) of agent.  A slope is
+    significant above 3 standard errors plus 1e-2 of the base payoff's size."""
     base = _mean_se(sim.payoff_paths(agent))[0]
     tol = 1e-2 * abs(base)
     rows = []
@@ -541,24 +512,7 @@ def _price_spikes(sim: _PayoffSim, agent: int, time: float, vs, eps_list):
             slope, se = mean / sim.eps_eff[e], se / sim.eps_eff[e]
             rows.append(SpikeResult(time, agent, tuple(v), eps, slope, se,
                                     slope > 3.0 * se + tol))
-    return base, tol, rows
-
-
-def spike_test(pop: Population, discount: DiscountFunction, strategy,
-               agent: int, time: float, v: tuple[float, float],
-               eps_list: Sequence[float], cfg: SimConfig, x0, horizon: float) -> SpikeReport:
-    """First-order optimality check of one spike direction at one time.
-
-    For each eps the slope [J(perturbed) - J(base)] / eps is estimated with
-    common random numbers; the spike passes when no slope is statistically
-    positive (above 3 standard errors plus an absolute tolerance of 1e-2 of
-    the base payoff magnitude).  Components of v above V_BOUND are refused.
-    """
-    _check_spike_args(v, eps_list, time, horizon)
-    sim = _PayoffSim(pop, discount, strategy, time, x0, horizon, cfg, [agent], eps_list)
-    base, tol, rows = _price_spikes(sim, agent, time, [v], eps_list)
-    return SpikeReport(rows, not any(r.significant_gain for r in rows), base, tol,
-                       sim.n_clamped)
+    return base, rows
 
 
 @dataclass
@@ -599,10 +553,13 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
     agents = list(range(pop.n)) if agents is None else list(agents)
     if len(set(times)) < len(times):
         raise ValidationError("spike times must be distinct")
-    if not min(times) >= 0:
-        raise ValidationError("spike times must be >= 0")
-    for v in vs:
-        _check_spike_args(v, eps_list, max(times), horizon)
+    # Each bound is written so that NaN fails it.
+    if not all(0 <= t <= horizon for t in times):
+        raise ValidationError("spike times must be >= 0 and <= the horizon")
+    if not all(abs(x) <= V_BOUND for v in vs for x in v):
+        raise ValidationError(f"v components must be finite with |v| <= {V_BOUND}")
+    if not eps_list or not all(0 < e <= horizon - max(times) + 1e-12 for e in eps_list):
+        raise ValidationError("eps values must be > 0 and <= horizon - t")
     children = np.random.SeedSequence(cfg.seed).spawn(len(times))
 
     def run_time(idx: int) -> tuple[list[SpikeResult], dict[int, float], int]:
@@ -611,7 +568,7 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
                          eps_list, seed_seq=children[idx])
         rows, base = [], {}
         for a in agents:
-            base[a], _, agent_rows = _price_spikes(sim, a, t, vs, eps_list)
+            base[a], agent_rows = _price_spikes(sim, a, t, vs, eps_list)
             rows.extend(agent_rows)
         return rows, base, sim.n_clamped
 

@@ -20,16 +20,15 @@ from relperf import (
     TypeDistribution,
     ValidationError,
     best_response_mfg,
-    best_response_nagent,
     best_response_profile,
     fixed_point_mfg,
     fixed_point_nagent,
     mfg_aggregates,
     aggregates,
-    response_h,
 )
 from relperf import best_response as br
 from relperf.mfg import _mfg_law
+from relperf.nagent import _nagent_law
 
 T = 2.0
 GRID = TimeGrid(0.0, T, 200)
@@ -50,29 +49,19 @@ def test_equilibrium_is_fixed_point_of_reply_map():
     assert reply.sup_distance(strat) < 1e-10
 
 
-def test_single_agent_reply_slices_profile():
-    strat = closed_form(HET2, HYP)
-    pi1, p1, q1 = best_response_nagent(HET2, HYP, strat, 1)
-    full = best_response_profile(HET2, HYP, strat)
-    assert np.array_equal(pi1, full.pi[1])
-    assert np.array_equal(p1, full.p[1])
-    assert np.array_equal(q1, full.q[1])
-    with pytest.raises(IndexError):
-        best_response_nagent(HET2, HYP, strat, 7)
-
-
 def test_reply_to_idle_competitor_is_solo_policy():
     # competitor sits at zero and agent 0 has no competitive motive: the reply
     # is the solo investment line with intercept -delta (h + ln lam).
     pop = Population([AgentType(1.3, 0.0, 1.1, 0.6, 0.9),
                       AgentType(1.0, 0.4, 1.0, 0.0, 1.0)])
     zero = GridStrategyN.zeros(GRID, 2)
-    pi0, p0, q0 = best_response_nagent(pop, HYP, zero, 0)
+    reply = best_response_profile(pop, HYP, zero)
+    pi0, p0, q0 = reply.pi[0], reply.p[0], reply.q[0]
     a = pop.agents[0]
     rem = T + 1.0 - GRID.times
     assert np.allclose(pi0, a.delta * a.mu / (a.nu**2 + a.sigma**2) * rem,
                        rtol=1e-14, atol=0)
-    h0 = response_h(pop, HYP, zero, 0)
+    h0 = br._ReplyPlan(HYP, GRID, *_nagent_law(pop)).h(zero.pi)[0]
     want_q = -a.delta * (h0 + HYP.log_value(T - GRID.times))
     assert np.allclose(q0, want_q, rtol=0, atol=1e-14)
     # G reduces to its discount and Merton terms; h has a closed form here
@@ -88,7 +77,7 @@ def test_response_h_matches_direct_quadrature_at_equilibrium(rng):
         pop = random_population(rng, n=int(rng.integers(2, 5)))
         strat = closed_form(pop, EXP)
         i = int(rng.integers(0, pop.n))
-        h = response_h(pop, EXP, strat, i)
+        h = br._ReplyPlan(EXP, GRID, *_nagent_law(pop)).h(strat.pi)[i]
         for j in (0, 57, 150):
             t = float(GRID.times[j])
             want = oracle_hhat_quadrature(pop, EXP, i, t, T, n=4000)
@@ -406,8 +395,10 @@ def test_class_picard_matches_dense_iteration(rng):
     # three types in shuffled order from zeros, the same with one agent's
     # intercept row perturbed (one class per agent), and two distinct agents
     shuffled = shuffled_classes(rng)
-    perturbed = GridStrategyN.zeros(SMALL, shuffled.n)
-    perturbed.q[5] += 1e-3
+    n, m = shuffled.n, SMALL.n_points
+    q = np.zeros((n, m))
+    q[5] = 1e-3
+    perturbed = GridStrategyN(SMALL, np.zeros((n, m)), np.zeros((n, n, m)), q)
     for pop, init, classes in ((shuffled, GridStrategyN.zeros(SMALL, shuffled.n), 3),
                                (shuffled, perturbed, shuffled.n),
                                (HET2, GridStrategyN.zeros(SMALL, 2), 2)):
@@ -534,12 +525,12 @@ def test_converged_start_takes_the_grid_for_one_sweep(rng):
 
 
 def test_dense_zero_profile_runs_coefficients_on_one_class_per_agent(rng):
-    # once its arrays are read, a zero profile has one class per agent: it
-    # runs on K = n classes from zero coefficients and lands where the run
-    # on the type classes does
+    # a zero profile built from dense arrays has one class per agent: it runs
+    # on K = n classes from zero coefficients and lands where the run on the
+    # type classes does
     pop = shuffled_classes(rng)
-    dense = GridStrategyN.zeros(SMALL, pop.n)
-    assert not dense.q.any()  # from here on the dense arrays are the profile
+    n, m = pop.n, SMALL.n_points
+    dense = GridStrategyN(SMALL, np.zeros((n, m)), np.zeros((n, n, m)), np.zeros((n, m)))
     got, report = fixed_point_nagent(pop, HYP, dense, tol=1e-11)
     want, typed = fixed_point_nagent(pop, HYP, GridStrategyN.zeros(SMALL, pop.n), tol=1e-11)
     assert report.converged and (report.classes, typed.classes) == (pop.n, 3)
@@ -637,10 +628,13 @@ def test_sweep_to_non_finite_profile_is_rejected(rng, monkeypatch):
     monkeypatch.setattr(br._ReplyPlan, "reply",
                         lambda plan, *args: sweeps.append(1) or reply(plan, *args))
     pop = shuffled_classes(rng)
-    for shift in (0.0, 1.0):
-        huge = GridStrategyN.zeros(SMALL, pop.n)
-        huge.p[...] = 1e307
-        huge.q[0] += shift
+    n, m = pop.n, SMALL.n_points
+    typed = br._ClassProfile(*np.zeros((2, 3, m)), np.full((3, m), 1e307),
+                             np.full((3, 3, m), 1e307))
+    q = np.zeros((n, m))
+    q[0] = 1.0
+    for huge in (GridStrategyN._of_classes(SMALL, type_labels(pop), typed),
+                 GridStrategyN(SMALL, np.zeros((n, m)), np.full((n, n, m), 1e307), q)):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValidationError, match="finite"):
             fixed_point_nagent(pop, HYP, huge)
@@ -660,8 +654,9 @@ def test_one_class_sweep_matches_dense_sweep(rng):
 
 
 def block_profile(rng, labels, grid=SMALL):
-    """A random profile stored as class blocks; off[a, a] of a one-agent
-    class is 1e3, a value that no entry of the dense profile holds."""
+    """A random profile stored as class blocks.  off[a, a] of a one-agent
+    class is given as 1e3, a value that no entry of the dense profile holds:
+    the profile sets it to 0."""
     K, m = labels.max() + 1, grid.n_points
     off = rng.normal(size=(K, K, m))
     np.einsum("aam->am", off)[np.bincount(labels, minlength=K) == 1] = 1e3
@@ -704,15 +699,16 @@ def test_block_profiles_match_their_dense_arrays(rng):
 
 
 def test_sup_distance_compares_shared_classes_in_place(rng):
-    # on the same classes the blocks are compared as they are, unless a
-    # one-agent class's off[a, a] differs and is not diag[a] in both (then
-    # they are restricted first); the gap is the dense one bit for bit
+    # on the same classes the blocks are compared as they are: a profile
+    # holds off[a, a] = 0 for a one-agent class, whatever it was given, so
+    # the gap is the dense one bit for bit
     types = np.array([0, 1, 0, 2, 1, 0, 1, 2, 0, 3])
     a, b = (block_profile(rng, types) for _ in range(2))
     lab, blocks = b.classes()
     off = blocks.off.copy()
     off[3, 3] = 7.0
     moved = GridStrategyN._of_classes(SMALL, lab, blocks._replace(off=off))
+    assert not moved.classes()[1].off[3, 3].any() and off[3, 3, 0] == 7.0
     per_agent, per_agent2 = (dense_copy(block_profile(rng, np.arange(10))) for _ in range(2))
     for x, y in ((a, b), (a, moved), (per_agent, per_agent2)):
         dx, dy = dense_copy(x), dense_copy(y)
@@ -750,11 +746,20 @@ def test_reply_on_classes_finer_than_the_types(rng):
                         dense_profile(pop, HYP, dense_copy(strat)), 1e-13)
 
 
-def test_profile_arrays_once_read_are_the_profile(rng):
+def test_profile_arrays_are_read_only_expansions(rng):
+    # pi, p, q and the blocks refuse writes, and a profile built from dense
+    # arrays holds copies of them
     pop = shuffled_classes(rng)
-    zero = GridStrategyN.zeros(SMALL, pop.n)
-    moved = GridStrategyN.zeros(SMALL, pop.n)
-    moved.p[0, 1] += 1.0
+    n, m = pop.n, SMALL.n_points
+    zero = GridStrategyN.zeros(SMALL, n)
+    for x in (zero.pi, zero.p, zero.q, *zero.classes()[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            x += 1.0
+    assert not (zero.pi.any() or zero.p.any() or zero.q.any())
+    p = np.zeros((n, n, m))
+    p[0, 1] = 1.0
+    moved = GridStrategyN(SMALL, np.zeros((n, m)), p, np.zeros((n, m)))
+    p[0, 1] = 2.0
     assert moved.max_cross_coefficient() == 1.0
     assert moved.sup_distance(zero) == zero.sup_distance(moved) == 1.0
     assert_same_profile(best_response_profile(pop, HYP, moved),

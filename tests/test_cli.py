@@ -173,11 +173,23 @@ def test_spike_test_reports_clamped_exponents(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("times, message", [("-1,0.5", "spike times must be >= 0"),
+                                            ("1.0,nan", "spike times must be >= 0"),
                                             ("0.5,0.5", "spike times must be distinct")])
 def test_spike_test_refuses_bad_times(times, message, two_agent_cfg, tmp_path, capsys):
     out = tmp_path / "spike.json"
     assert main(["--deterministic", "spike-test", "--config", two_agent_cfg,
                  f"--times={times}", "--eps", "0.1", "--v", "1,0", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("v, eps, message", [("nan,0", "0.1", "v components must be finite"),
+                                             ("1,0", "nan", "eps values must be > 0")])
+def test_spike_test_refuses_non_finite_v_and_eps(v, eps, message, two_agent_cfg, tmp_path,
+                                                 capsys):
+    out = tmp_path / "spike.json"
+    assert main(["--deterministic", "spike-test", "--config", two_agent_cfg, "--times", "1",
+                 "--v", v, "--eps", eps, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -424,6 +436,25 @@ def test_fractional_integer_field_is_validation_error(command, section, name, va
     err = capsys.readouterr().err
     assert err.startswith("error:") and section in err and name in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", True), ("dt", "0.1"), ("x0", True), ("x0", None), ("x0", [10.0, "1"]),
+    ("x0", float("nan")),
+])
+def test_float_field_must_be_a_finite_json_number(field, value, tmp_path, capsys):
+    # a bool, a string, null or NaN is refused and named, not run or reported
+    # as a numerical failure
+    sim = dict(TWO_AGENT_SINGLE_STOCK["sim"])
+    cfg = dict(TWO_AGENT_SINGLE_STOCK, sim=sim)
+    (sim if field == "dt" else cfg)[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(path), "--out-paths", str(tmp_path / "p.csv"),
+               "--out-summary", str(tmp_path / "s.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"field '{field}" in err
 
 
 def test_config_that_is_not_an_object_is_validation_error(tmp_path, capsys):

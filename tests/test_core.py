@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import relperf
+from relperf import best_response, core, diagnostics, discount, mfg, nagent, simulate
 from relperf import (
     AgentType,
     TimeGrid,
@@ -96,8 +98,8 @@ def test_distribution_expectation_is_weighted_sum():
     dist = TypeDistribution(
         [(AgentType(1, 0, 1, 0, 1), 0.25), (AgentType(3, 0.5, 1, 1, 0), 0.75)]
     )
-    assert dist.expect(lambda a: a.delta) == pytest.approx(0.25 * 1 + 0.75 * 3, abs=1e-15)
-    assert dist.expect_values([2.0, 4.0]) == pytest.approx(3.5, abs=1e-15)
+    assert dist.weights @ dist.field("delta") == pytest.approx(0.25 * 1 + 0.75 * 3, abs=1e-15)
+    assert dist.weights @ [2.0, 4.0] == pytest.approx(3.5, abs=1e-15)
 
 
 def test_distribution_json_roundtrip():
@@ -179,3 +181,18 @@ def test_distribution_refuses_any_bad_atom():
             with pytest.raises(ValidationError) as exc:
                 TypeDistribution(atoms)
             assert str(exc.value) == "; ".join(reference_violations(agent))
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    modules = (core, discount, nagent, mfg, best_response, simulate, diagnostics)
+    union = [name for module in modules for name in module.__all__]
+    assert sorted(relperf.__all__) == sorted(set(union)) == sorted(union)
+    for module in modules:
+        assert all(getattr(relperf, name) is getattr(module, name) for name in module.__all__)
+    gone = {simulate: ("spike_test", "SpikeReport"),
+            best_response: ("best_response_nagent", "response_h"),
+            discount: ("discount_eval", "discount_log_integral"),
+            TypeDistribution: ("expect", "expect_values")}
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(relperf, name) and not hasattr(owner, name)

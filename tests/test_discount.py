@@ -9,9 +9,7 @@ from relperf import (
     HyperbolicDiscount,
     TabulatedDiscount,
     ValidationError,
-    discount_eval,
     discount_from_dict,
-    discount_log_integral,
 )
 
 
@@ -43,7 +41,7 @@ def test_value_at_zero_is_one(d):
 
 def test_exponential_values():
     d = ExponentialDiscount(0.1)
-    assert float(discount_eval(d, 2.0)) == pytest.approx(math.exp(-0.2), abs=0)
+    assert float(d.value(2.0)) == pytest.approx(math.exp(-0.2), abs=0)
 
 
 def test_hyperbolic_at_zero_and_positive():
@@ -187,9 +185,3 @@ def test_parameter_validation():
         HyperbolicDiscount(0.0, 1.0)
     with pytest.raises(ValidationError):
         HyperbolicDiscount(0.1, 0.0)
-
-
-def test_module_level_wrappers():
-    d = ExponentialDiscount(0.2)
-    assert float(discount_eval(d, 1.0)) == float(d.value(1.0))
-    assert float(discount_log_integral(d, 0.0, 2.0)) == float(d.log_integral(0.0, 2.0))

@@ -158,8 +158,8 @@ def test_pi_star_fixed_point_identity(rng):
         dist = random_distribution(rng)
         agg = mfg_aggregates(dist)
         for t in (0.0, 0.8, 1.9):
-            e_sig = dist.expect_values(
-                [a.sigma * float(mfg_pi_star(dist, a, t, T)) for a in dist.types])
+            e_sig = dist.weights @ [a.sigma * float(mfg_pi_star(dist, a, t, T))
+                                    for a in dist.types]
             assert e_sig == pytest.approx(
                 agg.phi * (T + 1 - t) + agg.psi * e_sig, abs=1e-12)
 
@@ -226,8 +226,7 @@ def test_average_consumption_starts_at_initial_policy():
     grid = TimeGrid(0.0, T, 101)
     eq = MeanFieldEquilibrium(TWO_ATOM, HYP, T)
     avg = eq.average_consumption(grid, 10.0)
-    want = TWO_ATOM.expect_values(
-        [float(eq.consumption(a, 0.0, 10.0)) for a in TWO_ATOM.types])
+    want = TWO_ATOM.weights @ [float(eq.consumption(a, 0.0, 10.0)) for a in TWO_ATOM.types]
     assert avg[0] == pytest.approx(want, abs=1e-13)
 
 

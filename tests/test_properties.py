@@ -113,8 +113,8 @@ def test_coefficient_sweep_matches_dense_sweep(members):
     want = GridStrategyN.zeros(GRID, pop.n)
     for _ in range(2):
         want = dense_profile(pop, HYP, want)
-    dense = GridStrategyN.zeros(GRID, pop.n)
-    assert not dense.q.any()  # once read, the arrays hold one class per agent
+    n, m = pop.n, GRID.n_points
+    dense = GridStrategyN(GRID, np.zeros((n, m)), np.zeros((n, n, m)), np.zeros((n, m)))
     for init in (GridStrategyN.zeros(GRID, pop.n), dense):
         got, report = fixed_point_nagent(pop, HYP, init, max_iter=2)
         assert report.iterations == 2

@@ -28,7 +28,6 @@ from relperf import (
     meanfield_consistency,
     simulate_paths,
     spike_grid,
-    spike_test,
 )
 from relperf import simulate
 
@@ -211,21 +210,23 @@ def test_expected_payoff_spike_requires_matching_time_and_agent():
 
 
 def test_spike_delta_matches_two_full_runs():
-    # the CRN shortcut must equal expected_payoff(perturbed) - expected_payoff(base)
+    # the CRN shortcut must equal expected_payoff(perturbed) - expected_payoff(base);
+    # spike_grid's pricing runs here on cfg.seed itself, not on a child seed
     cfg = SimConfig(500, 0.01, 17)
     eq = NAgentEquilibrium(HET2, HYP, T)
     base = expected_payoff(HET2, HYP, eq, 0, 0.5, 1.0, T, cfg)
     pert = expected_payoff(HET2, HYP, eq, 0, 0.5, 1.0, T, cfg,
                            spike=SpikeSpec(0, 0.5, 0.1, (0.7, -0.4)))
-    rep = spike_test(HET2, HYP, eq, 0, 0.5, (0.7, -0.4), [0.1], cfg, 1.0, T)
-    assert rep.results[0].slope * 0.1 == pytest.approx(pert.value - base.value,
-                                                       abs=1e-12)
+    sim = simulate._PayoffSim(HET2, HYP, eq, 0.5, 1.0, T, cfg, [0], [0.1])
+    _, rows = simulate._price_spikes(sim, 0, 0.5, [(0.7, -0.4)], [0.1])
+    assert rows[0].slope * 0.1 == pytest.approx(pert.value - base.value, abs=1e-12)
 
 
 def test_spike_zero_perturbation_is_exactly_zero():
     cfg = SimConfig(200, 0.01, 3)
     eq = NAgentEquilibrium(HET2, HYP, T)
-    rep = spike_test(HET2, HYP, eq, 0, 0.0, (0.0, 0.0), [0.1, 0.05], cfg, 0.0, T)
+    rep = spike_grid(HET2, HYP, eq, [0.0], [(0.0, 0.0)], [0.1, 0.05], cfg, 0.0, T,
+                     agents=[0])
     for r in rep.results:
         assert r.slope == 0.0
         assert r.std_error == 0.0
@@ -236,9 +237,9 @@ def test_spike_bounded_v_enforced():
     cfg = SimConfig(10, 0.01, 3)
     eq = NAgentEquilibrium(HET2, HYP, T)
     with pytest.raises(ValidationError):
-        spike_test(HET2, HYP, eq, 0, 0.0, (100.0, 0.0), [0.1], cfg, 0.0, T)
+        spike_grid(HET2, HYP, eq, [0.0], [(100.0, 0.0)], [0.1], cfg, 0.0, T, agents=[0])
     with pytest.raises(ValidationError):
-        spike_test(HET2, HYP, eq, 0, 0.0, (1.0, 0.0), [3.0], cfg, 0.0, T)
+        spike_grid(HET2, HYP, eq, [0.0], [(1.0, 0.0)], [3.0], cfg, 0.0, T, agents=[0])
 
 
 def test_spike_passes_at_equilibrium_small_grid():
@@ -471,14 +472,11 @@ def test_path_blocks_leave_spike_grid_unchanged(monkeypatch):
 def test_one_path_spike_errors_are_finite_and_shared():
     cfg = SimConfig(1, 0.01, 5)
     eq = NAgentEquilibrium(HET2, HYP, T)
-    single = spike_test(HET2, HYP, eq, 1, 0.5, (1.0, 0.0), [0.1], cfg, 1.0, T)
     grid = spike_grid(HET2, HYP, eq, [0.5], [(1.0, 0.0)], [0.1], cfg, 1.0, T,
                       agents=[1])
-    # spike_grid draws from a child seed, so only the error rule is shared
-    assert single.results[0].std_error == grid.results[0].std_error == 0.0
+    assert grid.results[0].std_error == 0.0
     grid_tol = 1e-2 * abs(grid.base_payoffs[0.5][1])
-    for rep, tol in ((single, single.slope_tol), (grid, grid_tol)):
-        assert rep.passed == (rep.results[0].slope <= tol)
+    assert grid.passed == (grid.results[0].slope <= grid_tol)
 
 
 def test_spike_reports_count_clamped_exponents():
@@ -486,7 +484,7 @@ def test_spike_reports_count_clamped_exponents():
     eq = NAgentEquilibrium(HET2, HYP, T)
     calm = spike_grid(HET2, HYP, eq, [1.0], [(1, 0)], [0.1], cfg, 10.0, T)
     assert calm.n_clamped == 0
-    hot = spike_test(HET2, HYP, eq, 0, 1.0, (1, 0), [0.1], cfg, 1e4, T)
+    hot = spike_grid(HET2, HYP, eq, [1.0], [(1, 0)], [0.1], cfg, 1e4, T, agents=[0])
     grid = spike_grid(HET2, HYP, eq, [1.0, 1.5], [(1, 0)], [0.1], cfg, 1e4, T,
                       agents=[0])
     every = spike_grid(HET2, HYP, eq, [1.0], [(1, 0)], [0.1], cfg, 1e4, T)
@@ -812,8 +810,6 @@ def test_payoff_calls_refuse_agents_out_of_range():
             spike_grid(HET2, HYP, eq, [1.0], [(1, 0)], [0.1], cfg, 1.0, T,
                        agents=[0, bad])
         with pytest.raises(ValidationError, match=f"agent index {bad} out of range"):
-            spike_test(HET2, HYP, eq, bad, 1.0, (1, 0), [0.1], cfg, 1.0, T)
-        with pytest.raises(ValidationError, match=f"agent index {bad} out of range"):
             expected_payoff(HET2, HYP, eq, bad, 1.0, 1.0, T, cfg)
 
 
@@ -840,8 +836,6 @@ def test_start_times_before_zero_are_refused(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ValidationError, match=">= 0"):
         expected_payoff(HET2, HYP, eq, 0, -1.0, 1.0, T, cfg)
-    with pytest.raises(ValidationError, match=">= 0"):
-        spike_test(HET2, HYP, eq, 0, -1.0, (1, 0), [0.1], cfg, 1.0, T)
 
 
 def test_spike_grid_refuses_repeated_times():
@@ -887,8 +881,9 @@ def test_spike_test_temporaries_are_block_sized():
     # are the wealth, the running and terminal payoffs, the per-window payoff
     # and noise and, until the last window closes, the window noise sums
     eq = NAgentEquilibrium(SPIKE_PAIR, HYP, T)
-    rep, peak = traced_peak(spike_test, SPIKE_PAIR, HYP, eq, 0, 1.625, (1, 0),
-                            (0.1, 0.05, 0.025), SimConfig(100_000, 0.0125, 3), 10.0, T)
+    rep, peak = traced_peak(spike_grid, SPIKE_PAIR, HYP, eq, [1.625], [(1, 0)],
+                            (0.1, 0.05, 0.025), SimConfig(100_000, 0.0125, 3), 10.0, T,
+                            agents=[0])
     assert len(rep.results) == 3
     assert peak < 13e6
 
