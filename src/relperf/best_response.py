@@ -591,6 +591,8 @@ def _picard(space: _Space, tol: float, max_iter: int):
     profiles, not three.  Returns the last profile as the space holds it."""
     if not tol > 0:
         raise ValidationError("tol must be > 0")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1 (got {max_iter})")
     current = space.start()
     history: list[float] = []
     converged = False

@@ -1,9 +1,9 @@
 """Command-line interface: config ingestion, orchestration, CSV/JSON output.
 
 Subcommands: equilibrium, mfg, best-response, simulate, spike-test, figures,
-verify.  Exit codes: 0 success, 1 validation error, 2 numerical failure
-(non-convergence, a degenerate fixed point or non-finite results, with a
-diagnostic JSON when the command has a JSON output).
+verify.  Exit codes: 0 success, 1 validation or usage error, 2 numerical
+failure (non-convergence, a degenerate fixed point or non-finite results,
+with a diagnostic JSON when the command has a JSON output).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -103,8 +104,8 @@ def load_config(path: str) -> RunConfig:
         )
     x0 = raw.get("x0", 10.0)
     with _json_section("x0"):
-        x0 = ([core._json_float(x, "config", f"x0[{k}]") for k, x in enumerate(x0)]
-              if type(x0) is list else core._json_float(x0, "config", "x0"))
+        x0 = (core._json_floats(x0, "config", "x0") if type(x0) is list
+              else core._json_float(x0, "config", "x0"))
     return RunConfig(population, distribution, discount, grid, sim, x0)
 
 
@@ -150,6 +151,29 @@ def _write_json(path: str, payload: dict, deterministic: bool):
         fh.write("\n")
 
 
+def _at_least(value: int, low: int, option: str) -> int:
+    """An integer option's value, refused below ``low``."""
+    if value < low:
+        raise ValidationError(f"{option} must be >= {low} (got {value})")
+    return value
+
+
+def _floats(text: str, option: str, count: int | None = None) -> list[float]:
+    """The comma-separated numbers of ``option``, ``count`` of them if given."""
+    items = text.split(",")
+    if count is not None and len(items) != count:
+        raise ValidationError(f"{option} expects {count} comma-separated numbers, "
+                              f"got {text!r}")
+    out = []
+    for item in items:
+        try:
+            out.append(float(item))
+        except ValueError:
+            raise ValidationError(
+                f"{option} entry {item!r} of {text!r} is not a number") from None
+    return out
+
+
 def _check_finite(name: str, *arrays):
     for arr in arrays:
         if not np.all(np.isfinite(arr)):
@@ -188,11 +212,12 @@ def cmd_mfg(args) -> int:
 
 
 def cmd_best_response(args) -> int:
+    max_iter = _at_least(args.max_iter, 1, "--max-iter")
     cfg = load_config(args.config)
     pop = cfg.need_population()
     init = br.GridStrategyN.zeros(cfg.grid, pop.n)
     final, report = br.fixed_point_nagent(pop, cfg.discount, init,
-                                          tol=args.tol, max_iter=args.max_iter)
+                                          tol=args.tol, max_iter=max_iter)
     payload = report.to_dict()
     payload["max_cross_coefficient"] = final.max_cross_coefficient()
     closed = br.GridStrategyN.from_equilibrium(
@@ -207,10 +232,12 @@ def cmd_best_response(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    n_checkpoints = _at_least(args.checkpoints, 1, "--checkpoints")
+    export = _at_least(args.export_paths, 0, "--export-paths")
     cfg = load_config(args.config)
     pop = cfg.need_population()
     eq = NAgentEquilibrium(pop, cfg.discount, cfg.grid.T)
-    checkpoints = np.linspace(cfg.grid.t0, cfg.grid.T, args.checkpoints)
+    checkpoints = np.linspace(cfg.grid.t0, cfg.grid.T, n_checkpoints)
     bundle = simulate.simulate_paths(pop, eq, cfg.grid.t0, cfg.x0, cfg.grid.T,
                                      cfg.sim, record_times=checkpoints)
     _check_finite("simulation", bundle.wealth, bundle.consumption)
@@ -236,7 +263,7 @@ def cmd_simulate(args) -> int:
         ],
     }
     _write_json(args.out_summary, summary, args.deterministic)
-    keep = min(args.export_paths, bundle.n_paths)
+    keep = min(export, bundle.n_paths)
     trimmed = simulate.PathBundle(bundle.times, bundle.wealth[:keep],
                                   bundle.consumption[:keep], bundle.seed)
     simulate.export_paths_csv(trimmed, args.out_paths,
@@ -245,23 +272,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_pairs(raw: list[str]) -> list[tuple[float, float]]:
-    out = []
-    for item in raw:
-        parts = item.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"--v expects 'v1,v2' pairs, got {item!r}")
-        out.append((float(parts[0]), float(parts[1])))
-    return out
-
-
 def cmd_spike_test(args) -> int:
     cfg = load_config(args.config)
     pop = cfg.need_population()
     eq = NAgentEquilibrium(pop, cfg.discount, cfg.grid.T)
-    times = [float(s) for s in args.times.split(",")]
-    eps_list = [float(s) for s in args.eps.split(",")]
-    vs = _parse_pairs(args.v)
+    times = _floats(args.times, "--times")
+    eps_list = _floats(args.eps, "--eps")
+    vs = [tuple(_floats(item, "--v", 2)) for item in args.v]
     agents = None if args.agent is None else [args.agent]
     report = simulate.spike_grid(pop, cfg.discount, eq, times, vs, eps_list,
                                  cfg.sim, cfg.x0, cfg.grid.T, agents=agents)
@@ -285,9 +302,11 @@ def _figures_distribution(delta_hat: float) -> TypeDistribution:
 
 
 def cmd_figures(args) -> int:
+    if not math.isfinite(args.x0):
+        raise ValidationError(f"--x0 must be finite (got {args.x0})")
     grid = TimeGrid(0.0, args.T, args.n_points)
-    betas = [float(s) for s in args.betas.split(",")]
-    delta_hats = [float(s) for s in args.delta_hats.split(",")]
+    betas = _floats(args.betas, "--betas")
+    delta_hats = _floats(args.delta_hats, "--delta-hats")
     base_dist = _figures_distribution(1.0)
 
     rows1 = []
@@ -458,8 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; a usage error, which argparse exits with 2, exits 1.
+        return EXIT_OK if not exc.code else EXIT_VALIDATION
     if getattr(args, "v", None) is None and args.command == "spike-test":
         args.v = ["1,0", "-1,0", "0,1", "0,-1", "1,1", "-1,-1"]
     try:

@@ -60,6 +60,11 @@ def _json_float(value, section: str, name: str) -> float:
     return float(value)
 
 
+def _json_floats(values, section: str, name: str) -> list[float]:
+    """Config field ``name`` of ``section``: a list of finite JSON numbers."""
+    return [_json_float(x, section, f"{name}[{k}]") for k, x in enumerate(values)]
+
+
 @dataclass(frozen=True)
 class AgentType:
     """Parameter vector of a single agent (or of one type in the mean-field game).
@@ -98,7 +103,7 @@ class AgentType:
     def _from_json(cls, data: Mapping, name: str) -> "AgentType":
         """Validated agent from the JSON object ``data`` of config item ``name``."""
         with _json_section(name):
-            agent = cls(**{k: float(data[k]) for k in _FIELDS})
+            agent = cls(**{k: _json_float(data[k], name, k) for k in _FIELDS})
         validate_agent(agent)
         return agent
 
@@ -180,7 +185,8 @@ class TimeGrid:
     def from_dict(cls, data: Mapping) -> "TimeGrid":
         with _json_section("grid"):
             n_points = _json_int(data["n_points"], "grid", "n_points")
-            return cls(float(data["t0"]), float(data["T"]), n_points)
+            return cls(_json_float(data["t0"], "grid", "t0"),
+                       _json_float(data["T"], "grid", "T"), n_points)
 
 
 @dataclass(frozen=True)
@@ -240,7 +246,7 @@ class TypeDistribution:
         with _json_section("type_distribution"):
             atoms = [
                 (AgentType._from_json(item["type"], f"type_distribution atom {k}"),
-                 float(item["weight"]))
+                 _json_float(item["weight"], f"type_distribution atom {k}", "weight"))
                 for k, item in enumerate(data["atoms"])
             ]
         return cls(atoms)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ValidationError, _json_section
+from .core import ValidationError, _json_float, _json_floats, _json_section
 
 __all__ = [
     "DiscountFunction",
@@ -219,11 +219,14 @@ def discount_from_dict(data: Mapping) -> DiscountFunction:
     """Build a discount function from its JSON form (see ``to_dict``)."""
     with _json_section("discount"):
         variant = data["variant"]
-    with _json_section(f"{variant} discount"):
+    section = f"{variant} discount"
+    with _json_section(section):
         if variant == "exponential":
-            return ExponentialDiscount(rho=float(data["rho"]))
+            return ExponentialDiscount(rho=_json_float(data["rho"], section, "rho"))
         if variant == "hyperbolic":
-            return HyperbolicDiscount(rho=float(data["rho"]), beta=float(data["beta"]))
+            return HyperbolicDiscount(rho=_json_float(data["rho"], section, "rho"),
+                                      beta=_json_float(data["beta"], section, "beta"))
         if variant == "tabulated":
-            return TabulatedDiscount(data["times"], data["values"])
+            return TabulatedDiscount(_json_floats(data["times"], section, "times"),
+                                     _json_floats(data["values"], section, "values"))
     raise ValidationError(f"unknown discount variant {variant!r}")

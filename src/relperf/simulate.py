@@ -6,8 +6,8 @@ consumption strategy profile is a linear SDE,
     dX_i = (pi_i(t) mu_i - C_i(t, X)) dt + pi_i(t) nu_i dW_i + pi_i(t) sigma_i dB,
 
 simulated with Euler-Maruyama.  Because the diffusion coefficients are
-state-independent, the law of X_t is Gaussian with moments solving linear
-ODEs (:func:`gaussian_moments`), which doubles as an exact oracle for the
+state-independent, the law of X_t is Gaussian; under the closed-form
+equilibrium :func:`gaussian_moments` gives it exactly, an oracle for the
 sampled paths.  Expected payoffs and their spike-perturbation differences
 are estimated with common random numbers: a perturbed control changes only
 the deviating agent's own consumption on the spike window and shifts her
@@ -63,11 +63,8 @@ EXP_CLAMP = 700.0
 # Bound on spike perturbations (the definition requires bounded v).
 V_BOUND = 10.0
 
-# Largest path bundle or set of moment coefficients, in bytes, allocated.
+# Largest path bundle, in bytes, that simulate_paths allocates.
 MAX_BUNDLE_BYTES = 2 * 2**30
-
-# Equal RK4 steps of gaussian_moments over [t0, horizon].
-RK4_STEPS = 2000
 
 # Evenly spaced Euler nodes at which meanfield_consistency reports its gaps.
 MF_CHECKPOINTS = 9
@@ -270,65 +267,30 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
 def gaussian_moments(pop: Population, strategy, t0: float, x0, times, horizon: float):
     """Exact Gaussian law of the closed-loop wealth at the query times.
 
-    The mean and covariance solve m' = A(t) m + b(t) and
-    P' = A P + P A' + D D' with A(t) = -C(t) (the (n, n) consumption slopes,
-    expanded from the class form), b(t) = pi(t) mu - q(t), and D D' =
-    diag((pi nu)^2) + outer(pi sigma, pi sigma).  Under the closed form (an
-    NAgentEquilibrium, pi = a (T+1-t)) Y = X/(T+1-t) is a Brownian motion
-    with drift: the mean is the equilibrium's, with the population's mu, and
-    Cov X(t) = (t - t0) (T+1-t)^2 K, K = outer(a sigma, a sigma) + diag((a
-    nu)^2).  Other profiles are integrated with classic RK4 on RK4_STEPS
-    equal steps over [t0, horizon] and the query times.
+    Only the closed form has one here: under an NAgentEquilibrium, pi = a
+    (T+1-t) and the consumption slope is 1/(T+1-t), so Y = X/(T+1-t) is a
+    Brownian motion with drift.  The mean is the equilibrium's, with the
+    population's mu, and Cov X(t) = (t - t0) (T+1-t)^2 K, K = outer(a sigma,
+    a sigma) + diag((a nu)^2).  Any other strategy, a sampled profile
+    included, is refused with a ValidationError.
 
     Returns ``(means, covs)`` of shapes (len(times), n) and (len(times), n, n).
     """
     if not t0 >= 0:
         raise ValidationError("the start time t0 must be >= 0")
-    n = pop.n
-    p = pop._params
-    x0 = _x0_vector(x0, n)
-    query = _check_times(times, t0, horizon)
-    if isinstance(strategy, NAgentEquilibrium):
-        coef = strategy.pi_coefficients
-        means = strategy._mean_wealth(x0, t0, query, p["mu"])
-        a_sig, a_nu = coef * p["sigma"], coef * p["nu"]
-        K = np.multiply.outer(a_sig, a_sig) + np.diag(a_nu**2)
-        scale = (query - t0) * (strategy.horizon + 1.0 - query) ** 2
-        return means.T, np.multiply.outer(scale, K)
-    nodes = np.union1d(np.linspace(t0, horizon, RK4_STEPS + 1), query)
-    # A, and dd with the two products that build it, are (rows, n, n) each.
-    if (size := 24 * (2 * nodes.size - 1) * n * n) > MAX_BUNDLE_BYTES:
+    if not isinstance(strategy, NAgentEquilibrium):
         raise ValidationError(
-            f"the moment coefficients of {n} agents would take {size / 2**30:.3g} "
-            f"GiB, over the {MAX_BUNDLE_BYTES / 2**30:.3g} GiB limit")
-    # The profile at the nodes (even rows) and the midpoints (odd rows).
-    ts = np.empty(2 * nodes.size - 1)
-    ts[0::2], ts[1::2] = nodes, (nodes[:-1] + nodes[1:]) / 2.0
-    PI = strategy.pi_at(ts)
-    lab, own, off, q = strategy.consumption_at(ts)
-    A, b = -off[:, lab[:, None], lab], PI * p["mu"] - q
-    A[:, np.arange(n), np.arange(n)] = -own
-    pn, ps = PI * p["nu"], PI * p["sigma"]
-    dd = pn[:, :, None] ** 2 * np.eye(n)[None, :, :] + ps[:, :, None] * ps[:, None, :]
-
-    def rhs(j, mean, cov):
-        return A[j] @ mean + b[j], A[j] @ cov + cov @ A[j].T + dd[j]
-
-    at = np.searchsorted(nodes, query)
-    means, covs = np.empty((query.size, n)), np.empty((query.size, n, n))
-    mean, cov, done = x0, np.zeros((n, n)), 0
-    for stop in np.unique(at):
-        for k in range(done, stop):
-            h = nodes[k + 1] - nodes[k]
-            m1, c1 = rhs(2 * k, mean, cov)
-            m2, c2 = rhs(2 * k + 1, mean + h / 2.0 * m1, cov + h / 2.0 * c1)
-            m3, c3 = rhs(2 * k + 1, mean + h / 2.0 * m2, cov + h / 2.0 * c2)
-            m4, c4 = rhs(2 * k + 2, mean + h * m3, cov + h * c3)
-            mean = mean + h / 6.0 * (m1 + 2 * m2 + 2 * m3 + m4)
-            cov = cov + h / 6.0 * (c1 + 2 * c2 + 2 * c3 + c4)
-        done = stop
-        means[at == stop], covs[at == stop] = mean, cov
-    return means, covs
+            f"gaussian_moments needs an NAgentEquilibrium, got {type(strategy).__name__}: "
+            "a sampled profile has no exact law here")
+    p = pop._params
+    x0 = _x0_vector(x0, pop.n)
+    query = _check_times(times, t0, horizon)
+    coef = strategy.pi_coefficients
+    means = strategy._mean_wealth(x0, t0, query, p["mu"])
+    a_sig, a_nu = coef * p["sigma"], coef * p["nu"]
+    K = np.multiply.outer(a_sig, a_sig) + np.diag(a_nu**2)
+    scale = (query - t0) * (strategy.horizon + 1.0 - query) ** 2
+    return means.T, np.multiply.outer(scale, K)
 
 
 @dataclass(frozen=True)

@@ -890,6 +890,16 @@ def test_mfg_report_gives_grid_slopes():
         assert report.to_dict()["slope_form"] == report.to_dict()["pi_q_form"] == form
 
 
+def test_fixed_points_refuse_fewer_than_one_sweep():
+    # max_iter < 1 is refused beside tol, not reported as non-convergence
+    for max_iter in (0, -1):
+        with pytest.raises(ValidationError, match="max_iter must be >= 1"):
+            fixed_point_nagent(HET2, HYP, GridStrategyN.zeros(GRID, 2), max_iter=max_iter)
+        with pytest.raises(ValidationError, match="max_iter must be >= 1"):
+            fixed_point_mfg(TWO_ATOM, HYP, MFGridStrategy.zeros(GRID, TWO_ATOM),
+                            max_iter=max_iter)
+
+
 def grid_mfg_fixed_point(dist, d, init, tol):
     """Picard on the grid: best_response_mfg until a sweep moves by tol."""
     current, history = init, []

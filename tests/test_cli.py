@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import re
@@ -117,8 +118,8 @@ def test_simulate_moment_summary(two_agent_cfg, tmp_path):
 
 
 def test_simulate_refuses_oversized_moments(tmp_path, capsys):
-    # 256 agents: RK4 coefficients would take 6.3 GB, but the closed form's
-    # exact law needs no coefficients, so the moments are not refused
+    # 256 agents: the closed form's exact law builds no (rows, n, n)
+    # coefficients, so the moments are not refused
     agent = TWO_AGENT_SINGLE_STOCK["population"]["agents"][0]
     cfg = tmp_path / "many.json"
     cfg.write_text(json.dumps(TWO_AGENT_SINGLE_STOCK | {
@@ -174,7 +175,8 @@ def test_spike_test_reports_clamped_exponents(tmp_path, capsys):
 
 @pytest.mark.parametrize("times, message", [("-1,0.5", "spike times must be >= 0"),
                                             ("1.0,nan", "spike times must be >= 0"),
-                                            ("0.5,0.5", "spike times must be distinct")])
+                                            ("0.5,0.5", "spike times must be distinct"),
+                                            ("", "--times entry '' of '' is not a number")])
 def test_spike_test_refuses_bad_times(times, message, two_agent_cfg, tmp_path, capsys):
     out = tmp_path / "spike.json"
     assert main(["--deterministic", "spike-test", "--config", two_agent_cfg,
@@ -183,8 +185,13 @@ def test_spike_test_refuses_bad_times(times, message, two_agent_cfg, tmp_path, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("v, eps, message", [("nan,0", "0.1", "v components must be finite"),
-                                             ("1,0", "nan", "eps values must be > 0")])
+@pytest.mark.parametrize("v, eps, message", [
+    ("nan,0", "0.1", "v components must be finite"),
+    ("1,0", "nan", "eps values must be > 0"),
+    ("1,", "0.1", "--v entry '' of '1,' is not a number"),
+    ("1", "0.1", "--v expects 2 comma-separated numbers, got '1'"),
+    ("1,0", "0.1,", "--eps entry '' of '0.1,' is not a number"),
+])
 def test_spike_test_refuses_non_finite_v_and_eps(v, eps, message, two_agent_cfg, tmp_path,
                                                  capsys):
     out = tmp_path / "spike.json"
@@ -455,6 +462,89 @@ def test_float_field_must_be_a_finite_json_number(field, value, tmp_path, capsys
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"field '{field}" in err
+
+
+HYPERBOLIC = {"variant": "hyperbolic", "rho": 0.1, "beta": 1.0}
+TABULATED = {"variant": "tabulated", "times": [0.0, 1.0, 2.0], "values": [1.0, 0.9, 0.8]}
+
+
+@pytest.mark.parametrize("discount, keys, value", [
+    (None, ("population", "agents", 0, "delta"), True),
+    (None, ("population", "agents", 1, "mu"), "1"),
+    (None, ("type_distribution", "atoms", 1, "weight"), "0.5"),
+    (None, ("discount", "rho"), True),
+    (HYPERBOLIC, ("discount", "beta"), "1"),
+    (TABULATED, ("discount", "times", 1), "1.0"),
+    (TABULATED, ("discount", "values", 2), True),
+    (None, ("grid", "t0"), False),
+    (None, ("grid", "T"), "2"),
+], ids=["agent-delta", "agent-mu", "atom-weight", "rho", "beta", "tabulated-times",
+        "tabulated-values", "grid-t0", "grid-T"])
+def test_config_floats_must_be_finite_json_numbers(discount, keys, value, tmp_path, capsys):
+    # agent, weight, discount and grid numbers are read as JSON numbers: a
+    # bool or a string is refused and named, not converted and run
+    mean_field = keys[0] == "type_distribution"
+    cfg = copy.deepcopy(MFG_CONFIG if mean_field else TWO_AGENT_SINGLE_STOCK)
+    if discount is not None:
+        cfg["discount"] = copy.deepcopy(discount)
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(cfg))
+    outs = (["mfg", "--out-csv", str(tmp_path / "m.csv"), "--out-json", str(tmp_path / "m.json")]
+            if mean_field else ["equilibrium", "--out", str(tmp_path / "m.csv")])
+    assert main(outs + ["--config", str(path)]) == 1
+    name = keys[-1] if type(keys[-1]) is str else f"{keys[-2]}[{keys[-1]}]"
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"field '{name}' must be a finite number" in err
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("simulate", "--export-paths", "-1", "--export-paths must be >= 0 (got -1)"),
+    ("simulate", "--checkpoints", "0", "--checkpoints must be >= 1 (got 0)"),
+    ("simulate", "--checkpoints", "-1", "--checkpoints must be >= 1 (got -1)"),
+    ("best-response", "--max-iter", "0", "--max-iter must be >= 1 (got 0)"),
+    ("figures", "--x0", "nan", "--x0 must be finite (got nan)"),
+    ("figures", "--x0", "inf", "--x0 must be finite (got inf)"),
+])
+def test_bad_numeric_option_is_validation_error(command, option, value, message,
+                                                two_agent_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"simulate": ["--config", two_agent_cfg, "--out-paths", str(out / "p.csv"),
+                         "--out-summary", str(out / "s.json")],
+            "best-response": ["--config", two_agent_cfg, "--out-json", str(out / "i.json"),
+                              "--out-csv", str(out / "s.csv")],
+            "figures": ["--out-dir", str(out)]}[command]
+    assert main([command, *argv, f"{option}={value}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--betas", "0.5,x", "--betas entry 'x' of '0.5,x' is not a number"),
+    ("--delta-hats", ",", "--delta-hats entry '' of ',' is not a number"),
+])
+def test_figures_list_options_name_the_bad_entry(option, value, message, tmp_path, capsys):
+    assert main(["figures", "--out-dir", str(tmp_path), f"{option}={value}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["frobnicate"], ["best-response", "--max-iter", "abc"],
+                                  ["simulate"]])
+def test_usage_error_is_validation_error(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage: relperf")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: relperf")
 
 
 def test_config_that_is_not_an_object_is_validation_error(tmp_path, capsys):
