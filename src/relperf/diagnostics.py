@@ -1,12 +1,12 @@
 """Analytic identity checks tying the closed forms to their derivation.
 
 The equilibrium is built from an exponential value-function ansatz
-V_i(t, x, y) = (1/delta_i)(1 - theta_i/n) exp(f_i(t) x + g_i(t) y + h_i(t))
-whose coefficient functions satisfy two Riccati-type ODEs and a cancellation
-identity, and from two first-order conditions linking the adjoint process to
-the optimal investment and consumption.  These residuals should vanish to
-round-off along the closed-form equilibrium and grow when the strategy is
-perturbed, which makes them a sharp self-test of the implementation.
+V_i(t, x, y) = (1/delta_i)(1 - theta_i/n) exp(f_i(t) x + g_i(t) y + h_i(t)),
+whose coefficient functions :func:`ansatz_for` gives, and from two
+first-order conditions linking the adjoint process to the optimal investment
+and consumption.  Their residuals vanish to round-off along the closed-form
+equilibrium and grow when the strategy is perturbed, which makes them a
+sharp self-test of the implementation.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AgentType, TimeGrid
 from .nagent import NAgentEquilibrium
 
 __all__ = [
     "AnsatzFG",
-    "FGResiduals",
     "ansatz_for",
-    "check_fg",
     "foc_residuals",
     "reconstruct_consumption",
 ]
@@ -61,44 +58,6 @@ def ansatz_for(eq: NAgentEquilibrium, i: int) -> AnsatzFG:
     return AnsatzFG(f=f, g=g, h=lambda t: eq.hhat(i, t),
                     f_terminal=-own / agent.delta,
                     g_terminal=agent.theta / agent.delta)
-
-
-@dataclass
-class FGResiduals:
-    """Max grid residuals of the two coefficient ODEs and the cancellation
-    identity theta/(1 - theta/n) * f + g = 0."""
-
-    ode_f: float
-    ode_g: float
-    cancellation: float
-
-    def max(self) -> float:
-        return max(self.ode_f, self.ode_g, self.cancellation)
-
-
-def check_fg(agent: AgentType, n: int, grid: TimeGrid) -> FGResiduals:
-    """Evaluate the coefficient-ODE residuals with analytic derivatives.
-
-    f' + (delta/(1-theta/n)) f^2 and g' + (delta/(1-theta/n)) f g vanish
-    identically for the closed forms; this returns their max magnitudes over
-    the grid (pure floating-point noise for a correct implementation).
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    T = grid.T
-    t = grid.times
-    rem = T + 1.0 - t
-    own = 1.0 - agent.theta / n
-    f = -(own / agent.delta) / rem
-    g = (agent.theta / agent.delta) / rem
-    df = -(own / agent.delta) / rem**2
-    dg = (agent.theta / agent.delta) / rem**2
-    lam = agent.delta / own
-    return FGResiduals(
-        ode_f=float(np.abs(df + lam * f**2).max()),
-        ode_g=float(np.abs(dg + lam * f * g).max()),
-        cancellation=float(np.abs(agent.theta / own * f + g).max()),
-    )
 
 
 def _split_state(eq: NAgentEquilibrium, i: int, x: np.ndarray):
@@ -149,8 +108,7 @@ def foc_residuals(eq: NAgentEquilibrium, i: int, t: float, x,
     c_all = x / rem + icpts
     own_c = c_all[..., i]
     cross_c = (c_all.sum(axis=-1) - own_c) / n
-    own_coef = -(1.0 - agent.theta / n) / agent.delta
-    rhs_exp = own_coef * own_c + (agent.theta / agent.delta) * cross_c
+    rhs_exp = ansatz.f_terminal * own_c + ansatz.g_terminal * cross_c
     log_lam = float(eq.discount.log_value(eq.horizon - t))
     # residual / |lam p| = |1 - exp(rhs_exp - log_p_exp - log_lam)|
     r_consume = np.abs(-np.expm1(rhs_exp - log_p_exp - log_lam))

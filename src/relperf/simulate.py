@@ -47,7 +47,6 @@ __all__ = [
     "SimConfig",
     "SpikeGridReport",
     "SpikeResult",
-    "SpikeSpec",
     "MeanFieldConsistencyReport",
     "expected_payoff",
     "export_paths_csv",
@@ -293,17 +292,6 @@ def gaussian_moments(pop: Population, strategy, t0: float, x0, times, horizon: f
     return means.T, np.multiply.outer(scale, K)
 
 
-@dataclass(frozen=True)
-class SpikeSpec:
-    """Open-loop control perturbation: add v = (v1, v2) to agent ``agent``'s
-    investment and consumption on [time, time + eps)."""
-
-    agent: int
-    time: float
-    eps: float
-    v: tuple[float, float]
-
-
 @dataclass
 class PayoffEstimate:
     value: float
@@ -413,30 +401,18 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def expected_payoff(pop: Population, discount: DiscountFunction, strategy,
-                    agent: int, t0: float, x0, horizon: float, cfg: SimConfig,
-                    spike: SpikeSpec | None = None) -> PayoffEstimate:
+                    agent: int, t0: float, x0, horizon: float,
+                    cfg: SimConfig) -> PayoffEstimate:
     """Monte Carlo estimate of agent ``agent``'s expected payoff from t0.
 
     The payoff discounts running utility of consumption by lam(s - t0) (left
     Riemann sums on the Euler grid) and terminal utility by lam(T - t0).
-    With ``spike`` given, the controls of ``spike.agent`` are shifted by v on
-    [t0, t0 + eps) while every other control process is held fixed; the same
-    seed reuses the identical noise, so differences against the unperturbed
-    call are common-random-number estimates.
+    Spike perturbations of the payoff are priced by :func:`spike_grid`.
     """
     if not t0 < horizon:
         raise ValidationError("payoff evaluation requires t0 < horizon")
-    eps_list = []
-    if spike is not None:
-        if abs(spike.time - t0) > 1e-9:
-            raise ValidationError("spike time must equal the simulation start")
-        if spike.agent != agent:
-            raise ValidationError("spike agent must match the payoff agent")
-        eps_list = [spike.eps]
-    sim = _PayoffSim(pop, discount, strategy, t0, x0, horizon, cfg, [agent], eps_list)
+    sim = _PayoffSim(pop, discount, strategy, t0, x0, horizon, cfg, [agent])
     j = sim.payoff_paths(agent)
-    if spike is not None:
-        j = j + sim.delta_payoff(agent, 0, spike.v)
     return PayoffEstimate(*_mean_se(j), sim.n_clamped, j.size)
 
 
@@ -523,15 +499,18 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
     if not eps_list or not all(0 < e <= horizon - max(times) + 1e-12 for e in eps_list):
         raise ValidationError("eps values must be > 0 and <= horizon - t")
     children = np.random.SeedSequence(cfg.seed).spawn(len(times))
+    # NumPy's error state is per thread: pool workers take the caller's.
+    errors = np.geterr()
 
     def run_time(idx: int) -> tuple[list[SpikeResult], dict[int, float], int]:
         t = times[idx]
-        sim = _PayoffSim(pop, discount, strategy, t, x0, horizon, cfg, agents,
-                         eps_list, seed_seq=children[idx])
         rows, base = [], {}
-        for a in agents:
-            base[a], agent_rows = _price_spikes(sim, a, t, vs, eps_list)
-            rows.extend(agent_rows)
+        with np.errstate(**errors):
+            sim = _PayoffSim(pop, discount, strategy, t, x0, horizon, cfg, agents,
+                             eps_list, seed_seq=children[idx])
+            for a in agents:
+                base[a], agent_rows = _price_spikes(sim, a, t, vs, eps_list)
+                rows.extend(agent_rows)
         return rows, base, sim.n_clamped
 
     all_rows: list[SpikeResult] = []

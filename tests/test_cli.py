@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,44 @@ def test_simulate_refuses_oversized_moments(tmp_path, capsys):
     assert len(checkpoints) == 5  # the 11 checkpoints snap to the Euler nodes
     assert checkpoints[0]["max_mean_gap_over_se"] == 0.0
     assert all(np.isfinite(c["max_mean_gap_over_se"]) for c in checkpoints)
+
+
+def test_simulate_checkpoints_past_the_euler_nodes_cost_nothing(tmp_path):
+    # 4 Euler steps: 11 checkpoints and 2,000,000 both snap to the 5 nodes,
+    # and the count is capped at the nodes before any checkpoint is built
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(TWO_AGENT_SINGLE_STOCK | {
+        "sim": {"n_paths": 4, "dt": 0.5, "seed": 1}}))
+    outputs, peaks = [], []
+    for count in ("11", "2000000"):
+        paths, summary = tmp_path / f"p{count}.csv", tmp_path / f"s{count}.json"
+        tracemalloc.start()
+        try:
+            assert main(["--deterministic", "simulate", "--config", str(cfg),
+                         "--out-paths", str(paths), "--out-summary", str(summary),
+                         "--checkpoints", count]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        outputs.append((paths.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0][1])["checkpoints"]) == 5
+    assert peaks[1] < peaks[0] + 1e6  # uncapped: 48 MB against 4.8 MB
+
+
+@pytest.mark.parametrize("command, section, field", [("equilibrium", "grid", "n_points"),
+                                                     ("spike-test", "sim", "n_paths")])
+def test_sizes_past_the_address_space_are_validation_errors(command, section, field,
+                                                            tmp_path, capsys):
+    # 7.1 PiB of grid times, 14.2 PiB of payoff paths: refused at once
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(TWO_AGENT_SINGLE_STOCK | {
+        section: dict(TWO_AGENT_SINGLE_STOCK[section], **{field: 10**15})}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_spike_test_zero_direction(two_agent_cfg, tmp_path):
@@ -346,6 +385,57 @@ def test_verify_fails_a_shifted_closed_form(name, tmp_path, monkeypatch, capsys)
                         lambda eq, a, b, t: right(eq, a, b, t) + 1e-6)
     assert main(["verify", "--config", str(path)]) == 2
     assert f"FAIL  {FIXED_POINT}" in capsys.readouterr().out
+
+
+def scaled_types(d):
+    """Two valid agent types of risk tolerance d and 1.4 d."""
+    return [{"delta": d, "theta": 0.5, "mu": 1.0, "nu": 0.3, "sigma": 1.0},
+            {"delta": 1.4 * d, "theta": 0.3, "mu": 0.8, "nu": 0.5, "sigma": 0.9}]
+
+
+def scaled_atoms(d):
+    """MFG_CONFIG's two atoms with risk tolerances d and 1.4 d."""
+    first, second = (atom["type"] for atom in MFG_CONFIG["type_distribution"]["atoms"])
+    return {"atoms": [{"type": dict(first, delta=d), "weight": 0.5},
+                      {"type": dict(second, delta=1.4 * d), "weight": 0.5}]}
+
+
+HYPERBOLIC = {"variant": "hyperbolic", "rho": 0.1, "beta": 1.0}
+# Valid configs on whose scale an identity misses a fixed absolute tolerance
+# by rounding alone: the fixed point's sup gap is 2.2e-8 at d = 1e7 (a
+# relative 5e-16), the mean-field investment identity misses by 7.3e-12 at
+# 1e5 and the consumption identity by 9.3e-10 at 1e7.
+SCALED_CONFIGS = {
+    **{f"population-{d:.0e}": {"population": {"agents": scaled_types(d)},
+                               "discount": HYPERBOLIC} for d in (1e-4, 1e5, 1e7)},
+    **{f"distribution-{d:.0e}": {"type_distribution": scaled_atoms(d),
+                                 "discount": HYPERBOLIC} for d in (1e5, 1e7)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_CONFIGS))
+def test_verify_scales_its_tolerances_with_the_values(name, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SCALED_CONFIGS[name]))
+    assert main(["verify", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and out.endswith("verify: PASS\n")
+
+
+def test_scaled_fixed_point_tolerance_still_fails_a_shifted_closed_form(
+        tmp_path, monkeypatch, capsys):
+    # at d = 1e7 the tolerance is 7e-7; intercepts 1e-4 off, 2e-12 of the
+    # closed form's size, are still refused
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SCALED_CONFIGS["population-1e+07"]))
+    assert main(["verify", "--config", str(path)]) == 0
+    assert f"PASS  {FIXED_POINT}" in capsys.readouterr().out
+    right = NAgentEquilibrium._intercepts
+    monkeypatch.setattr(NAgentEquilibrium, "_intercepts",
+                        lambda eq, a, b, t: right(eq, a, b, t) + 1e-4)
+    assert main(["verify", "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert re.search(rf"FAIL  {FIXED_POINT} \(sup gap=\S+, tolerance 6.96e-7\)", out)
 
 
 def test_missing_config_is_validation_error(tmp_path, capsys):

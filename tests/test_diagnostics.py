@@ -10,7 +10,6 @@ from relperf import (
     Population,
     TimeGrid,
     ansatz_for,
-    check_fg,
 )
 from relperf.diagnostics import foc_residuals, reconstruct_consumption
 
@@ -19,14 +18,6 @@ GRID = TimeGrid(0.0, T, 120)
 HYP = HyperbolicDiscount(0.1, 1.0)
 HET2 = Population([AgentType(1.0, 0.5, 1.0, 1.0, 1.0),
                    AgentType(2.0, 0.2, 0.5, 0.0, 1.0)])
-
-
-def test_coefficient_ode_residuals_vanish(rng):
-    for _ in range(12):
-        pop = random_population(rng)
-        for a in pop.agents:
-            res = check_fg(a, pop.n, GRID)
-            assert res.max() <= 1e-12
 
 
 def test_terminal_values_match_boundary_data():
@@ -38,12 +29,6 @@ def test_terminal_values_match_boundary_data():
         assert ans.f_terminal == -(1 - a.theta / 2) / a.delta
         assert ans.g_terminal == a.theta / a.delta
         assert float(ans.h(T)) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_no_competition_makes_g_and_cancellation_exact_zero():
-    res = check_fg(AgentType(1.4, 0.0, 1.0, 0.3, 0.9), 5, GRID)
-    assert res.ode_g == 0.0
-    assert res.cancellation == 0.0
 
 
 def test_foc_residuals_vanish_along_equilibrium(rng):
@@ -113,8 +98,3 @@ def test_consumption_reconstruction_matches_closed_form(rng):
             rebuilt = reconstruct_consumption(eq, i, t, xs)
             direct = eq.consumption(i, t, xs[:, i])
             assert np.abs(rebuilt - direct).max() < 1e-10
-
-
-def test_check_fg_requires_two_agents():
-    with pytest.raises(ValueError):
-        check_fg(AgentType(1, 0, 1, 0, 1), 1, GRID)

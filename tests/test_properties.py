@@ -1,9 +1,11 @@
 """Property tests: relabelling the agents relabels every result, two sweeps
 from zeros on coefficients equal the dense sweeps, every discount's log_integral
 integrates its log_value, and the CLI answers any JSON config or argument
-with an exit code instead of a traceback."""
+with an exit code instead of a traceback, naming a number of the wrong type."""
 
+import contextlib
 import copy
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -184,6 +186,54 @@ def test_any_config_gets_an_exit_code(cfg):
                      "--out", str(out / "eq.csv")]) in (0, 1, 2)
         assert main(["mfg", "--config", str(config), "--out-csv", str(out / "mfg.csv"),
                      "--out-json", str(out / "mfg.json")]) in (0, 1, 2)
+
+
+# JSON values of the wrong type for any config leaf; a list of numbers is
+# x0's other valid form.
+WRONG_TYPED = [True, "1", None, [1.0], {}]
+
+
+@st.composite
+def retyped_leaves(draw):
+    """A valid config, one of its leaves, the leaf's old value and the config
+    with a wrong-typed value in its place."""
+    cfg = copy.deepcopy(dict(BASE_CONFIG, discount=draw(st.sampled_from(DISCOUNTS)),
+                             x0=10.0))
+    path = draw(st.sampled_from([path for path in paths(cfg)
+                                 if not isinstance(value_at(cfg, path), (dict, list))]))
+    parent = value_at(cfg, path[:-1])
+    old = parent[path[-1]]
+    parent[path[-1]] = draw(st.sampled_from(
+        [v for v in WRONG_TYPED if not (path == ("x0",) and v == [1.0])]))
+    return cfg, path, old
+
+
+def value_at(node, path):
+    """The value at key path ``path`` below ``node``."""
+    for key in path:
+        node = node[key]
+    return node
+
+
+@settings(PROPERTY, max_examples=200)
+@given(retyped_leaves())
+def test_a_wrong_typed_leaf_is_named(case):
+    cfg, path, old = case
+    field = [key for key in path if isinstance(key, str)][-1]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        config = out / "config.json"
+        config.write_text(json.dumps(cfg))
+        for argv in (["equilibrium", "--out", str(out / "eq.csv")],
+                     ["mfg", "--out-csv", str(out / "m.csv"), "--out-json", str(out / "m.json")],
+                     ["verify"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([argv[0], "--config", str(config), *argv[1:]])
+            assert code in (0, 1, 2)
+            if type(old) in (int, float):
+                # every command reads every section, so each refuses the leaf
+                assert code == 1 and field in err.getvalue()
 
 
 @settings(PROPERTY, max_examples=30)

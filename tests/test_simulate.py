@@ -16,7 +16,6 @@ from relperf import (
     PathBundle,
     Population,
     SimConfig,
-    SpikeSpec,
     TabulatedDiscount,
     TimeGrid,
     TypeDistribution,
@@ -182,27 +181,17 @@ def test_expected_payoff_deterministic_case():
     assert est.n_clamped == 0
 
 
-def test_expected_payoff_spike_requires_matching_time_and_agent():
-    cfg = SimConfig(10, 0.01, 1)
-    with pytest.raises(ValidationError):
-        expected_payoff(PAIR, EXP, GridStrategyN.zeros(GRID, 2), 0, 0.0, 0.0, T,
-                        cfg, spike=SpikeSpec(agent=0, time=0.5, eps=0.1, v=(1, 0)))
-    with pytest.raises(ValidationError):
-        expected_payoff(PAIR, EXP, GridStrategyN.zeros(GRID, 2), 0, 0.0, 0.0, T,
-                        cfg, spike=SpikeSpec(agent=1, time=0.0, eps=0.1, v=(1, 0)))
-
-
 def test_spike_delta_matches_two_full_runs():
-    # the CRN shortcut must equal expected_payoff(perturbed) - expected_payoff(base);
+    # the CRN slope times eps must equal the perturbed payoff less
+    # expected_payoff's base, from a simulation that also prices the spike;
     # spike_grid's pricing runs here on cfg.seed itself, not on a child seed
     cfg = SimConfig(500, 0.01, 17)
     eq = NAgentEquilibrium(HET2, HYP, T)
     base = expected_payoff(HET2, HYP, eq, 0, 0.5, 1.0, T, cfg)
-    pert = expected_payoff(HET2, HYP, eq, 0, 0.5, 1.0, T, cfg,
-                           spike=SpikeSpec(0, 0.5, 0.1, (0.7, -0.4)))
     sim = simulate._PayoffSim(HET2, HYP, eq, 0.5, 1.0, T, cfg, [0], [0.1])
+    pert = np.mean(sim.payoff_paths(0) + sim.delta_payoff(0, 0, (0.7, -0.4)))
     _, rows = simulate._price_spikes(sim, 0, 0.5, [(0.7, -0.4)], [0.1])
-    assert rows[0].slope * 0.1 == pytest.approx(pert.value - base.value, abs=1e-12)
+    assert rows[0].slope * 0.1 == pytest.approx(pert - base.value, abs=1e-12)
 
 
 def test_spike_zero_perturbation_is_exactly_zero():
@@ -364,17 +353,14 @@ REFERENCE_SPIKES = ((0, None), (-1, (0.1, (0.7, -0.4))))
 
 
 def kernel_run(pop, strategy, cfg):
-    """The paths with their noise, and the payoff estimates of
-    REFERENCE_SPIKES (agent -1 is the last agent)."""
+    """The paths with their noise, and the payoff estimates, as (mean, standard
+    error), of REFERENCE_SPIKES: agent 0's by expected_payoff, the last
+    agent's spike by payoff_paths."""
     bundle = simulate_paths(pop, strategy, REF_T0, ref_x0(pop.n), T, cfg,
                             store_noise=True)
-    estimates = []
-    for agent, spike in REFERENCE_SPIKES:
-        agent %= pop.n
-        spec = None if spike is None else SpikeSpec(agent, REF_T0, *spike)
-        estimates.append(expected_payoff(pop, HYP, strategy, agent, REF_T0,
-                                         ref_x0(pop.n), T, cfg, spike=spec))
-    return bundle, estimates
+    base = expected_payoff(pop, HYP, strategy, 0, REF_T0, ref_x0(pop.n), T, cfg)
+    paths, delta = payoff_paths(pop, strategy, cfg)
+    return bundle, [(base.value, base.std_error), simulate._mean_se(paths + delta)]
 
 
 def payoff_paths(pop, strategy, cfg):
@@ -394,10 +380,10 @@ def assert_matches_reference_loop(pop, strategy, cfg):
     assert rel_gap(bundle.wealth, X) < 1e-12
     assert rel_gap(bundle.consumption, C) < 1e-12
 
-    for (agent, spike), est in zip(REFERENCE_SPIKES, estimates):
+    for (agent, spike), (value, se) in zip(REFERENCE_SPIKES, estimates):
         ref = reference_payoff(pop, HYP, strategy, agent % pop.n, cfg, spike)
-        assert rel_gap(est.value, ref.mean()) < 1e-12
-        assert rel_gap(est.std_error, ref.std(ddof=1) / np.sqrt(ref.size)) < 1e-12
+        assert rel_gap(value, ref.mean()) < 1e-12
+        assert rel_gap(se, ref.std(ddof=1) / np.sqrt(ref.size)) < 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
@@ -903,6 +889,27 @@ def test_spike_grid_does_not_depend_on_the_pool(monkeypatch):
                          SimConfig(2_000, 0.02, 9), 1.0, T)
         reports.append(rep.to_dict())
     assert reports[0] == reports[1]
+
+
+def test_spike_grid_workers_take_the_callers_error_state(monkeypatch):
+    # NumPy's error state is per thread, so the pool workers must enter the
+    # caller's: relperf's commands raise on overflow
+    seen = []
+
+    class Spy(simulate._PayoffSim):
+        def __init__(self, *args, **kwargs):
+            seen.append(np.geterr()["over"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_PayoffSim", Spy)
+    monkeypatch.setattr(simulate, "thread_count", lambda upper=None: 2)
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    for times in ([0.5, 1.0], [0.5]):
+        seen.clear()
+        with np.errstate(over="raise"):
+            spike_grid(HET2, HYP, eq, times, [(1, 0)], [0.1], SimConfig(20, 0.05, 3),
+                       1.0, T)
+        assert seen == ["raise"] * len(times)
 
 
 def test_thread_count_respects_env(monkeypatch):
