@@ -21,10 +21,12 @@ classes, 0 on the diagonal of a one-agent class.
 
 One Euler loop, :func:`_euler`, serves :func:`simulate_paths` and the payoff
 simulations.  It steps the (n, N) wealth, one row of N paths per agent, a
-block of paths at a time, in block-sized buffers.  The noise stream is
-unchanged: (N, n+1) standard normals per step (n idiosyncratic factors, then
-the common one), drawn block by block in stream order and negated in the
-second half for antithetic runs, so a seed gives the same draws as before.
+block of paths at a time, in block-sized buffers.  Each step draws (N, d)
+standard normals, one column per factor that loads: the idiosyncratic W_i of
+each agent with nu_i != 0, in agent order, then the common B if any
+sigma_i != 0.  They are drawn block by block in stream order and negated in
+the second half for antithetic runs.  When every factor loads, d = n + 1 and
+a seed gives the same draws as the earlier (N, n+1) stream.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ MAX_BUNDLE_BYTES = 2 * 2**30
 # Evenly spaced Euler nodes at which meanfield_consistency reports its gaps.
 MF_CHECKPOINTS = 9
 
-# Elements of the Euler kernel's block buffers, 3n + 1 a path (c, dX and Z).
+# Elements of the Euler kernel's block buffers, 3n + 1 a path (c, dX and at
+# most n + 1 normals in Z).
 _BLOCK_ELEMENTS = 1 << 17
 
 # Rows that export_paths_csv formats in one block.
@@ -101,8 +104,10 @@ class PathBundle:
     wealth: np.ndarray           # (n_paths, m, n)
     consumption: np.ndarray      # (n_paths, m, n)
     seed: int
-    common_noise: np.ndarray | None = None   # (n_paths, steps) B increments
-    idio_noise: np.ndarray | None = None     # (n_paths, steps, n) W increments
+    # B increments, (n_paths, steps): exactly 0 if every sigma_i is 0
+    common_noise: np.ndarray | None = None
+    # W increments, (n_paths, steps, n): exactly 0 in the column of a nu_i = 0 agent
+    idio_noise: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
@@ -128,7 +133,8 @@ def _euler_times(t0: float, horizon: float, dt: float):
 
 def _check_times(times, t0: float, horizon: float) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < t0 - 1e-12) or np.any(times > horizon + 1e-12):
+    # Written so that NaN fails it.
+    if not (np.all(times >= t0 - 1e-12) and np.all(times <= horizon + 1e-12)):
         raise ValidationError("query times must lie in [t0, horizon]")
     return times
 
@@ -154,14 +160,22 @@ def _blocks(n: int, cfg: SimConfig) -> tuple[int, list[tuple[int, int]], int]:
     return drawn, blocks, max(hi - lo for lo, hi in blocks)
 
 
+def _factor_columns(p) -> tuple[np.ndarray, bool]:
+    """The noise factors that load, in draw order: the agents whose
+    idiosyncratic W_i has nu_i != 0, then whether the common B loads
+    (some sigma_i != 0)."""
+    return np.flatnonzero(p["nu"] != 0), bool(np.any(p["sigma"] != 0))
+
+
 def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarray,
            cfg: SimConfig, seed_seq=None):
     """Euler-Maruyama on the (n, N) state, yielding ``(k, sl, X, c, Z)`` per
     node and block of paths ``sl``.
 
     X and c are the paths' wealth (a view) and consumption at ``times[k]``;
-    Z holds the (B, n+1) normals moving X to ``times[k + 1]`` (None at the
-    last node), negated in place for the mirrored paths of an antithetic run.
+    Z holds the (B, d) normals moving X to ``times[k + 1]``, one column per
+    factor of :func:`_factor_columns` (None at the last node), negated in
+    place for the mirrored paths of an antithetic run.
     At a step with a nonzero cross slope, c = own X + q gains (off @ S)[labels]
     minus the agent's own term, where S holds the (K, B) class wealth sums.
     Buffers are reused, so copy what must outlive the block.
@@ -176,18 +190,20 @@ def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarr
     vol_b = PI * p["sigma"] * sqdt
     order = np.argsort(lab, kind="stable")
     starts = np.flatnonzero(np.diff(lab[order], prepend=-1))
-    # Step-k loadings: vol_w on the diagonal, vol_b in the common-noise column.
-    load, diag = np.zeros((n, n + 1)), np.diag_indices(n)
+    idio, common = _factor_columns(p)
+    # Step-k loadings: vol_w on each agent's own column, vol_b in the common one.
+    load, w_at = np.zeros((n, idio.size + common)), (idio, np.arange(idio.size))
     rng = np.random.default_rng(
         seed_seq if seed_seq is not None else np.random.SeedSequence(cfg.seed))
     X = np.repeat(x0[:, None], N, axis=1)
     (drawn, blocks, B), steps = _blocks(n, cfg), times.size - 1
-    c_buf, dX_buf, Z_buf = np.empty((n, B)), np.empty((n, B)), np.empty((B, n + 1))
+    c_buf, dX_buf, Z_buf = np.empty((n, B)), np.empty((n, B)), np.empty((B, load.shape[1]))
     for k in range(steps + 1):
         if k == steps:  # the last node takes no step: free the step buffers
             Z_buf = dX_buf = dX = None
-        load[diag] = vol_w[k]
-        load[:, n] = vol_b[k]
+        load[w_at] = vol_w[k, idio]
+        if common:
+            load[:, -1] = vol_b[k]
         for lo, hi in blocks:
             b = hi - lo
             Z = None if k == steps else rng.standard_normal(out=Z_buf[:b])
@@ -247,8 +263,9 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     wealth = np.empty((N, rec_idx.size, n))
     cons = np.empty((N, rec_idx.size, n))
     sqdt = np.sqrt(dt)
-    dW_all = np.empty((N, steps, n)) if store_noise else None
-    dB_all = np.empty((N, steps)) if store_noise else None
+    idio, common = _factor_columns(pop._params)
+    dW_all = np.zeros((N, steps, n)) if store_noise else None
+    dB_all = np.zeros((N, steps)) if store_noise else None
 
     for k, sl, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg):
         j = rec_pos.get(k)
@@ -256,8 +273,9 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
             wealth[sl, j, :] = X.T
             cons[sl, j, :] = c.T
         if store_noise and Z is not None:
-            np.multiply(Z[:, :n], sqdt, out=dW_all[sl, k, :])
-            np.multiply(Z[:, n], sqdt, out=dB_all[sl, k])
+            dW_all[sl, k, idio] = Z[:, :idio.size] * sqdt
+            if common:
+                np.multiply(Z[:, -1], sqdt, out=dB_all[sl, k])
 
     return PathBundle(times=times[rec_idx], wealth=wealth, consumption=cons,
                       seed=cfg.seed, common_noise=dB_all, idio_noise=dW_all)
@@ -341,11 +359,17 @@ class _PayoffSim:
         expo_buf = np.empty((expo.shape[0], _blocks(n, cfg)[2]))
         # Per window: the payoff so far and each priced agent's nu dW + sigma dB.
         self.S, self.noise = np.empty((E, A, N)), np.empty((E, A, N))
-        # Window noise sums, kept only up to the longest spike window, if any.
+        # Window noise sums, kept only up to the longest spike window, if any,
+        # and only of the Z columns that a window reads: the drawn W of the
+        # priced agents (rows ``has`` of the A), in order, then B if drawn.
         last = max(eps_steps, default=0)
-        cumZ = np.zeros((n + 1, N)) if last else None
+        idio, common = _factor_columns(p)
+        has = np.flatnonzero(p["nu"][priced] != 0)
+        read = list(np.searchsorted(idio, priced[has])) + [idio.size] * common
+        take = slice(None) if len(read) == idio.size + common else read
+        cumZ = np.zeros((len(read), N)) if last else None
         sqdt = np.sqrt(dt)
-        nu, sig = p["nu"][priced, None], p["sigma"][priced, None]
+        nu, sig = p["nu"][priced[has], None], p["sigma"][priced, None]
 
         for k, sl, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg, seed_seq):
             prod = expo_buf[:, :X.shape[1]]
@@ -363,12 +387,13 @@ class _PayoffSim:
             u *= -lam_dt[k]
             self.run[:, sl] += u
             if k < last:
-                cumZ[:, sl] += Z.T
+                cumZ[:, sl] += Z[:, take].T
                 for e, ks in enumerate(eps_steps):
                     if k + 1 == ks:
                         self.S[e][:, sl] = self.run[:, sl]
-                        self.noise[e][:, sl] = (nu * (cumZ[priced, sl] * sqdt)
-                                                + sig * (cumZ[n, sl] * sqdt))
+                        w = self.noise[e][:, sl]
+                        w[...] = sig * (cumZ[-1, sl] * sqdt) if common else 0.0
+                        w[has] += nu * (cumZ[:has.size, sl] * sqdt)
 
     def _clamp(self, arg: np.ndarray) -> np.ndarray:
         """Clip exponents to +-EXP_CLAMP in place, counting clipped ones and NaN."""
@@ -625,7 +650,7 @@ def export_paths_csv(bundle: PathBundle, path, header_comment: str | None = None
     and formatted by one ``%`` operation."""
     m, n = bundle.times.size, bundle.n_agents
     per_path = m * n
-    block = max(1, _CSV_BLOCK_ROWS // max(1, per_path))
+    block = max(1, min(bundle.n_paths, _CSV_BLOCK_ROWS // max(1, per_path)))
     cells = np.empty((block * per_path, 5), dtype=object)
     cells[:, 1] = np.tile(np.repeat([f"{t:.10g}" for t in bundle.times], n), block)
     cells[:, 2] = np.tile(np.arange(n), block * m)

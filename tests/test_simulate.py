@@ -39,6 +39,13 @@ TAB = TabulatedDiscount([0.0, 0.37, 1.13, 1.71, 2.5], [1.0, 0.93, 0.71, 0.69, 0.
 PAIR = Population([AgentType(1.0, 0.0, 1.0, 0.0, 1.0)] * 2)
 HET2 = Population([AgentType(1.0, 0.5, 1.0, 1.0, 1.0),
                    AgentType(2.0, 0.2, 0.5, 0.0, 1.0)])
+# Every noise factor loads: all nu > 0 and some sigma > 0.
+ALL_LOAD = Population([AgentType(1.0, 0.5, 1.0, 1.0, 1.0),
+                       AgentType(2.0, 0.2, 0.5, 0.4, 1.0),
+                       AgentType(0.8, 0.6, 1.2, 0.7, 0.0)])
+# No common noise: every sigma = 0.
+NO_COMMON = Population([AgentType(1.0, 0.5, 1.0, 1.0, 0.0),
+                        AgentType(1.5, 0.3, 0.8, 0.6, 0.0)])
 
 
 def constant_strategy(pi_level, n=2, grid=GRID):
@@ -111,6 +118,43 @@ def test_antithetic_pairs_mirror_noise():
                             store_noise=True)
     assert np.array_equal(bundle.common_noise[:8], -bundle.common_noise[8:])
     assert np.array_equal(bundle.idio_noise[:8], -bundle.idio_noise[8:])
+
+
+@pytest.mark.parametrize("pop", [ALL_LOAD, HET2, NO_COMMON], ids=["all", "het2", "no_common"])
+def test_antithetic_runs_mirror_every_stored_column(pop):
+    cfg = SimConfig(16, 0.05, 7, antithetic=True)
+    bundle = simulate_paths(pop, NAgentEquilibrium(pop, HYP, T), 0.0, 1.0, T, cfg,
+                            store_noise=True)
+    stored = np.concatenate([bundle.idio_noise, bundle.common_noise[..., None]], axis=2)
+    assert np.array_equal(stored[:8], -stored[8:])
+    loads = [a.nu != 0 for a in pop.agents] + [any(a.sigma != 0 for a in pop.agents)]
+    assert np.all((stored != 0).all(axis=(0, 1)) == loads)
+
+
+def test_a_population_where_every_factor_loads_keeps_the_full_stream():
+    # (N, n + 1) normals a step, n idiosyncratic then the common one
+    N, n, seed = 20, ALL_LOAD.n, 31
+    bundle = simulate_paths(ALL_LOAD, NAgentEquilibrium(ALL_LOAD, HYP, T), 0.0, 1.0, T,
+                            SimConfig(N, 0.1, seed), store_noise=True)
+    steps = bundle.common_noise.shape[1]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    want = np.stack([rng.standard_normal((N, n + 1)) * np.sqrt(T / steps)
+                     for _ in range(steps)], axis=1)
+    assert np.array_equal(bundle.idio_noise, want[..., :n])
+    assert np.array_equal(bundle.common_noise, want[..., n])
+
+
+def test_factors_that_do_not_load_are_stored_as_zeros():
+    cfg = SimConfig(16, 0.1, 5)
+    for pop, zero_idio, zero_common in ((HET2, [1], False), (TRIO, [1], False),
+                                        (NO_COMMON, [], True)):
+        bundle = simulate_paths(pop, NAgentEquilibrium(pop, HYP, T), 0.0, 1.0, T, cfg,
+                                store_noise=True)
+        for i in range(pop.n):
+            column = bundle.idio_noise[:, :, i]
+            assert np.array_equal(column, np.zeros_like(column)) == (i in zero_idio)
+        common = bundle.common_noise
+        assert np.array_equal(common, np.zeros_like(common)) == zero_common
 
 
 def test_constant_investment_moments_match_ito_isometry():
@@ -264,11 +308,16 @@ def reference_paths(pop, strategy, cfg):
         cs.append(c)
         if k == steps:
             break
+        # one column per factor that loads: W_i where nu_i != 0, then B if
+        # any sigma_i != 0; a factor that does not load gets zeros
+        cols = [*np.flatnonzero(nu != 0), *[n] * bool(np.any(sigma != 0))]
         if cfg.antithetic:
-            half = rng.standard_normal((N // 2, n + 1))
-            Z = np.concatenate([half, -half])
+            half = rng.standard_normal((N // 2, len(cols)))
+            drawn = np.concatenate([half, -half])
         else:
-            Z = rng.standard_normal((N, n + 1))
+            drawn = rng.standard_normal((N, len(cols)))
+        Z = np.zeros((N, n + 1))
+        Z[:, cols] = drawn
         zs.append(Z)
         dW, dB = Z[:, :n] * np.sqrt(dt), Z[:, n:] * np.sqrt(dt)
         X = X + (PI[k] * mu - c) * dt + PI[k] * nu * dW + PI[k] * sigma * dB
@@ -342,6 +391,8 @@ REFERENCE_CASES = {
     "antithetic": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T),
                    SimConfig(48, 0.05, 13, antithetic=True)),
     "two_classes": (MIXED64, two_class_strategy, SimConfig(48, 0.05, 14)),
+    "no_common": (NO_COMMON, lambda: NAgentEquilibrium(NO_COMMON, HYP, T),
+                  SimConfig(48, 0.05, 15)),
 }
 
 
@@ -719,6 +770,17 @@ def test_export_paths_csv_matches_cell_writer(tmp_path, monkeypatch, rng):
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def test_export_paths_csv_block_is_capped_at_the_bundle(tmp_path):
+    # 2 paths of a 5-node pair are 20 rows: a block of 2^16 rows of object
+    # cells would take about 4.8 MB
+    cfg = SimConfig(2, 0.5, 4)
+    bundle = simulate_paths(PAIR, constant_strategy(1.0), 0.0, 0.0, T, cfg)
+    assert bundle.wealth.shape == (2, 5, 2)
+    _, peak = traced_peak(export_paths_csv, bundle, tmp_path / "paths.csv")
+    assert peak < 2e5
+    assert len((tmp_path / "paths.csv").read_text().splitlines()) == 1 + 20
+
+
 def test_simulate_paths_refuses_oversized_bundle():
     # every Euler node of 1e5 paths at dt = 1e-3 over T = 2 (6.4 GB), and the
     # noise of that run (4.8 GB): refused before anything is allocated
@@ -743,6 +805,26 @@ def test_simulate_paths_refuses_record_times_outside_the_horizon():
     bundle = simulate_paths(PAIR, constant_strategy(1.0), 0.0, 0.0, T, cfg,
                             record_times=[T + 1e-13, -1e-13])
     assert bundle.times.tolist() == [0.0, T]
+
+
+def test_non_finite_query_times_are_refused_before_simulating():
+    # 1e5 paths at dt = 1e-3 would take seconds and megabytes: the NaN or
+    # infinite time is refused before any of it
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    cfg = SimConfig(100_000, 1e-3, 0)
+    for bad in ([0.5, np.nan], [np.nan], [np.inf, 0.5], [-np.inf]):
+        with pytest.raises(ValidationError, match=r"must lie in \[t0, horizon\]"):
+            simulate_paths(HET2, eq, 0.0, 1.0, T, cfg, record_times=bad)
+        with pytest.raises(ValidationError, match=r"must lie in \[t0, horizon\]"):
+            gaussian_moments(HET2, eq, 0.0, 1.0, bad, T)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError):
+            simulate_paths(HET2, eq, 0.0, 1.0, T, cfg, record_times=[0.5, np.nan])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_payoff_calls_refuse_agents_out_of_range():
