@@ -305,6 +305,15 @@ def _figures_distribution(delta_hat: float) -> TypeDistribution:
                                         sigma=1.0), 1.0)])
 
 
+def _curve_rows(dist: TypeDistribution, discount: DiscountFunction, grid: TimeGrid, x0: float,
+                label: float) -> list[list[str]]:
+    """``(t, label, average consumption)`` rows of one mean-field figure curve."""
+    eq = mfg.MeanFieldEquilibrium(dist, discount, grid.T)
+    avg = eq.average_consumption(grid, x0)
+    _check_finite("figure curve", avg)
+    return [[f"{t:.10g}", f"{label:g}", f"{c:.12g}"] for t, c in zip(grid.times, avg)]
+
+
 def cmd_figures(args) -> int:
     if not math.isfinite(args.x0):
         raise ValidationError(f"--x0 must be finite (got {args.x0})")
@@ -313,25 +322,15 @@ def cmd_figures(args) -> int:
     delta_hats = _floats(args.delta_hats, "--delta-hats")
     base_dist = _figures_distribution(1.0)
 
-    rows1 = []
-    for beta in betas:
-        d = HyperbolicDiscount(rho=args.rho, beta=beta)
-        eq = mfg.MeanFieldEquilibrium(base_dist, d, grid.T)
-        avg = eq.average_consumption(grid, args.x0)
-        _check_finite("figure curve", avg)
-        for t, c in zip(grid.times, avg):
-            rows1.append([f"{t:.10g}", f"{beta:g}", f"{c:.12g}"])
+    rows1 = [row for beta in betas
+             for row in _curve_rows(base_dist, HyperbolicDiscount(rho=args.rho, beta=beta),
+                                    grid, args.x0, beta)]
     _write_csv(Path(args.out_dir) / "fig1.csv", ["t", "beta", "avg_consumption"],
                rows1, args.deterministic)
 
     d2 = HyperbolicDiscount(rho=args.rho, beta=args.beta_fig2)
-    rows2 = []
-    for dh in delta_hats:
-        eq = mfg.MeanFieldEquilibrium(_figures_distribution(dh), d2, grid.T)
-        avg = eq.average_consumption(grid, args.x0)
-        _check_finite("figure curve", avg)
-        for t, c in zip(grid.times, avg):
-            rows2.append([f"{t:.10g}", f"{dh:g}", f"{c:.12g}"])
+    rows2 = [row for dh in delta_hats
+             for row in _curve_rows(_figures_distribution(dh), d2, grid, args.x0, dh)]
     _write_csv(Path(args.out_dir) / "fig2.csv",
                ["t", "e_delta_hat", "avg_consumption"], rows2, args.deterministic)
     return EXIT_OK

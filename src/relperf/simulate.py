@@ -22,9 +22,8 @@ classes, 0 on the diagonal of a one-agent class.
 One Euler loop, :func:`_euler`, serves :func:`simulate_paths` and the payoff
 simulations.  It steps the (n, N) wealth, one row of N paths per agent, a
 block of paths at a time, in block-sized buffers.  Each step draws (N, d)
-standard normals, one column per factor that loads: the idiosyncratic W_i of
-each agent with nu_i != 0, in agent order, then the common B if any
-sigma_i != 0.  They are drawn block by block in stream order and negated in
+standard normals, one column per factor that loads, as :func:`_unit_loading`
+lays them out.  They are drawn block by block in stream order and negated in
 the second half for antithetic runs.  When every factor loads, d = n + 1 and
 a seed gives the same draws as the earlier (N, n+1) stream.
 """
@@ -98,16 +97,12 @@ class SimConfig:
 
 @dataclass
 class PathBundle:
-    """Recorded wealth/consumption paths plus (optionally) the raw noise."""
+    """Recorded wealth/consumption paths."""
 
     times: np.ndarray            # (m,)
     wealth: np.ndarray           # (n_paths, m, n)
     consumption: np.ndarray      # (n_paths, m, n)
     seed: int
-    # B increments, (n_paths, steps): exactly 0 if every sigma_i is 0
-    common_noise: np.ndarray | None = None
-    # W increments, (n_paths, steps, n): exactly 0 in the column of a nu_i = 0 agent
-    idio_noise: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
@@ -160,11 +155,13 @@ def _blocks(n: int, cfg: SimConfig) -> tuple[int, list[tuple[int, int]], int]:
     return drawn, blocks, max(hi - lo for lo, hi in blocks)
 
 
-def _factor_columns(p) -> tuple[np.ndarray, bool]:
-    """The noise factors that load, in draw order: the agents whose
-    idiosyncratic W_i has nu_i != 0, then whether the common B loads
-    (some sigma_i != 0)."""
-    return np.flatnonzero(p["nu"] != 0), bool(np.any(p["sigma"] != 0))
+def _unit_loading(p) -> np.ndarray:
+    """Each agent's noise per unit of investment on the drawn normals, (n, d):
+    nu_i in the column of agent i's W_i, sigma_i in the common B's.  Only the
+    factors that load are drawn: the W_i of each agent with nu_i != 0, in
+    agent order, then B if some sigma_i != 0."""
+    unit = np.column_stack([np.diag(p["nu"]), p["sigma"]])
+    return unit[:, unit.any(axis=0)]
 
 
 def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarray,
@@ -173,9 +170,10 @@ def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarr
     node and block of paths ``sl``.
 
     X and c are the paths' wealth (a view) and consumption at ``times[k]``;
-    Z holds the (B, d) normals moving X to ``times[k + 1]``, one column per
-    factor of :func:`_factor_columns` (None at the last node), negated in
-    place for the mirrored paths of an antithetic run.
+    Z holds the (B, d) normals moving X to ``times[k + 1]``, in the columns
+    of :func:`_unit_loading` (None at the last node), negated in place for
+    the mirrored paths of an antithetic run.  Step k loads them by that
+    matrix scaled by pi(t_k) and then by sqrt(dt).
     At a step with a nonzero cross slope, c = own X + q gains (off @ S)[labels]
     minus the agent's own term, where S holds the (K, B) class wealth sums.
     Buffers are reused, so copy what must outlive the block.
@@ -186,13 +184,10 @@ def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarr
     lab, own, off, q = strategy.consumption_at(times)
     sqdt = np.sqrt(dt)
     drift = PI * p["mu"] * dt
-    vol_w = PI * p["nu"] * sqdt
-    vol_b = PI * p["sigma"] * sqdt
     order = np.argsort(lab, kind="stable")
     starts = np.flatnonzero(np.diff(lab[order], prepend=-1))
-    idio, common = _factor_columns(p)
-    # Step-k loadings: vol_w on each agent's own column, vol_b in the common one.
-    load, w_at = np.zeros((n, idio.size + common)), (idio, np.arange(idio.size))
+    unit = _unit_loading(p)
+    load = np.empty_like(unit)
     rng = np.random.default_rng(
         seed_seq if seed_seq is not None else np.random.SeedSequence(cfg.seed))
     X = np.repeat(x0[:, None], N, axis=1)
@@ -201,9 +196,8 @@ def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarr
     for k in range(steps + 1):
         if k == steps:  # the last node takes no step: free the step buffers
             Z_buf = dX_buf = dX = None
-        load[w_at] = vol_w[k, idio]
-        if common:
-            load[:, -1] = vol_b[k]
+        np.multiply(PI[k][:, None], unit, out=load)
+        load *= sqdt
         for lo, hi in blocks:
             b = hi - lo
             Z = None if k == steps else rng.standard_normal(out=Z_buf[:b])
@@ -228,8 +222,7 @@ def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarr
 
 
 def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
-                   cfg: SimConfig, record_times=None,
-                   store_noise: bool = False) -> PathBundle:
+                   cfg: SimConfig, record_times=None) -> PathBundle:
     """Euler-Maruyama paths of the closed-loop wealth system.
 
     Parameters
@@ -241,44 +234,35 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
         (snapped to the Euler grid; defaults to every Euler node).
         Consumption is recorded as the feedback value C(t, X_t) at left
         endpoints, including t = horizon.
-        A bundle (with the noise, if stored) larger than
-        ``MAX_BUNDLE_BYTES`` is refused with a ValidationError.
+        A bundle larger than ``MAX_BUNDLE_BYTES`` is refused with a ValidationError.
 
     Identical inputs and seed produce a bit-identical bundle.
     """
     n = pop.n
     x0 = _x0_vector(x0, n)
-    times, dt, steps = _euler_times(t0, horizon, cfg.dt)
+    times, dt, _ = _euler_times(t0, horizon, cfg.dt)
 
     record = times if record_times is None else _check_times(record_times, t0, horizon)
     rec_idx = np.unique(np.round((record - t0) / dt).astype(int))
     rec_pos = {int(k): j for j, k in enumerate(rec_idx)}
 
     N = cfg.n_paths
-    size = 8 * N * (2 * rec_idx.size * n + (steps * (n + 1) if store_noise else 0))
+    size = 8 * N * 2 * rec_idx.size * n
     if size > MAX_BUNDLE_BYTES:
         raise ValidationError(
             f"the path bundle would take {size / 2**30:.3g} GiB, over the "
             f"{MAX_BUNDLE_BYTES / 2**30:.3g} GiB limit: record fewer times or paths")
     wealth = np.empty((N, rec_idx.size, n))
     cons = np.empty((N, rec_idx.size, n))
-    sqdt = np.sqrt(dt)
-    idio, common = _factor_columns(pop._params)
-    dW_all = np.zeros((N, steps, n)) if store_noise else None
-    dB_all = np.zeros((N, steps)) if store_noise else None
 
-    for k, sl, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg):
+    for k, sl, X, c, _ in _euler(pop, strategy, times, dt, x0, cfg):
         j = rec_pos.get(k)
         if j is not None:
             wealth[sl, j, :] = X.T
             cons[sl, j, :] = c.T
-        if store_noise and Z is not None:
-            dW_all[sl, k, idio] = Z[:, :idio.size] * sqdt
-            if common:
-                np.multiply(Z[:, -1], sqdt, out=dB_all[sl, k])
 
     return PathBundle(times=times[rec_idx], wealth=wealth, consumption=cons,
-                      seed=cfg.seed, common_noise=dB_all, idio_noise=dW_all)
+                      seed=cfg.seed)
 
 
 def gaussian_moments(pop: Population, strategy, t0: float, x0, times, horizon: float):
@@ -360,16 +344,14 @@ class _PayoffSim:
         # Per window: the payoff so far and each priced agent's nu dW + sigma dB.
         self.S, self.noise = np.empty((E, A, N)), np.empty((E, A, N))
         # Window noise sums, kept only up to the longest spike window, if any,
-        # and only of the Z columns that a window reads: the drawn W of the
-        # priced agents (rows ``has`` of the A), in order, then B if drawn.
+        # and only of the Z columns that the priced agents load.
         last = max(eps_steps, default=0)
-        idio, common = _factor_columns(p)
-        has = np.flatnonzero(p["nu"][priced] != 0)
-        read = list(np.searchsorted(idio, priced[has])) + [idio.size] * common
-        take = slice(None) if len(read) == idio.size + common else read
-        cumZ = np.zeros((len(read), N)) if last else None
+        unit = _unit_loading(p)[priced]
+        cols = np.flatnonzero(unit.any(axis=0))
+        take = slice(None) if cols.size == unit.shape[1] else cols
+        unit = unit[:, cols]
+        cumZ = np.zeros((cols.size, N)) if last else None
         sqdt = np.sqrt(dt)
-        nu, sig = p["nu"][priced[has], None], p["sigma"][priced, None]
 
         for k, sl, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg, seed_seq):
             prod = expo_buf[:, :X.shape[1]]
@@ -391,9 +373,7 @@ class _PayoffSim:
                 for e, ks in enumerate(eps_steps):
                     if k + 1 == ks:
                         self.S[e][:, sl] = self.run[:, sl]
-                        w = self.noise[e][:, sl]
-                        w[...] = sig * (cumZ[-1, sl] * sqdt) if common else 0.0
-                        w[has] += nu * (cumZ[:has.size, sl] * sqdt)
+                        self.noise[e][:, sl] = (unit @ cumZ[:, sl]) * sqdt
 
     def _clamp(self, arg: np.ndarray) -> np.ndarray:
         """Clip exponents to +-EXP_CLAMP in place, counting clipped ones and NaN."""
@@ -514,8 +494,13 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
     ``cfg.seed``, so results do not depend on scheduling.
     """
     agents = list(range(pop.n)) if agents is None else list(agents)
+    for name, values in (("times", times), ("vs", vs), ("agents", agents)):
+        if len(values) == 0:
+            raise ValidationError(f"spike_grid needs at least one entry in {name}")
     if len(set(times)) < len(times):
         raise ValidationError("spike times must be distinct")
+    if len(set(agents)) < len(agents):
+        raise ValidationError("spike agents must be distinct")
     # Each bound is written so that NaN fails it.
     if not all(0 <= t <= horizon for t in times):
         raise ValidationError("spike times must be >= 0 and <= the horizon")
@@ -540,12 +525,8 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
 
     all_rows: list[SpikeResult] = []
     base_payoffs: dict[float, dict[int, float]] = {}
-    workers = thread_count(upper=len(times))
-    if workers > 1 and len(times) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(run_time, range(len(times))))
-    else:
-        outs = [run_time(i) for i in range(len(times))]
+    with ThreadPoolExecutor(max_workers=thread_count(upper=len(times))) as pool:
+        outs = list(pool.map(run_time, range(len(times))))
     for t, (rows, base, _) in zip(times, outs):
         all_rows.extend(rows)
         base_payoffs[float(t)] = base

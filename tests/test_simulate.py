@@ -101,60 +101,72 @@ def test_dt_larger_than_horizon_rejected():
                        SimConfig(10, 5.0, 1))
 
 
+def kernel_draws(pop, strategy, t0, cfg):
+    """The standard normals that simulate._euler draws from t0 to T, as
+    (n_paths, steps, d): one column per noise factor that loads."""
+    times, dt, steps = simulate._euler_times(t0, T, cfg.dt)
+    draws = None
+    for k, sl, _, _, Z in simulate._euler(pop, strategy, times, dt, np.zeros(pop.n), cfg):
+        if Z is not None:
+            if draws is None:
+                draws = np.empty((cfg.n_paths, steps, Z.shape[1]))
+            draws[sl, k] = Z
+    return draws
+
+
 def test_determinism_bit_identical():
     cfg = SimConfig(32, 0.01, 99)
     eq = NAgentEquilibrium(HET2, HYP, T)
-    a = simulate_paths(HET2, eq, 0.0, 1.0, T, cfg, store_noise=True)
-    b = simulate_paths(HET2, eq, 0.0, 1.0, T, cfg, store_noise=True)
+    a = simulate_paths(HET2, eq, 0.0, 1.0, T, cfg)
+    b = simulate_paths(HET2, eq, 0.0, 1.0, T, cfg)
     assert np.array_equal(a.wealth, b.wealth)
     assert np.array_equal(a.consumption, b.consumption)
-    assert np.array_equal(a.common_noise, b.common_noise)
-    assert np.array_equal(a.idio_noise, b.idio_noise)
+    assert np.array_equal(kernel_draws(HET2, eq, 0.0, cfg), kernel_draws(HET2, eq, 0.0, cfg))
 
 
 def test_antithetic_pairs_mirror_noise():
     cfg = SimConfig(16, 0.05, 7, antithetic=True)
-    bundle = simulate_paths(PAIR, constant_strategy(1.0), 0.0, 0.0, T, cfg,
-                            store_noise=True)
-    assert np.array_equal(bundle.common_noise[:8], -bundle.common_noise[8:])
-    assert np.array_equal(bundle.idio_noise[:8], -bundle.idio_noise[8:])
+    draws = kernel_draws(PAIR, constant_strategy(1.0), 0.0, cfg)
+    assert np.array_equal(draws[:8], -draws[8:])
 
 
 @pytest.mark.parametrize("pop", [ALL_LOAD, HET2, NO_COMMON], ids=["all", "het2", "no_common"])
 def test_antithetic_runs_mirror_every_stored_column(pop):
     cfg = SimConfig(16, 0.05, 7, antithetic=True)
-    bundle = simulate_paths(pop, NAgentEquilibrium(pop, HYP, T), 0.0, 1.0, T, cfg,
-                            store_noise=True)
-    stored = np.concatenate([bundle.idio_noise, bundle.common_noise[..., None]], axis=2)
-    assert np.array_equal(stored[:8], -stored[8:])
+    draws = kernel_draws(pop, NAgentEquilibrium(pop, HYP, T), 0.0, cfg)
+    assert np.array_equal(draws[:8], -draws[8:])
     loads = [a.nu != 0 for a in pop.agents] + [any(a.sigma != 0 for a in pop.agents)]
-    assert np.all((stored != 0).all(axis=(0, 1)) == loads)
+    assert draws.shape[2] == sum(loads) and np.all(draws != 0)
 
 
 def test_a_population_where_every_factor_loads_keeps_the_full_stream():
     # (N, n + 1) normals a step, n idiosyncratic then the common one
     N, n, seed = 20, ALL_LOAD.n, 31
-    bundle = simulate_paths(ALL_LOAD, NAgentEquilibrium(ALL_LOAD, HYP, T), 0.0, 1.0, T,
-                            SimConfig(N, 0.1, seed), store_noise=True)
-    steps = bundle.common_noise.shape[1]
+    cfg = SimConfig(N, 0.1, seed)
+    draws = kernel_draws(ALL_LOAD, NAgentEquilibrium(ALL_LOAD, HYP, T), 0.0, cfg)
+    steps = draws.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    want = np.stack([rng.standard_normal((N, n + 1)) * np.sqrt(T / steps)
-                     for _ in range(steps)], axis=1)
-    assert np.array_equal(bundle.idio_noise, want[..., :n])
-    assert np.array_equal(bundle.common_noise, want[..., n])
+    want = np.stack([rng.standard_normal((N, n + 1)) for _ in range(steps)], axis=1)
+    assert np.array_equal(draws, want)
 
 
-def test_factors_that_do_not_load_are_stored_as_zeros():
-    cfg = SimConfig(16, 0.1, 5)
-    for pop, zero_idio, zero_common in ((HET2, [1], False), (TRIO, [1], False),
-                                        (NO_COMMON, [], True)):
-        bundle = simulate_paths(pop, NAgentEquilibrium(pop, HYP, T), 0.0, 1.0, T, cfg,
-                                store_noise=True)
-        for i in range(pop.n):
-            column = bundle.idio_noise[:, :, i]
-            assert np.array_equal(column, np.zeros_like(column)) == (i in zero_idio)
-        common = bundle.common_noise
-        assert np.array_equal(common, np.zeros_like(common)) == zero_common
+def test_unit_loading_has_one_column_per_factor_that_loads():
+    # nu_i in agent i's W_i column where nu_i != 0, in agent order, then
+    # sigma_i in the common B column if some sigma_i != 0
+    cases = (
+        (HET2, [[1.0, 1.0],
+                [0.0, 1.0]]),
+        (TRIO, [[1.0, 0.0, 1.0],
+                [0.0, 0.0, 1.0],
+                [0.0, 0.7, 0.0]]),
+        (NO_COMMON, [[1.0, 0.0],
+                     [0.0, 0.6]]),
+        (ALL_LOAD, [[1.0, 0.0, 0.0, 1.0],
+                    [0.0, 0.4, 0.0, 1.0],
+                    [0.0, 0.0, 0.7, 0.0]]),
+    )
+    for pop, want in cases:
+        assert np.array_equal(simulate._unit_loading(pop._params), np.array(want))
 
 
 def test_constant_investment_moments_match_ito_isometry():
@@ -301,7 +313,7 @@ def reference_paths(pop, strategy, cfg):
     P, q = dense_consumption(strategy, times)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     X = np.tile(ref_x0(n), (N, 1))
-    xs, cs, zs = [], [], []
+    xs, cs, zs, draws = [], [], [], []
     for k in range(steps + 1):
         c = X @ P[k].T + q[k]
         xs.append(X)
@@ -316,20 +328,21 @@ def reference_paths(pop, strategy, cfg):
             drawn = np.concatenate([half, -half])
         else:
             drawn = rng.standard_normal((N, len(cols)))
+        draws.append(drawn)
         Z = np.zeros((N, n + 1))
         Z[:, cols] = drawn
         zs.append(Z)
         dW, dB = Z[:, :n] * np.sqrt(dt), Z[:, n:] * np.sqrt(dt)
         X = X + (PI[k] * mu - c) * dt + PI[k] * nu * dW + PI[k] * sigma * dB
     return (times, dt, PI, np.stack(xs, axis=1), np.stack(cs, axis=1),
-            np.stack(zs, axis=1) * np.sqrt(dt))
+            np.stack(zs, axis=1) * np.sqrt(dt), np.stack(draws, axis=1))
 
 
 def reference_payoff(pop, discount, strategy, agent, cfg, spike=None):
     """Per-path payoff of ``agent``; with ``spike`` (eps, (v1, v2)) the agent's
     controls are shifted on the window while all other control processes,
     and her own consumption after it, keep their base values."""
-    times, dt, PI, X, C, noise = reference_paths(pop, strategy, cfg)
+    times, dt, PI, X, C, noise, _ = reference_paths(pop, strategy, cfg)
     a = pop.agents[agent]
     n = pop.n
 
@@ -404,14 +417,14 @@ REFERENCE_SPIKES = ((0, None), (-1, (0.1, (0.7, -0.4))))
 
 
 def kernel_run(pop, strategy, cfg):
-    """The paths with their noise, and the payoff estimates, as (mean, standard
-    error), of REFERENCE_SPIKES: agent 0's by expected_payoff, the last
-    agent's spike by payoff_paths."""
-    bundle = simulate_paths(pop, strategy, REF_T0, ref_x0(pop.n), T, cfg,
-                            store_noise=True)
+    """The paths, the kernel's draws, and the payoff estimates, as (mean,
+    standard error), of REFERENCE_SPIKES: agent 0's by expected_payoff, the
+    last agent's spike by payoff_paths."""
+    bundle = simulate_paths(pop, strategy, REF_T0, ref_x0(pop.n), T, cfg)
+    draws = kernel_draws(pop, strategy, REF_T0, cfg)
     base = expected_payoff(pop, HYP, strategy, 0, REF_T0, ref_x0(pop.n), T, cfg)
     paths, delta = payoff_paths(pop, strategy, cfg)
-    return bundle, [(base.value, base.std_error), simulate._mean_se(paths + delta)]
+    return bundle, draws, [(base.value, base.std_error), simulate._mean_se(paths + delta)]
 
 
 def payoff_paths(pop, strategy, cfg):
@@ -423,11 +436,10 @@ def payoff_paths(pop, strategy, cfg):
 
 
 def assert_matches_reference_loop(pop, strategy, cfg):
-    times, _, _, X, C, noise = reference_paths(pop, strategy, cfg)
-    bundle, estimates = kernel_run(pop, strategy, cfg)
+    times, _, _, X, C, _, ref_draws = reference_paths(pop, strategy, cfg)
+    bundle, draws, estimates = kernel_run(pop, strategy, cfg)
     assert np.array_equal(bundle.times, times)
-    assert np.array_equal(bundle.idio_noise, noise[:, :, :pop.n])
-    assert np.array_equal(bundle.common_noise, noise[:, :, pop.n])
+    assert np.array_equal(draws, ref_draws)
     assert rel_gap(bundle.wealth, X) < 1e-12
     assert rel_gap(bundle.consumption, C) < 1e-12
 
@@ -458,7 +470,7 @@ def test_path_blocks_leave_the_kernel_unchanged(case, block, monkeypatch):
     pop, make, cfg = REFERENCE_CASES[case]
     strategy = make()
     assert len(block_widths(pop, cfg)) == 1
-    bundle, estimates = kernel_run(pop, strategy, cfg)
+    bundle, draws, estimates = kernel_run(pop, strategy, cfg)
     paths = payoff_paths(pop, strategy, cfg)
     monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", BLOCK_PATHS[block] * (3 * pop.n + 1))
     widths = block_widths(pop, cfg)
@@ -467,8 +479,9 @@ def test_path_blocks_leave_the_kernel_unchanged(case, block, monkeypatch):
         # a BLAS product may group its sums differently at this size
         assert_matches_reference_loop(pop, strategy, cfg)
         return
-    blocked, blocked_estimates = kernel_run(pop, strategy, cfg)
-    for name in ("idio_noise", "common_noise", "wealth", "consumption"):
+    blocked, blocked_draws, blocked_estimates = kernel_run(pop, strategy, cfg)
+    assert np.array_equal(blocked_draws, draws)
+    for name in ("wealth", "consumption"):
         assert np.array_equal(getattr(blocked, name), getattr(bundle, name))
     assert blocked_estimates == estimates
     for got, want in zip(payoff_paths(pop, strategy, cfg), paths):
@@ -782,14 +795,13 @@ def test_export_paths_csv_block_is_capped_at_the_bundle(tmp_path):
 
 
 def test_simulate_paths_refuses_oversized_bundle():
-    # every Euler node of 1e5 paths at dt = 1e-3 over T = 2 (6.4 GB), and the
-    # noise of that run (4.8 GB): refused before anything is allocated
+    # every Euler node of 1e5 paths at dt = 1e-3 over T = 2 (6.4 GB): refused
+    # before anything is allocated
     cfg = SimConfig(100_000, 1e-3, 0)
     tracemalloc.start()
     try:
-        for kwargs in ({}, {"record_times": [0.0, T], "store_noise": True}):
-            with pytest.raises(ValidationError, match=r"would take \d.* GiB"):
-                simulate_paths(PAIR, constant_strategy(1.0), 0.0, 0.0, T, cfg, **kwargs)
+        with pytest.raises(ValidationError, match=r"would take \d.* GiB"):
+            simulate_paths(PAIR, constant_strategy(1.0), 0.0, 0.0, T, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -870,6 +882,29 @@ def test_spike_grid_refuses_repeated_times():
     for times in ([0.5, 0.5], [0.0, 1.0, -0.0]):
         with pytest.raises(ValidationError, match="distinct"):
             spike_grid(HET2, HYP, eq, times, [(1, 0)], [0.1], SimConfig(4, 0.1, 0), 1.0, T)
+
+
+# spike_grid arguments (times, vs, agents) that leave nothing or a repeat to
+# price, with the name its refusal gives
+EMPTY_OR_REPEATED = {
+    "no_vs": (([0.5], [], [0, 1]), "at least one entry in vs"),
+    "no_agents": (([0.5], [(1, 0)], []), "at least one entry in agents"),
+    "no_times": (([], [(1, 0)], [0, 1]), "at least one entry in times"),
+    "repeated_agents": (([0.5], [(1, 0)], [0, 0]), "agents must be distinct"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_OR_REPEATED))
+def test_spike_grid_refuses_empty_or_repeated_inputs(case, monkeypatch):
+    (times, vs, agents), message = EMPTY_OR_REPEATED[case]
+    sims = []
+    monkeypatch.setattr(simulate._PayoffSim, "__init__",
+                        lambda self, *args, **kw: sims.append(args))
+    eq = NAgentEquilibrium(SPIKE_PAIR, HYP, T)
+    with pytest.raises(ValidationError, match=message):
+        spike_grid(SPIKE_PAIR, HYP, eq, times, vs, [0.1], SimConfig(4, 0.1, 0), 1.0, T,
+                   agents=agents)
+    assert sims == []
 
 
 def test_closed_form_paths_build_no_dense_slopes():
