@@ -22,7 +22,6 @@ __all__ = [
     "AnsatzFG",
     "ansatz_for",
     "foc_residuals",
-    "reconstruct_consumption",
 ]
 
 
@@ -114,25 +113,3 @@ def foc_residuals(eq: NAgentEquilibrium, i: int, t: float, x,
     r_consume = np.abs(-np.expm1(rhs_exp - log_p_exp - log_lam))
     return np.broadcast_to(np.asarray(r_invest), r_consume.shape).copy(), r_consume
 
-
-def reconstruct_consumption(eq: NAgentEquilibrium, i: int, t: float, x) -> np.ndarray:
-    """Consumption of agent ``i`` rebuilt through the reply formula.
-
-    Uses the (f, g, h) route: own and cross wealth terms, the h drift
-    adjustment, the discount term, and the competitors' equilibrium
-    consumption average.  Must match the direct closed form.
-    """
-    agent = eq.pop.agents[i]
-    n = eq.pop.n
-    own = 1.0 - agent.theta / n
-    rem = eq.horizon + 1.0 - t
-    x = np.asarray(x, dtype=float)
-    own_x, cross_x = _split_state(eq, i, x)
-    icpts = eq.intercepts_at(t)
-    c_all = x / rem + icpts
-    cross_c = (c_all.sum(axis=-1) - c_all[..., i]) / n
-    h = float(eq.hhat(i, t))
-    log_lam = float(eq.discount.log_value(eq.horizon - t))
-    return (own_x / rem - (agent.theta / own) * cross_x / rem
-            - (agent.delta / own) * (h + log_lam)
-            + (agent.theta / own) * cross_c)

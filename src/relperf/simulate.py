@@ -8,11 +8,15 @@ consumption strategy profile is a linear SDE,
 simulated with Euler-Maruyama.  Because the diffusion coefficients are
 state-independent, the law of X_t is Gaussian; under the closed-form
 equilibrium :func:`gaussian_moments` gives it exactly, an oracle for the
-sampled paths.  Expected payoffs and their spike-perturbation differences
+sampled paths.  The Euler scheme itself is a linear Gaussian recursion, so
+:class:`_EulerLaw` gives its exact law at the simulated dt for any strategy.
+Expected payoffs are Monte Carlo estimates; spike-perturbation differences
 are estimated with common random numbers: a perturbed control changes only
 the deviating agent's own consumption on the spike window and shifts her
 terminal wealth, so the payoff difference is computed path by path from one
-base simulation.
+base simulation.  That simulation stops where the longest spike window
+closes: the terminal utility there is its conditional expectation given the
+wealth, priced on the Euler law, and the base payoff is the law's exact one.
 
 A strategy's ``consumption_at`` gives the class form ``(labels, own, off,
 q)``: agent i consumes own[i] X_i + q[i] plus off[labels[i], labels[k]] X_k
@@ -221,6 +225,69 @@ def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarr
                     Xs += dX
 
 
+class _EulerLaw:
+    """Exact law of the Euler scheme that :func:`_euler` runs on ``times``.
+
+    One step is X_{k+1} = D_k X_k + b_k + L_k Z, with D_k = I - dt C_k for
+    the consumption slopes C_k, b_k = (pi_k mu - q_k) dt and L_k = diag(pi_k)
+    unit sqrt(dt), so every X_k is Gaussian and every CARA utility of an
+    affine function of it has a closed expectation.  C_k is applied in the
+    class form, so no (n, n) slopes are built.
+    """
+
+    def __init__(self, pop: Population, strategy, times: np.ndarray, dt: float):
+        p = pop._params
+        self.dt, self.steps = dt, times.size - 1
+        self.PI = strategy.pi_at(times)
+        self.lab, self.own, self.off, self.q = strategy.consumption_at(times)
+        self.b = (self.PI * p["mu"] - self.q) * dt
+        self.unit = _unit_loading(p)
+        self.order = np.argsort(self.lab, kind="stable")
+        self.starts = np.flatnonzero(np.diff(self.lab[self.order], prepend=-1))
+
+    def _slopes(self, k: int, Y: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """C_k Y, or C_k' Y, for Y of shape (n, r)."""
+        off = self.off[k].T if transpose else self.off[k]
+        out = self.own[k][:, None] * Y
+        if off.any():
+            out += (off @ np.add.reduceat(Y[self.order], self.starts))[self.lab]
+            out -= np.diagonal(off)[self.lab][:, None] * Y
+        return out
+
+    def tail(self, e: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(g, h)`` with E[exp(e X_T) | X_stop] = exp(g X_stop + h) for each
+        row of e: g_k = D_k' g_{k+1}, h_k = h_{k+1} + g_{k+1} b_k + |L_k' g_{k+1}|^2 / 2."""
+        g, h = e.copy(), np.zeros(len(e))
+        for k in range(self.steps - 1, stop - 1, -1):
+            lg = (g * self.PI[k]) @ self.unit  # L_k' g / sqrt(dt)
+            h += g @ self.b[k] + 0.5 * self.dt * np.square(lg).sum(axis=1)
+            g -= self.dt * self._slopes(k, g.T, transpose=True).T
+        return g, h
+
+    def exponents(self, e: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """(r, steps + 1) exponents a with E[exp(e c_k)] = exp(a[:, k]) at each
+        node k < steps and E[exp(e X_T)] = exp(a[:, -1]), for the rows of e,
+        from the mean m and covariance P carried forward from x0."""
+        dt = self.dt
+        m, P = x0.copy(), np.zeros((x0.size, x0.size))
+        out = np.empty((len(e), self.steps + 1))
+
+        def log_mgf(f, shift):  # log E[exp(f X + shift)] for X ~ N(m, P)
+            return f @ m + shift + 0.5 * np.einsum("ij,jk,ik->i", f, P, f)
+
+        for k in range(self.steps):
+            # e c_k = (e C_k) X_k + e q_k
+            out[:, k] = log_mgf(self._slopes(k, e.T, transpose=True).T, e @ self.q[k])
+            m += self.b[k] - dt * self._slopes(k, m[:, None])[:, 0]
+            P -= dt * self._slopes(k, P)
+            Pt = P.T  # D (D P)' = D P D', written back through the view
+            Pt -= dt * self._slopes(k, Pt)
+            load = self.PI[k][:, None] * self.unit
+            P += dt * (load @ load.T)
+        out[:, -1] = log_mgf(e, 0.0)
+        return out
+
+
 def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
                    cfg: SimConfig, record_times=None) -> PathBundle:
     """Euler-Maruyama paths of the closed-loop wealth system.
@@ -305,7 +372,15 @@ class PayoffEstimate:
 class _PayoffSim:
     """One closed-loop base simulation with the bookkeeping needed to price
     spike perturbations of the A priced ``agents`` by common random numbers.
-    Per-agent arrays are (A, N), per-spike arrays (E, A, N)."""
+    Per-agent arrays are (A, N), per-spike arrays (E, A, N).
+
+    Without spike windows the paths run to the horizon, and ``run`` plus
+    ``lam_T`` times ``term_u`` is each path's payoff.  With them the paths stop at node w, where the
+    longest window closes: after it a spike changes only the terminal wealth,
+    by an amount known at w, so ``term_u`` is the conditional expectation
+    -E[exp(e X_T) | X_w] of the terminal utility from :meth:`_EulerLaw.tail`,
+    and ``base`` holds the priced agents' expected payoffs from the exact
+    law of the Euler scheme at the same dt."""
 
     def __init__(self, pop: Population, discount: DiscountFunction, strategy,
                  t0: float, x0, horizon: float, cfg: SimConfig, agents: Sequence[int],
@@ -339,13 +414,23 @@ class _PayoffSim:
         lam_dt = discount.value(times[:-1] - t0) * dt
         self.lam_T = float(discount.value(horizon - t0))
 
+        # The paths stop where the last spike window closes, if any.
+        last = max(eps_steps, default=0)
+        stop = last or steps
+        tail, h = expo, np.zeros(len(expo))
+        if last:
+            law = _EulerLaw(pop, strategy, times, dt)
+            tail, h = law.tail(expo, stop)
+            expos = self._clamp(law.exponents(expo[:A], x0))
+            self.base = -(np.exp(expos) @ np.append(lam_dt, self.lam_T))
+        h = h[:A, None]
+
         self.run = np.zeros((A, N))
         expo_buf = np.empty((expo.shape[0], _blocks(n, cfg)[2]))
         # Per window: the payoff so far and each priced agent's nu dW + sigma dB.
         self.S, self.noise = np.empty((E, A, N)), np.empty((E, A, N))
-        # Window noise sums, kept only up to the longest spike window, if any,
-        # and only of the Z columns that the priced agents load.
-        last = max(eps_steps, default=0)
+        # Window noise sums, kept only while a spike window is open, and only
+        # of the Z columns that the priced agents load.
         unit = _unit_loading(p)[priced]
         cols = np.flatnonzero(unit.any(axis=0))
         take = slice(None) if cols.size == unit.shape[1] else cols
@@ -353,22 +438,24 @@ class _PayoffSim:
         cumZ = np.zeros((cols.size, N)) if last else None
         sqdt = np.sqrt(dt)
 
-        for k, sl, X, c, Z in _euler(pop, strategy, times, dt, x0, cfg, seed_seq):
+        for k, sl, X, c, Z in _euler(pop, strategy, times[:stop + 1], dt, x0, cfg, seed_seq):
             prod = expo_buf[:, :X.shape[1]]
             u = prod[:A]
-            # Every spike window has closed; with none, wait for the last
-            # node, where _euler has freed its step buffers.
-            if k == (last or steps) and sl.start == 0:
-                cumZ = None
-                self.term_u = np.empty((A, N))
-            np.matmul(expo, X if Z is None else c, out=prod)
-            np.exp(self._clamp(u), out=u)
             if Z is None:
+                # The last node, where _euler has freed its step buffers.
+                if sl.start == 0:
+                    cumZ = None
+                    self.term_u = np.empty((A, N))
+                np.matmul(tail, X, out=prod)
+                u += h
+                np.exp(self._clamp(u), out=u)
                 np.negative(u, out=self.term_u[:, sl])
                 continue
+            np.matmul(expo, c, out=prod)
+            np.exp(self._clamp(u), out=u)
             u *= -lam_dt[k]
             self.run[:, sl] += u
-            if k < last:
+            if last:
                 cumZ[:, sl] += Z[:, take].T
                 for e, ks in enumerate(eps_steps):
                     if k + 1 == ks:
@@ -382,10 +469,6 @@ class _PayoffSim:
             self.n_clamped += int(np.count_nonzero(clipped != arg))
             arg[...] = clipped
         return arg
-
-    def payoff_paths(self, agent: int) -> np.ndarray:
-        r = self.row[agent]
-        return self.run[r] + self.lam_T * self.term_u[r]
 
     def delta_payoff(self, agent: int, e: int, v: tuple[float, float]) -> np.ndarray:
         """Per-path payoff change from the spike (CRN-exact)."""
@@ -417,7 +500,7 @@ def expected_payoff(pop: Population, discount: DiscountFunction, strategy,
     if not t0 < horizon:
         raise ValidationError("payoff evaluation requires t0 < horizon")
     sim = _PayoffSim(pop, discount, strategy, t0, x0, horizon, cfg, [agent])
-    j = sim.payoff_paths(agent)
+    j = sim.run[0] + sim.lam_T * sim.term_u[0]
     return PayoffEstimate(*_mean_se(j), sim.n_clamped, j.size)
 
 
@@ -444,9 +527,9 @@ class SpikeResult:
 
 
 def _price_spikes(sim: _PayoffSim, agent: int, time: float, vs, eps_list):
-    """Base payoff and one SpikeResult per (v, eps) of agent.  A slope is
-    significant above 3 standard errors plus 1e-2 of the base payoff's size."""
-    base = _mean_se(sim.payoff_paths(agent))[0]
+    """Exact base payoff and one SpikeResult per (v, eps) of agent.  A slope
+    is significant above 3 standard errors plus 1e-2 of the base payoff's size."""
+    base = float(sim.base[sim.row[agent]])
     tol = 1e-2 * abs(base)
     rows = []
     for v in vs:

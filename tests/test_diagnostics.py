@@ -11,7 +11,7 @@ from relperf import (
     TimeGrid,
     ansatz_for,
 )
-from relperf.diagnostics import foc_residuals, reconstruct_consumption
+from relperf.diagnostics import foc_residuals
 
 T = 2.0
 GRID = TimeGrid(0.0, T, 120)
@@ -86,6 +86,28 @@ def test_residuals_invariant_under_wealth_shift(rng):
         r1 = foc_residuals(eq, 0, 0.9, xs + shift)
         assert np.allclose(r0[0], r1[0], atol=1e-12)
         assert np.allclose(r0[1], r1[1], atol=1e-12)
+
+
+def reconstruct_consumption(eq, i, t, x):
+    """Consumption of agent ``i`` rebuilt through the reply formula.
+
+    Uses the (f, g, h) route: own and cross wealth terms, the h drift
+    adjustment, the discount term, and the competitors' equilibrium
+    consumption average.  Must match the direct closed form.
+    """
+    agent = eq.pop.agents[i]
+    n = eq.pop.n
+    own = 1.0 - agent.theta / n
+    rem = eq.horizon + 1.0 - t
+    own_x = x[..., i]
+    cross_x = (x.sum(axis=-1) - own_x) / n
+    c_all = x / rem + eq.intercepts_at(t)
+    cross_c = (c_all.sum(axis=-1) - c_all[..., i]) / n
+    h = float(eq.hhat(i, t))
+    log_lam = float(eq.discount.log_value(eq.horizon - t))
+    return (own_x / rem - (agent.theta / own) * cross_x / rem
+            - (agent.delta / own) * (h + log_lam)
+            + (agent.theta / own) * cross_c)
 
 
 def test_consumption_reconstruction_matches_closed_form(rng):

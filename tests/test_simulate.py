@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -238,16 +239,25 @@ def test_expected_payoff_deterministic_case():
 
 
 def test_spike_delta_matches_two_full_runs():
-    # the CRN slope times eps must equal the perturbed payoff less
-    # expected_payoff's base, from a simulation that also prices the spike;
+    # the CRN slope times eps is the mean payoff change of its simulation,
+    # and matches the perturbed payoff less the base payoff of two full
+    # reference runs on the same draws in paired standard errors; the base is
+    # the exact law's, and expected_payoff's full run lands within 4 SE of it.
     # spike_grid's pricing runs here on cfg.seed itself, not on a child seed
-    cfg = SimConfig(500, 0.01, 17)
+    cfg = SimConfig(2_000, 0.01, 17)
     eq = NAgentEquilibrium(HET2, HYP, T)
-    base = expected_payoff(HET2, HYP, eq, 0, 0.5, 1.0, T, cfg)
-    sim = simulate._PayoffSim(HET2, HYP, eq, 0.5, 1.0, T, cfg, [0], [0.1])
-    pert = np.mean(sim.payoff_paths(0) + sim.delta_payoff(0, 0, (0.7, -0.4)))
-    _, rows = simulate._price_spikes(sim, 0, 0.5, [(0.7, -0.4)], [0.1])
-    assert rows[0].slope * 0.1 == pytest.approx(pert - base.value, abs=1e-12)
+    x0, v = ref_x0(2), (0.7, -0.4)
+    base = expected_payoff(HET2, HYP, eq, 0, REF_T0, x0, T, cfg)
+    sim = simulate._PayoffSim(HET2, HYP, eq, REF_T0, x0, T, cfg, [0], [0.1])
+    delta = sim.delta_payoff(0, 0, v)
+    exact, rows = simulate._price_spikes(sim, 0, REF_T0, [v], [0.1])
+    assert exact == sim.base[0]
+    assert abs(exact - base.value) < 4 * base.std_error
+    assert rows[0].slope * 0.1 == pytest.approx(delta.mean(), abs=1e-12)
+    assert rows[0].std_error * 0.1 == pytest.approx(simulate._mean_se(delta)[1], abs=1e-12)
+    gap = delta - (reference_payoff(HET2, HYP, eq, 0, cfg, (0.1, v))
+                   - reference_payoff(HET2, HYP, eq, 0, cfg))
+    assert abs(gap.mean()) < 4 * gap.std(ddof=1) / np.sqrt(gap.size)
 
 
 def test_spike_zero_perturbation_is_exactly_zero():
@@ -338,6 +348,12 @@ def reference_paths(pop, strategy, cfg):
             np.stack(zs, axis=1) * np.sqrt(dt), np.stack(draws, axis=1))
 
 
+def reference_utility(pop, agent, y):
+    """CARA utility of ``agent`` for the (N, n) values y, per path."""
+    a = pop.agents[agent]
+    return -np.exp(-(y[:, agent] - a.theta * y.mean(axis=1)) / a.delta)
+
+
 def reference_payoff(pop, discount, strategy, agent, cfg, spike=None):
     """Per-path payoff of ``agent``; with ``spike`` (eps, (v1, v2)) the agent's
     controls are shifted on the window while all other control processes,
@@ -345,10 +361,6 @@ def reference_payoff(pop, discount, strategy, agent, cfg, spike=None):
     times, dt, PI, X, C, noise, _ = reference_paths(pop, strategy, cfg)
     a = pop.agents[agent]
     n = pop.n
-
-    def utility(y):
-        return -np.exp(-(y[:, agent] - a.theta * y.mean(axis=1)) / a.delta)
-
     eps, (v1, v2) = (0.0, (0.0, 0.0)) if spike is None else spike
     ks = round(eps / dt)
     x_dev = X[:, 0, agent].copy()
@@ -357,13 +369,13 @@ def reference_payoff(pop, discount, strategy, agent, cfg, spike=None):
         on = k < ks
         c = C[:, k].copy()
         c[:, agent] += v2 * on
-        total += discount.value(times[k] - REF_T0) * utility(c) * dt
+        total += discount.value(times[k] - REF_T0) * reference_utility(pop, agent, c) * dt
         pi = PI[k, agent] + v1 * on
         x_dev = x_dev + (pi * a.mu - c[:, agent]) * dt \
             + pi * (a.nu * noise[:, k, agent] + a.sigma * noise[:, k, n])
     x_T = X[:, -1].copy()
     x_T[:, agent] = x_dev
-    return total + discount.value(T - REF_T0) * utility(x_T)
+    return total + discount.value(T - REF_T0) * reference_utility(pop, agent, x_T)
 
 
 def cross_coupled_strategy():
@@ -413,46 +425,137 @@ def rel_gap(a, b):
     return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
 
 
-REFERENCE_SPIKES = ((0, None), (-1, (0.1, (0.7, -0.4))))
+# The last agent's spike (eps, v) that the kernel tests price.
+REFERENCE_SPIKE = (0.1, (0.7, -0.4))
+
+
+def reference_window(pop, strategy, agent, cfg, eps):
+    """Per path, ``agent``'s discounted running utility and nu dW + sigma dB,
+    each summed over the first ``eps`` of the reference loop."""
+    times, dt, _, _, C, noise, _ = reference_paths(pop, strategy, cfg)
+    a, ks = pop.agents[agent], round(eps / dt)
+    run = sum(HYP.value(times[k] - REF_T0) * reference_utility(pop, agent, C[:, k]) * dt
+              for k in range(ks))
+    return run, a.nu * noise[:, :ks, agent].sum(axis=1) + a.sigma * noise[:, :ks, pop.n].sum(axis=1)
+
+
+def reference_tail(pop, strategy, agent, cfg, w):
+    """-E[exp(e X_T) | X_w] per path of the reference loop, for ``agent``'s
+    terminal exponent e, by the backward recursion on dense (n, n) maps:
+    g_k = D_k' g_{k+1}, h_k = h_{k+1} + g_{k+1} b_k + |L_k' g_{k+1}|^2 / 2,
+    with D_k = I - dt P_k, b_k = (pi_k mu - q_k) dt, L_k = diag(pi_k) [diag(nu), sigma] sqrt(dt)."""
+    times, dt, PI, X, _, _, _ = reference_paths(pop, strategy, cfg)
+    n, a = pop.n, pop.agents[agent]
+    mu, nu, sigma = (np.array([getattr(b, f) for b in pop.agents])
+                     for f in ("mu", "nu", "sigma"))
+    P, q = dense_consumption(strategy, times)
+    g = np.full(n, a.theta / a.delta / n)
+    g[agent] = -(1.0 - a.theta / n) / a.delta
+    h = 0.0
+    for k in range(times.size - 2, w - 1, -1):
+        L = PI[k][:, None] * np.column_stack([np.diag(nu), sigma]) * np.sqrt(dt)
+        h += g @ ((PI[k] * mu - q[k]) * dt) + 0.5 * np.sum((L.T @ g) ** 2)
+        g = (np.eye(n) - dt * P[k]).T @ g
+    return -np.exp(X[:, w] @ g + h)
 
 
 def kernel_run(pop, strategy, cfg):
-    """The paths, the kernel's draws, and the payoff estimates, as (mean,
-    standard error), of REFERENCE_SPIKES: agent 0's by expected_payoff, the
-    last agent's spike by payoff_paths."""
+    """The paths, the kernel's draws, agent 0's expected_payoff as (mean,
+    standard error), and the last agent's spike arrays of spike_run."""
     bundle = simulate_paths(pop, strategy, REF_T0, ref_x0(pop.n), T, cfg)
     draws = kernel_draws(pop, strategy, REF_T0, cfg)
     base = expected_payoff(pop, HYP, strategy, 0, REF_T0, ref_x0(pop.n), T, cfg)
-    paths, delta = payoff_paths(pop, strategy, cfg)
-    return bundle, draws, [(base.value, base.std_error), simulate._mean_se(paths + delta)]
+    return bundle, draws, (base.value, base.std_error), spike_run(pop, strategy, cfg)
 
 
-def payoff_paths(pop, strategy, cfg):
-    """Per-path payoff and spike payoff change of the last agent alone."""
-    agent, (eps, v) = pop.n - 1, REFERENCE_SPIKES[1][1]
+def spike_run(pop, strategy, cfg):
+    """Per path, the last agent's window payoff and noise, terminal utility
+    at the window's close and payoff change for REFERENCE_SPIKE."""
+    agent, (eps, v) = pop.n - 1, REFERENCE_SPIKE
     sim = simulate._PayoffSim(pop, HYP, strategy, REF_T0, ref_x0(pop.n), T, cfg,
                               [agent], [eps])
-    return sim.payoff_paths(agent), sim.delta_payoff(agent, 0, v)
+    return sim.S[0, 0], sim.noise[0, 0], sim.term_u[0], sim.delta_payoff(agent, 0, v)
 
 
 def assert_matches_reference_loop(pop, strategy, cfg):
-    times, _, _, X, C, _, ref_draws = reference_paths(pop, strategy, cfg)
-    bundle, draws, estimates = kernel_run(pop, strategy, cfg)
+    times, dt, _, X, C, _, ref_draws = reference_paths(pop, strategy, cfg)
+    bundle, draws, (value, se), (run, noise, term_u, _) = kernel_run(pop, strategy, cfg)
     assert np.array_equal(bundle.times, times)
     assert np.array_equal(draws, ref_draws)
     assert rel_gap(bundle.wealth, X) < 1e-12
     assert rel_gap(bundle.consumption, C) < 1e-12
 
-    for (agent, spike), (value, se) in zip(REFERENCE_SPIKES, estimates):
-        ref = reference_payoff(pop, HYP, strategy, agent % pop.n, cfg, spike)
-        assert rel_gap(value, ref.mean()) < 1e-12
-        assert rel_gap(se, ref.std(ddof=1) / np.sqrt(ref.size)) < 1e-12
+    ref = reference_payoff(pop, HYP, strategy, 0, cfg)
+    assert rel_gap(value, ref.mean()) < 1e-12
+    assert rel_gap(se, ref.std(ddof=1) / np.sqrt(ref.size)) < 1e-12
+
+    # the spike simulation: its window, and its tail where the window closes
+    agent, eps = pop.n - 1, REFERENCE_SPIKE[0]
+    ref_run, ref_noise = reference_window(pop, strategy, agent, cfg, eps)
+    assert rel_gap(run, ref_run) < 1e-12
+    assert rel_gap(noise, ref_noise) < 1e-12
+    assert rel_gap(term_u, reference_tail(pop, strategy, agent, cfg, round(eps / dt))) < 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_kernel_matches_reference_loop(case):
     pop, make, cfg = REFERENCE_CASES[case]
     assert_matches_reference_loop(pop, make(), cfg)
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_truncated_spike_slopes_match_the_full_path_reference(case):
+    # paths that stop where the spike window closes, with the tail priced on
+    # the Euler law, against the full-path reference loop on the same draws:
+    # the slopes agree within 4 standard errors of their paired difference.
+    # The reference keeps every node of every path, so 64 agents get fewer.
+    pop, make, cfg = REFERENCE_CASES[case]
+    cfg = dataclasses.replace(cfg, n_paths=20_000 if pop.n < 8 else 2_000)
+    strategy, agent, spike = make(), pop.n - 1, REFERENCE_SPIKE
+    delta = spike_run(pop, strategy, cfg)[-1]
+    ref = (reference_payoff(pop, HYP, strategy, agent, cfg, spike)
+           - reference_payoff(pop, HYP, strategy, agent, cfg))
+    gap = (delta - ref) / spike[0]
+    assert abs(gap.mean()) < 4 * gap.std(ddof=1) / np.sqrt(gap.size)
+
+
+# Exact base payoffs against expected_payoff's Monte Carlo: (population,
+# strategy, discount, antithetic) over two and three agents, a cross-slope
+# profile and both discount families.
+EXACT_PAYOFF_CASES = {
+    "pair_hyperbolic": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T), HYP, False),
+    "pair_antithetic_tabulated": (HET2, lambda: NAgentEquilibrium(HET2, TAB, T), TAB, True),
+    "trio_cross_coupled_tabulated": (TRIO, cross_coupled_strategy, TAB, False),
+    "trio_closed_form_hyperbolic": (TRIO, lambda: NAgentEquilibrium(TRIO, HYP, T), HYP, True),
+    "two_classes": (MIXED64, two_class_strategy, HYP, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_PAYOFF_CASES))
+def test_exact_base_payoff_matches_expected_payoff(case):
+    # spike_grid's base payoffs come from the exact law of the Euler scheme
+    # and do not depend on its draws; expected_payoff's full Monte Carlo run
+    # at the same dt lands within 4 of its standard errors
+    pop, make, discount, antithetic = EXACT_PAYOFF_CASES[case]
+    strategy, agents, x0 = make(), [0, pop.n - 1], ref_x0(pop.n)
+    bases = [spike_grid(pop, discount, strategy, [REF_T0], [(1, 0)], [0.1],
+                        SimConfig(2, 0.05, seed), x0, T, agents=agents).base_payoffs[REF_T0]
+             for seed in (1, 2)]
+    assert bases[0] == bases[1]
+    for agent in agents:
+        est = expected_payoff(pop, discount, strategy, agent, REF_T0, x0, T,
+                              SimConfig(20_000, 0.05, 3, antithetic))
+        assert abs(bases[0][agent] - est.value) < 4 * est.std_error
+
+
+def test_exact_base_payoff_of_zero_controls():
+    # zero controls, unit discount: running utility -1 for two years plus
+    # terminal utility -1, exactly at any number of paths
+    rep = spike_grid(PAIR, ExponentialDiscount(0.0), GridStrategyN.zeros(GRID, 2), [0.0],
+                     [(1, 0)], [0.1], SimConfig(2, 0.01, 1), 0.0, T)
+    assert rep.base_payoffs[0.0] == {0: pytest.approx(-3.0, abs=1e-12),
+                                     1: pytest.approx(-3.0, abs=1e-12)}
+    assert rep.n_clamped == 0
 
 
 def block_widths(pop, cfg):
@@ -470,8 +573,7 @@ def test_path_blocks_leave_the_kernel_unchanged(case, block, monkeypatch):
     pop, make, cfg = REFERENCE_CASES[case]
     strategy = make()
     assert len(block_widths(pop, cfg)) == 1
-    bundle, draws, estimates = kernel_run(pop, strategy, cfg)
-    paths = payoff_paths(pop, strategy, cfg)
+    bundle, draws, estimate, spike = kernel_run(pop, strategy, cfg)
     monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", BLOCK_PATHS[block] * (3 * pop.n + 1))
     widths = block_widths(pop, cfg)
     assert set(widths[:-1]) == {max(2, BLOCK_PATHS[block])} and 2 <= widths[-1] <= 5
@@ -479,12 +581,12 @@ def test_path_blocks_leave_the_kernel_unchanged(case, block, monkeypatch):
         # a BLAS product may group its sums differently at this size
         assert_matches_reference_loop(pop, strategy, cfg)
         return
-    blocked, blocked_draws, blocked_estimates = kernel_run(pop, strategy, cfg)
+    blocked, blocked_draws, blocked_estimate, blocked_spike = kernel_run(pop, strategy, cfg)
     assert np.array_equal(blocked_draws, draws)
     for name in ("wealth", "consumption"):
         assert np.array_equal(getattr(blocked, name), getattr(bundle, name))
-    assert blocked_estimates == estimates
-    for got, want in zip(payoff_paths(pop, strategy, cfg), paths):
+    assert blocked_estimate == estimate
+    for got, want in zip(blocked_spike, spike):
         assert np.array_equal(got, want)
 
 
@@ -521,12 +623,15 @@ def test_spike_reports_count_clamped_exponents():
     grid = spike_grid(HET2, HYP, eq, [1.0, 1.5], [(1, 0)], [0.1], cfg, 1e4, T,
                       agents=[0])
     every = spike_grid(HET2, HYP, eq, [1.0], [(1, 0)], [0.1], cfg, 1e4, T)
-    # At x0 = 1e4 every U(c) exponent (20 Euler steps from t = 1) and every
-    # U(X_T) exponent is clamped; only the priced agents' exponents are
-    # computed, and the grid sums its base simulations.
-    assert hot.n_clamped == cfg.n_paths * 21
-    assert grid.n_clamped == cfg.n_paths * (21 + 11)
-    assert every.n_clamped == 2 * cfg.n_paths * 21
+    # At x0 = 1e4 every exponent is clamped; only the priced agents' are
+    # computed, and the grid sums its base simulations.  A base simulation
+    # from t = 1 stops at node 2, where the 0.1 window closes: per path, 2
+    # U(c) exponents and 1 tail exponent.  The exact law adds one exponent
+    # per Euler node for each priced agent: 20 U(c) and 1 U(X_T) from t = 1,
+    # 10 and 1 from t = 1.5.
+    assert hot.n_clamped == cfg.n_paths * 3 + 21
+    assert grid.n_clamped == cfg.n_paths * (3 + 3) + 21 + 11
+    assert every.n_clamped == 2 * (cfg.n_paths * 3 + 21)
     assert hot.to_dict()["n_clamped"] == hot.n_clamped
     assert grid.to_dict()["n_clamped"] == grid.n_clamped
 
