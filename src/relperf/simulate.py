@@ -9,7 +9,7 @@ simulated with Euler-Maruyama.  Because the diffusion coefficients are
 state-independent, the law of X_t is Gaussian; under the closed-form
 equilibrium :func:`gaussian_moments` gives it exactly, an oracle for the
 sampled paths.  The Euler scheme itself is a linear Gaussian recursion, so
-:class:`_EulerLaw` gives its exact law at the simulated dt for any strategy.
+:class:`_EulerScheme` gives its exact law at the simulated dt for any strategy.
 Expected payoffs are Monte Carlo estimates; spike-perturbation differences
 are estimated with common random numbers: a perturbed control changes only
 the deviating agent's own consumption on the spike window and shifts her
@@ -23,17 +23,19 @@ q)``: agent i consumes own[i] X_i + q[i] plus off[labels[i], labels[k]] X_k
 for every other agent k, where off (K, K) holds the slopes between the K
 classes, 0 on the diagonal of a one-agent class.
 
-One Euler loop, :func:`_euler`, serves :func:`simulate_paths` and the payoff
-simulations.  It steps the (n, N) wealth, one row of N paths per agent, a
-block of paths at a time, in block-sized buffers.  Each step draws (N, d)
-standard normals, one column per factor that loads, as :func:`_unit_loading`
-lays them out.  They are drawn block by block in stream order and negated in
-the second half for antithetic runs.  When every factor loads, d = n + 1 and
-a seed gives the same draws as the earlier (N, n+1) stream.
+One scheme, built once per simulation, samples the paths of
+:func:`simulate_paths` and of the payoff simulations.  It steps the (n, N)
+wealth, one row of N paths per agent, a block of paths at a time, in
+block-sized buffers.  Each step draws (N, d) standard normals, one column per
+factor that loads, as :func:`_unit_loading` lays them out.  They are drawn
+block by block in stream order and negated in the second half for
+antithetic runs.  When every factor loads, d = n + 1 and a seed gives the
+same draws as the earlier (N, n+1) stream.
 """
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -91,10 +93,13 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValidationError("n_paths must be >= 1")
+        for name, low in (("n_paths", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValidationError(f"sim field {name!r} must be an integer >= {low} "
+                                      f"(got {value!r})")
         if not self.dt > 0:
-            raise ValidationError("dt must be > 0")
+            raise ValidationError("sim field 'dt' must be > 0")
         if self.antithetic and self.n_paths % 2:
             raise ValidationError("antithetic sampling needs an even n_paths")
 
@@ -140,11 +145,10 @@ def _check_times(times, t0: float, horizon: float) -> np.ndarray:
 
 def _x0_vector(x0, n: int) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 0:
-        return np.full(n, float(x0))
-    if x0.shape != (n,):
-        raise ValidationError(f"x0 must be scalar or length {n}")
-    return x0.copy()
+    x0 = np.full(n, float(x0)) if x0.ndim == 0 else x0.copy()
+    if x0.shape != (n,) or not np.isfinite(x0).all():
+        raise ValidationError(f"x0 must be a finite scalar or length-{n} vector")
+    return x0
 
 
 def _blocks(n: int, cfg: SimConfig) -> tuple[int, list[tuple[int, int]], int]:
@@ -168,91 +172,79 @@ def _unit_loading(p) -> np.ndarray:
     return unit[:, unit.any(axis=0)]
 
 
-def _euler(pop: Population, strategy, times: np.ndarray, dt: float, x0: np.ndarray,
-           cfg: SimConfig, seed_seq=None):
-    """Euler-Maruyama on the (n, N) state, yielding ``(k, sl, X, c, Z)`` per
-    node and block of paths ``sl``.
-
-    X and c are the paths' wealth (a view) and consumption at ``times[k]``;
-    Z holds the (B, d) normals moving X to ``times[k + 1]``, in the columns
-    of :func:`_unit_loading` (None at the last node), negated in place for
-    the mirrored paths of an antithetic run.  Step k loads them by that
-    matrix scaled by pi(t_k) and then by sqrt(dt).
-    At a step with a nonzero cross slope, c = own X + q gains (off @ S)[labels]
-    minus the agent's own term, where S holds the (K, B) class wealth sums.
-    Buffers are reused, so copy what must outlive the block.
-    """
-    n, N = pop.n, cfg.n_paths
-    p = pop._params
-    PI = strategy.pi_at(times)  # (steps+1, n)
-    lab, own, off, q = strategy.consumption_at(times)
-    sqdt = np.sqrt(dt)
-    drift = PI * p["mu"] * dt
-    order = np.argsort(lab, kind="stable")
-    starts = np.flatnonzero(np.diff(lab[order], prepend=-1))
-    unit = _unit_loading(p)
-    load = np.empty_like(unit)
-    rng = np.random.default_rng(
-        seed_seq if seed_seq is not None else np.random.SeedSequence(cfg.seed))
-    X = np.repeat(x0[:, None], N, axis=1)
-    (drawn, blocks, B), steps = _blocks(n, cfg), times.size - 1
-    c_buf, dX_buf, Z_buf = np.empty((n, B)), np.empty((n, B)), np.empty((B, load.shape[1]))
-    for k in range(steps + 1):
-        if k == steps:  # the last node takes no step: free the step buffers
-            Z_buf = dX_buf = dX = None
-        np.multiply(PI[k][:, None], unit, out=load)
-        load *= sqdt
-        for lo, hi in blocks:
-            b = hi - lo
-            Z = None if k == steps else rng.standard_normal(out=Z_buf[:b])
-            for shift in (0, drawn) if cfg.antithetic else (0,):
-                if shift and Z is not None:
-                    np.negative(Z, out=Z)
-                sl = slice(shift + lo, shift + hi)
-                Xs, c = X[:, sl], c_buf[:, :b]
-                np.multiply(own[k][:, None], Xs, out=c)
-                c += q[k][:, None]
-                if off[k].any():
-                    S = np.add.reduceat(Xs[order], starts)
-                    c += (off[k] @ S)[lab]
-                    c -= off[k, lab, lab][:, None] * Xs
-                yield k, sl, Xs, c, Z
-                if Z is not None:
-                    dX = np.matmul(load, Z.T, out=dX_buf[:, :b])
-                    c *= dt
-                    dX -= c
-                    dX += drift[k][:, None]
-                    Xs += dX
-
-
-class _EulerLaw:
-    """Exact law of the Euler scheme that :func:`_euler` runs on ``times``.
+class _EulerScheme:
+    """Euler-Maruyama scheme of the closed-loop wealth on ``times``, and its
+    exact law.
 
     One step is X_{k+1} = D_k X_k + b_k + L_k Z, with D_k = I - dt C_k for
     the consumption slopes C_k, b_k = (pi_k mu - q_k) dt and L_k = diag(pi_k)
     unit sqrt(dt), so every X_k is Gaussian and every CARA utility of an
-    affine function of it has a closed expectation.  C_k is applied in the
-    class form, so no (n, n) slopes are built.
+    affine function of it has a closed expectation.  :meth:`paths` samples
+    the recursion, :meth:`tail` and :meth:`exponents` give its law.  C_k is
+    applied in the class form, so no (n, n) slopes are built.
     """
 
     def __init__(self, pop: Population, strategy, times: np.ndarray, dt: float):
         p = pop._params
-        self.dt, self.steps = dt, times.size - 1
-        self.PI = strategy.pi_at(times)
+        self.mu, self.dt, self.steps = p["mu"], dt, times.size - 1
+        self.PI = strategy.pi_at(times)  # (steps+1, n)
         self.lab, self.own, self.off, self.q = strategy.consumption_at(times)
         self.b = (self.PI * p["mu"] - self.q) * dt
         self.unit = _unit_loading(p)
         self.order = np.argsort(self.lab, kind="stable")
         self.starts = np.flatnonzero(np.diff(self.lab[self.order], prepend=-1))
 
-    def _slopes(self, k: int, Y: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """C_k Y, or C_k' Y, for Y of shape (n, r)."""
+    def slopes(self, k: int, Y: np.ndarray, out=None, transpose: bool = False) -> np.ndarray:
+        """C_k Y, or C_k' Y, for Y of shape (n, r), into ``out`` if given: own Y
+        plus, at a nonzero cross slope, (off @ S)[labels] less the own term,
+        where S holds the (K, r) class sums of Y."""
         off = self.off[k].T if transpose else self.off[k]
-        out = self.own[k][:, None] * Y
+        out = np.multiply(self.own[k][:, None], Y, out=out)
         if off.any():
             out += (off @ np.add.reduceat(Y[self.order], self.starts))[self.lab]
             out -= np.diagonal(off)[self.lab][:, None] * Y
         return out
+
+    def paths(self, x0: np.ndarray, cfg: SimConfig, seed_seq=None, stop: int | None = None):
+        """Sampled (n, N) state from x0 to node ``stop`` (the last by default),
+        yielding ``(k, sl, X, c, Z)`` per node and block of paths ``sl``: the
+        wealth (a view) and consumption at ``times[k]``, and the (B, d) normals
+        moving X on, in the columns of ``unit`` (None at ``stop``), negated in
+        place for the mirrored paths of an antithetic run.  Step k loads them by
+        ``unit`` scaled by pi(t_k) and then by sqrt(dt).  Buffers are reused,
+        so copy what must outlive the block."""
+        n, N, dt = x0.size, cfg.n_paths, self.dt
+        stop = self.steps if stop is None else stop
+        sqdt = np.sqrt(dt)
+        drift = self.PI * self.mu * dt
+        load = np.empty_like(self.unit)
+        rng = np.random.default_rng(
+            seed_seq if seed_seq is not None else np.random.SeedSequence(cfg.seed))
+        X = np.repeat(x0[:, None], N, axis=1)
+        drawn, blocks, B = _blocks(n, cfg)
+        c_buf, dX_buf, Z_buf = np.empty((n, B)), np.empty((n, B)), np.empty((B, load.shape[1]))
+        for k in range(stop + 1):
+            if k == stop:  # the last node takes no step: free the step buffers
+                Z_buf = dX_buf = dX = None
+            np.multiply(self.PI[k][:, None], self.unit, out=load)
+            load *= sqdt
+            for lo, hi in blocks:
+                b = hi - lo
+                Z = None if k == stop else rng.standard_normal(out=Z_buf[:b])
+                for shift in (0, drawn) if cfg.antithetic else (0,):
+                    if shift and Z is not None:
+                        np.negative(Z, out=Z)
+                    sl = slice(shift + lo, shift + hi)
+                    Xs = X[:, sl]
+                    c = self.slopes(k, Xs, out=c_buf[:, :b])
+                    c += self.q[k][:, None]
+                    yield k, sl, Xs, c, Z
+                    if Z is not None:
+                        dX = np.matmul(load, Z.T, out=dX_buf[:, :b])
+                        c *= dt
+                        dX -= c
+                        dX += drift[k][:, None]
+                        Xs += dX
 
     def tail(self, e: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """``(g, h)`` with E[exp(e X_T) | X_stop] = exp(g X_stop + h) for each
@@ -261,7 +253,7 @@ class _EulerLaw:
         for k in range(self.steps - 1, stop - 1, -1):
             lg = (g * self.PI[k]) @ self.unit  # L_k' g / sqrt(dt)
             h += g @ self.b[k] + 0.5 * self.dt * np.square(lg).sum(axis=1)
-            g -= self.dt * self._slopes(k, g.T, transpose=True).T
+            g -= self.dt * self.slopes(k, g.T, transpose=True).T
         return g, h
 
     def exponents(self, e: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -277,11 +269,11 @@ class _EulerLaw:
 
         for k in range(self.steps):
             # e c_k = (e C_k) X_k + e q_k
-            out[:, k] = log_mgf(self._slopes(k, e.T, transpose=True).T, e @ self.q[k])
-            m += self.b[k] - dt * self._slopes(k, m[:, None])[:, 0]
-            P -= dt * self._slopes(k, P)
+            out[:, k] = log_mgf(self.slopes(k, e.T, transpose=True).T, e @ self.q[k])
+            m += self.b[k] - dt * self.slopes(k, m[:, None])[:, 0]
+            P -= dt * self.slopes(k, P)
             Pt = P.T  # D (D P)' = D P D', written back through the view
-            Pt -= dt * self._slopes(k, Pt)
+            Pt -= dt * self.slopes(k, Pt)
             load = self.PI[k][:, None] * self.unit
             P += dt * (load @ load.T)
         out[:, -1] = log_mgf(e, 0.0)
@@ -322,7 +314,7 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     wealth = np.empty((N, rec_idx.size, n))
     cons = np.empty((N, rec_idx.size, n))
 
-    for k, sl, X, c, _ in _euler(pop, strategy, times, dt, x0, cfg):
+    for k, sl, X, c, _ in _EulerScheme(pop, strategy, times, dt).paths(x0, cfg):
         j = rec_pos.get(k)
         if j is not None:
             wealth[sl, j, :] = X.T
@@ -378,7 +370,7 @@ class _PayoffSim:
     ``lam_T`` times ``term_u`` is each path's payoff.  With them the paths stop at node w, where the
     longest window closes: after it a spike changes only the terminal wealth,
     by an amount known at w, so ``term_u`` is the conditional expectation
-    -E[exp(e X_T) | X_w] of the terminal utility from :meth:`_EulerLaw.tail`,
+    -E[exp(e X_T) | X_w] of the terminal utility from :meth:`_EulerScheme.tail`,
     and ``base`` holds the priced agents' expected payoffs from the exact
     law of the Euler scheme at the same dt."""
 
@@ -414,16 +406,16 @@ class _PayoffSim:
         lam_dt = discount.value(times[:-1] - t0) * dt
         self.lam_T = float(discount.value(horizon - t0))
 
-        # The paths stop where the last spike window closes, if any.
+        # The paths stop where the last spike window closes, if any; at the
+        # horizon the tail is the identity.
+        scheme = _EulerScheme(pop, strategy, times, dt)
         last = max(eps_steps, default=0)
         stop = last or steps
-        tail, h = expo, np.zeros(len(expo))
-        if last:
-            law = _EulerLaw(pop, strategy, times, dt)
-            tail, h = law.tail(expo, stop)
-            expos = self._clamp(law.exponents(expo[:A], x0))
-            self.base = -(np.exp(expos) @ np.append(lam_dt, self.lam_T))
+        tail, h = scheme.tail(expo, stop)
         h = h[:A, None]
+        if last:
+            expos = self._clamp(scheme.exponents(expo[:A], x0))
+            self.base = -(np.exp(expos) @ np.append(lam_dt, self.lam_T))
 
         self.run = np.zeros((A, N))
         expo_buf = np.empty((expo.shape[0], _blocks(n, cfg)[2]))
@@ -431,18 +423,18 @@ class _PayoffSim:
         self.S, self.noise = np.empty((E, A, N)), np.empty((E, A, N))
         # Window noise sums, kept only while a spike window is open, and only
         # of the Z columns that the priced agents load.
-        unit = _unit_loading(p)[priced]
+        unit = scheme.unit[priced]
         cols = np.flatnonzero(unit.any(axis=0))
         take = slice(None) if cols.size == unit.shape[1] else cols
         unit = unit[:, cols]
         cumZ = np.zeros((cols.size, N)) if last else None
         sqdt = np.sqrt(dt)
 
-        for k, sl, X, c, Z in _euler(pop, strategy, times[:stop + 1], dt, x0, cfg, seed_seq):
+        for k, sl, X, c, Z in scheme.paths(x0, cfg, seed_seq, stop):
             prod = expo_buf[:, :X.shape[1]]
             u = prod[:A]
             if Z is None:
-                # The last node, where _euler has freed its step buffers.
+                # The last node, where the sampler has freed its step buffers.
                 if sl.start == 0:
                     cumZ = None
                     self.term_u = np.empty((A, N))
@@ -587,9 +579,11 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
     # Each bound is written so that NaN fails it.
     if not all(0 <= t <= horizon for t in times):
         raise ValidationError("spike times must be >= 0 and <= the horizon")
+    if not all(np.shape(v) == (2,) for v in vs):
+        raise ValidationError("each v must be a pair (v1, v2)")
     if not all(abs(x) <= V_BOUND for v in vs for x in v):
         raise ValidationError(f"v components must be finite with |v| <= {V_BOUND}")
-    if not eps_list or not all(0 < e <= horizon - max(times) + 1e-12 for e in eps_list):
+    if len(eps_list) == 0 or not all(0 < e <= horizon - max(times) + 1e-12 for e in eps_list):
         raise ValidationError("eps values must be > 0 and <= horizon - t")
     children = np.random.SeedSequence(cfg.seed).spawn(len(times))
     # NumPy's error state is per thread: pool workers take the caller's.
@@ -664,6 +658,7 @@ def meanfield_consistency(dist: TypeDistribution, discount: DiscountFunction,
         raise ValidationError("meanfield_consistency needs m_agents >= 100")
     if cfg.n_paths != 1:
         raise ValidationError("meanfield_consistency simulates one path: it needs n_paths = 1")
+    x0 = float(_x0_vector(x0, 1)[0])
     eq = MeanFieldEquilibrium(dist, discount, horizon)
     core = eq._core
     times, dt, steps = _euler_times(t0, horizon, cfg.dt)
@@ -677,8 +672,8 @@ def meanfield_consistency(dist: TypeDistribution, discount: DiscountFunction,
     rem = horizon + 1.0 - times
     checks = set(np.linspace(0, steps, MF_CHECKPOINTS).round().astype(int).tolist())
 
-    X = np.full(m_agents, float(x0))
-    xbar_ref = float(x0)
+    X = np.full(m_agents, x0)
+    xbar_ref = x0
     wealth_cp: list[CheckpointGap] = []
     cons_cp: list[CheckpointGap] = []
     max_gap = 0.0

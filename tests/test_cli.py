@@ -518,6 +518,9 @@ def test_wrong_section_type_is_validation_error(section, value, tmp_path, capsys
     ("equilibrium", "grid", "n_points", 2.9),
     ("simulate", "sim", "n_paths", 10.7),
     ("simulate", "sim", "seed", 1.5),
+    # refused by SimConfig and named, not left to numpy's SeedSequence
+    ("simulate", "sim", "seed", -1),
+    ("spike-test", "sim", "seed", -1),
 ])
 def test_fractional_integer_field_is_validation_error(command, section, name, value,
                                                       tmp_path, capsys):
@@ -527,7 +530,8 @@ def test_fractional_integer_field_is_validation_error(command, section, name, va
     path.write_text(json.dumps(cfg))
     outs = {"equilibrium": ["--out", str(tmp_path / "eq.csv")],
             "simulate": ["--out-paths", str(tmp_path / "p.csv"),
-                         "--out-summary", str(tmp_path / "s.json")]}[command]
+                         "--out-summary", str(tmp_path / "s.json")],
+            "spike-test": ["--out", str(tmp_path / "spike.json")]}[command]
     rc = main([command, "--config", str(path)] + outs)
     assert rc == 1
     err = capsys.readouterr().err

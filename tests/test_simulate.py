@@ -77,6 +77,61 @@ def test_simconfig_validation():
         SimConfig(10, 0.0, 1)
     with pytest.raises(ValidationError):
         SimConfig(11, 0.01, 1, antithetic=True)
+    # refused and named here, not later by numpy's SeedSequence or a raw TypeError
+    for args, name in (((2.5, 0.01, 1), "n_paths"), (("10", 0.01, 1), "n_paths"),
+                       ((10, 0.01, -1), "seed"), ((10, 0.01, 1.5), "seed")):
+        with pytest.raises(ValidationError, match=f"sim field '{name}'"):
+            SimConfig(*args)
+
+
+# Every entry point that takes x0, called with a given x0.
+X0_CALLS = {
+    "simulate_paths": lambda x0: simulate_paths(
+        HET2, NAgentEquilibrium(HET2, HYP, T), 0.0, x0, T, SimConfig(8, 0.1, 1)),
+    "expected_payoff": lambda x0: expected_payoff(
+        HET2, HYP, NAgentEquilibrium(HET2, HYP, T), 0, 0.0, x0, T, SimConfig(8, 0.1, 1)),
+    "spike_grid": lambda x0: spike_grid(
+        HET2, HYP, NAgentEquilibrium(HET2, HYP, T), [0.5], [(1, 0)], [0.1],
+        SimConfig(8, 0.1, 1), x0, T),
+    "gaussian_moments": lambda x0: gaussian_moments(
+        HET2, NAgentEquilibrium(HET2, HYP, T), 0.0, x0, [0.0, 1.0], T),
+    "meanfield_consistency": lambda x0: meanfield_consistency(
+        TypeDistribution([(HET2.agents[0], 1.0)]), HYP, 100, SimConfig(1, 0.1, 0), 0.0,
+        x0, T),
+}
+
+
+@pytest.mark.parametrize("x0", [np.nan, np.inf, [1.0, -np.inf]])
+@pytest.mark.parametrize("call", sorted(X0_CALLS))
+def test_non_finite_x0_is_refused_before_anything_is_simulated(call, x0, monkeypatch):
+    # a NaN x0 used to run in full: spike_grid passed with every slope NaN and
+    # meanfield_consistency reported a zero gap
+    schemes = []
+    monkeypatch.setattr(simulate._EulerScheme, "__init__",
+                        lambda self, *args: schemes.append(args))
+    with pytest.raises(ValidationError, match="x0 must be a finite"):
+        X0_CALLS[call](x0)
+    assert schemes == []
+
+
+@pytest.mark.parametrize("eps_list", [(), (0.1, 0.05)])
+def test_payoff_simulation_evaluates_the_strategy_once(eps_list):
+    # one Euler scheme samples the paths and gives their exact law
+    calls = {"pi_at": 0, "consumption_at": 0}
+    eq = NAgentEquilibrium(SPIKE_PAIR, HYP, T)
+
+    class Counted:
+        def pi_at(self, times):
+            calls["pi_at"] += 1
+            return eq.pi_at(times)
+
+        def consumption_at(self, times):
+            calls["consumption_at"] += 1
+            return eq.consumption_at(times)
+
+    simulate._PayoffSim(SPIKE_PAIR, HYP, Counted(), 0.5, 1.0, T, SimConfig(20, 0.05, 3),
+                        [0, 1], eps_list)
+    assert calls == {"pi_at": 1, "consumption_at": 1}
 
 
 def test_zero_strategy_paths_are_constant():
@@ -103,11 +158,12 @@ def test_dt_larger_than_horizon_rejected():
 
 
 def kernel_draws(pop, strategy, t0, cfg):
-    """The standard normals that simulate._euler draws from t0 to T, as
+    """The standard normals that the Euler sampler draws from t0 to T, as
     (n_paths, steps, d): one column per noise factor that loads."""
     times, dt, steps = simulate._euler_times(t0, T, cfg.dt)
     draws = None
-    for k, sl, _, _, Z in simulate._euler(pop, strategy, times, dt, np.zeros(pop.n), cfg):
+    scheme = simulate._EulerScheme(pop, strategy, times, dt)
+    for k, sl, _, _, Z in scheme.paths(np.zeros(pop.n), cfg):
         if Z is not None:
             if draws is None:
                 draws = np.empty((cfg.n_paths, steps, Z.shape[1]))
@@ -1009,6 +1065,26 @@ def test_spike_grid_refuses_empty_or_repeated_inputs(case, monkeypatch):
     with pytest.raises(ValidationError, match=message):
         spike_grid(SPIKE_PAIR, HYP, eq, times, vs, [0.1], SimConfig(4, 0.1, 0), 1.0, T,
                    agents=agents)
+    assert sims == []
+
+
+def test_spike_grid_takes_eps_as_an_array():
+    eq = NAgentEquilibrium(SPIKE_PAIR, HYP, T)
+    reports = [spike_grid(SPIKE_PAIR, HYP, eq, [0.5], [(1, 0)], eps_list,
+                          SimConfig(200, 0.02, 5), 1.0, T).to_dict()
+               for eps_list in ([0.1, 0.04], np.array([0.1, 0.04]))]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("v", [(1, 0, 3), (1,), 1.0])
+def test_spike_grid_refuses_a_v_that_is_not_a_pair(v, monkeypatch):
+    sims = []
+    monkeypatch.setattr(simulate._PayoffSim, "__init__",
+                        lambda self, *args, **kw: sims.append(args))
+    eq = NAgentEquilibrium(SPIKE_PAIR, HYP, T)
+    with pytest.raises(ValidationError, match="each v must be a pair"):
+        spike_grid(SPIKE_PAIR, HYP, eq, [0.5], [(1, 0), v], [0.1], SimConfig(4, 0.1, 0),
+                   1.0, T)
     assert sims == []
 
 
