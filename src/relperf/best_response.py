@@ -12,6 +12,7 @@ must agree with the closed-form formulas of :mod:`relperf.nagent` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -326,8 +327,9 @@ class _ReplyPlan:
     exact for investments linear in rem_u, so the reply to a closed form is
     exact too.  With S =
     E_w[sigma pi] and M = E_w[mu pi], sbar = S - s sigma pi and mbar = M -
-    s mu pi, so every term but those in a row's own investment is one
-    (K, 6) @ (6, m) product.  An interval's integral is kept at its left
+    s mu pi, so every term but those in sbar^2 and a row's own investment is
+    one (K, 5) @ (5, m) product.  At s = 0 the own terms vanish and sbar = S,
+    so one body serves every law.  An interval's integral is kept at its left
     node, with 0 at the last node.
 
     These rules are exact along pi = c rem, where sbar, mbar and vbar are sb
@@ -356,8 +358,8 @@ class _ReplyPlan:
         self.inv_rem = 1.0 / self.rem
         self.log_lam = discount.log_value(T - times)
         self.half_step = np.append(np.diff(times) / 2.0, 0.0)
-        # Rows of the integrals of ln lam, rem_u, S, M, S^2 (mean field) and E_w[nu^2 Q[pi]].
-        self.rows = np.zeros((6, times.size))
+        # Rows of the integrals of ln lam, rem_u, S, M and E_w[nu^2 Q[pi]].
+        self.rows = np.zeros((5, times.size))
         self.rows[0, :-1] = -np.diff(discount.log_integral(times, T))
         self.rows[1, :-1] = self.half_step[:-1] * (self.rem[:-1] + self.rem[1:])
         # The intercept functions f1 and f2 of the coefficient form.
@@ -366,9 +368,9 @@ class _ReplyPlan:
         self.f[1] += self.log_lam
         vol, k = nu**2 + sigma**2, theta / delta
         alpha, beta, gamma = -mu * sigma * k / vol, k**2 * nu**2 / (2.0 * vol), k**2 * s / 2.0
-        self.coef = np.hstack([-np.ones_like(mu), -mu**2 / (2.0 * vol), alpha, k, beta, gamma])
+        self.coef = np.hstack([-np.ones_like(mu), -mu**2 / (2.0 * vol), alpha, k, gamma])
         self.sums, self.minus_s_sigma = np.stack([w * sigma[:, 0], w * mu[:, 0]]), -s * sigma
-        # Factors of the terms in a row's own investment (n agents).
+        # Factors of vbar and sbar^2, and of the own-investment terms (0 at s = 0).
         self.w_nu2, self.beta, self.own_q = w * nu[:, 0]**2, beta, -s * gamma * nu**2
         self.own_rate = -s * (alpha * sigma + k * mu)
         own = 1.0 - theta * s
@@ -380,7 +382,7 @@ class _ReplyPlan:
         self.sigma_mu, self.nu2 = np.hstack([sigma, mu]), nu**2
         self.lin = np.zeros((len(w), 7, 3))
         self.lin[:, :2, 0] = np.hstack([self.pi_drift, self.pi_couple]) / self.vol_own
-        self.lin[:, [0, 1, 2, 6, 3], 1] = self.q_own * self.coef[:, 1:]
+        self.lin[:, [0, 1, 2, 3, 6], 1] = self.q_own * np.hstack([self.coef[:, 1:], beta])
         self.lin[:, 4, 1] = self.lin[:, 5, 2] = self.q_couple[:, 0]
         self.lin[:, 0, 2] = self.q_own[:, 0]
 
@@ -428,18 +430,14 @@ class _ReplyPlan:
         rows = self.rows.copy()
         rows[2:4, :-1] = sums[:, :-1] + sums[:, 1:]
         rows[2:4] *= self.half_step
-        if self.s:
-            seg = self._squares(pi)
-            rows[5] = self.w_nu2 @ seg
-            seg *= self.own_q
-            flat, (left, right) = seg.reshape(-1)[:-1], _pairs(pi)
-            flat += self.own_lin * left
-            flat += self.own_lin * right
-            seg += self.beta * self._squares(self._sbar(pi, sums[0]))
-            seg += self.coef @ rows
-        else:  # sbar = S in every row
-            rows[4] = self._squares(sums[:1])[0]
-            seg = self.coef @ rows
+        seg = self._squares(pi)
+        rows[4] = self.w_nu2 @ seg
+        seg *= self.own_q
+        flat, (left, right) = seg.reshape(-1)[:-1], _pairs(pi)
+        flat += self.own_lin * left
+        flat += self.own_lin * right
+        seg += self.beta * self._squares(self._sbar(pi, sums[0]))
+        seg += self.coef @ rows
         out = _right_integrals(seg)
         out /= self.rem
         return out
@@ -503,6 +501,9 @@ class _Space:
         self.forcing = np.ones(1) if slopes else plan.inv_rem
         self._blocks = _ClassProfile(*(pi_q or blocks[:2]), *(slopes or blocks[2:]))
 
+    def start(self) -> _ClassProfile:
+        return self._blocks
+
     def gap(self, new: _ClassProfile, old: _ClassProfile) -> float:
         """The sweep's sup-norm change on the grid; raises if not finite."""
         gaps = []
@@ -531,9 +532,9 @@ class _ClassSpace(_Space):
     one class per agent (built from dense arrays) runs on K = n
     classes.  Classes enter the competitor sums with their multiplicities
     (weights counts/n, own share 1/n in :class:`_ReplyPlan`).  With P_b =
-    sum_a counts_a off[a, b] - off[b, b] + diag[b] and scale_a = theta_a /
-    (1 - theta_a/n) / n, and off[a, a] held at 0 for a one-agent class, the
-    slopes map to
+    sum_a counts_a off[a, b] - off[b, b] + diag[b], scale_a the plan's
+    competition factor theta_a / (1 - theta_a/n) over n, and off[a, a] held
+    at 0 for a one-agent class, the slopes map to
 
         off'[a, b] = scale_a (P_b - off[a, b] - 1/rem),
         diag'[a]   = scale_a (P_a - diag[a]) + 1/rem.
@@ -549,13 +550,12 @@ class _ClassSpace(_Space):
         self.labels, rep, self.counts = _refine(labels, *pop._params.values())
         self.grid, self._src = strategy.grid, labels[rep]
         self.law = {k: v[rep] for k, v in pop._params.items()}, self.counts / n, 1.0 / n
-        theta = self.law[0]["theta"]
-        self.scale = (theta / (1.0 - theta / n) / n)[:, None]
+        super().__init__(_ReplyPlan(discount, self.grid, *self.law), blocks)
+        self.scale = self.plan.q_couple / n
         # off' is scaled by scale_a, and off'[a, a] of a one-agent class held at 0.
         keep = np.repeat(self.scale, len(rep), axis=1)
         keep[np.diag_indices(len(rep))] *= self.counts > 1
         self.keep = keep[:, :, None]
-        super().__init__(_ReplyPlan(discount, self.grid, *self.law), blocks)
 
     def start(self) -> _ClassProfile:
         """The profile on the classes."""
@@ -577,11 +577,8 @@ class _ClassSpace(_Space):
 
 def best_response_profile(pop: Population, discount: DiscountFunction,
                           strategy: GridStrategyN) -> GridStrategyN:
-    """Simultaneous best reply of every agent to the given profile."""
-    space = _ClassSpace(pop, discount, strategy)
-    reply = space.profile(space.reply(space.start()))
-    _check_finite(*reply.classes()[1])
-    return reply
+    """Simultaneous best reply of every agent to the given profile: one sweep."""
+    return fixed_point_nagent(pop, discount, strategy, max_iter=1)[0]
 
 
 def _picard(space: _Space, tol: float, max_iter: int):
@@ -591,8 +588,8 @@ def _picard(space: _Space, tol: float, max_iter: int):
     profiles, not three.  Returns the last profile as the space holds it."""
     if not tol > 0:
         raise ValidationError("tol must be > 0")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1 (got {max_iter})")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise ValidationError(f"max_iter must be >= 1 and an integer (got {max_iter!r})")
     current = space.start()
     history: list[float] = []
     converged = False
@@ -668,23 +665,20 @@ class MFGridStrategy:
 
 class _MeanFieldSpace(_Space):
     """The mean-field best-reply map of a type law on its atoms.  With the
-    shared own slope p1 in ``diag`` and the slopes p2 on the average wealth
-    in ``off``, p1' = 1/rem and p2' = theta (p1 + E_w[p2] - 1/rem)."""
+    shared own slope p1 in ``diag``, the slopes p2 on the average wealth in
+    ``off`` and the plan's competition factor theta (as s = 0), p1' = 1/rem
+    and p2' = theta (p1 + E_w[p2] - 1/rem)."""
 
     def __init__(self, dist: TypeDistribution, discount: DiscountFunction,
                  strategy: MFGridStrategy):
         if strategy.dist.n_atoms != dist.n_atoms:
             raise ValidationError("strategy and distribution atom counts differ")
         self.grid, self.dist = strategy.grid, strategy.dist
-        self.theta = dist._params["theta"][:, None]
         super().__init__(_ReplyPlan(discount, self.grid, *_mfg_law(dist)), strategy._rows())
-
-    def start(self) -> _ClassProfile:
-        return self._blocks
 
     def reply(self, prof: _ClassProfile) -> _ClassProfile:
         pi, q = self.plan.reply(prof.pi, prof.q, self.pi_q_form == "coefficients")
-        p2 = self.theta * (prof.diag + self.plan.w @ prof.off - self.forcing)[None, :]
+        p2 = self.plan.q_couple * (prof.diag + self.plan.w @ prof.off - self.forcing)[None, :]
         return _ClassProfile(pi, q, self.forcing, p2)
 
     def profile(self, blocks: _ClassProfile) -> MFGridStrategy:
@@ -694,9 +688,8 @@ class _MeanFieldSpace(_Space):
 
 def best_response_mfg(dist: TypeDistribution, discount: DiscountFunction,
                       strategy: MFGridStrategy) -> MFGridStrategy:
-    """Best reply of every type to the per-atom profile."""
-    space = _MeanFieldSpace(dist, discount, strategy)
-    return space.profile(space.reply(space.start()))
+    """Best reply of every type to the per-atom profile: one sweep."""
+    return fixed_point_mfg(dist, discount, strategy, max_iter=1)[0]
 
 
 def fixed_point_mfg(dist: TypeDistribution, discount: DiscountFunction,

@@ -7,6 +7,7 @@ pure functions, so objects can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -165,8 +166,9 @@ class TimeGrid:
             raise ValidationError("t0 must be >= 0")
         if not self.T > self.t0:
             raise ValidationError("T must exceed t0")
-        if self.n_points < 2:
-            raise ValidationError("n_points must be >= 2")
+        if not (isinstance(self.n_points, numbers.Integral) and self.n_points >= 2):
+            raise ValidationError(f"grid field 'n_points' must be an integer >= 2 "
+                                  f"(got {self.n_points!r})")
 
     @cached_property
     def times(self) -> np.ndarray:

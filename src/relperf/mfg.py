@@ -156,10 +156,6 @@ class MeanFieldEquilibrium(_Equilibrium):
         ab = self._core.intercept_constants(p, self._core.constants(p)[3])
         return self._intercepts(*ab, t)
 
-    def consumption(self, xi0: AgentType, t, x):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(x, dtype=float) / (self.horizon + 1.0 - t) + self.intercept(xi0, t)
-
     def atom_intercepts(self, t) -> np.ndarray:
         """q(t) for every atom; shape (n_atoms,) + shape(t)."""
         return self._intercepts(self._core.A, self._core.B, t)

@@ -204,10 +204,15 @@ class _Equilibrium:
     """A closed-form core evaluated in time under a discount and a horizon."""
 
     def __init__(self, discount: DiscountFunction, horizon: float):
-        if not horizon > 0:
-            raise ValidationError("horizon must be > 0")
+        if not 0 < horizon < np.inf:
+            raise ValidationError(f"horizon must be finite and > 0 (got {horizon!r})")
         self.discount = discount
         self.horizon = float(horizon)
+
+    def consumption(self, key, t, x):
+        """Consumption x/(T+1-t) + q(t) of agent or type ``key`` with wealth ``x``."""
+        t = np.asarray(t, dtype=float)
+        return np.asarray(x, dtype=float) / (self.horizon + 1.0 - t) + self.intercept(key, t)
 
     def _check_grid(self, grid) -> None:
         if abs(grid.T - self.horizon) > 1e-12:
@@ -401,10 +406,6 @@ class NAgentEquilibrium(_Equilibrium):
 
     def intercept(self, i: int, t):
         return self._intercepts(self._core.A[i], self._core.B[i], t)
-
-    def consumption(self, i: int, t, x_i):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(x_i, dtype=float) / (self.horizon + 1.0 - t) + self.intercept(i, t)
 
     # Strategy interface (exact closed forms).
 

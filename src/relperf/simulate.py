@@ -36,6 +36,7 @@ same draws as the earlier (N, n+1) stream.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sized
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -123,8 +124,10 @@ class PathBundle:
 
 
 def _euler_times(t0: float, horizon: float, dt: float):
-    if not t0 >= 0:
-        raise ValidationError("the start time t0 must be >= 0")
+    if not 0 <= t0 < np.inf:
+        raise ValidationError(f"the start time t0 must be finite and >= 0 (got {t0!r})")
+    if not abs(horizon) < np.inf:
+        raise ValidationError(f"the horizon must be finite (got {horizon!r})")
     span = horizon - t0
     if dt > span + 1e-12:
         raise ValidationError("dt exceeds the simulation horizon")
@@ -141,6 +144,19 @@ def _check_times(times, t0: float, horizon: float) -> np.ndarray:
     if not (np.all(times >= t0 - 1e-12) and np.all(times <= horizon + 1e-12)):
         raise ValidationError("query times must lie in [t0, horizon]")
     return times
+
+
+def _numbers(values, name: str, dtype=None, ndim: int = 1) -> list:
+    """``values``, ``ndim`` nested lists of Python numbers, cast to ``dtype``
+    if given; a ValidationError names ``name`` if an entry is not a number
+    (a string, None or a bool) or is nested deeper."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # rows of different lengths
+        array = None
+    if array is None or array.dtype.kind not in "iuf" or array.ndim != ndim:
+        raise ValidationError(f"spike_grid {name} must be numbers")
+    return array.astype(dtype or array.dtype).tolist()
 
 
 def _x0_vector(x0, n: int) -> np.ndarray:
@@ -490,7 +506,8 @@ def expected_payoff(pop: Population, discount: DiscountFunction, strategy,
     Spike perturbations of the payoff are priced by :func:`spike_grid`.
     """
     if not t0 < horizon:
-        raise ValidationError("payoff evaluation requires t0 < horizon")
+        raise ValidationError(f"payoff evaluation requires t0 < horizon (got t0={t0!r}, "
+                              f"horizon={horizon!r})")
     sim = _PayoffSim(pop, discount, strategy, t0, x0, horizon, cfg, [agent])
     j = sim.run[0] + sim.lam_T * sim.term_u[0]
     return PayoffEstimate(*_mean_se(j), sim.n_clamped, j.size)
@@ -572,6 +589,11 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
     for name, values in (("times", times), ("vs", vs), ("agents", agents)):
         if len(values) == 0:
             raise ValidationError(f"spike_grid needs at least one entry in {name}")
+    if not all(isinstance(v, Sized) and len(v) == 2 for v in vs):
+        raise ValidationError("each v must be a pair (v1, v2)")
+    times, eps_list = _numbers(times, "times", float), _numbers(eps_list, "eps_list", float)
+    vs = _numbers(vs, "vs", float, ndim=2)
+    agents = _numbers(agents, "agents")
     if len(set(times)) < len(times):
         raise ValidationError("spike times must be distinct")
     if len(set(agents)) < len(agents):
@@ -579,8 +601,6 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
     # Each bound is written so that NaN fails it.
     if not all(0 <= t <= horizon for t in times):
         raise ValidationError("spike times must be >= 0 and <= the horizon")
-    if not all(np.shape(v) == (2,) for v in vs):
-        raise ValidationError("each v must be a pair (v1, v2)")
     if not all(abs(x) <= V_BOUND for v in vs for x in v):
         raise ValidationError(f"v components must be finite with |v| <= {V_BOUND}")
     if len(eps_list) == 0 or not all(0 < e <= horizon - max(times) + 1e-12 for e in eps_list):

@@ -633,12 +633,15 @@ def test_sweep_to_non_finite_profile_is_rejected(rng, monkeypatch):
                              np.full((3, 3, m), 1e307))
     q = np.zeros((n, m))
     q[0] = 1.0
-    for huge in (GridStrategyN._of_classes(SMALL, type_labels(pop), typed),
-                 GridStrategyN(SMALL, np.zeros((n, m)), np.full((n, n, m), 1e307), q)):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValidationError, match="finite"):
-            fixed_point_nagent(pop, HYP, huge)
-    assert len(sweeps) == 2
+    # best_response_profile is one sweep of the same driver, and refuses alike
+    for run in (fixed_point_nagent, best_response_profile):
+        sweeps.clear()
+        for huge in (GridStrategyN._of_classes(SMALL, type_labels(pop), typed),
+                     GridStrategyN(SMALL, np.zeros((n, m)), np.full((n, n, m), 1e307), q)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValidationError, match="finite"):
+                run(pop, HYP, huge)
+        assert len(sweeps) == 2
 
 
 def test_one_class_sweep_matches_dense_sweep(rng):
@@ -900,6 +903,17 @@ def test_fixed_points_refuse_fewer_than_one_sweep():
                             max_iter=max_iter)
 
 
+@pytest.mark.parametrize("max_iter", [2.5, "3"])
+def test_fixed_points_refuse_a_sweep_count_that_is_not_an_integer(max_iter):
+    # named here, not a raw TypeError from range()
+    message = f"max_iter must be >= 1 and an integer \\(got {max_iter!r}\\)"
+    with pytest.raises(ValidationError, match=message):
+        fixed_point_nagent(HET2, HYP, GridStrategyN.zeros(GRID, 2), max_iter=max_iter)
+    with pytest.raises(ValidationError, match=message):
+        fixed_point_mfg(TWO_ATOM, HYP, MFGridStrategy.zeros(GRID, TWO_ATOM),
+                        max_iter=max_iter)
+
+
 def grid_mfg_fixed_point(dist, d, init, tol):
     """Picard on the grid: best_response_mfg until a sweep moves by tol."""
     current, history = init, []
@@ -981,9 +995,10 @@ def test_mfg_sweep_to_non_finite_profile_is_rejected():
     for pi in (np.full((2, GRID.n_points), 1e307), np.full((2, 1), 1e307 / 3.0) * rem):
         init = MFGridStrategy(GRID, TWO_ATOM, pi, np.zeros(GRID.n_points),
                               np.zeros((2, GRID.n_points)), np.zeros((2, GRID.n_points)))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValidationError, match="finite"):
-            fixed_point_mfg(TWO_ATOM, HYP, init)
+        for run in (fixed_point_mfg, best_response_mfg):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValidationError, match="finite"):
+                run(TWO_ATOM, HYP, init)
 
 
 def test_mfg_contraction_factors():

@@ -76,6 +76,13 @@ def test_timegrid_points_must_be_integral():
             TimeGrid.from_dict({"t0": 0.0, "T": 2.0, "n_points": bad})
 
 
+@pytest.mark.parametrize("n_points", [2.5, "3"])
+def test_timegrid_refuses_points_that_are_not_an_integer(n_points):
+    # refused when built, not later in np.linspace or as a raw TypeError
+    with pytest.raises(ValidationError, match="grid field 'n_points' must be an integer"):
+        TimeGrid(0.0, 2.0, n_points)
+
+
 def test_distribution_weights_must_sum_to_one():
     a = AgentType(1, 0, 1, 0, 1)
     with pytest.raises(ValidationError, match="sum to 1"):

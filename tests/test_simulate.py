@@ -30,6 +30,7 @@ from relperf import (
     spike_grid,
 )
 from relperf import simulate
+from relperf.nagent import hhat
 
 T = 2.0
 GRID = TimeGrid(0.0, T, 100)
@@ -111,6 +112,38 @@ def test_non_finite_x0_is_refused_before_anything_is_simulated(call, x0, monkeyp
                         lambda self, *args: schemes.append(args))
     with pytest.raises(ValidationError, match="x0 must be a finite"):
         X0_CALLS[call](x0)
+    assert schemes == []
+
+
+# Every entry point that takes a horizon (or, for simulate_paths_t0, a start
+# time), called with a given value.
+HORIZON_CALLS = {
+    "NAgentEquilibrium": lambda h: NAgentEquilibrium(HET2, HYP, h),
+    "hhat": lambda h: hhat(HET2, HYP, 0, 1.0, h),
+    "MeanFieldEquilibrium": lambda h: MeanFieldEquilibrium(
+        TypeDistribution([(HET2.agents[0], 1.0)]), HYP, h),
+    "simulate_paths": lambda h: simulate_paths(
+        HET2, NAgentEquilibrium(HET2, HYP, T), 0.0, 1.0, h, SimConfig(8, 0.1, 1)),
+    "simulate_paths_t0": lambda t0: simulate_paths(
+        HET2, NAgentEquilibrium(HET2, HYP, T), t0, 1.0, T, SimConfig(8, 0.1, 1)),
+    "expected_payoff": lambda h: expected_payoff(
+        HET2, HYP, NAgentEquilibrium(HET2, HYP, T), 0, 0.0, 1.0, h, SimConfig(8, 0.1, 1)),
+    "meanfield_consistency": lambda h: meanfield_consistency(
+        TypeDistribution([(HET2.agents[0], 1.0)]), HYP, 100, SimConfig(1, 0.1, 0), 0.0,
+        1.0, h),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("call", sorted(HORIZON_CALLS))
+def test_non_finite_horizon_is_refused_with_its_value(call, value, monkeypatch):
+    # an infinite horizon used to give inf or NaN curves without an error,
+    # and the Euler grid a raw ValueError or OverflowError
+    schemes = []
+    monkeypatch.setattr(simulate._EulerScheme, "__init__",
+                        lambda self, *args: schemes.append(args))
+    with pytest.raises(ValidationError, match=f"{value!r}\\)"):
+        HORIZON_CALLS[call](value)
     assert schemes == []
 
 
@@ -1074,6 +1107,21 @@ def test_spike_grid_takes_eps_as_an_array():
                           SimConfig(200, 0.02, 5), 1.0, T).to_dict()
                for eps_list in ([0.1, 0.04], np.array([0.1, 0.04]))]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("times", [0.5, "0.5"]), ("times", [[0.5]]), ("eps_list", ["0.1"]),
+    ("vs", [(1, 0), ("a", 0)]), ("vs", [(1, 0), ([1, 2], 0)]), ("agents", [None])])
+def test_spike_grid_refuses_entries_that_are_not_numbers(name, value, monkeypatch):
+    # each used to end in a raw TypeError or ValueError, the agents in _PayoffSim
+    sims = []
+    monkeypatch.setattr(simulate._PayoffSim, "__init__",
+                        lambda self, *args, **kw: sims.append(args))
+    eq = NAgentEquilibrium(SPIKE_PAIR, HYP, T)
+    args = {"times": [0.5], "vs": [(1, 0)], "eps_list": [0.1], "agents": [0], name: value}
+    with pytest.raises(ValidationError, match=f"spike_grid {name} must be numbers"):
+        spike_grid(SPIKE_PAIR, HYP, eq, cfg=SimConfig(4, 0.1, 0), x0=1.0, horizon=T, **args)
+    assert sims == []
 
 
 @pytest.mark.parametrize("v", [(1, 0, 3), (1,), 1.0])
