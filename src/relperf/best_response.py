@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _FIELDS, TimeGrid, TypeDistribution, ValidationError
+from .core import _FIELDS, TimeGrid, TypeDistribution, ValidationError, _real
 from .discount import DiscountFunction
 from .mfg import MeanFieldEquilibrium, _mfg_law
 from .nagent import NAgentEquilibrium, Population, _nagent_law
@@ -586,8 +586,8 @@ def _picard(space: _Space, tol: float, max_iter: int):
     the profile by at most ``tol`` in sup norm; non-convergence is reported,
     not raised.  Nothing else need hold the start, so a sweep can hold two
     profiles, not three.  Returns the last profile as the space holds it."""
-    if not tol > 0:
-        raise ValidationError("tol must be > 0")
+    if not _real(tol, "tol") > 0:
+        raise ValidationError(f"tol must be > 0 (got {tol!r})")
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise ValidationError(f"max_iter must be >= 1 and an integer (got {max_iter!r})")
     current = space.start()

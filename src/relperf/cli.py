@@ -195,7 +195,7 @@ def cmd_mfg(args) -> int:
     dist = cfg.need_distribution()
     eq = mfg.MeanFieldEquilibrium(dist, cfg.discount, cfg.grid.T)
     pi, icpts, inv_rem = eq._sample(cfg.grid.times)
-    _check_finite("mfg equilibrium", icpts, eq.atom_coefficients)
+    _check_finite("mfg equilibrium", icpts, eq.coefficients)
     _write_strategy_csv(args.out_csv, "atom_id", cfg.grid.times, pi, inv_rem, icpts,
                         args.deterministic)
     agg = eq.aggregates
@@ -204,7 +204,7 @@ def cmd_mfg(args) -> int:
                        "e_delta": agg.e_delta, "e_theta": agg.e_theta},
         "atoms": [
             {"atom_id": k, "weight": w, "delta_hat": eq.effective_delta(a),
-             "pi_coefficient": float(eq.atom_coefficients[k])}
+             "pi_coefficient": float(eq.coefficients[k])}
             for k, (a, w) in enumerate(dist.atoms)
         ],
     }
@@ -393,11 +393,11 @@ def _verify_checks(cfg: RunConfig):
         dist = cfg.distribution
         eq = mfg.MeanFieldEquilibrium(dist, d, grid.T)
         agg = eq.aggregates
-        e_sig = float(dist.weights @ (dist.field("sigma") * eq.atom_coefficients))
+        e_sig = float(dist.weights @ (dist.field("sigma") * eq.coefficients))
         resid = abs(e_sig * (1.0 - agg.psi) - agg.phi)
         yield ("mean-field investment fixed-point identity",
                resid < _tolerance(1e-12, abs(agg.phi)), f"residual={resid:.3g}")
-        e_q = dist.weights @ np.asarray(eq.atom_intercepts(times))
+        e_q = dist.weights @ np.asarray(eq.intercepts_at(times))
         target = -(eq.e_delta_hhat(times)
                    + agg.e_delta * d.log_value(grid.T - times)) / (1.0 - agg.e_theta)
         gap = float(np.abs(e_q - target).max())

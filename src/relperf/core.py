@@ -66,6 +66,24 @@ def _json_floats(values, section: str, name: str) -> list[float]:
     return [_json_float(x, section, f"{name}[{k}]") for k, x in enumerate(values)]
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; a ValidationError names ``name`` and the value
+    unless it is a real number (a bool or a numeric string is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number (got {value!r})")
+    return float(value)
+
+
+def _check_times(times, t0: float, horizon: float) -> np.ndarray:
+    """``times`` as a float array; a ValidationError names the range unless
+    every time lies in [t0, horizon], to within 1e-12."""
+    times = np.asarray(times, dtype=float)
+    # Written so that NaN fails it.
+    if not (np.all(times >= t0 - 1e-12) and np.all(times <= horizon + 1e-12)):
+        raise ValidationError(f"query times must lie in [t0, horizon] = [{t0!r}, {horizon!r}]")
+    return times
+
+
 @dataclass(frozen=True)
 class AgentType:
     """Parameter vector of a single agent (or of one type in the mean-field game).
@@ -160,6 +178,8 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
+        for name in ("t0", "T"):
+            _real(getattr(self, name), f"grid field {name!r}")
         if not (np.isfinite(self.t0) and np.isfinite(self.T)):
             raise ValidationError("grid endpoints must be finite")
         if self.t0 < 0:

@@ -90,7 +90,7 @@ def foc_residuals(eq: NAgentEquilibrium, i: int, t: float, x,
 
     pi_i = pi_scale * float(eq.pi(i, t))
     sig_avg = float(
-        sum(eq.pi_coefficients[k] * eq.pop.agents[k].sigma for k in range(n) if k != i)
+        sum(eq.coefficients[k] * eq.pop.agents[k].sigma for k in range(n) if k != i)
         * (eq.horizon + 1.0 - t) / n
     )
     # q_own/p = f nu pi, q_common/p = f sigma pi + g sig_avg.

@@ -13,36 +13,34 @@ affine-consumption strategies is explicit:
 
     c_i(t, x) = x_i / (T + 1 - t) + q_i(t),
 
-where phi, psi are population averages (see :func:`aggregates`) and the
+where phi, psi are population averages (see :class:`Aggregates`) and the
 intercept q_i collects a per-agent drift adjustment ``hhat`` plus the
-discount term, see :func:`c_star`.  The mean-field game of :mod:`relperf.mfg`
-is the n -> infinity limit of these formulas, and both games are evaluated
-by the one closed-form core below.
+discount term.  The mean-field game of :mod:`relperf.mfg` is the
+n -> infinity limit of these formulas: both games are evaluated by the one
+closed-form core below, and queried through the one evaluator
+:class:`_Equilibrium`.
 """
 
 from __future__ import annotations
 
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import AgentType, ValidationError, _agent_params, _json_section, validate_agent
+from .core import (AgentType, ValidationError, _agent_params, _check_times, _json_section,
+                   _real, validate_agent)
 from .discount import DiscountFunction
 
 __all__ = [
     "AgentConstants",
+    "Aggregates",
     "DegenerateFixedPointError",
-    "NAgentAggregates",
     "NAgentEquilibrium",
     "Population",
-    "agent_constants",
-    "aggregates",
-    "c_star",
-    "hhat",
-    "investment_coefficients",
-    "pi_star",
     "single_stock_h",
     "single_stock_strategy",
 ]
@@ -95,35 +93,43 @@ class Population:
 
 
 @dataclass(frozen=True)
-class NAgentAggregates:
-    """Population averages driving the investment fixed point.
+class Aggregates:
+    """Law averages driving the investment fixed point of either game.
 
-    ``phi_n`` and ``psi_n`` are the n-weighted averages of
-    delta sigma mu / w and theta sigma^2 / w with w = sigma^2 +
-    (1 - theta/n) nu^2; ``delta_bar`` and ``theta_bar`` are plain means.
+    ``phi`` and ``psi`` are the averages E_w of delta sigma mu / vol and
+    theta sigma^2 / vol, with vol = sigma^2 + (1 - theta s) nu^2;
+    ``e_delta`` and ``e_theta`` are plain averages of delta and theta.  In
+    the n-agent game E_w is the population mean and s = 1/n (the paper's
+    phi_n, psi_n, delta_bar and theta_bar); in the mean field it is the
+    expectation over the type law and s = 0.
     """
 
-    phi_n: float
-    psi_n: float
-    delta_bar: float
-    theta_bar: float
+    phi: float
+    psi: float
+    e_delta: float
+    e_theta: float
 
 
 @dataclass(frozen=True)
 class AgentConstants:
-    """Per-agent constants built from competitor investment exposure.
+    """Constants of one agent or query type, built from competitor exposure.
 
     ``a``/``b`` are the competitor averages of sigma- and mu-weighted
-    investment coefficients scaled by theta_i/delta_i, ``c`` is the
+    investment coefficients scaled by theta/delta, ``c`` is the
     corresponding idiosyncratic sum of squares (nonnegative, vanishing as
-    n grows), and ``d`` combines them into the drift rate entering
-    :func:`hhat`.
+    n grows, and 0 in the mean field), and ``d`` combines them into the
+    drift rate entering ``hhat``.
     """
 
     a: float
     b: float
     c: float
     d: float
+
+
+# Scalars of one agent or query type: investment slope, constants (a, b, c, d)
+# and intercept constants (A, B).
+_Row = namedtuple("_Row", "coef a b c d A B")
 
 
 class _ClosedForm:
@@ -165,12 +171,6 @@ class _ClosedForm:
         self.e_delta_d = float(w @ (delta * self.d))
         self.A, self.B = self.intercept_constants(p, self.d)
 
-    def at(self, i: int) -> tuple[float, float, float, float]:
-        """(a, b, c, d) of agent ``i`` of the law."""
-        if not 0 <= i < self.coef.size:
-            raise IndexError(f"agent index {i} out of range for n={self.coef.size}")
-        return tuple(float(x[i]) for x in (self.a, self.b, self.c, self.d))
-
     def _vol(self, p):
         return p["sigma"] ** 2 + (1.0 - p["theta"] * self.s) * p["nu"] ** 2
 
@@ -190,46 +190,93 @@ class _ClosedForm:
         d = 0.5 * (p["mu"] + p["sigma"] * a) ** 2 / vol2 - 0.5 * (a**2 + c) - b
         return a, b, c, d
 
-    def effective_delta(self, p):
-        """Competition-inflated risk tolerance delta + comp E_w[delta]."""
-        return p["delta"] + p["theta"] * self.e_delta / (1.0 - self.e_theta)
-
     def intercept_constants(self, p, d):
-        """(A, B) of the consumption intercept; B is the effective delta."""
+        """(A, B) of the consumption intercept; B = delta + comp E_w[delta] is
+        the competition-inflated risk tolerance."""
         comp = p["theta"] / (1.0 - self.e_theta)
-        return -0.5 * (p["delta"] * d + comp * self.e_delta_d), self.effective_delta(p)
+        return (-0.5 * (p["delta"] * d + comp * self.e_delta_d),
+                p["delta"] + p["theta"] * self.e_delta / (1.0 - self.e_theta))
 
 
 class _Equilibrium:
-    """A closed-form core evaluated in time under a discount and a horizon."""
+    """The closed form of one game, evaluated in time under a discount and a
+    horizon T.
 
-    def __init__(self, discount: DiscountFunction, horizon: float):
+    Every query is defined here once.  A game passes its law (p, w, s) to
+    the closed-form core and supplies ``_row(key)``, the ``_Row`` of scalars
+    of one key: an agent index in the n-agent game, a query type in the
+    mean field.  With rem = T+1-t, the keyed queries are
+
+        pi(key, t) = coefficient(key) rem,
+        hhat(key, t) = (d/2) (1/rem - rem) - L(t)/rem,
+        intercept(key, t) = A (1/rem - rem) + B (L(t)/rem - ln lam(T-t)),
+        consumption(key, t, x) = x/rem + intercept(key, t),
+
+    where L(t) = integral_t^T ln lam(T-s) ds and B = effective_delta(key).
+    ``aggregates``, ``coefficients`` and ``intercepts_at`` give the same
+    for every row of the law at once.  Times must lie in [0, T].
+    """
+
+    def __init__(self, law, names: tuple[str, str, str], discount: DiscountFunction,
+                 horizon: float):
+        horizon = _real(horizon, "horizon")
         if not 0 < horizon < np.inf:
             raise ValidationError(f"horizon must be finite and > 0 (got {horizon!r})")
         self.discount = discount
-        self.horizon = float(horizon)
+        self.horizon = horizon
+        self._core = _ClosedForm(*law, names)
+        self.aggregates = Aggregates(*self._core.aggregates)
+        self.coefficients = self._core.coef
+
+    def coefficient(self, key) -> float:
+        """Investment slope of ``key``: pi(t) = coefficient (T+1-t)."""
+        return self._row(key).coef
+
+    def constants(self, key) -> AgentConstants:
+        return AgentConstants(*self._row(key)[1:5])
+
+    def effective_delta(self, key) -> float:
+        """Competition-inflated risk tolerance delta + theta E[delta]/(1 - E[theta])."""
+        return self._row(key).B
+
+    def pi(self, key, t):
+        return self._lines(self._row(key).coef, t)
+
+    def hhat(self, key, t):
+        """Drift adjustment (d/2) [1/(T+1-t) - (T+1-t)] - L(t)/(T+1-t)."""
+        d = self._row(key).d
+        bracket, lrem, _ = self._curves(t)
+        return 0.5 * np.multiply.outer(d, bracket) - lrem
+
+    def intercept(self, key, t):
+        row = self._row(key)
+        return self._intercepts(row.A, row.B, t)
 
     def consumption(self, key, t, x):
-        """Consumption x/(T+1-t) + q(t) of agent or type ``key`` with wealth ``x``."""
+        """Consumption x/(T+1-t) + q(t) of ``key`` with wealth ``x``."""
         t = np.asarray(t, dtype=float)
         return np.asarray(x, dtype=float) / (self.horizon + 1.0 - t) + self.intercept(key, t)
+
+    def intercepts_at(self, t) -> np.ndarray:
+        """Intercepts q(t) of every row of the law; shape (rows,) + shape(t)."""
+        return self._intercepts(self._core.A, self._core.B, t)
 
     def _check_grid(self, grid) -> None:
         if abs(grid.T - self.horizon) > 1e-12:
             raise ValidationError("grid horizon must match the equilibrium horizon")
 
+    def _lines(self, coef, t) -> np.ndarray:
+        """Investment coef (T+1-t); shape shape(t) + shape(coef)."""
+        return np.multiply.outer(self.horizon + 1.0 - _check_times(t, 0.0, self.horizon),
+                                 coef)
+
     def _curves(self, t):
         """(1/rem - rem, L(t)/rem, ln lam(T-t)) with rem = T+1-t and
         L(t) = integral_t^T ln lam(T-s) ds."""
-        t = np.asarray(t, dtype=float)
+        t = _check_times(t, 0.0, self.horizon)
         rem = self.horizon + 1.0 - t
         return (1.0 / rem - rem, self.discount.log_integral(t, self.horizon) / rem,
                 self.discount.log_value(self.horizon - t))
-
-    def _hhat(self, d, t):
-        """hhat(t) = (d/2) (1/rem - rem) - L(t)/rem for constants d."""
-        bracket, lrem, _ = self._curves(t)
-        return 0.5 * np.multiply.outer(d, bracket) - lrem
 
     def _intercepts(self, a, b, t):
         """A (1/rem - rem) + B (L/rem - ln lam(T-t)); shape shape(A) + shape(t)."""
@@ -270,55 +317,6 @@ class _Equilibrium:
 def _nagent_law(pop: Population):
     """(p, w, s) of n agents: weights w = 1/n and own share s = 1/n."""
     return pop._params, np.full(pop.n, 1.0 / pop.n), 1.0 / pop.n
-
-
-def _nagent_core(pop: Population) -> _ClosedForm:
-    return _ClosedForm(*_nagent_law(pop),
-                       ("investment/consumption fixed point", "psi_n", "theta_bar"))
-
-
-def _pi_lines(horizon: float, coef, times) -> np.ndarray:
-    """Investment coef (T+1-t) at ``times``; shape shape(times) + shape(coef)."""
-    return np.multiply.outer(horizon + 1.0 - np.asarray(times, dtype=float), coef)
-
-
-def aggregates(pop: Population) -> NAgentAggregates:
-    """Population averages (phi_n, psi_n, delta_bar, theta_bar)."""
-    return NAgentAggregates(*_nagent_core(pop).aggregates)
-
-
-def investment_coefficients(pop: Population) -> np.ndarray:
-    """Slopes a_i of the equilibrium investment lines pi_i(t) = a_i (T+1-t)."""
-    return _nagent_core(pop).coef
-
-
-def agent_constants(pop: Population, i: int) -> AgentConstants:
-    """Constants (a, b, c, d) of agent ``i``; requires psi_n < 1."""
-    return AgentConstants(*_nagent_core(pop).at(i))
-
-
-def pi_star(pop: Population, i: int, t, horizon: float):
-    """Equilibrium investment of agent ``i`` at time ``t`` (vectorized in t)."""
-    return _pi_lines(horizon, _nagent_core(pop).coef[i], t)
-
-
-def hhat(pop: Population, d: DiscountFunction, i: int, t, horizon: float):
-    """Drift adjustment entering agent ``i``'s consumption intercept.
-
-    hhat_i(t) = (d_i/2) [1/(T+1-t) - (T+1-t)]
-                - (1/(T+1-t)) * integral_t^T ln lam(T-s) ds.
-    """
-    return NAgentEquilibrium(pop, d, horizon).hhat(i, t)
-
-
-def c_star(pop: Population, d: DiscountFunction, i: int, t, x_i, horizon: float):
-    """Equilibrium consumption rate of agent ``i`` given own wealth ``x_i``.
-
-    c_i(t, x) = x_i/(T+1-t) - delta_i hhat_i(t)
-                - theta_i/(1-theta_bar) * mean_k(delta_k hhat_k(t))
-                - (delta_i + theta_i delta_bar/(1-theta_bar)) ln lam(T-t).
-    """
-    return NAgentEquilibrium(pop, d, horizon).consumption(i, t, x_i)
 
 
 def single_stock_h(mu: float, sigma: float, d: DiscountFunction, t, horizon: float):
@@ -373,44 +371,35 @@ def single_stock_strategy(delta: float, theta: float, delta_bar: float,
 
 
 class NAgentEquilibrium(_Equilibrium):
-    """Evaluator bundling a population, discount, and horizon.
+    """The n-agent closed form of a population under a discount and a horizon.
 
-    Caches the aggregates and per-agent constants and exposes the closed
-    forms exactly at any time; also implements the strategy interface
-    (``pi_at`` / ``consumption_at``) used by the simulator.
+    A key is an agent index ``i`` in [0, n), which reads row ``i`` of the
+    law's precomputed arrays.  Besides the queries of :class:`_Equilibrium`
+    it implements the strategy interface (``pi_at`` / ``consumption_at``)
+    used by the simulator, exactly at any time.
     """
 
     def __init__(self, pop: Population, discount: DiscountFunction, horizon: float):
-        super().__init__(discount, horizon)
+        super().__init__(_nagent_law(pop),
+                         ("investment/consumption fixed point", "psi_n", "theta_bar"),
+                         discount, horizon)
         self.pop = pop
-        self._core = _nagent_core(pop)
-        self.aggregates = NAgentAggregates(*self._core.aggregates)
-        self.pi_coefficients = self._core.coef
 
     @property
     def n_agents(self) -> int:
         return self.pop.n
 
-    def constants(self, i: int) -> AgentConstants:
-        return AgentConstants(*self._core.at(i))
-
-    def pi(self, i: int, t):
-        return _pi_lines(self.horizon, self.pi_coefficients[i], t)
-
-    def hhat(self, i: int, t):
-        return self._hhat(self._core.d[i], t)
-
-    def intercepts_at(self, t) -> np.ndarray:
-        """q_i(t) for every agent; shape (n,) + shape(t)."""
-        return self._intercepts(self._core.A, self._core.B, t)
-
-    def intercept(self, i: int, t):
-        return self._intercepts(self._core.A[i], self._core.B[i], t)
+    def _row(self, i) -> _Row:
+        n, core = self.pop.n, self._core
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < n:
+            raise IndexError(f"agent index {i} out of range for n={n}")
+        return _Row(*(float(x[i]) for x in (core.coef, core.a, core.b, core.c, core.d,
+                                            core.A, core.B)))
 
     # Strategy interface (exact closed forms).
 
     def pi_at(self, times) -> np.ndarray:
-        return _pi_lines(self.horizon, self.pi_coefficients, times)
+        return self._lines(self.coefficients, times)
 
     def consumption_at(self, times):
         """Class form ``(labels, own, off, q)`` of the consumption: one class,

@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import thread_count
-from .core import TypeDistribution, ValidationError
+from .core import TypeDistribution, ValidationError, _check_times, _real
 from .discount import DiscountFunction
 from .mfg import MeanFieldEquilibrium
 from .nagent import NAgentEquilibrium, Population
@@ -124,6 +124,7 @@ class PathBundle:
 
 
 def _euler_times(t0: float, horizon: float, dt: float):
+    t0, horizon = _real(t0, "the start time t0"), _real(horizon, "the horizon")
     if not 0 <= t0 < np.inf:
         raise ValidationError(f"the start time t0 must be finite and >= 0 (got {t0!r})")
     if not abs(horizon) < np.inf:
@@ -136,14 +137,6 @@ def _euler_times(t0: float, horizon: float, dt: float):
     times = t0 + dt_eff * np.arange(steps + 1)
     times[-1] = horizon
     return times, dt_eff, steps
-
-
-def _check_times(times, t0: float, horizon: float) -> np.ndarray:
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    # Written so that NaN fails it.
-    if not (np.all(times >= t0 - 1e-12) and np.all(times <= horizon + 1e-12)):
-        raise ValidationError("query times must lie in [t0, horizon]")
-    return times
 
 
 def _numbers(values, name: str, dtype=None, ndim: int = 1) -> list:
@@ -317,7 +310,8 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     x0 = _x0_vector(x0, n)
     times, dt, _ = _euler_times(t0, horizon, cfg.dt)
 
-    record = times if record_times is None else _check_times(record_times, t0, horizon)
+    record = times if record_times is None else np.atleast_1d(
+        _check_times(record_times, t0, horizon))
     rec_idx = np.unique(np.round((record - t0) / dt).astype(int))
     rec_pos = {int(k): j for j, k in enumerate(rec_idx)}
 
@@ -360,8 +354,8 @@ def gaussian_moments(pop: Population, strategy, t0: float, x0, times, horizon: f
             "a sampled profile has no exact law here")
     p = pop._params
     x0 = _x0_vector(x0, pop.n)
-    query = _check_times(times, t0, horizon)
-    coef = strategy.pi_coefficients
+    query = np.atleast_1d(_check_times(times, t0, horizon))
+    coef = strategy.coefficients
     means = strategy._mean_wealth(x0, t0, query, p["mu"])
     a_sig, a_nu = coef * p["sigma"], coef * p["nu"]
     K = np.multiply.outer(a_sig, a_sig) + np.diag(a_nu**2)
@@ -505,7 +499,7 @@ def expected_payoff(pop: Population, discount: DiscountFunction, strategy,
     Riemann sums on the Euler grid) and terminal utility by lam(T - t0).
     Spike perturbations of the payoff are priced by :func:`spike_grid`.
     """
-    if not t0 < horizon:
+    if not _real(t0, "the start time t0") < _real(horizon, "the horizon"):
         raise ValidationError(f"payoff evaluation requires t0 < horizon (got t0={t0!r}, "
                               f"horizon={horizon!r})")
     sim = _PayoffSim(pop, discount, strategy, t0, x0, horizon, cfg, [agent])
@@ -598,6 +592,7 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
         raise ValidationError("spike times must be distinct")
     if len(set(agents)) < len(agents):
         raise ValidationError("spike agents must be distinct")
+    horizon = _real(horizon, "the horizon")
     # Each bound is written so that NaN fails it.
     if not all(0 <= t <= horizon for t in times):
         raise ValidationError("spike times must be >= 0 and <= the horizon")
@@ -674,8 +669,10 @@ def meanfield_consistency(dist: TypeDistribution, discount: DiscountFunction,
     O(m_agents^{-1/2}).  Of ``cfg`` only ``dt`` and ``seed`` are used, and
     ``n_paths`` must be 1 (so antithetic sampling is refused too).
     """
-    if m_agents < 100:
-        raise ValidationError("meanfield_consistency needs m_agents >= 100")
+    if isinstance(m_agents, bool) or not isinstance(m_agents, numbers.Integral) \
+            or m_agents < 100:
+        raise ValidationError(f"meanfield_consistency needs an integer m_agents >= 100 "
+                              f"(got {m_agents!r})")
     if cfg.n_paths != 1:
         raise ValidationError("meanfield_consistency simulates one path: it needs n_paths = 1")
     x0 = float(_x0_vector(x0, 1)[0])
@@ -686,8 +683,8 @@ def meanfield_consistency(dist: TypeDistribution, discount: DiscountFunction,
 
     idx = rng.choice(dist.n_atoms, size=m_agents, p=dist.weights)
     mu, nu, sigma = (dist.field(name)[idx] for name in ("mu", "nu", "sigma"))
-    coef = eq.atom_coefficients[idx]
-    q_atoms = np.asarray(eq.atom_intercepts(times))       # (K, steps+1)
+    coef = eq.coefficients[idx]
+    q_atoms = np.asarray(eq.intercepts_at(times))       # (K, steps+1)
     e_q = dist.weights @ q_atoms
     rem = horizon + 1.0 - times
     checks = set(np.linspace(0, steps, MF_CHECKPOINTS).round().astype(int).tolist())

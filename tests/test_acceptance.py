@@ -29,17 +29,10 @@ from relperf import (
     TabulatedDiscount,
     TimeGrid,
     TypeDistribution,
-    aggregates,
     fixed_point_mfg,
     fixed_point_nagent,
     gaussian_moments,
-    hhat,
     meanfield_consistency,
-    mfg_aggregates,
-    mfg_c_star,
-    mfg_hhat,
-    mfg_pi_star,
-    pi_star,
     simulate_paths,
     single_stock_strategy,
     spike_grid,
@@ -97,29 +90,30 @@ def test_criterion_03_single_stock_reductions():
     pop = Population([AgentType(1.0, 0.5, 0.9, 0.0, 1.1),
                       AgentType(2.0, 0.2, 0.9, 0.0, 1.1),
                       AgentType(0.6, 0.7, 0.9, 0.0, 1.1)])
-    agg = aggregates(pop)
+    agg = NAgentEquilibrium(pop, HYP, T).aggregates
     for d in (HYP, ExponentialDiscount(0.1)):
         for i, a in enumerate(pop.agents):
             eq = NAgentEquilibrium(pop, d, T)
             for t in ts:
-                ss = single_stock_strategy(a.delta, a.theta, agg.delta_bar,
-                                           agg.theta_bar, a.mu, a.sigma, d,
+                ss = single_stock_strategy(a.delta, a.theta, agg.e_delta,
+                                           agg.e_theta, a.mu, a.sigma, d,
                                            float(t), T)
                 worst = max(worst, abs(float(eq.pi(i, t)) - ss.pi),
                             abs(float(eq.consumption(i, float(t), 4.0))
                                 - ss.consumption(4.0)))
     dist = TypeDistribution([(AgentType(1.0, 0.5, 0.9, 0.0, 1.1), 0.4),
                              (AgentType(2.0, 0.2, 0.9, 0.0, 1.1), 0.6)])
-    magg = mfg_aggregates(dist)
+    magg = MeanFieldEquilibrium(dist, HYP, T).aggregates
     for d in (HYP, ExponentialDiscount(0.1)):
+        meq = MeanFieldEquilibrium(dist, d, T)
         for xi0 in dist.types:
             for t in ts:
                 ss = single_stock_strategy(xi0.delta, xi0.theta, magg.e_delta,
                                            magg.e_theta, xi0.mu, xi0.sigma, d,
                                            float(t), T)
                 worst = max(worst,
-                            abs(float(mfg_pi_star(dist, xi0, float(t), T)) - ss.pi),
-                            abs(float(mfg_c_star(dist, d, xi0, float(t), 4.0, T))
+                            abs(float(meq.pi(xi0, float(t))) - ss.pi),
+                            abs(float(meq.consumption(xi0, float(t), 4.0))
                                 - ss.consumption(4.0)))
     record(3, worst <= 1e-12, f"max reduction gap {worst:.2e} at 50 grid points")
 
@@ -135,14 +129,16 @@ def test_criterion_04_merton_reduction():
         rem = T + 1.0 - t
         return x / rem + dhat / 2 * (0.5 * 1.0 + rho) * (rem - 1.0 / rem)
 
+    exp_eq = MeanFieldEquilibrium(dist, ExponentialDiscount(rho), T)
+    hyp_eq = MeanFieldEquilibrium(dist, HyperbolicDiscount(rho, 1e-6), T)
     worst_exp = max(
-        abs(float(mfg_c_star(dist, ExponentialDiscount(rho), xi0, float(t), 7.0, T))
+        abs(float(exp_eq.consumption(xi0, float(t), 7.0))
             - merton_display(float(t), 7.0))
         for t in ts
     )
     worst_hyp = max(
-        abs(float(mfg_c_star(dist, HyperbolicDiscount(rho, 1e-6), xi0, float(t),
-                             7.0, T)) - merton_display(float(t), 7.0))
+        abs(float(hyp_eq.consumption(xi0, float(t), 7.0))
+            - merton_display(float(t), 7.0))
         for t in ts
     )
     record(4, worst_exp <= 1e-10 and worst_hyp <= 1e-4,
@@ -179,11 +175,11 @@ def test_criterion_06_h_quadrature_all_discount_variants():
         kinks = ([T - u for u in knots if 0.0 < u < T - t]
                  if d is quasi else ())
         want = oracle_hhat_quadrature(pop, d, i, t, T, kinks=kinks)
-        worst = max(worst, abs(float(hhat(pop, d, i, t, T)) - want))
+        worst = max(worst, abs(float(NAgentEquilibrium(pop, d, T).hhat(i, t)) - want))
         dist = random_distribution(rng, k=int(rng.integers(1, 4)))
         xi0 = dist.types[0]
         want = oracle_mfg_hhat_quadrature(dist, d, xi0, t, T, kinks=kinks)
-        worst = max(worst, abs(float(mfg_hhat(dist, d, xi0, t, T)) - want))
+        worst = max(worst, abs(float(MeanFieldEquilibrium(dist, d, T).hhat(xi0, t)) - want))
     record(6, worst <= 1e-8, f"max closed-form vs quadrature gap {worst:.2e}")
 
 
@@ -233,13 +229,14 @@ def test_criterion_08_limit_convergence_rates():
     dist = TypeDistribution([(AgentType(1.0, 0.5, 1.0, 0.5, 1.0), 0.5),
                              (AgentType(2.0, 0.3, 0.8, 0.0, 1.0), 0.5)])
     xi0 = dist.types[0]
-    pi_target = float(mfg_pi_star(dist, xi0, 0.0, T))
-    h_target = float(mfg_hhat(dist, HYP, xi0, 0.0, T))
+    meq = MeanFieldEquilibrium(dist, HYP, T)
+    pi_target = float(meq.pi(xi0, 0.0))
+    h_target = float(meq.hhat(xi0, 0.0))
     pi_gaps, h_gaps = [], []
     for n in (100, 1000):
-        pop = replicated_population(dist, n)
-        pi_gaps.append(abs(float(pi_star(pop, 0, 0.0, T)) - pi_target))
-        h_gaps.append(abs(float(hhat(pop, HYP, 0, 0.0, T)) - h_target))
+        eq = NAgentEquilibrium(replicated_population(dist, n), HYP, T)
+        pi_gaps.append(abs(float(eq.pi(0, 0.0)) - pi_target))
+        h_gaps.append(abs(float(eq.hhat(0, 0.0)) - h_target))
     r_pi = pi_gaps[0] / pi_gaps[1]
     r_h = h_gaps[0] / h_gaps[1]
     record(8, 5.0 <= r_pi <= 20.0 and 5.0 <= r_h <= 20.0,

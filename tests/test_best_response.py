@@ -23,8 +23,6 @@ from relperf import (
     best_response_profile,
     fixed_point_mfg,
     fixed_point_nagent,
-    mfg_aggregates,
-    aggregates,
 )
 from relperf import best_response as br
 from relperf.mfg import _mfg_law
@@ -192,7 +190,7 @@ def test_investment_residual_contracts_like_psi():
     # sigma-weighted investment residual contracts at rate psi_n.
     atom = AgentType(1.0, 0.6, 1.0, 0.5, 1.0)
     pop = Population([atom] * 12)
-    psi = aggregates(pop).psi_n
+    psi = NAgentEquilibrium(pop, HYP, T).aggregates.psi
     sigma = pop.field("sigma")
     eqpi = closed_form(pop, EXP).pi
     strat = GridStrategyN.zeros(GRID, 12)
@@ -207,8 +205,8 @@ def test_investment_residual_contracts_like_psi():
 def test_residual_ratios_eventually_bounded(rng):
     for _ in range(4):
         pop = random_population(rng, n=int(rng.integers(2, 6)))
-        agg = aggregates(pop)
-        bound = max(agg.psi_n, agg.theta_bar) + 0.05
+        agg = NAgentEquilibrium(pop, HYP, T).aggregates
+        bound = max(agg.psi, agg.e_theta) + 0.05
         _, report = fixed_point_nagent(pop, HYP, GridStrategyN.zeros(GRID, pop.n),
                                        tol=1e-12, max_iter=200)
         hist = report.residual_history
@@ -862,7 +860,7 @@ def test_mfg_aggregate_identity_preserved_by_reply(rng):
     # one application of the map keeps it satisfied
     dist = random_distribution(rng, k=3)
     strat = mfg_closed_form(dist, HYP)
-    agg = mfg_aggregates(dist)
+    agg = MeanFieldEquilibrium(dist, HYP, T).aggregates
     reply = best_response_mfg(dist, HYP, strat)
     sigma = dist.field("sigma")
     e_sig = dist.weights @ (sigma[:, None] * reply.pi)
@@ -1004,7 +1002,7 @@ def test_mfg_sweep_to_non_finite_profile_is_rejected():
 def test_mfg_contraction_factors():
     # investment: exactly psi per sweep; intercept: E[theta] per sweep once
     # the investment part has settled
-    agg = mfg_aggregates(TWO_ATOM)
+    agg = MeanFieldEquilibrium(TWO_ATOM, HYP, T).aggregates
     target = mfg_closed_form(TWO_ATOM, HYP)
     sigma = TWO_ATOM.field("sigma")
     strat = MFGridStrategy.zeros(GRID, TWO_ATOM)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -18,17 +20,8 @@ from relperf import (
     MeanFieldEquilibrium,
     TabulatedDiscount,
     TimeGrid,
+    NAgentEquilibrium,
     TypeDistribution,
-    agent_constants,
-    aggregates,
-    effective_delta,
-    hhat,
-    mfg_aggregates,
-    mfg_c_star,
-    mfg_hhat,
-    mfg_pi_star,
-    mfg_type_constants,
-    pi_star,
     single_stock_strategy,
 )
 
@@ -44,8 +37,16 @@ TWO_ATOM = TypeDistribution([
 ])
 
 
+def mean_field(dist, d=HYP):
+    return MeanFieldEquilibrium(dist, d, T)
+
+
+def replicated(n):
+    return NAgentEquilibrium(replicated_population(TWO_ATOM, n), HYP, T)
+
+
 def test_aggregates_single_atom_trivial():
-    agg = mfg_aggregates(MERTON_DIST)
+    agg = mean_field(MERTON_DIST).aggregates
     assert (agg.phi, agg.psi, agg.e_delta, agg.e_theta) == (1.0, 0.0, 1.0, 0.0)
 
 
@@ -54,7 +55,7 @@ def test_aggregates_single_stock_reduction():
         (AgentType(1.0, 0.4, 1.0, 0.0, 1.0), 0.5),
         (AgentType(3.0, 0.2, 1.0, 0.0, 1.0), 0.5),
     ])
-    agg = mfg_aggregates(dist)
+    agg = mean_field(dist).aggregates
     assert agg.psi == pytest.approx(0.3, abs=1e-15)       # mean theta
     assert agg.phi == pytest.approx(2.0, abs=1e-15)       # mean delta (mu=sigma=1)
 
@@ -62,7 +63,7 @@ def test_aggregates_single_stock_reduction():
 def test_aggregates_match_loop_oracle(rng):
     for _ in range(10):
         dist = random_distribution(rng)
-        agg = mfg_aggregates(dist)
+        agg = mean_field(dist).aggregates
         phi, psi, ed, et = oracle_mfg_aggregates(dist)
         assert agg.phi == pytest.approx(phi, rel=1e-14)
         assert agg.psi == pytest.approx(psi, rel=1e-14)
@@ -75,13 +76,13 @@ def test_degenerate_theta_guard_in_both_games():
     # guard band, where the consumption feedback 1/(1 - E[theta]) blows up
     agent = AgentType(1.0, 1.0 - 1e-15, 1.0, 1.0, 1.0)
     with pytest.raises(DegenerateFixedPointError, match="theta_bar"):
-        aggregates(Population([agent] * 2))
+        NAgentEquilibrium(Population([agent] * 2), HYP, T).aggregates
     with pytest.raises(DegenerateFixedPointError, match=r"E\[theta\]"):
-        mfg_aggregates(TypeDistribution([(agent, 1.0)]))
+        mean_field(TypeDistribution([(agent, 1.0)])).aggregates
 
 
 def test_type_constants_no_competition():
-    c = mfg_type_constants(TWO_ATOM, AgentType(1.5, 0.0, 1.2, 0.3, 0.9))
+    c = mean_field(TWO_ATOM).constants(AgentType(1.5, 0.0, 1.2, 0.3, 0.9))
     assert c.a == 0.0 and c.b == 0.0
     assert c.d == pytest.approx(1.2**2 / (2 * (0.3**2 + 0.9**2)), rel=1e-15)
 
@@ -91,9 +92,9 @@ def test_type_constants_fixed_point_identity(rng):
     # equivalently a = (theta0/delta0) * phi/(1-psi).
     for _ in range(10):
         dist = random_distribution(rng)
-        agg = mfg_aggregates(dist)
+        agg = mean_field(dist).aggregates
         xi0 = AgentType(1.3, 0.6, 1.0, 0.2, 0.8)
-        c = mfg_type_constants(dist, xi0)
+        c = mean_field(dist).constants(xi0)
         assert c.a * xi0.delta / xi0.theta == pytest.approx(
             agg.phi / (1.0 - agg.psi), abs=1e-14)
 
@@ -102,7 +103,7 @@ def test_type_constants_match_loop_oracle(rng):
     for _ in range(10):
         dist = random_distribution(rng)
         xi0 = dist.types[0]
-        got = mfg_type_constants(dist, xi0)
+        got = mean_field(dist).constants(xi0)
         a, b, d = oracle_mfg_constants(dist, xi0)
         assert got.a == pytest.approx(a, rel=1e-13, abs=1e-15)
         assert got.b == pytest.approx(b, rel=1e-13, abs=1e-15)
@@ -113,22 +114,22 @@ def test_nagent_constants_approach_mfg_limit():
     gaps = []
     for n in (10, 100, 1000):
         pop = replicated_population(TWO_ATOM, n)
-        got = agent_constants(pop, 0)
-        lim = mfg_type_constants(TWO_ATOM, pop.agents[0])
+        got = NAgentEquilibrium(pop, HYP, T).constants(0)
+        lim = mean_field(TWO_ATOM).constants(pop.agents[0])
         gaps.append(abs(got.a - lim.a) + abs(got.b - lim.b) + abs(got.d - lim.d))
     assert gaps[0] / gaps[1] == pytest.approx(10.0, rel=0.3)
     assert gaps[1] / gaps[2] == pytest.approx(10.0, rel=0.3)
 
 
 def test_hhat_terminal_zero():
-    assert float(mfg_hhat(TWO_ATOM, HYP, TWO_ATOM.types[0], T, T)) == pytest.approx(
+    assert float(mean_field(TWO_ATOM).hhat(TWO_ATOM.types[0], T)) == pytest.approx(
         0.0, abs=1e-14)
 
 
 def test_hhat_nagent_limit():
     xi0 = TWO_ATOM.types[0]
-    target = float(mfg_hhat(TWO_ATOM, HYP, xi0, 0.0, T))
-    gaps = [abs(float(hhat(replicated_population(TWO_ATOM, n), HYP, 0, 0.0, T)) - target)
+    target = float(mean_field(TWO_ATOM).hhat(xi0, 0.0))
+    gaps = [abs(float(replicated(n).hhat(0, 0.0)) - target)
             for n in (10, 100, 1000)]
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -140,25 +141,25 @@ def test_hhat_matches_quadrature_oracle(rng):
         t = float(rng.uniform(0.0, T - 0.05))
         d = HYP if rng.integers(0, 2) else EXP
         want = oracle_mfg_hhat_quadrature(dist, d, xi0, t, T)
-        assert float(mfg_hhat(dist, d, xi0, t, T)) == pytest.approx(want, abs=1e-8)
+        assert float(mean_field(dist, d).hhat(xi0, t)) == pytest.approx(want, abs=1e-8)
 
 
 def test_pi_star_merton_and_single_stock():
-    assert float(mfg_pi_star(MERTON_DIST, MERTON_TYPE, 0.0, T)) == pytest.approx(3.0)
+    assert float(mean_field(MERTON_DIST).pi(MERTON_TYPE, 0.0)) == pytest.approx(3.0)
     dist = TypeDistribution([(AgentType(1.0, 0.5, 1.0, 0.0, 1.0), 1.0)])
     xi0 = dist.types[0]
-    dh = effective_delta(dist, xi0)
+    dh = mean_field(dist).effective_delta(xi0)
     assert dh == pytest.approx(2.0, abs=1e-15)
-    assert float(mfg_pi_star(dist, xi0, 0.0, T)) == pytest.approx(dh * 3.0, abs=1e-13)
+    assert float(mean_field(dist).pi(xi0, 0.0)) == pytest.approx(dh * 3.0, abs=1e-13)
 
 
 def test_pi_star_fixed_point_identity(rng):
     # E[sigma pi(t)] solves  E = phi (T+1-t) + psi E  exactly.
     for _ in range(10):
         dist = random_distribution(rng)
-        agg = mfg_aggregates(dist)
+        agg = mean_field(dist).aggregates
         for t in (0.0, 0.8, 1.9):
-            e_sig = dist.weights @ [a.sigma * float(mfg_pi_star(dist, a, t, T))
+            e_sig = dist.weights @ [a.sigma * float(mean_field(dist).pi(a, t))
                                     for a in dist.types]
             assert e_sig == pytest.approx(
                 agg.phi * (T + 1 - t) + agg.psi * e_sig, abs=1e-12)
@@ -168,7 +169,7 @@ def test_c_star_terminal_identity(rng):
     for _ in range(5):
         dist = random_distribution(rng)
         x = float(rng.normal(5, 5))
-        assert float(mfg_c_star(dist, HYP, dist.types[0], T, x, T)) == pytest.approx(
+        assert float(mean_field(dist).consumption(dist.types[0], T, x)) == pytest.approx(
             x, abs=1e-12)
 
 
@@ -177,14 +178,14 @@ def test_c_star_single_stock_collapse():
         (AgentType(1.0, 0.5, 1.0, 0.0, 1.0), 0.25),
         (AgentType(2.0, 0.2, 1.0, 0.0, 1.0), 0.75),
     ])
-    agg = mfg_aggregates(dist)
+    agg = mean_field(dist).aggregates
     for d in (EXP, HYP):
         for xi0 in dist.types:
             for t in np.linspace(0.0, T, 50):
                 ss = single_stock_strategy(xi0.delta, xi0.theta, agg.e_delta,
                                            agg.e_theta, xi0.mu, xi0.sigma, d,
                                            float(t), T)
-                got = float(mfg_c_star(dist, d, xi0, float(t), 5.0, T))
+                got = float(mean_field(dist, d).consumption(xi0, float(t), 5.0))
                 assert got == pytest.approx(ss.consumption(5.0), abs=1e-12)
 
 
@@ -193,33 +194,35 @@ def test_c_star_merton_display():
     # (delta_hat/2) [(mu/sigma)^2/2 + rho] [(T+1-t) - 1/(T+1-t)]
     dist = TypeDistribution([(AgentType(1.0, 0.5, 1.0, 0.0, 1.0), 1.0)])
     xi0 = dist.types[0]
-    dh = effective_delta(dist, xi0)
+    dh = mean_field(dist).effective_delta(xi0)
     rho = 0.1
     for t in np.linspace(0.0, T, 21):
         rem = T + 1 - t
         want = 10.0 / rem + dh / 2 * (0.5 + rho) * (rem - 1.0 / rem)
-        got = float(mfg_c_star(dist, ExponentialDiscount(rho), xi0, float(t), 10.0, T))
+        got = float(mean_field(dist, ExponentialDiscount(rho)).consumption(
+            xi0, float(t), 10.0))
         assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_effective_delta_properties(rng):
-    assert effective_delta(MERTON_DIST, MERTON_TYPE) == 1.0
+    assert mean_field(MERTON_DIST).effective_delta(MERTON_TYPE) == 1.0
     for _ in range(20):
         dist = random_distribution(rng)
         theta0 = float(rng.uniform(0.05, 0.9))
         xi0 = AgentType(1.0, theta0, 1.0, 0.0, 1.0)
-        dh = effective_delta(dist, xi0)
+        dh = mean_field(dist).effective_delta(xi0)
         assert dh > xi0.delta  # strictly bigger once theta0 > 0
         # strictly increasing in theta0
         xi_lo = AgentType(1.0, theta0 * 0.5, 1.0, 0.0, 1.0)
-        assert dh > effective_delta(dist, xi_lo)
+        assert dh > mean_field(dist).effective_delta(xi_lo)
     # increasing in E[delta] and in E[theta]
     base = TypeDistribution([(AgentType(1.0, 0.2, 1.0, 0.0, 1.0), 1.0)])
     richer = TypeDistribution([(AgentType(2.0, 0.2, 1.0, 0.0, 1.0), 1.0)])
     keener = TypeDistribution([(AgentType(1.0, 0.6, 1.0, 0.0, 1.0), 1.0)])
     probe = AgentType(1.0, 0.5, 1.0, 0.0, 1.0)
-    assert effective_delta(richer, probe) > effective_delta(base, probe)
-    assert effective_delta(keener, probe) > effective_delta(base, probe)
+    base_delta = mean_field(base).effective_delta(probe)
+    assert mean_field(richer).effective_delta(probe) > base_delta
+    assert mean_field(keener).effective_delta(probe) > base_delta
 
 
 def test_average_consumption_starts_at_initial_policy():
@@ -242,18 +245,18 @@ def test_average_consumption_matches_ivp_oracle():
     eq = MeanFieldEquilibrium(TWO_ATOM, HYP, T)
     avg = eq.average_consumption(grid, 10.0)
 
-    coef = eq.atom_coefficients
+    coef = eq.coefficients
     mu = TWO_ATOM.field("mu")
 
     def rhs(t, m):
         rem = T + 1.0 - t
-        return coef * mu * rem - m / rem - np.asarray(eq.atom_intercepts(t))
+        return coef * mu * rem - m / rem - np.asarray(eq.intercepts_at(t))
 
     sol = solve_ivp(rhs, (0.0, T), np.full(2, 10.0), t_eval=grid.times,
                     rtol=1e-11, atol=1e-12, dense_output=False)
     want = TWO_ATOM.weights @ (
         sol.y / (T + 1.0 - grid.times)[None, :]
-        + np.asarray(eq.atom_intercepts(grid.times)))
+        + np.asarray(eq.intercepts_at(grid.times)))
     assert np.abs(avg - want).max() < 1e-7
 
 
@@ -269,11 +272,11 @@ def test_mean_wealth_matches_ivp(rng, d, t0, n_points):
     eq = MeanFieldEquilibrium(dist, d, T)
     grid = TimeGrid(t0, T, n_points)
     got = eq.mean_wealth(grid, 10.0)
-    drift = eq.atom_coefficients * dist.field("mu")
+    drift = eq.coefficients * dist.field("mu")
 
     def rhs(t, m):
         rem = T + 1.0 - t
-        return drift * rem - m / rem - eq.atom_intercepts(t)
+        return drift * rem - m / rem - eq.intercepts_at(t)
 
     sol = solve_ivp(rhs, (t0, T), np.full(dist.n_atoms, 10.0), method="DOP853",
                     t_eval=grid.times, rtol=1e-11, atol=1e-12)
@@ -286,12 +289,15 @@ def test_mean_wealth_matches_ivp(rng, d, t0, n_points):
 def test_atom_intercepts_match_per_type_intercepts(rng):
     # One formula for atoms and for arbitrary query types, and both equal
     # the definition -delta H - comp E[delta H] - (delta + comp E[delta]) ln lam.
+    # The atoms' rows and each atom's query-type path also agree on the
+    # slopes, investments and constants (to an ulp: the scalar path rounds
+    # on its own).
     times = TimeGrid(0.0, T, 57).times
     for d in (EXP, HYP, TAB):
         dist = random_distribution(rng)
         eq = MeanFieldEquilibrium(dist, d, T)
         agg = eq.aggregates
-        got = eq.atom_intercepts(times)
+        got = eq.intercepts_at(times)
         stacked = np.stack([eq.intercept(a, times) for a in dist.types])
         comp = dist.field("theta")[:, None] / (1.0 - agg.e_theta)
         delta = dist.field("delta")[:, None]
@@ -302,6 +308,17 @@ def test_atom_intercepts_match_per_type_intercepts(rng):
         assert got.shape == (dist.n_atoms, times.size)
         assert np.abs(got - stacked).max() <= 1e-13 * scale
         assert np.abs(got - defined).max() <= 1e-13 * scale
+
+        coef = np.array([eq.coefficient(a) for a in dist.types])
+        assert np.abs(coef - eq.coefficients).max() <= 1e-13 * np.abs(coef).max()
+        rows = np.multiply.outer(eq.coefficients, T + 1.0 - times)
+        pis = np.stack([eq.pi(a, times) for a in dist.types])
+        assert np.abs(pis - rows).max() <= 1e-13 * np.abs(rows).max()
+        consts = np.array([dataclasses.astuple(eq.constants(a)) for a in dist.types])
+        core = eq._core
+        want = np.stack([core.a, core.b, core.c, core.d], axis=1)
+        assert not consts[:, 2].any()
+        assert np.abs(consts - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_average_consumption_monotone_in_patience_and_tolerance():
@@ -360,7 +377,7 @@ def test_consumption_fixed_point_identity(rng):
         eq = MeanFieldEquilibrium(dist, HYP, T)
         agg = eq.aggregates
         for t in (0.0, 0.66, 1.5):
-            e_q = dist.weights @ np.asarray(eq.atom_intercepts(t))
+            e_q = dist.weights @ np.asarray(eq.intercepts_at(t))
             target = -(eq.e_delta_hhat(t)
                        + agg.e_delta * float(HYP.log_value(T - t))) / (1 - agg.e_theta)
             assert e_q == pytest.approx(float(target), abs=1e-12)
@@ -368,8 +385,8 @@ def test_consumption_fixed_point_identity(rng):
 
 def test_pi_convergence_from_nagent(rng):
     xi0 = TWO_ATOM.types[0]
-    target = float(mfg_pi_star(TWO_ATOM, xi0, 0.0, T))
-    gaps = [abs(float(pi_star(replicated_population(TWO_ATOM, n), 0, 0.0, T)) - target)
+    target = float(mean_field(TWO_ATOM).pi(xi0, 0.0))
+    gaps = [abs(float(replicated(n).pi(0, 0.0)) - target)
             for n in (10, 100, 1000)]
     assert gaps[0] / gaps[1] == pytest.approx(10.0, rel=0.5)
     assert gaps[1] / gaps[2] == pytest.approx(10.0, rel=0.5)

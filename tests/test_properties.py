@@ -66,7 +66,7 @@ def test_permuting_agents_permutes_results(case, seed):
     pop = Population(members)
     moved = Population([members[k] for k in perm])
     eq, moved_eq = NAgentEquilibrium(pop, HYP, T), NAgentEquilibrium(moved, HYP, T)
-    assert_close(moved_eq.pi_coefficients, eq.pi_coefficients[perm])
+    assert_close(moved_eq.coefficients, eq.coefficients[perm])
     for j, k in enumerate(perm):
         got, want = moved_eq.constants(j), eq.constants(int(k))
         assert_close([got.a, got.b, got.c, got.d], [want.a, want.b, want.c, want.d])

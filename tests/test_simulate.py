@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from relperf import (
     GridStrategyN,
     HyperbolicDiscount,
     MeanFieldEquilibrium,
+    MFGridStrategy,
     NAgentEquilibrium,
     PathBundle,
     Population,
@@ -24,13 +26,14 @@ from relperf import (
     best_response_profile,
     expected_payoff,
     export_paths_csv,
+    fixed_point_mfg,
+    fixed_point_nagent,
     gaussian_moments,
     meanfield_consistency,
     simulate_paths,
     spike_grid,
 )
 from relperf import simulate
-from relperf.nagent import hhat
 
 T = 2.0
 GRID = TimeGrid(0.0, T, 100)
@@ -119,7 +122,7 @@ def test_non_finite_x0_is_refused_before_anything_is_simulated(call, x0, monkeyp
 # time), called with a given value.
 HORIZON_CALLS = {
     "NAgentEquilibrium": lambda h: NAgentEquilibrium(HET2, HYP, h),
-    "hhat": lambda h: hhat(HET2, HYP, 0, 1.0, h),
+    "hhat": lambda h: NAgentEquilibrium(HET2, HYP, h).hhat(0, 1.0),
     "MeanFieldEquilibrium": lambda h: MeanFieldEquilibrium(
         TypeDistribution([(HET2.agents[0], 1.0)]), HYP, h),
     "simulate_paths": lambda h: simulate_paths(
@@ -144,6 +147,52 @@ def test_non_finite_horizon_is_refused_with_its_value(call, value, monkeypatch):
                         lambda self, *args: schemes.append(args))
     with pytest.raises(ValidationError, match=f"{value!r}\\)"):
         HORIZON_CALLS[call](value)
+    assert schemes == []
+
+
+# Python-API scalars of the wrong type, each with the value its refusal names.
+MF_LAW = TypeDistribution([(HET2.agents[0], 1.0)])
+WRONG_TYPE_CALLS = {
+    "TimeGrid_t0": (lambda: TimeGrid("0", 2.0, 3), "0"),
+    "TimeGrid_T": (lambda: TimeGrid(0.0, True, 3), True),
+    "NAgentEquilibrium_str": (lambda: NAgentEquilibrium(HET2, HYP, "2"), "2"),
+    "NAgentEquilibrium_bool": (lambda: NAgentEquilibrium(HET2, HYP, True), True),
+    "MeanFieldEquilibrium": (lambda: MeanFieldEquilibrium(MF_LAW, HYP, "2"), "2"),
+    "simulate_paths_horizon": (lambda: simulate_paths(
+        HET2, NAgentEquilibrium(HET2, HYP, T), 0.0, 1.0, "2", SimConfig(8, 0.1, 1)), "2"),
+    "simulate_paths_t0": (lambda: simulate_paths(
+        HET2, NAgentEquilibrium(HET2, HYP, T), "0", 1.0, T, SimConfig(8, 0.1, 1)), "0"),
+    "expected_payoff": (lambda: expected_payoff(
+        HET2, HYP, NAgentEquilibrium(HET2, HYP, T), 0, 0.0, 1.0, "2",
+        SimConfig(8, 0.1, 1)), "2"),
+    "spike_grid": (lambda: spike_grid(
+        HET2, HYP, NAgentEquilibrium(HET2, HYP, T), [0.0], [(1.0, 0.0)], [0.1],
+        SimConfig(8, 0.1, 1), 1.0, "2"), "2"),
+    "fixed_point_nagent": (lambda: fixed_point_nagent(
+        HET2, HYP, GridStrategyN.zeros(GRID, 2), tol="1e-10"), "1e-10"),
+    "fixed_point_mfg": (lambda: fixed_point_mfg(
+        MF_LAW, HYP, MFGridStrategy.zeros(GRID, MF_LAW), tol="1e-10"), "1e-10"),
+    "meanfield_consistency": (lambda: meanfield_consistency(
+        MF_LAW, HYP, 100.5, SimConfig(1, 0.1, 0), 0.0, 1.0, T), 100.5),
+    "mean_wealth_nan": (lambda: MeanFieldEquilibrium(MF_LAW, HYP, T).mean_wealth(
+        GRID, np.nan), np.nan),
+    "mean_wealth_str": (lambda: MeanFieldEquilibrium(MF_LAW, HYP, T).mean_wealth(
+        GRID, "1"), "1"),
+    "average_consumption": (lambda: MeanFieldEquilibrium(MF_LAW, HYP, T).average_consumption(
+        GRID, np.inf), np.inf),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_TYPE_CALLS))
+def test_a_scalar_of_the_wrong_type_is_refused_with_its_value(call, monkeypatch):
+    # a string, a bool, a fractional agent count or a non-finite x0 used to
+    # end in a raw TypeError, or to run as a number
+    schemes = []
+    monkeypatch.setattr(simulate._EulerScheme, "__init__",
+                        lambda self, *args: schemes.append(args))
+    make, value = WRONG_TYPE_CALLS[call]
+    with pytest.raises(ValidationError, match=re.escape(f"(got {value!r})")):
+        make()
     assert schemes == []
 
 
@@ -877,9 +926,9 @@ def reference_meanfield_consistency(dist, discount, m_agents, cfg, t0, x0, horiz
     mu = dist.field("mu")[idx]
     nu = dist.field("nu")[idx]
     sigma = dist.field("sigma")[idx]
-    coef = eq.atom_coefficients[idx]
+    coef = eq.coefficients[idx]
 
-    q_atoms = np.asarray(eq.atom_intercepts(times))
+    q_atoms = np.asarray(eq.intercepts_at(times))
     q_agents = q_atoms[idx]
     e_pi_mu = eq._core.e_mu * (horizon + 1.0 - times)
     e_pi_sig = eq._core.e_sig * (horizon + 1.0 - times)
