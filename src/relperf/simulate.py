@@ -15,8 +15,11 @@ are estimated with common random numbers: a perturbed control changes only
 the deviating agent's own consumption on the spike window and shifts her
 terminal wealth, so the payoff difference is computed path by path from one
 base simulation.  That simulation stops where the longest spike window
-closes: the terminal utility there is its conditional expectation given the
-wealth, priced on the Euler law, and the base payoff is the law's exact one.
+closes, and each window is priced where it closes: the terminal utility
+there is its conditional expectation given the wealth, priced on the Euler
+law, and the base payoff is the law's exact one.  The base simulations of
+all spike times run on one stream of normals, a few times in lockstep per
+pool thread.
 
 A strategy's ``consumption_at`` gives the class form ``(labels, own, off,
 q)``: agent i consumes own[i] X_i + q[i] plus off[labels[i], labels[k]] X_k
@@ -24,7 +27,8 @@ for every other agent k, where off (K, K) holds the slopes between the K
 classes, 0 on the diagonal of a one-agent class.
 
 One scheme, built once per simulation, samples the paths of
-:func:`simulate_paths` and of the payoff simulations.  It steps the (n, N)
+:func:`simulate_paths` and of the payoff simulations, and one sampler loop
+steps any number of schemes in lockstep on one stream.  It steps each (n, N)
 wealth, one row of N paths per agent, a block of paths at a time, in
 block-sized buffers.  Each step draws (N, d) standard normals, one column per
 factor that loads, as :func:`_unit_loading` lays them out.  They are drawn
@@ -35,6 +39,7 @@ same draws as the earlier (N, n+1) stream.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from collections.abc import Sized
 from concurrent.futures import ThreadPoolExecutor
@@ -99,8 +104,9 @@ class SimConfig:
             if not (isinstance(value, numbers.Integral) and value >= low):
                 raise ValidationError(f"sim field {name!r} must be an integer >= {low} "
                                       f"(got {value!r})")
-        if not self.dt > 0:
-            raise ValidationError("sim field 'dt' must be > 0")
+        dt = self.dt
+        if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0 < dt < np.inf:
+            raise ValidationError(f"sim field 'dt' must be a finite number > 0 (got {dt!r})")
         if self.antithetic and self.n_paths % 2:
             raise ValidationError("antithetic sampling needs an even n_paths")
 
@@ -188,17 +194,19 @@ class _EulerScheme:
     One step is X_{k+1} = D_k X_k + b_k + L_k Z, with D_k = I - dt C_k for
     the consumption slopes C_k, b_k = (pi_k mu - q_k) dt and L_k = diag(pi_k)
     unit sqrt(dt), so every X_k is Gaussian and every CARA utility of an
-    affine function of it has a closed expectation.  :meth:`paths` samples
-    the recursion, :meth:`tail` and :meth:`exponents` give its law.  C_k is
+    affine function of it has a closed expectation.  :meth:`lockstep` samples
+    the recursion, :meth:`tails` and :meth:`exponents` give its law.  C_k is
     applied in the class form, so no (n, n) slopes are built.
     """
 
     def __init__(self, pop: Population, strategy, times: np.ndarray, dt: float):
         p = pop._params
-        self.mu, self.dt, self.steps = p["mu"], dt, times.size - 1
+        self.dt, self.steps = dt, times.size - 1
         self.PI = strategy.pi_at(times)  # (steps+1, n)
         self.lab, self.own, self.off, self.q = strategy.consumption_at(times)
+        self.cross = self.off.any(axis=(1, 2))
         self.b = (self.PI * p["mu"] - self.q) * dt
+        self.drift = self.PI * p["mu"] * dt
         self.unit = _unit_loading(p)
         self.order = np.argsort(self.lab, kind="stable")
         self.starts = np.flatnonzero(np.diff(self.lab[self.order], prepend=-1))
@@ -209,61 +217,77 @@ class _EulerScheme:
         where S holds the (K, r) class sums of Y."""
         off = self.off[k].T if transpose else self.off[k]
         out = np.multiply(self.own[k][:, None], Y, out=out)
-        if off.any():
+        if self.cross[k]:
             out += (off @ np.add.reduceat(Y[self.order], self.starts))[self.lab]
             out -= np.diagonal(off)[self.lab][:, None] * Y
         return out
 
-    def paths(self, x0: np.ndarray, cfg: SimConfig, seed_seq=None, stop: int | None = None):
-        """Sampled (n, N) state from x0 to node ``stop`` (the last by default),
-        yielding ``(k, sl, X, c, Z)`` per node and block of paths ``sl``: the
-        wealth (a view) and consumption at ``times[k]``, and the (B, d) normals
-        moving X on, in the columns of ``unit`` (None at ``stop``), negated in
-        place for the mirrored paths of an antithetic run.  Step k loads them by
-        ``unit`` scaled by pi(t_k) and then by sqrt(dt).  Buffers are reused,
-        so copy what must outlive the block."""
-        n, N, dt = x0.size, cfg.n_paths, self.dt
-        stop = self.steps if stop is None else stop
-        sqdt = np.sqrt(dt)
-        drift = self.PI * self.mu * dt
-        load = np.empty_like(self.unit)
+    @staticmethod
+    def lockstep(schemes: Sequence[_EulerScheme], stops: Sequence[int], x0: np.ndarray,
+                 cfg: SimConfig, seed_seq=None):
+        """Sampled (n, N) states of the ``schemes`` from x0, scheme j to node
+        ``stops[j]``, on one stream of normals, yielding ``(j, k, sl, X, c, Z)``
+        per node, block of paths ``sl`` and live scheme j: the wealth (a view)
+        and consumption at node k of scheme j, and the (B, d) normals moving X
+        on, in the columns of ``unit`` (None at the scheme's stop), negated in
+        place for the mirrored paths of an antithetic run.  Each (node, block)
+        of normals is drawn once and steps every scheme still running, so a
+        scheme's paths are bit for bit those it has alone on the stream.  Step k
+        loads them by ``unit`` scaled by pi(t_k) and then by sqrt(dt).  Buffers
+        are reused, so copy what must outlive the block."""
+        n, N = x0.size, cfg.n_paths
+        last = max(stops)
         rng = np.random.default_rng(
             seed_seq if seed_seq is not None else np.random.SeedSequence(cfg.seed))
-        X = np.repeat(x0[:, None], N, axis=1)
+        X = [np.repeat(x0[:, None], N, axis=1) for _ in schemes]
+        loads = [np.empty_like(s.unit) for s in schemes]
         drawn, blocks, B = _blocks(n, cfg)
-        c_buf, dX_buf, Z_buf = np.empty((n, B)), np.empty((n, B)), np.empty((B, load.shape[1]))
-        for k in range(stop + 1):
-            if k == stop:  # the last node takes no step: free the step buffers
+        c_buf, dX_buf = np.empty((n, B)), np.empty((n, B))
+        Z_buf = np.empty((B, schemes[0].unit.shape[1]))
+        for k in range(last + 1):
+            if k == last:  # the last node takes no step: free the step buffers
                 Z_buf = dX_buf = dX = None
-            np.multiply(self.PI[k][:, None], self.unit, out=load)
-            load *= sqdt
+            live = [j for j, stop in enumerate(stops) if k <= stop]
+            for j in live:
+                np.multiply(schemes[j].PI[k][:, None], schemes[j].unit, out=loads[j])
+                loads[j] *= np.sqrt(schemes[j].dt)
             for lo, hi in blocks:
                 b = hi - lo
-                Z = None if k == stop else rng.standard_normal(out=Z_buf[:b])
+                Z = None if k == last else rng.standard_normal(out=Z_buf[:b])
                 for shift in (0, drawn) if cfg.antithetic else (0,):
                     if shift and Z is not None:
                         np.negative(Z, out=Z)
                     sl = slice(shift + lo, shift + hi)
-                    Xs = X[:, sl]
-                    c = self.slopes(k, Xs, out=c_buf[:, :b])
-                    c += self.q[k][:, None]
-                    yield k, sl, Xs, c, Z
-                    if Z is not None:
-                        dX = np.matmul(load, Z.T, out=dX_buf[:, :b])
-                        c *= dt
-                        dX -= c
-                        dX += drift[k][:, None]
-                        Xs += dX
+                    for j in live:
+                        s, Zj = schemes[j], (Z if k < stops[j] else None)
+                        Xs = X[j][:, sl]
+                        c = s.slopes(k, Xs, out=c_buf[:, :b])
+                        c += s.q[k][:, None]
+                        yield j, k, sl, Xs, c, Zj
+                        if Zj is not None:
+                            dX = np.matmul(loads[j], Zj.T, out=dX_buf[:, :b])
+                            c *= s.dt
+                            dX -= c
+                            dX += s.drift[k][:, None]
+                            Xs += dX
+            for j in live:
+                if k == stops[j]:
+                    X[j] = None
 
-    def tail(self, e: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(g, h)`` with E[exp(e X_T) | X_stop] = exp(g X_stop + h) for each
-        row of e: g_k = D_k' g_{k+1}, h_k = h_{k+1} + g_{k+1} b_k + |L_k' g_{k+1}|^2 / 2."""
+    def tails(self, e: np.ndarray, stops) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """``{w: (g, h)}`` with E[exp(e X_T) | X_w] = exp(g X_w + h) for each
+        row of e and each node w of ``stops``, from one backward pass:
+        g_k = D_k' g_{k+1}, h_k = h_{k+1} + g_{k+1} b_k + |L_k' g_{k+1}|^2 / 2."""
         g, h = e.copy(), np.zeros(len(e))
-        for k in range(self.steps - 1, stop - 1, -1):
-            lg = (g * self.PI[k]) @ self.unit  # L_k' g / sqrt(dt)
-            h += g @ self.b[k] + 0.5 * self.dt * np.square(lg).sum(axis=1)
-            g -= self.dt * self.slopes(k, g.T, transpose=True).T
-        return g, h
+        out = {}
+        for k in range(self.steps, min(stops) - 1, -1):
+            if k < self.steps:
+                lg = (g * self.PI[k]) @ self.unit  # L_k' g / sqrt(dt)
+                h += g @ self.b[k] + 0.5 * self.dt * np.square(lg).sum(axis=1)
+                g -= self.dt * self.slopes(k, g.T, transpose=True).T
+            if k in stops:
+                out[k] = g.copy(), h.copy()
+        return out
 
     def exponents(self, e: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """(r, steps + 1) exponents a with E[exp(e c_k)] = exp(a[:, k]) at each
@@ -324,7 +348,8 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     wealth = np.empty((N, rec_idx.size, n))
     cons = np.empty((N, rec_idx.size, n))
 
-    for k, sl, X, c, _ in _EulerScheme(pop, strategy, times, dt).paths(x0, cfg):
+    scheme = _EulerScheme(pop, strategy, times, dt)
+    for _, k, sl, X, c, _ in _EulerScheme.lockstep([scheme], [scheme.steps], x0, cfg):
         j = rec_pos.get(k)
         if j is not None:
             wealth[sl, j, :] = X.T
@@ -352,6 +377,9 @@ def gaussian_moments(pop: Population, strategy, t0: float, x0, times, horizon: f
         raise ValidationError(
             f"gaussian_moments needs an NAgentEquilibrium, got {type(strategy).__name__}: "
             "a sampled profile has no exact law here")
+    if horizon != strategy.horizon:
+        raise ValidationError(f"gaussian_moments needs the strategy's horizon "
+                              f"{strategy.horizon!r} (got {horizon!r})")
     p = pop._params
     x0 = _x0_vector(x0, pop.n)
     query = np.atleast_1d(_check_times(times, t0, horizon))
@@ -371,117 +399,208 @@ class PayoffEstimate:
     n_paths: int
 
 
-class _PayoffSim:
-    """One closed-loop base simulation with the bookkeeping needed to price
-    spike perturbations of the A priced ``agents`` by common random numbers.
-    Per-agent arrays are (A, N), per-spike arrays (E, A, N).
+# Paths whose spike deltas are reduced together, in path order.
+_SUM_CHUNK = 1 << 12
 
-    Without spike windows the paths run to the horizon, and ``run`` plus
-    ``lam_T`` times ``term_u`` is each path's payoff.  With them the paths stop at node w, where the
-    longest window closes: after it a spike changes only the terminal wealth,
-    by an amount known at w, so ``term_u`` is the conditional expectation
-    -E[exp(e X_T) | X_w] of the terminal utility from :meth:`_EulerScheme.tail`,
-    and ``base`` holds the priced agents' expected payoffs from the exact
-    law of the Euler scheme at the same dt."""
+# Most spike times that one lockstep group keeps live.
+_GROUP_TIMES = 4
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Count, mean and sum of squared deviations of two samples pooled."""
+    (na, ma, sa), (nb, mb, sb) = a, b
+    if na == 0:
+        return b
+    n = na + nb
+    d = mb - ma
+    return n, ma + d * (nb / n), sa + sb + d * d * (na * nb / n)
+
+
+class _RowSums:
+    """Means and standard errors of rows of per-path values that arrive a
+    block of paths at a time.  Each half of an antithetic run (else the whole
+    run) is cut into chunks of _SUM_CHUNK paths in path order; each chunk's
+    count, mean and sum of squared deviations merge into its half's in path
+    order, and the halves merge at the end.  So the result does not depend on
+    the blocks."""
+
+    def __init__(self, rows: int, cfg: SimConfig):
+        self.rows = rows
+        self.drawn = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+        self.fill = [0, 0] if cfg.antithetic else [0]
+        self.stats = [(0, np.zeros(rows), np.zeros(rows)) for _ in self.fill]
+        self.carry = None
+
+    def add(self, sl: slice, values: np.ndarray) -> None:
+        """Take the (rows, B) values of the paths ``sl``."""
+        if self.carry is None:
+            self.carry = np.empty((len(self.fill), self.rows, min(_SUM_CHUNK, self.drawn)))
+        h = sl.start // self.drawn
+        buf, pos = self.carry[h], 0
+        while pos < values.shape[1]:
+            fill = self.fill[h]
+            take = min(buf.shape[1] - fill, values.shape[1] - pos)
+            buf[:, fill:fill + take] = values[:, pos:pos + take]
+            self.fill[h], pos = fill + take, pos + take
+            if self.fill[h] == buf.shape[1] or self.stats[h][0] + self.fill[h] == self.drawn:
+                chunk = buf[:, :self.fill[h]]
+                mean = chunk.mean(axis=1)
+                ss = np.square(chunk - mean[:, None]).sum(axis=1)
+                self.stats[h] = _merge(self.stats[h], (chunk.shape[1], mean, ss))
+                self.fill[h] = 0
+        if all(n == self.drawn for n, _, _ in self.stats):
+            self.carry = None
+
+    def mean_se(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's sample mean and its standard error (0 for one path)."""
+        n, mean, ss = functools.reduce(_merge, self.stats)
+        se = np.sqrt(ss / (n - 1)) / np.sqrt(n) if n > 1 else np.zeros(self.rows)
+        return mean, se
+
+
+class _PayoffSim:
+    """One closed-loop base simulation from t0 with the bookkeeping that
+    prices spike perturbations of the A priced ``agents`` in the directions
+    ``vs`` by common random numbers; :func:`_simulate` runs it.  Per-agent
+    arrays are (A, N).
+
+    Without spike windows the paths run to the horizon and ``run`` ends as
+    each path's payoff, terminal utility included.  With them the paths stop
+    where the longest window closes, and each window is priced at its own
+    close, node w: after it a spike changes only the terminal wealth, by an
+    amount known at w, so the terminal utility is its conditional expectation
+    -E[exp(e X_T) | X_w] from :meth:`_EulerScheme.tails`.  There, block by
+    block, the payoff change of every (agent, v) spike folds into the
+    window's :class:`_RowSums`.  ``base`` holds the priced agents' expected
+    payoffs from the exact law of the Euler scheme at the same dt."""
 
     def __init__(self, pop: Population, discount: DiscountFunction, strategy,
                  t0: float, x0, horizon: float, cfg: SimConfig, agents: Sequence[int],
-                 eps_list: Sequence[float] = (), seed_seq=None):
+                 eps_list: Sequence[float] = (), vs: Sequence[tuple[float, float]] = ()):
         n = pop.n
         p = pop._params
-        x0 = _x0_vector(x0, n)
+        self.x0 = _x0_vector(x0, n)
         times, dt, steps = _euler_times(t0, horizon, cfg.dt)
-        self.pop, self.n_clamped = pop, 0
+        self.mu, self.vs, self.n_clamped = p["mu"], vs, 0
         bad = [a for a in agents if not (0 <= a < n and a == int(a))]
         if bad:
             raise ValidationError(f"agent index {bad[0]} out of range for n={n}")
-        priced = np.array(sorted(set(agents)), dtype=int)
-        self.row = {int(a): r for r, a in enumerate(priced)}
+        self.priced = np.array(sorted(set(agents)), dtype=int)
+        self.row = {int(a): r for r, a in enumerate(self.priced)}
 
         # Row r of expo applied to (n, B) values gives agent priced[r]'s
         # exponent; a zero row pads one priced agent to two, since BLAS's
         # vector-matrix routine rounds a path's exponent by its place in a block.
-        N, E, A = cfg.n_paths, len(eps_list), priced.size
+        N, A = cfg.n_paths, self.priced.size
         self.own_coef = -(1.0 - p["theta"] / n) / p["delta"]
-        expo = np.zeros((max(A, 2), n))
-        expo[:A] = (p["theta"] / p["delta"] / n)[priced, None]
-        expo[np.arange(A), priced] = self.own_coef[priced]
+        self.expo = np.zeros((max(A, 2), n))
+        self.expo[:A] = (p["theta"] / p["delta"] / n)[self.priced, None]
+        self.expo[np.arange(A), self.priced] = self.own_coef[self.priced]
 
-        eps_steps = [int(round(eps / dt)) for eps in eps_list]
-        for eps, ks in zip(eps_list, eps_steps):
+        self.eps_steps = [int(round(eps / dt)) for eps in eps_list]
+        for eps, ks in zip(eps_list, self.eps_steps):
             if ks < 1 or ks > steps:
                 raise ValidationError(f"eps={eps} not representable on the Euler grid")
-        self.eps_eff = [ks * dt for ks in eps_steps]
+        self.eps_eff = [ks * dt for ks in self.eps_steps]
 
-        lam_dt = discount.value(times[:-1] - t0) * dt
+        self.lam_dt = discount.value(times[:-1] - t0) * dt
         self.lam_T = float(discount.value(horizon - t0))
 
         # The paths stop where the last spike window closes, if any; at the
         # horizon the tail is the identity.
-        scheme = _EulerScheme(pop, strategy, times, dt)
-        last = max(eps_steps, default=0)
-        stop = last or steps
-        tail, h = scheme.tail(expo, stop)
-        h = h[:A, None]
-        if last:
-            expos = self._clamp(scheme.exponents(expo[:A], x0))
-            self.base = -(np.exp(expos) @ np.append(lam_dt, self.lam_T))
+        self.scheme = scheme = _EulerScheme(pop, strategy, times, dt)
+        self.stop = max(self.eps_steps, default=0) or steps
+        self.tails = {w: (g, h[:A, None]) for w, (g, h)
+                      in scheme.tails(self.expo, set(self.eps_steps) or {steps}).items()}
+        if eps_list:
+            expos = self._clamp(scheme.exponents(self.expo[:A], self.x0))
+            self.base = -(np.exp(expos) @ np.append(self.lam_dt, self.lam_T))
 
         self.run = np.zeros((A, N))
-        expo_buf = np.empty((expo.shape[0], _blocks(n, cfg)[2]))
-        # Per window: the payoff so far and each priced agent's nu dW + sigma dB.
-        self.S, self.noise = np.empty((E, A, N)), np.empty((E, A, N))
-        # Window noise sums, kept only while a spike window is open, and only
-        # of the Z columns that the priced agents load.
-        unit = scheme.unit[priced]
+        self.expo_buf = np.empty((self.expo.shape[0], _blocks(n, cfg)[2]))
+        self.sums = [_RowSums(A * len(vs), cfg) for _ in eps_list]
+        # Window noise sums, only of the Z columns that the priced agents load.
+        unit = scheme.unit[self.priced]
         cols = np.flatnonzero(unit.any(axis=0))
-        take = slice(None) if cols.size == unit.shape[1] else cols
-        unit = unit[:, cols]
-        cumZ = np.zeros((cols.size, N)) if last else None
-        sqdt = np.sqrt(dt)
+        self.take = slice(None) if cols.size == unit.shape[1] else cols
+        self.unit, self.sqdt = unit[:, cols], np.sqrt(dt)
+        self.cumZ = np.zeros((cols.size, N)) if eps_list else None
 
-        for k, sl, X, c, Z in scheme.paths(x0, cfg, seed_seq, stop):
-            prod = expo_buf[:, :X.shape[1]]
-            u = prod[:A]
-            if Z is None:
-                # The last node, where the sampler has freed its step buffers.
-                if sl.start == 0:
-                    cumZ = None
-                    self.term_u = np.empty((A, N))
-                np.matmul(tail, X, out=prod)
+    def visit(self, k: int, sl: slice, X: np.ndarray, c: np.ndarray, Z) -> None:
+        """Node k of the paths ``sl``: price the windows that close there,
+        then add the running utility and the window noise of the step that Z
+        takes; at the horizon, the terminal utility."""
+        for e, ks in enumerate(self.eps_steps):
+            if k == ks:
+                self.sums[e].add(sl, self._deltas(e, *self._window(e, sl, X)))
+        prod = self.expo_buf[:, :X.shape[1]]
+        u = prod[:self.priced.size]
+        if Z is None:
+            if not self.sums:
+                g, h = self.tails[k]
+                np.matmul(g, X, out=prod)
                 u += h
                 np.exp(self._clamp(u), out=u)
-                np.negative(u, out=self.term_u[:, sl])
-                continue
-            np.matmul(expo, c, out=prod)
-            np.exp(self._clamp(u), out=u)
-            u *= -lam_dt[k]
-            self.run[:, sl] += u
-            if last:
-                cumZ[:, sl] += Z[:, take].T
-                for e, ks in enumerate(eps_steps):
-                    if k + 1 == ks:
-                        self.S[e][:, sl] = self.run[:, sl]
-                        self.noise[e][:, sl] = (unit @ cumZ[:, sl]) * sqdt
+                u *= -self.lam_T
+                self.run[:, sl] += u
+            return
+        np.matmul(self.expo, c, out=prod)
+        np.exp(self._clamp(u), out=u)
+        u *= -self.lam_dt[k]
+        self.run[:, sl] += u
+        if self.cumZ is not None:
+            self.cumZ[:, sl] += Z[:, self.take].T
+
+    def _window(self, e: int, sl: slice, X: np.ndarray):
+        """At the close of window e, the priced agents' running payoff, window
+        noise nu dW + sigma dB and terminal utility -E[exp(e X_T) | X_w] on the
+        paths ``sl``, each (A, B)."""
+        g, h = self.tails[self.eps_steps[e]]
+        prod = self.expo_buf[:, :X.shape[1]]
+        np.matmul(g, X, out=prod)
+        term = prod[:self.priced.size]
+        term += h
+        np.exp(self._clamp(term), out=term)
+        np.negative(term, out=term)
+        noise = self.unit @ self.cumZ[:, sl]
+        noise *= self.sqdt
+        return self.run[:, sl], noise, term
+
+    def _deltas(self, e: int, run: np.ndarray, noise: np.ndarray,
+                term: np.ndarray) -> np.ndarray:
+        """Per-path payoff change (CRN-exact) of the spike in each direction v
+        on window e, one row per (priced agent, v)."""
+        eps, V = self.eps_eff[e], len(self.vs)
+        v1, v2 = (np.array([v[i] for v in self.vs])[:, None] for i in (0, 1))
+        out = np.empty((self.priced.size * V, run.shape[1]))
+        for r, agent in enumerate(self.priced):
+            own = self.own_coef[agent]
+            # fac_T, in place of the spike's terminal wealth shift dx
+            fac_T = v1 * noise[r]
+            fac_T += (v1 * self.mu[agent] - v2) * eps
+            fac_T *= own
+            np.expm1(self._clamp(fac_T), out=fac_T)
+            fac_T *= self.lam_T * term[r]
+            rows = np.multiply(run[r], np.expm1(own * v2), out=out[r * V:(r + 1) * V])
+            rows += fac_T
+        return out
 
     def _clamp(self, arg: np.ndarray) -> np.ndarray:
         """Clip exponents to +-EXP_CLAMP in place, counting clipped ones and NaN."""
-        if not (arg.min() >= -EXP_CLAMP and arg.max() <= EXP_CLAMP):
+        if not (np.minimum.reduce(arg, axis=None) >= -EXP_CLAMP
+                and np.maximum.reduce(arg, axis=None) <= EXP_CLAMP):
             clipped = np.clip(arg, -EXP_CLAMP, EXP_CLAMP)
             self.n_clamped += int(np.count_nonzero(clipped != arg))
             arg[...] = clipped
         return arg
 
-    def delta_payoff(self, agent: int, e: int, v: tuple[float, float]) -> np.ndarray:
-        """Per-path payoff change from the spike (CRN-exact)."""
-        p = self.pop._params
-        v1, v2 = v
-        r, own = self.row[agent], self.own_coef[agent]
-        eps = self.eps_eff[e]
-        fac_c = np.expm1(own * v2)
-        dx = (v1 * p["mu"][agent] - v2) * eps + v1 * self.noise[e, r]
-        fac_T = np.expm1(self._clamp(own * dx))
-        return self.S[e, r] * fac_c + self.lam_T * self.term_u[r] * fac_T
+
+def _simulate(sims: Sequence[_PayoffSim], cfg: SimConfig, seed_seq=None) -> None:
+    """Run payoff simulations from one x0 in lockstep on one stream."""
+    for j, k, sl, X, c, Z in _EulerScheme.lockstep(
+            [sim.scheme for sim in sims], [sim.stop for sim in sims], sims[0].x0, cfg,
+            seed_seq):
+        sims[j].visit(k, sl, X, c, Z)
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -503,8 +622,8 @@ def expected_payoff(pop: Population, discount: DiscountFunction, strategy,
         raise ValidationError(f"payoff evaluation requires t0 < horizon (got t0={t0!r}, "
                               f"horizon={horizon!r})")
     sim = _PayoffSim(pop, discount, strategy, t0, x0, horizon, cfg, [agent])
-    j = sim.run[0] + sim.lam_T * sim.term_u[0]
-    return PayoffEstimate(*_mean_se(j), sim.n_clamped, j.size)
+    _simulate([sim], cfg)
+    return PayoffEstimate(*_mean_se(sim.run[0]), sim.n_clamped, cfg.n_paths)
 
 
 @dataclass
@@ -529,18 +648,22 @@ class SpikeResult:
         }
 
 
-def _price_spikes(sim: _PayoffSim, agent: int, time: float, vs, eps_list):
-    """Exact base payoff and one SpikeResult per (v, eps) of agent.  A slope
-    is significant above 3 standard errors plus 1e-2 of the base payoff's size."""
-    base = float(sim.base[sim.row[agent]])
-    tol = 1e-2 * abs(base)
-    rows = []
-    for v in vs:
-        for e, eps in enumerate(eps_list):
-            mean, se = _mean_se(sim.delta_payoff(agent, e, v))
-            slope, se = mean / sim.eps_eff[e], se / sim.eps_eff[e]
-            rows.append(SpikeResult(time, agent, tuple(v), eps, slope, se,
-                                    slope > 3.0 * se + tol))
+def _price_spikes(sim: _PayoffSim, time: float, agents, vs, eps_list):
+    """Exact base payoff of each of ``agents`` and one SpikeResult per
+    (agent, v, eps), in that order.  A slope is significant above 3 standard
+    errors plus 1e-2 of the base payoff's size."""
+    stats = [sums.mean_se() for sums in sim.sums]
+    base, rows = {}, []
+    for a in agents:
+        r = sim.row[a]
+        base[a] = float(sim.base[r])
+        tol = 1e-2 * abs(base[a])
+        for j, v in enumerate(vs):
+            for e, eps in enumerate(eps_list):
+                mean, se = stats[e][0][r * len(vs) + j], stats[e][1][r * len(vs) + j]
+                slope, se = float(mean) / sim.eps_eff[e], float(se) / sim.eps_eff[e]
+                rows.append(SpikeResult(time, a, tuple(v), eps, slope, se,
+                                        slope > 3.0 * se + tol))
     return base, rows
 
 
@@ -575,9 +698,12 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
     """Spike tests over a grid of times, agents, and directions.
 
     One base simulation per time prices every (agent, v, eps) combination by
-    common random numbers.  The per-time simulations run on a small thread
-    pool capped by RELPERF_THREADS and use child seeds spawned from
-    ``cfg.seed``, so results do not depend on scheduling.
+    common random numbers, and every time runs on one stream of normals, the
+    first child seed spawned from ``cfg.seed``.  The times are dealt
+    round-robin to lockstep groups, one per thread of a small pool capped by
+    RELPERF_THREADS but at most _GROUP_TIMES times each; every group draws the
+    stream itself, so a time's rows are those of a one-time call, whatever the
+    thread count or grouping.
     """
     agents = list(range(pop.n)) if agents is None else list(agents)
     for name, values in (("times", times), ("vs", vs), ("agents", agents)):
@@ -600,30 +726,29 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
         raise ValidationError(f"v components must be finite with |v| <= {V_BOUND}")
     if len(eps_list) == 0 or not all(0 < e <= horizon - max(times) + 1e-12 for e in eps_list):
         raise ValidationError("eps values must be > 0 and <= horizon - t")
-    children = np.random.SeedSequence(cfg.seed).spawn(len(times))
+    count = len(times)
+    n_groups = min(count, max(thread_count(upper=count), -(-count // _GROUP_TIMES)))
+    groups = [range(g, count, n_groups) for g in range(n_groups)]
     # NumPy's error state is per thread: pool workers take the caller's.
     errors = np.geterr()
 
-    def run_time(idx: int) -> tuple[list[SpikeResult], dict[int, float], int]:
-        t = times[idx]
-        rows, base = [], {}
+    def run_group(group: range) -> list[tuple[dict[int, float], list[SpikeResult], int]]:
         with np.errstate(**errors):
-            sim = _PayoffSim(pop, discount, strategy, t, x0, horizon, cfg, agents,
-                             eps_list, seed_seq=children[idx])
-            for a in agents:
-                base[a], agent_rows = _price_spikes(sim, a, t, vs, eps_list)
-                rows.extend(agent_rows)
-        return rows, base, sim.n_clamped
+            sims = [_PayoffSim(pop, discount, strategy, times[i], x0, horizon, cfg, agents,
+                               eps_list, vs) for i in group]
+            _simulate(sims, cfg, np.random.SeedSequence(cfg.seed).spawn(1)[0])
+            return [(*_price_spikes(sim, times[i], agents, vs, eps_list), sim.n_clamped)
+                    for i, sim in zip(group, sims)]
 
-    all_rows: list[SpikeResult] = []
-    base_payoffs: dict[float, dict[int, float]] = {}
-    with ThreadPoolExecutor(max_workers=thread_count(upper=len(times))) as pool:
-        outs = list(pool.map(run_time, range(len(times))))
-    for t, (rows, base, _) in zip(times, outs):
-        all_rows.extend(rows)
-        base_payoffs[float(t)] = base
-    return SpikeGridReport(all_rows, not any(r.significant_gain for r in all_rows),
-                           base_payoffs, sum(clamped for _, _, clamped in outs))
+    outs = [None] * count
+    with ThreadPoolExecutor(max_workers=thread_count(upper=count)) as pool:
+        for group, done in zip(groups, pool.map(run_group, groups)):
+            for i, out in zip(group, done):
+                outs[i] = out
+    rows = [row for _, time_rows, _ in outs for row in time_rows]
+    return SpikeGridReport(rows, not any(r.significant_gain for r in rows),
+                           {float(t): base for t, (base, _, _) in zip(times, outs)},
+                           sum(clamped for _, _, clamped in outs))
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -86,6 +87,14 @@ def test_simconfig_validation():
                        ((10, 0.01, -1), "seed"), ((10, 0.01, 1.5), "seed")):
         with pytest.raises(ValidationError, match=f"sim field '{name}'"):
             SimConfig(*args)
+
+
+@pytest.mark.parametrize("dt", ["0.1", True, np.inf, np.nan])
+def test_simconfig_refuses_a_dt_that_is_not_a_finite_number(dt):
+    # a string used to end in a raw TypeError, and a bool or inf was accepted
+    with pytest.raises(ValidationError, match=re.escape(
+            f"sim field 'dt' must be a finite number > 0 (got {dt!r})")):
+        SimConfig(8, dt, 1)
 
 
 # Every entry point that takes x0, called with a given x0.
@@ -245,7 +254,8 @@ def kernel_draws(pop, strategy, t0, cfg):
     times, dt, steps = simulate._euler_times(t0, T, cfg.dt)
     draws = None
     scheme = simulate._EulerScheme(pop, strategy, times, dt)
-    for k, sl, _, _, Z in scheme.paths(np.zeros(pop.n), cfg):
+    for _, k, sl, _, _, Z in simulate._EulerScheme.lockstep([scheme], [steps],
+                                                            np.zeros(pop.n), cfg):
         if Z is not None:
             if draws is None:
                 draws = np.empty((cfg.n_paths, steps, Z.shape[1]))
@@ -386,9 +396,10 @@ def test_spike_delta_matches_two_full_runs():
     eq = NAgentEquilibrium(HET2, HYP, T)
     x0, v = ref_x0(2), (0.7, -0.4)
     base = expected_payoff(HET2, HYP, eq, 0, REF_T0, x0, T, cfg)
-    sim = simulate._PayoffSim(HET2, HYP, eq, REF_T0, x0, T, cfg, [0], [0.1])
-    delta = sim.delta_payoff(0, 0, v)
-    exact, rows = simulate._price_spikes(sim, 0, REF_T0, [v], [0.1])
+    sim = simulate._PayoffSim(HET2, HYP, eq, REF_T0, x0, T, cfg, [0], [0.1], [v])
+    delta = priced_paths(sim, cfg)["delta"][0][0]
+    exact, rows = simulate._price_spikes(sim, REF_T0, [0], [v], [0.1])
+    exact = exact[0]
     assert exact == sim.base[0]
     assert abs(exact - base.value) < 4 * base.std_error
     assert rows[0].slope * 0.1 == pytest.approx(delta.mean(), abs=1e-12)
@@ -606,13 +617,39 @@ def kernel_run(pop, strategy, cfg):
     return bundle, draws, (base.value, base.std_error), spike_run(pop, strategy, cfg)
 
 
+def priced_paths(sim, cfg):
+    """Run ``sim`` alone and gather, per window, what its pricer forms on each
+    path: the priced agents' running payoff, window noise and terminal utility
+    at the window's close, each (A, N), and the CRN deltas, (A len(vs), N)."""
+    E, N = len(sim.eps_steps), cfg.n_paths
+    got = {name: [np.full((rows, N), np.nan) for _ in range(E)] for name, rows in (
+        ("run", sim.priced.size), ("noise", sim.priced.size), ("term", sim.priced.size),
+        ("delta", sim.priced.size * len(sim.vs)))}
+    window, deltas, at = sim._window, sim._deltas, {}
+
+    def spy_window(e, sl, X):
+        at["sl"] = sl
+        return window(e, sl, X)
+
+    def spy_deltas(e, *arrays):
+        out = deltas(e, *arrays)
+        for name, value in zip(("run", "noise", "term", "delta"), (*arrays, out)):
+            got[name][e][:, at["sl"]] = value
+        return out
+
+    sim._window, sim._deltas = spy_window, spy_deltas
+    simulate._simulate([sim], cfg)
+    return got
+
+
 def spike_run(pop, strategy, cfg):
     """Per path, the last agent's window payoff and noise, terminal utility
     at the window's close and payoff change for REFERENCE_SPIKE."""
     agent, (eps, v) = pop.n - 1, REFERENCE_SPIKE
     sim = simulate._PayoffSim(pop, HYP, strategy, REF_T0, ref_x0(pop.n), T, cfg,
-                              [agent], [eps])
-    return sim.S[0, 0], sim.noise[0, 0], sim.term_u[0], sim.delta_payoff(agent, 0, v)
+                              [agent], [eps], [v])
+    got = priced_paths(sim, cfg)
+    return tuple(got[name][0][0] for name in ("run", "noise", "term", "delta"))
 
 
 def assert_matches_reference_loop(pop, strategy, cfg):
@@ -655,6 +692,26 @@ def test_truncated_spike_slopes_match_the_full_path_reference(case):
            - reference_payoff(pop, HYP, strategy, agent, cfg))
     gap = (delta - ref) / spike[0]
     assert abs(gap.mean()) < 4 * gap.std(ddof=1) / np.sqrt(gap.size)
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_truncated_spike_slopes_of_three_windows_match_the_full_path_reference(case):
+    # three windows on one simulation, each priced where it closes, the
+    # longest where the paths stop: every window's slopes agree with the
+    # full-path reference on the same draws within 4 standard errors of
+    # their paired difference
+    pop, make, cfg = REFERENCE_CASES[case]
+    cfg = dataclasses.replace(cfg, n_paths=20_000 if pop.n < 8 else 2_000)
+    strategy, agent, v = make(), pop.n - 1, REFERENCE_SPIKE[1]
+    eps_list = (0.05, 0.2, 0.1)
+    sim = simulate._PayoffSim(pop, HYP, strategy, REF_T0, ref_x0(pop.n), T, cfg,
+                              [agent], eps_list, [v])
+    deltas = priced_paths(sim, cfg)["delta"]
+    base = reference_payoff(pop, HYP, strategy, agent, cfg)
+    for eps, delta in zip(eps_list, deltas):
+        gap = (delta[0] - (reference_payoff(pop, HYP, strategy, agent, cfg, (eps, v))
+                           - base)) / eps
+        assert abs(gap.mean()) < 4 * gap.std(ddof=1) / np.sqrt(gap.size)
 
 
 # Exact base payoffs against expected_payoff's Monte Carlo: (population,
@@ -1252,6 +1309,14 @@ def test_simulate_paths_keeps_one_full_width_state():
     assert peak <= bundle.wealth.nbytes + bundle.consumption.nbytes + 1.5 * 8 * n * N
 
 
+def test_gaussian_moments_refuses_a_horizon_other_than_the_strategys():
+    # a time past the strategy's horizon used to end in the discount's raw
+    # ValueError("log_integral requires t <= T")
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    with pytest.raises(ValidationError, match=r"horizon 2\.0 \(got 3\.0\)"):
+        gaussian_moments(HET2, eq, 0.0, 1.0, [2.5], 3.0)
+
+
 def test_gaussian_moments_refuses_oversized_coefficients():
     # a sampled profile, even one sampled from the closed form, has no exact
     # law and is refused before anything is allocated; the closed form's exact
@@ -1284,6 +1349,111 @@ def test_spike_grid_does_not_depend_on_the_pool(monkeypatch):
                          SimConfig(2_000, 0.02, 9), 1.0, T)
         reports.append(rep.to_dict())
     assert reports[0] == reports[1]
+
+
+def one_time_reports(report):
+    """A spike_grid report's rows and base payoffs, split by time."""
+    full = report.to_dict()
+    return {t: (base, [r for r in full["results"] if str(r["t"]) == t])
+            for t, base in full["base_payoffs"].items()}
+
+
+LOCKSTEP_CASES = {
+    "closed_form": (HET2, lambda: NAgentEquilibrium(HET2, HYP, T)),
+    "cross_coupled": (TRIO, cross_coupled_strategy),
+}
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_each_time_of_a_grid_gets_the_rows_of_a_one_time_call(case, antithetic, monkeypatch):
+    # every time runs on the same stream of normals, so its rows and base
+    # payoff are those of a spike_grid call on that time alone, whatever the
+    # pool size, the grouping of the times or the path blocks
+    pop, make = LOCKSTEP_CASES[case]
+    strategy, times = make(), [0.5, 1.0, 1.5]
+    cfg = SimConfig(202, 0.02, 21, antithetic)
+    args = ([(1, 0), (-1, 1)], [0.1, 0.04, 0.3], cfg, ref_x0(pop.n), T)
+    alone = {}
+    for t in times:
+        alone.update(one_time_reports(spike_grid(pop, HYP, strategy, [t], *args)))
+    assert len(alone) == 3 and all(len(rows) == 2 * pop.n * 3 for _, rows in alone.values())
+    whole = simulate._BLOCK_ELEMENTS
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RELPERF_THREADS", threads)
+        for elements in (whole, 5 * (3 * pop.n + 1)):
+            monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", elements)
+            assert one_time_reports(spike_grid(pop, HYP, strategy, times, *args)) == alone
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_spike_rows_are_the_mean_and_error_of_the_priced_deltas(antithetic, monkeypatch):
+    # each row folds its per-path deltas in chunks of paths; the slope and
+    # its error are the mean and standard error of those deltas, as the
+    # full-array estimator gave them, to 1e-12 (7-path chunks and ragged
+    # blocks, so chunks straddle the blocks)
+    monkeypatch.setattr(simulate, "_SUM_CHUNK", 7)
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 5 * (3 * HET2.n + 1))
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    cfg, vs, eps_list = SimConfig(202, 0.02, 19, antithetic), [(1, 0), (-1, 1)], [0.1, 0.04]
+    sim = simulate._PayoffSim(HET2, HYP, eq, REF_T0, ref_x0(2), T, cfg, [1, 0], eps_list, vs)
+    deltas = priced_paths(sim, cfg)["delta"]
+    _, rows = simulate._price_spikes(sim, REF_T0, [1, 0], vs, eps_list)
+    for row in rows:
+        e = eps_list.index(row.eps)
+        mean, se = simulate._mean_se(
+            deltas[e][sim.row[row.agent] * len(vs) + vs.index(row.v)])
+        assert row.slope * sim.eps_eff[e] == pytest.approx(mean, rel=1e-12)
+        assert row.std_error * sim.eps_eff[e] == pytest.approx(se, rel=1e-12)
+
+
+def test_spike_workload_peak_stays_under_the_window_arrays_it_dropped(monkeypatch):
+    # the benchmark's spike op: three times on two pool threads in two
+    # lockstep groups; each live time keeps its wealth, running payoff and
+    # window noise sums (4.8 MB), where a time's (E, A, N) window arrays and
+    # terminal utility used to lift the op to 32 MB; it peaks near 21 MB
+    monkeypatch.setenv("RELPERF_THREADS", "2")
+    eq = NAgentEquilibrium(SPIKE_PAIR, HYP, T)
+    vs = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+    rep, peak = traced_peak(spike_grid, SPIKE_PAIR, HYP, eq, [1.625, 1.75, 1.875], vs,
+                            (0.1, 0.05, 0.025), SimConfig(100_000, 1e-3, 7), 10.0, T)
+    assert len(rep.results) == 108 and rep.passed
+    assert peak < 25e6
+
+
+def test_twenty_times_keep_at_most_four_live(monkeypatch):
+    # 20 times on one thread run as five lockstep groups of four, one after
+    # the other: four live times take about 20 MB, all twenty would take 96 MB
+    groups = []
+    run = simulate._simulate
+
+    def spy(sims, *args):
+        groups.append(len(sims))
+        return run(sims, *args)
+
+    monkeypatch.setattr(simulate, "_simulate", spy)
+    monkeypatch.setenv("RELPERF_THREADS", "1")
+    eq = NAgentEquilibrium(SPIKE_PAIR, HYP, T)
+    times = np.linspace(0.0, 1.9, 20)
+    rep, peak = traced_peak(spike_grid, SPIKE_PAIR, HYP, eq, times, [(1, 0)], [0.1],
+                            SimConfig(100_000, 0.0125, 3), 10.0, T)
+    assert len(rep.results) == 40
+    assert groups == [4] * 5
+    assert peak < 28e6
+
+
+def test_a_worker_error_reaches_the_caller_and_stops_the_pool(monkeypatch):
+    # at x0 = -1e4 every utility exponent clamps at +700, and the squared
+    # deviations of the spike deltas overflow: raised in a pool worker under
+    # the caller's error state, the error reaches the caller and no worker
+    # thread outlives the call
+    monkeypatch.setattr(simulate, "thread_count", lambda upper=None: 2)
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    before = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        spike_grid(HET2, HYP, eq, [0.5, 1.0, 1.5], [(1, 0)], [0.1], SimConfig(20, 0.05, 3),
+                   -1e4, T)
+    assert threading.active_count() == before
 
 
 def test_spike_grid_workers_take_the_callers_error_state(monkeypatch):
