@@ -524,7 +524,7 @@ class _PayoffSim:
         cols = np.flatnonzero(unit.any(axis=0))
         self.take = slice(None) if cols.size == unit.shape[1] else cols
         self.unit, self.sqdt = unit[:, cols], np.sqrt(dt)
-        self.cumZ = np.zeros((cols.size, N)) if eps_list else None
+        self.cumZ = np.zeros((N, cols.size)) if eps_list else None
 
     def visit(self, k: int, sl: slice, X: np.ndarray, c: np.ndarray, Z) -> None:
         """Node k of the paths ``sl``: price the windows that close there,
@@ -549,7 +549,7 @@ class _PayoffSim:
         u *= -self.lam_dt[k]
         self.run[:, sl] += u
         if self.cumZ is not None:
-            self.cumZ[:, sl] += Z[:, self.take].T
+            self.cumZ[sl] += Z[:, self.take]
 
     def _window(self, e: int, sl: slice, X: np.ndarray):
         """At the close of window e, the priced agents' running payoff, window
@@ -562,7 +562,7 @@ class _PayoffSim:
         term += h
         np.exp(self._clamp(term), out=term)
         np.negative(term, out=term)
-        noise = self.unit @ self.cumZ[:, sl]
+        noise = self.unit @ self.cumZ[sl].T
         noise *= self.sqdt
         return self.run[:, sl], noise, term
 
