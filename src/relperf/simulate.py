@@ -660,8 +660,8 @@ def _price_spikes(sim: _PayoffSim, time: float, agents, vs, eps_list):
         tol = 1e-2 * abs(base[a])
         for j, v in enumerate(vs):
             for e, eps in enumerate(eps_list):
-                mean, se = stats[e][0][r * len(vs) + j], stats[e][1][r * len(vs) + j]
-                slope, se = float(mean) / sim.eps_eff[e], float(se) / sim.eps_eff[e]
+                mean, se = (float(stat[r * len(vs) + j]) for stat in stats[e])
+                slope, se = mean / sim.eps_eff[e], se / sim.eps_eff[e]
                 rows.append(SpikeResult(time, a, tuple(v), eps, slope, se,
                                         slope > 3.0 * se + tol))
     return base, rows
