@@ -17,9 +17,7 @@ terminal wealth, so the payoff difference is computed path by path from one
 base simulation.  That simulation stops where the longest spike window
 closes, and each window is priced where it closes: the terminal utility
 there is its conditional expectation given the wealth, priced on the Euler
-law, and the base payoff is the law's exact one.  The base simulations of
-all spike times run on one stream of normals, a few times in lockstep per
-pool thread.
+law, and the base payoff is the law's exact one.
 
 A strategy's ``consumption_at`` gives the class form ``(labels, own, off,
 q)``: agent i consumes own[i] X_i + q[i] plus off[labels[i], labels[k]] X_k
@@ -28,19 +26,21 @@ classes, 0 on the diagonal of a one-agent class.
 
 One scheme, built once per simulation, samples the paths of
 :func:`simulate_paths` and of the payoff simulations, and one sampler loop
-steps any number of schemes in lockstep on one stream.  It steps each (n, N)
-wealth, one row of N paths per agent, a block of paths at a time, in
-block-sized buffers.  Each step draws (N, d) standard normals, one column per
-factor that loads, as :func:`_unit_loading` lays them out.  They are drawn
-block by block in stream order and negated in the second half for
-antithetic runs.  When every factor loads, d = n + 1 and a seed gives the
-same draws as the earlier (N, n+1) stream.
+steps any number of schemes in lockstep on one chunk of paths.  Every
+sampler cuts its paths into chunks of a fixed width, whatever the thread
+count, and chunk i draws from substream i of ``SeedSequence(seed)``: each
+step, (B, d) standard normals, one column per factor that loads, as
+:func:`_unit_loading` lays them out, negated for the mirrored paths of an
+antithetic run.  Pool threads take whole chunks; each chunk reduces its
+per-path values to counts, means and sums of squared deviations, which
+merge in chunk order, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
-import functools
+import copy
 import numbers
+from collections import deque
 from collections.abc import Sized
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -81,9 +81,12 @@ MAX_BUNDLE_BYTES = 2 * 2**30
 # Evenly spaced Euler nodes at which meanfield_consistency reports its gaps.
 MF_CHECKPOINTS = 9
 
-# Elements of the Euler kernel's block buffers, 3n + 1 a path (c, dX and at
-# most n + 1 normals in Z).
-_BLOCK_ELEMENTS = 1 << 17
+# Elements of a path chunk's buffers, 3n + 1 a path (c, dX and at most n + 1
+# normals in Z): 16384 paths a chunk at n = 2.
+_BLOCK_ELEMENTS = 7 << 14
+
+# Most spike times that step in lockstep on one chunk's draws at a time.
+_GROUP_TIMES = 4
 
 # Rows that export_paths_csv formats in one block.
 _CSV_BLOCK_ROWS = 1 << 16
@@ -104,6 +107,9 @@ class SimConfig:
             if not (isinstance(value, numbers.Integral) and value >= low):
                 raise ValidationError(f"sim field {name!r} must be an integer >= {low} "
                                       f"(got {value!r})")
+        if self.n_paths > 2**45:
+            raise ValidationError(f"sim field 'n_paths' must be at most 2**45, one double a "
+                                  f"path in a 2**48-byte address space (got {self.n_paths!r})")
         dt = self.dt
         if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0 < dt < np.inf:
             raise ValidationError(f"sim field 'dt' must be a finite number > 0 (got {dt!r})")
@@ -166,16 +172,42 @@ def _x0_vector(x0, n: int) -> np.ndarray:
     return x0
 
 
-def _blocks(n: int, cfg: SimConfig) -> tuple[int, list[tuple[int, int]], int]:
-    """Paths drawn per Euler step (half for antithetic runs), the ``(lo, hi)``
-    blocks of about _BLOCK_ELEMENTS buffer elements that cover them, and the widest.
-    Blocks hold two paths or more (a lone last path joins the one before): on
-    one path the products would take BLAS routines that round differently."""
-    drawn = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+def _chunks(n: int, cfg: SimConfig):
+    """``(chunk, drawn, paths)`` of each chunk in order: its index, the count
+    of paths it draws, and the paths of its state's columns, those of an
+    antithetic run's mirrors (path n_paths/2 + p mirrors p) after them.  A
+    chunk draws about _BLOCK_ELEMENTS // (3n + 1) paths, and two or more (a
+    lone last path joins the chunk before): on one path the products would
+    take BLAS routines that round differently."""
+    total = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     width = max(2, _BLOCK_ELEMENTS // (3 * n + 1))
-    edges = list(range(0, max(drawn - 1, 1), width)) + [drawn]
-    blocks = list(zip(edges[:-1], edges[1:]))
-    return drawn, blocks, max(hi - lo for lo, hi in blocks)
+    count = max(1, -(-(total - 1) // width))
+    for chunk in range(count):
+        lo = chunk * width
+        paths = np.arange(lo, total if chunk == count - 1 else lo + width)
+        yield chunk, paths.size, np.append(paths, paths + total) if cfg.antithetic else paths
+
+
+def _pooled(run, n: int, cfg: SimConfig):
+    """``run(chunk, drawn, paths)`` of every chunk of :func:`_chunks`, yielded
+    in chunk order.  Threads of a pool capped by RELPERF_THREADS take whole
+    chunks, a few ahead of the caller, under the caller's NumPy error state
+    (it is per thread); a worker's error reaches the caller."""
+    errors = np.geterr()
+
+    def task(chunk):
+        with np.errstate(**errors):
+            return run(*chunk)
+
+    threads = thread_count()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        ahead = deque()
+        for chunk in _chunks(n, cfg):
+            ahead.append(pool.submit(task, chunk))
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def _unit_loading(p) -> np.ndarray:
@@ -224,52 +256,43 @@ class _EulerScheme:
 
     @staticmethod
     def lockstep(schemes: Sequence[_EulerScheme], stops: Sequence[int], x0: np.ndarray,
-                 cfg: SimConfig, seed_seq=None):
-        """Sampled (n, N) states of the ``schemes`` from x0, scheme j to node
-        ``stops[j]``, on one stream of normals, yielding ``(j, k, sl, X, c, Z)``
-        per node, block of paths ``sl`` and live scheme j: the wealth (a view)
-        and consumption at node k of scheme j, and the (B, d) normals moving X
-        on, in the columns of ``unit`` (None at the scheme's stop), negated in
-        place for the mirrored paths of an antithetic run.  Each (node, block)
-        of normals is drawn once and steps every scheme still running, so a
-        scheme's paths are bit for bit those it has alone on the stream.  Step k
-        loads them by ``unit`` scaled by pi(t_k) and then by sqrt(dt).  Buffers
-        are reused, so copy what must outlive the block."""
-        n, N = x0.size, cfg.n_paths
+                 cfg: SimConfig, chunk: int, drawn: int):
+        """Sampled (n, B) states of the ``schemes`` from x0 on the B paths of
+        a chunk that draws ``drawn`` (B = 2 drawn if antithetic), scheme j to
+        node ``stops[j]``, yielding ``(j, k, X, c, Z)`` per node and live
+        scheme j: its wealth and consumption at node k and the (B, d) normals
+        moving X on, in the columns of ``unit`` (None at the scheme's stop),
+        from substream ``chunk`` of ``cfg.seed``, negated for the mirrors.
+        Each step's normals step every scheme still running, so a scheme's
+        paths are bit for bit those it has alone.  Step k loads them by
+        ``unit`` scaled by pi(t_k) and then by sqrt(dt).  Buffers are reused,
+        so copy what must outlive the node."""
+        n, B = x0.size, 2 * drawn if cfg.antithetic else drawn
         last = max(stops)
-        rng = np.random.default_rng(
-            seed_seq if seed_seq is not None else np.random.SeedSequence(cfg.seed))
-        X = [np.repeat(x0[:, None], N, axis=1) for _ in schemes]
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(chunk,)))
+        X = [np.repeat(x0[:, None], B, axis=1) for _ in schemes]
         loads = [np.empty_like(s.unit) for s in schemes]
-        drawn, blocks, B = _blocks(n, cfg)
-        c_buf, dX_buf = np.empty((n, B)), np.empty((n, B))
-        Z_buf = np.empty((B, schemes[0].unit.shape[1]))
+        c, dX = np.empty((n, B)), np.empty((n, B))
+        Z = np.empty((B, schemes[0].unit.shape[1]))
         for k in range(last + 1):
-            if k == last:  # the last node takes no step: free the step buffers
-                Z_buf = dX_buf = dX = None
+            if k < last:
+                rng.standard_normal(out=Z[:drawn])
+                if cfg.antithetic:
+                    np.negative(Z[:drawn], out=Z[drawn:])
             live = [j for j, stop in enumerate(stops) if k <= stop]
             for j in live:
-                np.multiply(schemes[j].PI[k][:, None], schemes[j].unit, out=loads[j])
-                loads[j] *= np.sqrt(schemes[j].dt)
-            for lo, hi in blocks:
-                b = hi - lo
-                Z = None if k == last else rng.standard_normal(out=Z_buf[:b])
-                for shift in (0, drawn) if cfg.antithetic else (0,):
-                    if shift and Z is not None:
-                        np.negative(Z, out=Z)
-                    sl = slice(shift + lo, shift + hi)
-                    for j in live:
-                        s, Zj = schemes[j], (Z if k < stops[j] else None)
-                        Xs = X[j][:, sl]
-                        c = s.slopes(k, Xs, out=c_buf[:, :b])
-                        c += s.q[k][:, None]
-                        yield j, k, sl, Xs, c, Zj
-                        if Zj is not None:
-                            dX = np.matmul(loads[j], Zj.T, out=dX_buf[:, :b])
-                            c *= s.dt
-                            dX -= c
-                            dX += s.drift[k][:, None]
-                            Xs += dX
+                s, Zj = schemes[j], (Z if k < stops[j] else None)
+                s.slopes(k, X[j], out=c)
+                c += s.q[k][:, None]
+                yield j, k, X[j], c, Zj
+                if Zj is not None:
+                    np.multiply(s.PI[k][:, None], s.unit, out=loads[j])
+                    loads[j] *= np.sqrt(s.dt)
+                    np.matmul(loads[j], Zj.T, out=dX)
+                    c *= s.dt
+                    dX -= c
+                    dX += s.drift[k][:, None]
+                    X[j] += dX
             for j in live:
                 if k == stops[j]:
                     X[j] = None
@@ -349,11 +372,17 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     cons = np.empty((N, rec_idx.size, n))
 
     scheme = _EulerScheme(pop, strategy, times, dt)
-    for _, k, sl, X, c, _ in _EulerScheme.lockstep([scheme], [scheme.steps], x0, cfg):
-        j = rec_pos.get(k)
-        if j is not None:
-            wealth[sl, j, :] = X.T
-            cons[sl, j, :] = c.T
+
+    def record(chunk: int, drawn: int, paths: np.ndarray) -> None:
+        for _, k, X, c, _ in _EulerScheme.lockstep([scheme], [scheme.steps], x0, cfg,
+                                                    chunk, drawn):
+            j = rec_pos.get(k)
+            if j is not None:
+                wealth[paths, j, :] = X.T
+                cons[paths, j, :] = c.T
+
+    for _ in _pooled(record, n, cfg):
+        pass
 
     return PathBundle(times=times[rec_idx], wealth=wealth, consumption=cons,
                       seed=cfg.seed)
@@ -399,13 +428,6 @@ class PayoffEstimate:
     n_paths: int
 
 
-# Paths whose spike deltas are reduced together, in path order.
-_SUM_CHUNK = 1 << 12
-
-# Most spike times that one lockstep group keeps live.
-_GROUP_TIMES = 4
-
-
 def _merge(a: tuple, b: tuple) -> tuple:
     """Count, mean and sum of squared deviations of two samples pooled."""
     (na, ma, sa), (nb, mb, sb) = a, b
@@ -416,63 +438,29 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return n, ma + d * (nb / n), sa + sb + d * d * (na * nb / n)
 
 
-class _RowSums:
-    """Means and standard errors of rows of per-path values that arrive a
-    block of paths at a time.  Each half of an antithetic run (else the whole
-    run) is cut into chunks of _SUM_CHUNK paths in path order; each chunk's
-    count, mean and sum of squared deviations merge into its half's in path
-    order, and the halves merge at the end.  So the result does not depend on
-    the blocks."""
-
-    def __init__(self, rows: int, cfg: SimConfig):
-        self.rows = rows
-        self.drawn = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-        self.fill = [0, 0] if cfg.antithetic else [0]
-        self.stats = [(0, np.zeros(rows), np.zeros(rows)) for _ in self.fill]
-        self.carry = None
-
-    def add(self, sl: slice, values: np.ndarray) -> None:
-        """Take the (rows, B) values of the paths ``sl``."""
-        if self.carry is None:
-            self.carry = np.empty((len(self.fill), self.rows, min(_SUM_CHUNK, self.drawn)))
-        h = sl.start // self.drawn
-        buf, pos = self.carry[h], 0
-        while pos < values.shape[1]:
-            fill = self.fill[h]
-            take = min(buf.shape[1] - fill, values.shape[1] - pos)
-            buf[:, fill:fill + take] = values[:, pos:pos + take]
-            self.fill[h], pos = fill + take, pos + take
-            if self.fill[h] == buf.shape[1] or self.stats[h][0] + self.fill[h] == self.drawn:
-                chunk = buf[:, :self.fill[h]]
-                mean = chunk.mean(axis=1)
-                ss = np.square(chunk - mean[:, None]).sum(axis=1)
-                self.stats[h] = _merge(self.stats[h], (chunk.shape[1], mean, ss))
-                self.fill[h] = 0
-        if all(n == self.drawn for n, _, _ in self.stats):
-            self.carry = None
-
-    def mean_se(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's sample mean and its standard error (0 for one path)."""
-        n, mean, ss = functools.reduce(_merge, self.stats)
-        se = np.sqrt(ss / (n - 1)) / np.sqrt(n) if n > 1 else np.zeros(self.rows)
-        return mean, se
+def _moments(values: np.ndarray) -> tuple:
+    """Count, mean and sum of squared deviations of each row of (R, B) values."""
+    mean = values.mean(axis=1)
+    return values.shape[1], mean, np.square(values - mean[:, None]).sum(axis=1)
 
 
 class _PayoffSim:
     """One closed-loop base simulation from t0 with the bookkeeping that
     prices spike perturbations of the A priced ``agents`` in the directions
-    ``vs`` by common random numbers; :func:`_simulate` runs it.  Per-agent
-    arrays are (A, N).
+    ``vs`` by common random numbers.  It holds what every chunk of paths
+    shares, read-only; :meth:`on_paths` gives a chunk its own state, and
+    :func:`_simulate` runs chunks.  Per-agent arrays are (A, B) on a chunk's
+    B paths.
 
     Without spike windows the paths run to the horizon and ``run`` ends as
     each path's payoff, terminal utility included.  With them the paths stop
     where the longest window closes, and each window is priced at its own
     close, node w: after it a spike changes only the terminal wealth, by an
     amount known at w, so the terminal utility is its conditional expectation
-    -E[exp(e X_T) | X_w] from :meth:`_EulerScheme.tails`.  There, block by
-    block, the payoff change of every (agent, v) spike folds into the
-    window's :class:`_RowSums`.  ``base`` holds the priced agents' expected
-    payoffs from the exact law of the Euler scheme at the same dt."""
+    -E[exp(e X_T) | X_w] from :meth:`_EulerScheme.tails`.  There the payoff
+    change of every (agent, v) spike reduces to the chunk's moments of the
+    window's rows.  ``base`` holds the priced agents' expected payoffs from
+    the exact law of the Euler scheme at the same dt."""
 
     def __init__(self, pop: Population, discount: DiscountFunction, strategy,
                  t0: float, x0, horizon: float, cfg: SimConfig, agents: Sequence[int],
@@ -490,8 +478,8 @@ class _PayoffSim:
 
         # Row r of expo applied to (n, B) values gives agent priced[r]'s
         # exponent; a zero row pads one priced agent to two, since BLAS's
-        # vector-matrix routine rounds a path's exponent by its place in a block.
-        N, A = cfg.n_paths, self.priced.size
+        # vector-matrix routine rounds a path's exponent by its place in a chunk.
+        A = self.priced.size
         self.own_coef = -(1.0 - p["theta"] / n) / p["delta"]
         self.expo = np.zeros((max(A, 2), n))
         self.expo[:A] = (p["theta"] / p["delta"] / n)[self.priced, None]
@@ -516,55 +504,62 @@ class _PayoffSim:
             expos = self._clamp(scheme.exponents(self.expo[:A], self.x0))
             self.base = -(np.exp(expos) @ np.append(self.lam_dt, self.lam_T))
 
-        self.run = np.zeros((A, N))
-        self.expo_buf = np.empty((self.expo.shape[0], _blocks(n, cfg)[2]))
-        self.sums = [_RowSums(A * len(vs), cfg) for _ in eps_list]
         # Window noise sums, only of the Z columns that the priced agents load.
         unit = scheme.unit[self.priced]
         cols = np.flatnonzero(unit.any(axis=0))
         self.take = slice(None) if cols.size == unit.shape[1] else cols
         self.unit, self.sqdt = unit[:, cols], np.sqrt(dt)
-        self.cumZ = np.zeros((N, cols.size)) if eps_list else None
 
-    def visit(self, k: int, sl: slice, X: np.ndarray, c: np.ndarray, Z) -> None:
-        """Node k of the paths ``sl``: price the windows that close there,
-        then add the running utility and the window noise of the step that Z
-        takes; at the horizon, the terminal utility."""
+    def on_paths(self, width: int) -> _PayoffSim:
+        """The simulation with its own state for the ``width`` paths of one
+        chunk, and ``rows``: :meth:`visit` fills them with the moments of
+        each window's deltas (without windows, of the payoffs)."""
+        sim = copy.copy(self)
+        sim.n_clamped = 0
+        sim.run = np.zeros((self.priced.size, width))
+        sim.expo_buf = np.empty((self.expo.shape[0], width))
+        sim.cumZ = np.zeros((width, self.unit.shape[1])) if self.eps_steps else None
+        sim.rows = [None] * max(1, len(self.eps_steps))
+        return sim
+
+    def visit(self, k: int, X: np.ndarray, c: np.ndarray, Z) -> None:
+        """Node k of the chunk: price the windows that close there, then add
+        the running utility and the window noise of the step that Z takes; at
+        the horizon, the terminal utility."""
         for e, ks in enumerate(self.eps_steps):
             if k == ks:
-                self.sums[e].add(sl, self._deltas(e, *self._window(e, sl, X)))
-        prod = self.expo_buf[:, :X.shape[1]]
-        u = prod[:self.priced.size]
+                self.rows[e] = _moments(self._deltas(e, *self._window(e, X)))
+        u = self.expo_buf[:self.priced.size]
         if Z is None:
-            if not self.sums:
+            if not self.eps_steps:
                 g, h = self.tails[k]
-                np.matmul(g, X, out=prod)
+                np.matmul(g, X, out=self.expo_buf)
                 u += h
                 np.exp(self._clamp(u), out=u)
                 u *= -self.lam_T
-                self.run[:, sl] += u
+                self.run += u
+                self.rows[0] = _moments(self.run)
             return
-        np.matmul(self.expo, c, out=prod)
+        np.matmul(self.expo, c, out=self.expo_buf)
         np.exp(self._clamp(u), out=u)
         u *= -self.lam_dt[k]
-        self.run[:, sl] += u
+        self.run += u
         if self.cumZ is not None:
-            self.cumZ[sl] += Z[:, self.take]
+            self.cumZ += Z[:, self.take]
 
-    def _window(self, e: int, sl: slice, X: np.ndarray):
+    def _window(self, e: int, X: np.ndarray):
         """At the close of window e, the priced agents' running payoff, window
         noise nu dW + sigma dB and terminal utility -E[exp(e X_T) | X_w] on the
-        paths ``sl``, each (A, B)."""
+        chunk's paths, each (A, B)."""
         g, h = self.tails[self.eps_steps[e]]
-        prod = self.expo_buf[:, :X.shape[1]]
-        np.matmul(g, X, out=prod)
-        term = prod[:self.priced.size]
+        np.matmul(g, X, out=self.expo_buf)
+        term = self.expo_buf[:self.priced.size]
         term += h
         np.exp(self._clamp(term), out=term)
         np.negative(term, out=term)
-        noise = self.unit @ self.cumZ[sl].T
+        noise = self.unit @ self.cumZ.T
         noise *= self.sqdt
-        return self.run[:, sl], noise, term
+        return self.run, noise, term
 
     def _deltas(self, e: int, run: np.ndarray, noise: np.ndarray,
                 term: np.ndarray) -> np.ndarray:
@@ -595,18 +590,35 @@ class _PayoffSim:
         return arg
 
 
-def _simulate(sims: Sequence[_PayoffSim], cfg: SimConfig, seed_seq=None) -> None:
-    """Run payoff simulations from one x0 in lockstep on one stream."""
-    for j, k, sl, X, c, Z in _EulerScheme.lockstep(
+def _simulate(sims: Sequence[_PayoffSim], cfg: SimConfig, chunk: int, drawn: int) -> None:
+    """Run the chunk states ``sims`` of payoff simulations from one x0 in
+    lockstep on the draws of chunk ``chunk``."""
+    for j, k, X, c, Z in _EulerScheme.lockstep(
             [sim.scheme for sim in sims], [sim.stop for sim in sims], sims[0].x0, cfg,
-            seed_seq):
-        sims[j].visit(k, sl, X, c, Z)
+            chunk, drawn):
+        sims[j].visit(k, X, c, Z)
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error; the error of one sample is 0."""
-    se = values.std(ddof=1) / np.sqrt(values.size) if values.size > 1 else 0.0
-    return float(values.mean()), float(se)
+def _payoff_rows(sims: Sequence[_PayoffSim], cfg: SimConfig):
+    """Each mean and standard error (0 for one path) of the rows of the
+    payoff simulations ``sims``, one after another, from their moments merged
+    over the chunks of paths in chunk order, and the exponents that the
+    chunks clamped.  On each chunk, groups of at most _GROUP_TIMES
+    simulations run in turn, each in lockstep on the chunk's draws."""
+    def run(chunk: int, drawn: int, paths: np.ndarray) -> tuple[tuple, int]:
+        done = []
+        for g in range(0, len(sims), _GROUP_TIMES):
+            group = [sim.on_paths(paths.size) for sim in sims[g:g + _GROUP_TIMES]]
+            _simulate(group, cfg, chunk, drawn)
+            done += group
+        rows = [row for sim in done for row in sim.rows]
+        return ((paths.size, *(np.concatenate([row[i] for row in rows]) for i in (1, 2))),
+                sum(sim.n_clamped for sim in done))
+
+    (n, mean, ss), clamped = (0, None, None), 0
+    for part, n_clamped in _pooled(run, sims[0].x0.size, cfg):
+        (n, mean, ss), clamped = _merge((n, mean, ss), part), clamped + n_clamped
+    return mean, np.sqrt(ss / (n - 1)) / np.sqrt(n) if n > 1 else np.zeros_like(mean), clamped
 
 
 def expected_payoff(pop: Population, discount: DiscountFunction, strategy,
@@ -622,8 +634,8 @@ def expected_payoff(pop: Population, discount: DiscountFunction, strategy,
         raise ValidationError(f"payoff evaluation requires t0 < horizon (got t0={t0!r}, "
                               f"horizon={horizon!r})")
     sim = _PayoffSim(pop, discount, strategy, t0, x0, horizon, cfg, [agent])
-    _simulate([sim], cfg)
-    return PayoffEstimate(*_mean_se(sim.run[0]), sim.n_clamped, cfg.n_paths)
+    (value,), (se,), clamped = _payoff_rows([sim], cfg)
+    return PayoffEstimate(float(value), float(se), clamped, cfg.n_paths)
 
 
 @dataclass
@@ -646,25 +658,6 @@ class SpikeResult:
             "se": self.std_error,
             "significant_gain": self.significant_gain,
         }
-
-
-def _price_spikes(sim: _PayoffSim, time: float, agents, vs, eps_list):
-    """Exact base payoff of each of ``agents`` and one SpikeResult per
-    (agent, v, eps), in that order.  A slope is significant above 3 standard
-    errors plus 1e-2 of the base payoff's size."""
-    stats = [sums.mean_se() for sums in sim.sums]
-    base, rows = {}, []
-    for a in agents:
-        r = sim.row[a]
-        base[a] = float(sim.base[r])
-        tol = 1e-2 * abs(base[a])
-        for j, v in enumerate(vs):
-            for e, eps in enumerate(eps_list):
-                mean, se = (float(stat[r * len(vs) + j]) for stat in stats[e])
-                slope, se = mean / sim.eps_eff[e], se / sim.eps_eff[e]
-                rows.append(SpikeResult(time, a, tuple(v), eps, slope, se,
-                                        slope > 3.0 * se + tol))
-    return base, rows
 
 
 @dataclass
@@ -698,12 +691,9 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
     """Spike tests over a grid of times, agents, and directions.
 
     One base simulation per time prices every (agent, v, eps) combination by
-    common random numbers, and every time runs on one stream of normals, the
-    first child seed spawned from ``cfg.seed``.  The times are dealt
-    round-robin to lockstep groups, one per thread of a small pool capped by
-    RELPERF_THREADS but at most _GROUP_TIMES times each; every group draws the
-    stream itself, so a time's rows are those of a one-time call, whatever the
-    thread count or grouping.
+    common random numbers, and every time runs on the same draws: on each
+    chunk of paths the times step in lockstep, at most _GROUP_TIMES at once,
+    so a time's rows are those of a one-time call, whatever the thread count.
     """
     agents = list(range(pop.n)) if agents is None else list(agents)
     for name, values in (("times", times), ("vs", vs), ("agents", agents)):
@@ -726,29 +716,24 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
         raise ValidationError(f"v components must be finite with |v| <= {V_BOUND}")
     if len(eps_list) == 0 or not all(0 < e <= horizon - max(times) + 1e-12 for e in eps_list):
         raise ValidationError("eps values must be > 0 and <= horizon - t")
-    count = len(times)
-    n_groups = min(count, max(thread_count(upper=count), -(-count // _GROUP_TIMES)))
-    groups = [range(g, count, n_groups) for g in range(n_groups)]
-    # NumPy's error state is per thread: pool workers take the caller's.
-    errors = np.geterr()
-
-    def run_group(group: range) -> list[tuple[dict[int, float], list[SpikeResult], int]]:
-        with np.errstate(**errors):
-            sims = [_PayoffSim(pop, discount, strategy, times[i], x0, horizon, cfg, agents,
-                               eps_list, vs) for i in group]
-            _simulate(sims, cfg, np.random.SeedSequence(cfg.seed).spawn(1)[0])
-            return [(*_price_spikes(sim, times[i], agents, vs, eps_list), sim.n_clamped)
-                    for i, sim in zip(group, sims)]
-
-    outs = [None] * count
-    with ThreadPoolExecutor(max_workers=thread_count(upper=count)) as pool:
-        for group, done in zip(groups, pool.map(run_group, groups)):
-            for i, out in zip(group, done):
-                outs[i] = out
-    rows = [row for _, time_rows, _ in outs for row in time_rows]
-    return SpikeGridReport(rows, not any(r.significant_gain for r in rows),
-                           {float(t): base for t, (base, _, _) in zip(times, outs)},
-                           sum(clamped for _, _, clamped in outs))
+    sims = [_PayoffSim(pop, discount, strategy, t, x0, horizon, cfg, agents, eps_list, vs)
+            for t in times]
+    *stats, clamped = _payoff_rows(sims, cfg)
+    mean, se = (x.reshape(len(times), len(eps_list), len(agents), len(vs)) for x in stats)
+    # Per time, the exact base payoff of each agent, then one row per (agent,
+    # v, eps), significant above 3 standard errors plus 1e-2 of the base's size.
+    rows, bases = [], {}
+    for i, (t, sim) in enumerate(zip(times, sims)):
+        bases[t] = {a: float(sim.base[sim.row[a]]) for a in agents}
+        for a in agents:
+            for j, v in enumerate(vs):
+                for e, eps in enumerate(eps_list):
+                    slope, err = (float(x[i, e, sim.row[a], j]) / sim.eps_eff[e]
+                                  for x in (mean, se))
+                    rows.append(SpikeResult(t, a, tuple(v), eps, slope, err,
+                                            slope > 3.0 * err + 1e-2 * abs(bases[t][a])))
+        clamped += sim.n_clamped
+    return SpikeGridReport(rows, not any(r.significant_gain for r in rows), bases, clamped)
 
 
 @dataclass

@@ -164,14 +164,16 @@ def test_simulate_checkpoints_past_the_euler_nodes_cost_nothing(tmp_path):
                                                      ("spike-test", "sim", "n_paths")])
 def test_sizes_past_the_address_space_are_validation_errors(command, section, field,
                                                             tmp_path, capsys):
-    # 7.1 PiB of grid times, 14.2 PiB of payoff paths: refused at once
+    # 7.1 PiB of grid times, 7.1 PiB of one double a path: refused at once
+    message = {"equilibrium": "Unable to allocate",
+               "spike-test": "sim field 'n_paths' must be at most 2**45"}[command]
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps(TWO_AGENT_SINGLE_STOCK | {
         section: dict(TWO_AGENT_SINGLE_STOCK[section], **{field: 10**15})}))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
     assert not out.exists()
 
 

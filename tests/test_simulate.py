@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import re
+import sys
 import threading
 import tracemalloc
 
@@ -78,6 +79,10 @@ def merton_ignoring_competition(pop, d, grid=GRID):
 def test_simconfig_validation():
     with pytest.raises(ValidationError):
         SimConfig(0, 0.01, 1)
+    # one double a path past the address space: refused before any chunk
+    with pytest.raises(ValidationError, match=r"at most 2\*\*45"):
+        SimConfig(2**45 + 2, 0.01, 1)
+    assert SimConfig(2**45, 0.01, 1).n_paths == 2**45
     with pytest.raises(ValidationError):
         SimConfig(10, 0.0, 1)
     with pytest.raises(ValidationError):
@@ -249,17 +254,16 @@ def test_dt_larger_than_horizon_rejected():
 
 
 def kernel_draws(pop, strategy, t0, cfg):
-    """The standard normals that the Euler sampler draws from t0 to T, as
-    (n_paths, steps, d): one column per noise factor that loads."""
+    """The standard normals that the Euler sampler draws from t0 to T, chunk
+    by chunk, as (n_paths, steps, d): one column per noise factor that loads."""
     times, dt, steps = simulate._euler_times(t0, T, cfg.dt)
-    draws = None
     scheme = simulate._EulerScheme(pop, strategy, times, dt)
-    for _, k, sl, _, _, Z in simulate._EulerScheme.lockstep([scheme], [steps],
-                                                            np.zeros(pop.n), cfg):
-        if Z is not None:
-            if draws is None:
-                draws = np.empty((cfg.n_paths, steps, Z.shape[1]))
-            draws[sl, k] = Z
+    draws = np.empty((cfg.n_paths, steps, scheme.unit.shape[1]))
+    for chunk, drawn, paths in simulate._chunks(pop.n, cfg):
+        for _, k, _, _, Z in simulate._EulerScheme.lockstep([scheme], [steps], np.zeros(pop.n),
+                                                            cfg, chunk, drawn):
+            if Z is not None:
+                draws[paths, k] = Z
     return draws
 
 
@@ -289,12 +293,13 @@ def test_antithetic_runs_mirror_every_stored_column(pop):
 
 
 def test_a_population_where_every_factor_loads_keeps_the_full_stream():
-    # (N, n + 1) normals a step, n idiosyncratic then the common one
+    # (N, n + 1) normals a step, n idiosyncratic then the common one, from
+    # the substream of the one chunk
     N, n, seed = 20, ALL_LOAD.n, 31
     cfg = SimConfig(N, 0.1, seed)
     draws = kernel_draws(ALL_LOAD, NAgentEquilibrium(ALL_LOAD, HYP, T), 0.0, cfg)
     steps = draws.shape[1]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     want = np.stack([rng.standard_normal((N, n + 1)) for _ in range(steps)], axis=1)
     assert np.array_equal(draws, want)
 
@@ -386,24 +391,28 @@ def test_expected_payoff_deterministic_case():
     assert est.n_clamped == 0
 
 
+def full_mean_se(values):
+    """Mean and standard error of per-path values, from the whole array."""
+    return values.mean(), values.std(ddof=1) / np.sqrt(values.size)
+
+
 def test_spike_delta_matches_two_full_runs():
     # the CRN slope times eps is the mean payoff change of its simulation,
     # and matches the perturbed payoff less the base payoff of two full
     # reference runs on the same draws in paired standard errors; the base is
-    # the exact law's, and expected_payoff's full run lands within 4 SE of it.
-    # spike_grid's pricing runs here on cfg.seed itself, not on a child seed
+    # the exact law's, and expected_payoff's full run lands within 4 SE of it
     cfg = SimConfig(2_000, 0.01, 17)
     eq = NAgentEquilibrium(HET2, HYP, T)
     x0, v = ref_x0(2), (0.7, -0.4)
     base = expected_payoff(HET2, HYP, eq, 0, REF_T0, x0, T, cfg)
     sim = simulate._PayoffSim(HET2, HYP, eq, REF_T0, x0, T, cfg, [0], [0.1], [v])
     delta = priced_paths(sim, cfg)["delta"][0][0]
-    exact, rows = simulate._price_spikes(sim, REF_T0, [0], [v], [0.1])
-    exact = exact[0]
+    rep = spike_grid(HET2, HYP, eq, [REF_T0], [v], [0.1], cfg, x0, T, agents=[0])
+    exact, row = rep.base_payoffs[REF_T0][0], rep.results[0]
     assert exact == sim.base[0]
     assert abs(exact - base.value) < 4 * base.std_error
-    assert rows[0].slope * 0.1 == pytest.approx(delta.mean(), abs=1e-12)
-    assert rows[0].std_error * 0.1 == pytest.approx(simulate._mean_se(delta)[1], abs=1e-12)
+    assert row.slope * 0.1 == pytest.approx(delta.mean(), abs=1e-12)
+    assert row.std_error * 0.1 == pytest.approx(full_mean_se(delta)[1], abs=1e-12)
     gap = delta - (reference_payoff(HET2, HYP, eq, 0, cfg, (0.1, v))
                    - reference_payoff(HET2, HYP, eq, 0, cfg))
     assert abs(gap.mean()) < 4 * gap.std(ddof=1) / np.sqrt(gap.size)
@@ -470,31 +479,32 @@ def reference_paths(pop, strategy, cfg):
     times[-1] = T
     PI = strategy.pi_at(times)
     P, q = dense_consumption(strategy, times)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    # one column per factor that loads: W_i where nu_i != 0, then B if any
+    # sigma_i != 0; a factor that does not load gets zeros.  Chunk i draws
+    # its paths step by step from substream i, mirrored after them when
+    # antithetic.
+    cols = [*np.flatnonzero(nu != 0), *[n] * bool(np.any(sigma != 0))]
+    draws = np.empty((N, steps, len(cols)))
+    for chunk, drawn, paths in simulate._chunks(n, cfg):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(chunk + 1)[chunk])
+        for k in range(steps):
+            half = rng.standard_normal((drawn, len(cols)))
+            draws[paths, k] = np.concatenate([half, -half]) if cfg.antithetic else half
     X = np.tile(ref_x0(n), (N, 1))
-    xs, cs, zs, draws = [], [], [], []
+    xs, cs, zs = [], [], []
     for k in range(steps + 1):
         c = X @ P[k].T + q[k]
         xs.append(X)
         cs.append(c)
         if k == steps:
             break
-        # one column per factor that loads: W_i where nu_i != 0, then B if
-        # any sigma_i != 0; a factor that does not load gets zeros
-        cols = [*np.flatnonzero(nu != 0), *[n] * bool(np.any(sigma != 0))]
-        if cfg.antithetic:
-            half = rng.standard_normal((N // 2, len(cols)))
-            drawn = np.concatenate([half, -half])
-        else:
-            drawn = rng.standard_normal((N, len(cols)))
-        draws.append(drawn)
         Z = np.zeros((N, n + 1))
-        Z[:, cols] = drawn
+        Z[:, cols] = draws[:, k]
         zs.append(Z)
         dW, dB = Z[:, :n] * np.sqrt(dt), Z[:, n:] * np.sqrt(dt)
         X = X + (PI[k] * mu - c) * dt + PI[k] * nu * dW + PI[k] * sigma * dB
     return (times, dt, PI, np.stack(xs, axis=1), np.stack(cs, axis=1),
-            np.stack(zs, axis=1) * np.sqrt(dt), np.stack(draws, axis=1))
+            np.stack(zs, axis=1) * np.sqrt(dt), draws)
 
 
 def reference_utility(pop, agent, y):
@@ -618,27 +628,27 @@ def kernel_run(pop, strategy, cfg):
 
 
 def priced_paths(sim, cfg):
-    """Run ``sim`` alone and gather, per window, what its pricer forms on each
-    path: the priced agents' running payoff, window noise and terminal utility
-    at the window's close, each (A, N), and the CRN deltas, (A len(vs), N)."""
-    E, N = len(sim.eps_steps), cfg.n_paths
+    """Run ``sim`` alone, chunk by chunk, and gather, per window, what its
+    pricer forms on each path: the priced agents' running payoff, window noise
+    and terminal utility at the window's close, each (A, N), and the CRN
+    deltas, (A len(vs), N); and as "payoff" the (A, N) running payoffs where
+    the paths stop, each path's payoff for a simulation without windows."""
+    E, N, A = len(sim.eps_steps), cfg.n_paths, sim.priced.size
     got = {name: [np.full((rows, N), np.nan) for _ in range(E)] for name, rows in (
-        ("run", sim.priced.size), ("noise", sim.priced.size), ("term", sim.priced.size),
-        ("delta", sim.priced.size * len(sim.vs)))}
-    window, deltas, at = sim._window, sim._deltas, {}
+        ("run", A), ("noise", A), ("term", A), ("delta", A * len(sim.vs)))}
+    got["payoff"] = np.full((A, N), np.nan)
+    for chunk, drawn, paths in simulate._chunks(sim.x0.size, cfg):
+        part = sim.on_paths(paths.size)
 
-    def spy_window(e, sl, X):
-        at["sl"] = sl
-        return window(e, sl, X)
+        def spy_deltas(e, *arrays, deltas=part._deltas, paths=paths):
+            out = deltas(e, *arrays)
+            for name, value in zip(("run", "noise", "term", "delta"), (*arrays, out)):
+                got[name][e][:, paths] = value
+            return out
 
-    def spy_deltas(e, *arrays):
-        out = deltas(e, *arrays)
-        for name, value in zip(("run", "noise", "term", "delta"), (*arrays, out)):
-            got[name][e][:, at["sl"]] = value
-        return out
-
-    sim._window, sim._deltas = spy_window, spy_deltas
-    simulate._simulate([sim], cfg)
+        part._deltas = spy_deltas
+        simulate._simulate([part], cfg, chunk, drawn)
+        got["payoff"][:, paths] = part.run
     return got
 
 
@@ -753,50 +763,35 @@ def test_exact_base_payoff_of_zero_controls():
     assert rep.n_clamped == 0
 
 
-def block_widths(pop, cfg):
-    return [hi - lo for lo, hi in simulate._blocks(pop.n, cfg)[1]]
+def chunk_widths(pop, cfg):
+    return [drawn for _, drawn, _ in simulate._chunks(pop.n, cfg)]
 
 
-# Paths a block: 5 divides neither the 48 paths of a reference case nor the
-# 24 drawn for its antithetic run; 1 gives the smallest block, two paths.
+# Paths a chunk: 5 divides neither the 48 paths of a reference case nor the
+# 24 drawn for its antithetic run; 1 gives the smallest chunk, two paths.
 BLOCK_PATHS = {"ragged": 5, "smallest": 1}
 
 
 @pytest.mark.parametrize("block", sorted(BLOCK_PATHS))
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_path_blocks_leave_the_kernel_unchanged(case, block, monkeypatch):
+    # cut into ragged or two-path chunks, each on its own substream, the
+    # drawn paths lie in order and the mirrored ones of an antithetic run
+    # after them, and the kernel matches the reference loop on those draws
     pop, make, cfg = REFERENCE_CASES[case]
-    strategy = make()
-    assert len(block_widths(pop, cfg)) == 1
-    bundle, draws, estimate, spike = kernel_run(pop, strategy, cfg)
+    assert len(chunk_widths(pop, cfg)) == 1
     monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", BLOCK_PATHS[block] * (3 * pop.n + 1))
-    widths = block_widths(pop, cfg)
+    widths = chunk_widths(pop, cfg)
     assert set(widths[:-1]) == {max(2, BLOCK_PATHS[block])} and 2 <= widths[-1] <= 5
-    if pop.n > 7:
-        # a BLAS product may group its sums differently at this size
-        assert_matches_reference_loop(pop, strategy, cfg)
-        return
-    blocked, blocked_draws, blocked_estimate, blocked_spike = kernel_run(pop, strategy, cfg)
-    assert np.array_equal(blocked_draws, draws)
-    for name in ("wealth", "consumption"):
-        assert np.array_equal(getattr(blocked, name), getattr(bundle, name))
-    assert blocked_estimate == estimate
-    for got, want in zip(blocked_spike, spike):
-        assert np.array_equal(got, want)
-
-
-def test_path_blocks_leave_spike_grid_unchanged(monkeypatch):
-    eq = NAgentEquilibrium(HET2, HYP, T)
-    args = ([0.5, 1.5], [(1, 0), (-1, 1)], [0.1, 0.04])
-    for antithetic in (False, True):
-        cfg = SimConfig(202, 0.02, 19, antithetic)
-        whole = spike_grid(HET2, HYP, eq, *args, cfg, 1.0, T).to_dict()
-        # 202 paths, or the 101 drawn for an antithetic run, in blocks of 10
-        # or of two paths; a lone last path joins the block before it
-        for paths, last in ((10, 11 if antithetic else 2), (1, 3 if antithetic else 2)):
-            monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", paths * (3 * HET2.n + 1))
-            assert block_widths(HET2, cfg)[-1] == last
-            assert spike_grid(HET2, HYP, eq, *args, cfg, 1.0, T).to_dict() == whole
+    total = sum(widths)
+    assert total == (cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths)
+    drawn_paths = []
+    for _, drawn, paths in simulate._chunks(pop.n, cfg):
+        mirrored = paths[drawn:]
+        assert np.array_equal(mirrored, paths[:drawn] + total if cfg.antithetic else [])
+        drawn_paths.append(paths[:drawn])
+    assert np.array_equal(np.concatenate(drawn_paths), np.arange(total))
+    assert_matches_reference_loop(pop, make(), cfg)
 
 
 def test_one_path_spike_errors_are_finite_and_shared():
@@ -1367,9 +1362,9 @@ LOCKSTEP_CASES = {
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
 def test_each_time_of_a_grid_gets_the_rows_of_a_one_time_call(case, antithetic, monkeypatch):
-    # every time runs on the same stream of normals, so its rows and base
-    # payoff are those of a spike_grid call on that time alone, whatever the
-    # pool size, the grouping of the times or the path blocks
+    # every time runs on the same draws, so its rows and base payoff are
+    # those of a spike_grid call on that time alone, whatever the pool size,
+    # on one chunk of paths or on ragged 5-path chunks
     pop, make = LOCKSTEP_CASES[case]
     strategy, times = make(), [0.5, 1.0, 1.5]
     cfg = SimConfig(202, 0.02, 21, antithetic)
@@ -1378,40 +1373,49 @@ def test_each_time_of_a_grid_gets_the_rows_of_a_one_time_call(case, antithetic, 
     for t in times:
         alone.update(one_time_reports(spike_grid(pop, HYP, strategy, [t], *args)))
     assert len(alone) == 3 and all(len(rows) == 2 * pop.n * 3 for _, rows in alone.values())
-    whole = simulate._BLOCK_ELEMENTS
-    for threads in ("1", "2"):
-        monkeypatch.setenv("RELPERF_THREADS", threads)
-        for elements in (whole, 5 * (3 * pop.n + 1)):
-            monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", elements)
+    for elements in (simulate._BLOCK_ELEMENTS, 5 * (3 * pop.n + 1)):
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", elements)
+        alone = {}
+        for t in times:
+            alone.update(one_time_reports(spike_grid(pop, HYP, strategy, [t], *args)))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RELPERF_THREADS", threads)
             assert one_time_reports(spike_grid(pop, HYP, strategy, times, *args)) == alone
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_spike_rows_are_the_mean_and_error_of_the_priced_deltas(antithetic, monkeypatch):
-    # each row folds its per-path deltas in chunks of paths; the slope and
-    # its error are the mean and standard error of those deltas, as the
-    # full-array estimator gave them, to 1e-12 (7-path chunks and ragged
-    # blocks, so chunks straddle the blocks)
-    monkeypatch.setattr(simulate, "_SUM_CHUNK", 7)
-    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 5 * (3 * HET2.n + 1))
+    # each chunk of paths reduces its per-path values to their moments, and
+    # the chunks merge in order; a spike row's slope and error, and
+    # expected_payoff's value and error, are the mean and standard error of
+    # the per-path deltas and payoffs, as the full-array estimator gave them,
+    # to 1e-12 (7-path chunks, the last one ragged)
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 7 * (3 * HET2.n + 1))
     eq = NAgentEquilibrium(HET2, HYP, T)
     cfg, vs, eps_list = SimConfig(202, 0.02, 19, antithetic), [(1, 0), (-1, 1)], [0.1, 0.04]
+    assert set(chunk_widths(HET2, cfg)[:-1]) == {7} and chunk_widths(HET2, cfg)[-1] < 7
     sim = simulate._PayoffSim(HET2, HYP, eq, REF_T0, ref_x0(2), T, cfg, [1, 0], eps_list, vs)
     deltas = priced_paths(sim, cfg)["delta"]
-    _, rows = simulate._price_spikes(sim, REF_T0, [1, 0], vs, eps_list)
+    rows = spike_grid(HET2, HYP, eq, [REF_T0], vs, eps_list, cfg, ref_x0(2), T,
+                      agents=[1, 0]).results
     for row in rows:
         e = eps_list.index(row.eps)
-        mean, se = simulate._mean_se(
-            deltas[e][sim.row[row.agent] * len(vs) + vs.index(row.v)])
+        mean, se = full_mean_se(deltas[e][sim.row[row.agent] * len(vs) + vs.index(row.v)])
         assert row.slope * sim.eps_eff[e] == pytest.approx(mean, rel=1e-12)
         assert row.std_error * sim.eps_eff[e] == pytest.approx(se, rel=1e-12)
+    for agent in (1, 0):
+        est = expected_payoff(HET2, HYP, eq, agent, REF_T0, ref_x0(2), T, cfg)
+        payoff = priced_paths(simulate._PayoffSim(HET2, HYP, eq, REF_T0, ref_x0(2), T, cfg,
+                                                  [agent]), cfg)["payoff"][0]
+        mean, se = full_mean_se(payoff)
+        assert est.value == pytest.approx(mean, rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-12)
 
 
 def test_spike_workload_peak_stays_under_the_window_arrays_it_dropped(monkeypatch):
-    # the benchmark's spike op: three times on two pool threads in two
-    # lockstep groups; each live time keeps its wealth, running payoff and
-    # window noise sums (4.8 MB), where a time's (E, A, N) window arrays and
-    # terminal utility used to lift the op to 32 MB; it peaks near 21 MB
+    # the benchmark's spike op: three times in lockstep on each chunk of
+    # paths, two chunks at once on two pool threads; a time's (E, A, N)
+    # window arrays and terminal utility used to lift the op to 32 MB
     monkeypatch.setenv("RELPERF_THREADS", "2")
     eq = NAgentEquilibrium(SPIKE_PAIR, HYP, T)
     vs = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
@@ -1422,8 +1426,9 @@ def test_spike_workload_peak_stays_under_the_window_arrays_it_dropped(monkeypatc
 
 
 def test_twenty_times_keep_at_most_four_live(monkeypatch):
-    # 20 times on one thread run as five lockstep groups of four, one after
-    # the other: four live times take about 20 MB, all twenty would take 96 MB
+    # 20 times on one thread run, on each chunk of paths, as five lockstep
+    # groups of four, one after the other: at most four times are live on a
+    # chunk, where all twenty at full width would take 96 MB
     groups = []
     run = simulate._simulate
 
@@ -1438,43 +1443,90 @@ def test_twenty_times_keep_at_most_four_live(monkeypatch):
     rep, peak = traced_peak(spike_grid, SPIKE_PAIR, HYP, eq, times, [(1, 0)], [0.1],
                             SimConfig(100_000, 0.0125, 3), 10.0, T)
     assert len(rep.results) == 40
-    assert groups == [4] * 5
+    assert groups == [4] * 5 * len(chunk_widths(SPIKE_PAIR, SimConfig(100_000, 0.0125, 3)))
     assert peak < 28e6
 
 
 def test_a_worker_error_reaches_the_caller_and_stops_the_pool(monkeypatch):
     # at x0 = -1e4 every utility exponent clamps at +700, and the squared
-    # deviations of the spike deltas overflow: raised in a pool worker under
-    # the caller's error state, the error reaches the caller and no worker
-    # thread outlives the call
+    # deviations of the spike deltas and of the payoffs overflow: raised in a
+    # pool worker under the caller's error state, the error reaches the
+    # caller and no worker thread outlives the call
     monkeypatch.setattr(simulate, "thread_count", lambda upper=None: 2)
     eq = NAgentEquilibrium(HET2, HYP, T)
     before = threading.active_count()
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        spike_grid(HET2, HYP, eq, [0.5, 1.0, 1.5], [(1, 0)], [0.1], SimConfig(20, 0.05, 3),
-                   -1e4, T)
-    assert threading.active_count() == before
+    calls = (
+        lambda: spike_grid(HET2, HYP, eq, [0.5, 1.0, 1.5], [(1, 0)], [0.1],
+                           SimConfig(20, 0.05, 3), -1e4, T),
+        lambda: expected_payoff(HET2, HYP, eq, 0, 0.5, -1e4, T, SimConfig(20, 0.05, 3)),
+    )
+    for call in calls:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            call()
+        assert threading.active_count() == before
 
 
 def test_spike_grid_workers_take_the_callers_error_state(monkeypatch):
-    # NumPy's error state is per thread, so the pool workers must enter the
-    # caller's: relperf's commands raise on overflow
+    # NumPy's error state is per thread, so the pool workers that step every
+    # sampler's chunks must enter the caller's: relperf's commands raise on
+    # overflow
     seen = []
+    lockstep = simulate._EulerScheme.lockstep
 
-    class Spy(simulate._PayoffSim):
-        def __init__(self, *args, **kwargs):
-            seen.append(np.geterr()["over"])
-            super().__init__(*args, **kwargs)
+    def spy(*args):
+        seen.append(np.geterr()["over"])
+        yield from lockstep(*args)
 
-    monkeypatch.setattr(simulate, "_PayoffSim", Spy)
+    monkeypatch.setattr(simulate._EulerScheme, "lockstep", spy)
     monkeypatch.setattr(simulate, "thread_count", lambda upper=None: 2)
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 5 * (3 * HET2.n + 1))
     eq = NAgentEquilibrium(HET2, HYP, T)
-    for times in ([0.5, 1.0], [0.5]):
+    cfg = SimConfig(20, 0.05, 3)
+    calls = (
+        lambda: spike_grid(HET2, HYP, eq, [0.5, 1.0], [(1, 0)], [0.1], cfg, 1.0, T),
+        lambda: spike_grid(HET2, HYP, eq, [0.5], [(1, 0)], [0.1], cfg, 1.0, T),
+        lambda: expected_payoff(HET2, HYP, eq, 0, 0.5, 1.0, T, cfg),
+        lambda: simulate_paths(HET2, eq, 0.5, 1.0, T, cfg),
+    )
+    for call in calls:
         seen.clear()
         with np.errstate(over="raise"):
-            spike_grid(HET2, HYP, eq, times, [(1, 0)], [0.1], SimConfig(20, 0.05, 3),
-                       1.0, T)
-        assert seen == ["raise"] * len(times)
+            call()
+        assert seen == ["raise"] * len(chunk_widths(HET2, cfg)) == ["raise"] * 4
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_samplers_do_not_depend_on_the_pool(antithetic, monkeypatch):
+    # on ragged 5-path chunks, path bundles, payoff estimates and spike
+    # reports are the same at one and two pool threads, and at six threads,
+    # more than the cores, switching every microsecond; the lone last path
+    # of the 101 drawn for an antithetic run joins the chunk before it
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 5 * (3 * HET2.n + 1))
+    eq = NAgentEquilibrium(HET2, HYP, T)
+    cfg = SimConfig(202, 0.02, 9, antithetic)
+    assert chunk_widths(HET2, cfg)[-1] == (6 if antithetic else 2)
+
+    def run():
+        bundle = simulate_paths(HET2, eq, 0.5, 1.0, T, cfg, record_times=[0.5, 1.0, T])
+        return (bundle.wealth, bundle.consumption,
+                expected_payoff(HET2, HYP, eq, 1, 0.5, 1.0, T, cfg),
+                spike_grid(HET2, HYP, eq, [0.5, 1.5], [(1, 0)], [0.1], cfg, 1.0, T).to_dict())
+
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RELPERF_THREADS", threads)
+        outs.append(run())
+    monkeypatch.setattr(simulate, "thread_count", lambda upper=None: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outs.append(run())
+    finally:
+        sys.setswitchinterval(interval)
+    (wealth, cons, est, rep), *others = outs
+    for other in others:
+        assert np.array_equal(other[0], wealth) and np.array_equal(other[1], cons)
+        assert other[2:] == (est, rep)
 
 
 def test_thread_count_respects_env(monkeypatch):
