@@ -81,8 +81,10 @@ MAX_BUNDLE_BYTES = 2 * 2**30
 # Evenly spaced Euler nodes at which meanfield_consistency reports its gaps.
 MF_CHECKPOINTS = 9
 
-# Elements of a path chunk's buffers, 3n + 1 a path (c, dX and at most n + 1
-# normals in Z): 16384 paths a chunk at n = 2.
+# Elements of a path chunk's buffers.  A chunk draws _BLOCK_ELEMENTS // (3n + 1)
+# paths, 16384 at n = 2; the divisor is kept as it is because the chunk width
+# fixes which paths each seed's substreams draw.  Node blocks of the exact law
+# stay within it too.
 _BLOCK_ELEMENTS = 7 << 14
 
 # Most spike times that step in lockstep on one chunk's draws at a time.
@@ -219,6 +221,19 @@ def _unit_loading(p) -> np.ndarray:
     return unit[:, unit.any(axis=0)]
 
 
+def _scan(a: np.ndarray, u: np.ndarray):
+    """Prefix compositions of the elementwise affine maps y -> a[k] y + u[k],
+    k = 0, 1, ...: ``(A, U)`` with y_{k+1} = A[k] y_0 + U[k], by doubling
+    (log2 of the length passes, no division)."""
+    a, u = a.copy(), u.copy()
+    s = 1
+    while s < len(a):
+        u[s:] += a[s:] * u[:-s]
+        a[s:] *= a[:-s]
+        s *= 2
+    return a, u
+
+
 class _EulerScheme:
     """Euler-Maruyama scheme of the closed-loop wealth on ``times``, and its
     exact law.
@@ -228,7 +243,8 @@ class _EulerScheme:
     unit sqrt(dt), so every X_k is Gaussian and every CARA utility of an
     affine function of it has a closed expectation.  :meth:`lockstep` samples
     the recursion, :meth:`tails` and :meth:`exponents` give its law.  C_k is
-    applied in the class form, so no (n, n) slopes are built.
+    applied in the class form, so no (n, n) slopes are built; at a node
+    without cross slopes D_k is the diagonal ``decay`` 1 - dt own_k.
     """
 
     def __init__(self, pop: Population, strategy, times: np.ndarray, dt: float):
@@ -237,8 +253,9 @@ class _EulerScheme:
         self.PI = strategy.pi_at(times)  # (steps+1, n)
         self.lab, self.own, self.off, self.q = strategy.consumption_at(times)
         self.cross = self.off.any(axis=(1, 2))
+        self.decay = 1.0 - dt * self.own
         self.b = (self.PI * p["mu"] - self.q) * dt
-        self.drift = self.PI * p["mu"] * dt
+        self.pi_sqdt = self.PI * np.sqrt(dt)
         self.unit = _unit_loading(p)
         self.order = np.argsort(self.lab, kind="stable")
         self.starts = np.flatnonzero(np.diff(self.lab[self.order], prepend=-1))
@@ -254,45 +271,68 @@ class _EulerScheme:
             out -= np.diagonal(off)[self.lab][:, None] * Y
         return out
 
+    def utility_rows(self, e: np.ndarray, lo: int, hi: int):
+        """``(F, s)`` with e c_k = F[k - lo] X_k + s[k - lo] for the rows of e
+        at the nodes lo <= k < hi: the (hi - lo, r, n) rows e C_k and the
+        (hi - lo, r) intercepts e q_k."""
+        F = e * self.own[lo:hi, None, :]
+        for k in lo + np.flatnonzero(self.cross[lo:hi]):
+            F[k - lo] = self.slopes(k, e.T, transpose=True).T
+        return F, self.q[lo:hi] @ e.T
+
+    def _runs(self, lo: int, hi: int, rows: int):
+        """``[a, b)`` node ranges that cover lo..hi in order: each node with
+        cross slopes alone, the others in runs whose (b - a, n, n + rows)
+        arrays stay within _BLOCK_ELEMENTS."""
+        n = self.own.shape[1]
+        width = max(1, _BLOCK_ELEMENTS // (n * (n + rows)))
+        cuts = lo + np.flatnonzero(self.cross[lo:hi])
+        edges = np.union1d([lo, hi], np.concatenate([cuts, cuts + 1])).tolist()
+        for a, b in zip(edges, edges[1:]):
+            for c in range(a, b, width):
+                yield c, min(b, c + width)
+
     @staticmethod
     def lockstep(schemes: Sequence[_EulerScheme], stops: Sequence[int], x0: np.ndarray,
                  cfg: SimConfig, chunk: int, drawn: int):
-        """Sampled (n, B) states of the ``schemes`` from x0 on the B paths of
-        a chunk that draws ``drawn`` (B = 2 drawn if antithetic), scheme j to
-        node ``stops[j]``, yielding ``(j, k, X, c, Z)`` per node and live
-        scheme j: its wealth and consumption at node k and the (B, d) normals
-        moving X on, in the columns of ``unit`` (None at the scheme's stop),
-        from substream ``chunk`` of ``cfg.seed``, negated for the mirrors.
-        Each step's normals step every scheme still running, so a scheme's
-        paths are bit for bit those it has alone.  Step k loads them by
-        ``unit`` scaled by pi(t_k) and then by sqrt(dt).  Buffers are reused,
-        so copy what must outlive the node."""
+        """Sampled (n, B) states of the ``schemes`` of one population from x0
+        on the B paths of a chunk that draws ``drawn`` (B = 2 drawn if
+        antithetic), scheme j to node ``stops[j]``, yielding ``(j, k, X, Z)``
+        per node and live scheme j: its wealth at node k and the (B, d)
+        normals moving X on, in the columns of ``unit`` (None at the scheme's
+        stop), from substream ``chunk`` of ``cfg.seed``, negated for the
+        mirrors.  Each step's normals, loaded once as W = unit Z', step every
+        scheme still running, so a scheme's paths are bit for bit those it
+        has alone.  The step is X = D_k X + b_k + L_k Z in place: the decay
+        column, or the slopes at a node with cross slopes, then pi(t_k)
+        sqrt(dt) W, then b_k.  Buffers are reused, so copy what must outlive
+        the node."""
         n, B = x0.size, 2 * drawn if cfg.antithetic else drawn
         last = max(stops)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(chunk,)))
         X = [np.repeat(x0[:, None], B, axis=1) for _ in schemes]
-        loads = [np.empty_like(s.unit) for s in schemes]
-        c, dX = np.empty((n, B)), np.empty((n, B))
+        W, dX = np.empty((n, B)), np.empty((n, B))
         Z = np.empty((B, schemes[0].unit.shape[1]))
         for k in range(last + 1):
             if k < last:
                 rng.standard_normal(out=Z[:drawn])
                 if cfg.antithetic:
                     np.negative(Z[:drawn], out=Z[drawn:])
+                np.matmul(schemes[0].unit, Z.T, out=W)
             live = [j for j, stop in enumerate(stops) if k <= stop]
             for j in live:
                 s, Zj = schemes[j], (Z if k < stops[j] else None)
-                s.slopes(k, X[j], out=c)
-                c += s.q[k][:, None]
-                yield j, k, X[j], c, Zj
+                yield j, k, X[j], Zj
                 if Zj is not None:
-                    np.multiply(s.PI[k][:, None], s.unit, out=loads[j])
-                    loads[j] *= np.sqrt(s.dt)
-                    np.matmul(loads[j], Zj.T, out=dX)
-                    c *= s.dt
-                    dX -= c
-                    dX += s.drift[k][:, None]
+                    if s.cross[k]:
+                        s.slopes(k, X[j], out=dX)
+                        dX *= s.dt
+                        X[j] -= dX
+                    else:
+                        X[j] *= s.decay[k][:, None]
+                    np.multiply(s.pi_sqdt[k][:, None], W, out=dX)
                     X[j] += dX
+                    X[j] += s.b[k][:, None]
             for j in live:
                 if k == stops[j]:
                     X[j] = None
@@ -300,39 +340,59 @@ class _EulerScheme:
     def tails(self, e: np.ndarray, stops) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """``{w: (g, h)}`` with E[exp(e X_T) | X_w] = exp(g X_w + h) for each
         row of e and each node w of ``stops``, from one backward pass:
-        g_k = D_k' g_{k+1}, h_k = h_{k+1} + g_{k+1} b_k + |L_k' g_{k+1}|^2 / 2."""
+        g_k = D_k' g_{k+1}, h_k = h_{k+1} + g_{k+1} b_k + |L_k' g_{k+1}|^2 / 2,
+        over a run of diagonal D_k a reversed cumulative product and sum."""
         g, h = e.copy(), np.zeros(len(e))
-        out = {}
-        for k in range(self.steps, min(stops) - 1, -1):
-            if k < self.steps:
-                lg = (g * self.PI[k]) @ self.unit  # L_k' g / sqrt(dt)
-                h += g @ self.b[k] + 0.5 * self.dt * np.square(lg).sum(axis=1)
-                g -= self.dt * self.slopes(k, g.T, transpose=True).T
-            if k in stops:
-                out[k] = g.copy(), h.copy()
+        out = {self.steps: (g.copy(), h.copy())} if self.steps in stops else {}
+        for lo, hi in reversed(list(self._runs(min(stops), self.steps, len(e)))):
+            if self.cross[lo]:
+                G = (g - self.dt * self.slopes(lo, g.T, transpose=True).T)[None]
+            else:
+                G = g * np.cumprod(self.decay[lo:hi][::-1], axis=0)[::-1, None, :]
+            after = np.concatenate([G[1:], g[None]])  # g_{k+1} at each node k
+            lg = (after * self.PI[lo:hi, None, :]) @ self.unit  # L_k' g_{k+1} / sqrt(dt)
+            step = (after @ self.b[lo:hi, :, None])[..., 0]
+            step += 0.5 * self.dt * np.square(lg).sum(axis=2)
+            H = h + np.cumsum(step[::-1], axis=0)[::-1]
+            out.update((w, (G[w - lo].copy(), H[w - lo].copy()))
+                       for w in stops if lo <= w < hi)
+            g, h = G[0], H[0]
         return out
 
     def exponents(self, e: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """(r, steps + 1) exponents a with E[exp(e c_k)] = exp(a[:, k]) at each
         node k < steps and E[exp(e X_T)] = exp(a[:, -1]), for the rows of e,
-        from the mean m and covariance P carried forward from x0."""
+        from the mean m and covariance P carried forward from x0, over a run
+        of diagonal D_k by :func:`_scan`."""
         dt = self.dt
         m, P = x0.copy(), np.zeros((x0.size, x0.size))
         out = np.empty((len(e), self.steps + 1))
 
-        def log_mgf(f, shift):  # log E[exp(f X + shift)] for X ~ N(m, P)
-            return f @ m + shift + 0.5 * np.einsum("ij,jk,ik->i", f, P, f)
+        def log_mgf(F, s, m, P):  # log E[exp(F X + s)] for X ~ N(m, P), per node
+            return (F @ m[..., None])[..., 0] + s + 0.5 * np.einsum("...ij,...jk,...ik->...i",
+                                                                    F, P, F)
 
-        for k in range(self.steps):
-            # e c_k = (e C_k) X_k + e q_k
-            out[:, k] = log_mgf(self.slopes(k, e.T, transpose=True).T, e @ self.q[k])
-            m += self.b[k] - dt * self.slopes(k, m[:, None])[:, 0]
-            P -= dt * self.slopes(k, P)
-            Pt = P.T  # D (D P)' = D P D', written back through the view
-            Pt -= dt * self.slopes(k, Pt)
-            load = self.PI[k][:, None] * self.unit
-            P += dt * (load @ load.T)
-        out[:, -1] = log_mgf(e, 0.0)
+        for lo, hi in self._runs(0, self.steps, len(e)):
+            load = self.PI[lo:hi, :, None] * self.unit
+            cov = dt * (load @ load.transpose(0, 2, 1))  # L_k L_k'
+            if self.cross[lo]:
+                ms, Ps = m[None], P[None]
+                m = m + self.b[lo] - dt * self.slopes(lo, m[:, None])[:, 0]
+                P = P - dt * self.slopes(lo, P)
+                Pt = P.T  # D (D P)' = D P D', written back through the view
+                Pt -= dt * self.slopes(lo, Pt)
+                P += cov[0]
+            else:
+                d = self.decay[lo:hi]
+                A, U = _scan(d, self.b[lo:hi])
+                ms = np.concatenate([m[None], A * m + U])
+                A, U = _scan(d[:, :, None] * d[:, None, :], cov)
+                A *= P
+                A += U
+                Ps = np.concatenate([P[None], A])
+                ms, m, Ps, P = ms[:-1], ms[-1], Ps[:-1], Ps[-1]
+            out[:, lo:hi] = log_mgf(*self.utility_rows(e, lo, hi), ms, Ps).T
+        out[:, -1] = log_mgf(e, 0.0, m, P)
         return out
 
 
@@ -374,11 +434,13 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     scheme = _EulerScheme(pop, strategy, times, dt)
 
     def record(chunk: int, drawn: int, paths: np.ndarray) -> None:
-        for _, k, X, c, _ in _EulerScheme.lockstep([scheme], [scheme.steps], x0, cfg,
-                                                    chunk, drawn):
+        for _, k, X, _ in _EulerScheme.lockstep([scheme], [scheme.steps], x0, cfg,
+                                                 chunk, drawn):
             j = rec_pos.get(k)
             if j is not None:
                 wealth[paths, j, :] = X.T
+                c = scheme.slopes(k, X)
+                c += scheme.q[k][:, None]
                 cons[paths, j, :] = c.T
 
     for _ in _pooled(record, n, cfg):
@@ -439,9 +501,12 @@ def _merge(a: tuple, b: tuple) -> tuple:
 
 
 def _moments(values: np.ndarray) -> tuple:
-    """Count, mean and sum of squared deviations of each row of (R, B) values."""
+    """Count, mean and sum of squared deviations of each row of (R, B)
+    values, which are centred and squared in place."""
     mean = values.mean(axis=1)
-    return values.shape[1], mean, np.square(values - mean[:, None]).sum(axis=1)
+    values -= mean[:, None]
+    np.square(values, out=values)
+    return values.shape[1], mean, values.sum(axis=1)
 
 
 class _PayoffSim:
@@ -452,15 +517,18 @@ class _PayoffSim:
     :func:`_simulate` runs chunks.  Per-agent arrays are (A, B) on a chunk's
     B paths.
 
-    Without spike windows the paths run to the horizon and ``run`` ends as
-    each path's payoff, terminal utility included.  With them the paths stop
-    where the longest window closes, and each window is priced at its own
-    close, node w: after it a spike changes only the terminal wealth, by an
-    amount known at w, so the terminal utility is its conditional expectation
-    -E[exp(e X_T) | X_w] from :meth:`_EulerScheme.tails`.  There the payoff
-    change of every (agent, v) spike reduces to the chunk's moments of the
-    window's rows.  ``base`` holds the priced agents' expected payoffs from
-    the exact law of the Euler scheme at the same dt."""
+    Each running-utility exponent is read from the wealth through the rows
+    (e C_k, e q_k) of :meth:`_EulerScheme.utility_rows`, a block of nodes at
+    a time.  Without spike windows the paths run to the horizon and ``run``
+    ends as each path's payoff, terminal utility included.  With them the
+    paths stop where the longest window closes, and each window is priced at
+    its own close, node w: after it a spike changes only the terminal
+    wealth, by an amount known at w, so the terminal utility is its
+    conditional expectation -E[exp(e X_T) | X_w] from
+    :meth:`_EulerScheme.tails`.  There the payoff change of every (agent, v)
+    spike reduces to the chunk's moments of the window's rows, formed in
+    :meth:`window_buffers`.  ``base`` holds the priced agents' expected
+    payoffs from the exact law of the Euler scheme at the same dt."""
 
     def __init__(self, pop: Population, discount: DiscountFunction, strategy,
                  t0: float, x0, horizon: float, cfg: SimConfig, agents: Sequence[int],
@@ -484,6 +552,8 @@ class _PayoffSim:
         self.expo = np.zeros((max(A, 2), n))
         self.expo[:A] = (p["theta"] / p["delta"] / n)[self.priced, None]
         self.expo[np.arange(A), self.priced] = self.own_coef[self.priced]
+        # Nodes in a block of utility rows, (block, max(A, 2), n) elements.
+        self.block = max(1, _BLOCK_ELEMENTS // self.expo.size)
 
         self.eps_steps = [int(round(eps / dt)) for eps in eps_list]
         for eps, ks in zip(eps_list, self.eps_steps):
@@ -504,25 +574,38 @@ class _PayoffSim:
             expos = self._clamp(scheme.exponents(self.expo[:A], self.x0))
             self.base = -(np.exp(expos) @ np.append(self.lam_dt, self.lam_T))
 
-        # Window noise sums, only of the Z columns that the priced agents load.
+        # Window noise sums, only of the Z columns that the priced agents
+        # load, and their loads times sqrt(dt).
         unit = scheme.unit[self.priced]
         cols = np.flatnonzero(unit.any(axis=0))
         self.take = slice(None) if cols.size == unit.shape[1] else cols
-        self.unit, self.sqdt = unit[:, cols], np.sqrt(dt)
+        self.unit = unit[:, cols] * np.sqrt(dt)
 
-    def on_paths(self, width: int) -> _PayoffSim:
+    def window_buffers(self, width: int):
+        """Window pricing's scratch for a chunk of ``width`` paths, which the
+        chunk's simulations of one grid share: the (A, B) window noise, one
+        agent's (V, B) terminal factors and the (A V, B) delta rows; None
+        without windows."""
+        if not self.eps_steps:
+            return None
+        A, V = self.priced.size, len(self.vs)
+        return np.empty((A, width)), np.empty((V, width)), np.empty((A * V, width))
+
+    def on_paths(self, width: int, buffers) -> _PayoffSim:
         """The simulation with its own state for the ``width`` paths of one
-        chunk, and ``rows``: :meth:`visit` fills them with the moments of
-        each window's deltas (without windows, of the payoffs)."""
+        chunk, window pricing in ``buffers`` of :meth:`window_buffers`, and
+        ``rows``: :meth:`visit` fills them with the moments of each window's
+        deltas (without windows, of the payoffs)."""
         sim = copy.copy(self)
         sim.n_clamped = 0
         sim.run = np.zeros((self.priced.size, width))
         sim.expo_buf = np.empty((self.expo.shape[0], width))
         sim.cumZ = np.zeros((width, self.unit.shape[1])) if self.eps_steps else None
+        sim.buffers = buffers
         sim.rows = [None] * max(1, len(self.eps_steps))
         return sim
 
-    def visit(self, k: int, X: np.ndarray, c: np.ndarray, Z) -> None:
+    def visit(self, k: int, X: np.ndarray, Z) -> None:
         """Node k of the chunk: price the windows that close there, then add
         the running utility and the window noise of the step that Z takes; at
         the horizon, the terminal utility."""
@@ -538,9 +621,14 @@ class _PayoffSim:
                 np.exp(self._clamp(u), out=u)
                 u *= -self.lam_T
                 self.run += u
-                self.rows[0] = _moments(self.run)
+                self.rows[0] = _moments(self.run.copy())
             return
-        np.matmul(self.expo, c, out=self.expo_buf)
+        i = k % self.block
+        if i == 0:
+            self.F, self.s = self.scheme.utility_rows(self.expo, k,
+                                                      min(k + self.block, self.stop))
+        np.matmul(self.F[i], X, out=self.expo_buf)
+        u += self.s[i, :u.shape[0], None]
         np.exp(self._clamp(u), out=u)
         u *= -self.lam_dt[k]
         self.run += u
@@ -557,23 +645,20 @@ class _PayoffSim:
         term += h
         np.exp(self._clamp(term), out=term)
         np.negative(term, out=term)
-        noise = self.unit @ self.cumZ.T
-        noise *= self.sqdt
-        return self.run, noise, term
+        return self.run, np.matmul(self.unit, self.cumZ.T, out=self.buffers[0]), term
 
     def _deltas(self, e: int, run: np.ndarray, noise: np.ndarray,
                 term: np.ndarray) -> np.ndarray:
         """Per-path payoff change (CRN-exact) of the spike in each direction v
-        on window e, one row per (priced agent, v)."""
+        on window e, one row per (priced agent, v), in the chunk's buffers."""
         eps, V = self.eps_eff[e], len(self.vs)
         v1, v2 = (np.array([v[i] for v in self.vs])[:, None] for i in (0, 1))
-        out = np.empty((self.priced.size * V, run.shape[1]))
+        _, fac_T, out = self.buffers
         for r, agent in enumerate(self.priced):
             own = self.own_coef[agent]
             # fac_T, in place of the spike's terminal wealth shift dx
-            fac_T = v1 * noise[r]
-            fac_T += (v1 * self.mu[agent] - v2) * eps
-            fac_T *= own
+            np.multiply(own * v1, noise[r], out=fac_T)
+            fac_T += own * (v1 * self.mu[agent] - v2) * eps
             np.expm1(self._clamp(fac_T), out=fac_T)
             fac_T *= self.lam_T * term[r]
             rows = np.multiply(run[r], np.expm1(own * v2), out=out[r * V:(r + 1) * V])
@@ -593,22 +678,23 @@ class _PayoffSim:
 def _simulate(sims: Sequence[_PayoffSim], cfg: SimConfig, chunk: int, drawn: int) -> None:
     """Run the chunk states ``sims`` of payoff simulations from one x0 in
     lockstep on the draws of chunk ``chunk``."""
-    for j, k, X, c, Z in _EulerScheme.lockstep(
+    for j, k, X, Z in _EulerScheme.lockstep(
             [sim.scheme for sim in sims], [sim.stop for sim in sims], sims[0].x0, cfg,
             chunk, drawn):
-        sims[j].visit(k, X, c, Z)
+        sims[j].visit(k, X, Z)
 
 
 def _payoff_rows(sims: Sequence[_PayoffSim], cfg: SimConfig):
     """Each mean and standard error (0 for one path) of the rows of the
-    payoff simulations ``sims``, one after another, from their moments merged
-    over the chunks of paths in chunk order, and the exponents that the
-    chunks clamped.  On each chunk, groups of at most _GROUP_TIMES
-    simulations run in turn, each in lockstep on the chunk's draws."""
+    payoff simulations ``sims`` of one grid, one after another, from their
+    moments merged over the chunks of paths in chunk order, and the
+    exponents that the chunks clamped.  On each chunk, groups of at most
+    _GROUP_TIMES simulations run in turn, each in lockstep on the chunk's
+    draws, and all of them price their windows in one set of buffers."""
     def run(chunk: int, drawn: int, paths: np.ndarray) -> tuple[tuple, int]:
-        done = []
+        done, buffers = [], sims[0].window_buffers(paths.size)
         for g in range(0, len(sims), _GROUP_TIMES):
-            group = [sim.on_paths(paths.size) for sim in sims[g:g + _GROUP_TIMES]]
+            group = [sim.on_paths(paths.size, buffers) for sim in sims[g:g + _GROUP_TIMES]]
             _simulate(group, cfg, chunk, drawn)
             done += group
         rows = [row for sim in done for row in sim.rows]

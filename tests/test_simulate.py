@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import dense_consumption
@@ -260,8 +262,8 @@ def kernel_draws(pop, strategy, t0, cfg):
     scheme = simulate._EulerScheme(pop, strategy, times, dt)
     draws = np.empty((cfg.n_paths, steps, scheme.unit.shape[1]))
     for chunk, drawn, paths in simulate._chunks(pop.n, cfg):
-        for _, k, _, _, Z in simulate._EulerScheme.lockstep([scheme], [steps], np.zeros(pop.n),
-                                                            cfg, chunk, drawn):
+        for _, k, _, Z in simulate._EulerScheme.lockstep([scheme], [steps], np.zeros(pop.n),
+                                                         cfg, chunk, drawn):
             if Z is not None:
                 draws[paths, k] = Z
     return draws
@@ -618,6 +620,117 @@ def reference_tail(pop, strategy, agent, cfg, w):
     return -np.exp(X[:, w] @ g + h)
 
 
+def reference_exponents(pop, strategy, e, t0, x0, dt):
+    """The exact law of the Euler scheme from x0 at t0 for the rows of e, node
+    by node on dense (n, n) maps: the (r, steps + 1) exponents of E[exp(e c_k)]
+    at each node k < steps and of E[exp(e X_T)], carrying the mean m and
+    covariance C forward (m = D_k m + b_k, C = D_k C D_k' + L_k L_k'), and
+    {w: (g, h)} with E[exp(e X_T) | X_w] = exp(g X_w + h) at every node w."""
+    times, dt, steps = simulate._euler_times(t0, T, dt)
+    n = pop.n
+    mu, nu, sigma = (np.array([getattr(b, f) for b in pop.agents])
+                     for f in ("mu", "nu", "sigma"))
+    PI = strategy.pi_at(times)
+    P, q = dense_consumption(strategy, times)
+    D = np.eye(n) - dt * P
+    b = (PI * mu - q) * dt
+    L = PI[:, :, None] * np.column_stack([np.diag(nu), sigma]) * np.sqrt(dt)
+    m, C = np.array(x0, dtype=float), np.zeros((n, n))
+    out = np.empty((len(e), steps + 1))
+    for k in range(steps + 1):
+        F = e if k == steps else e @ P[k]
+        out[:, k] = F @ m + (0.0 if k == steps else e @ q[k]) + 0.5 * np.diag(F @ C @ F.T)
+        if k < steps:
+            m, C = D[k] @ m + b[k], D[k] @ C @ D[k].T + L[k] @ L[k].T
+    g, h = e.copy(), np.zeros(len(e))
+    tails = {steps: (g, h)}
+    for k in range(steps - 1, -1, -1):
+        h = h + g @ b[k] + 0.5 * np.sum((g @ L[k]) ** 2, axis=1)
+        g = g @ D[k]
+        tails[k] = g, h
+    return out, tails
+
+
+def partly_cross_strategy():
+    """TRIO's consumption with cross slopes only from t = 1.25 on: before it
+    every node steps on the diagonal decay alone."""
+    strat = cross_coupled_strategy()
+    p = strat.p.copy()
+    off = ~np.eye(3, dtype=bool)
+    p[off] *= (strat.grid.times >= 1.25)[None]
+    return GridStrategyN(strat.grid, strat.pi, p, strat.q)
+
+
+def steep_strategy():
+    """HET2 consuming 30 X_i + q on the grid point t = 1.5, so that dt own
+    passes 1 at the Euler nodes around it (dt = 0.05): there the decay
+    1 - dt own is 0 or below."""
+    grid = TimeGrid(0.0, T, 9)
+    slope = np.where(grid.times == 1.5, 30.0, 0.4)
+    p = np.zeros((2, 2, grid.times.size))
+    p[0, 0], p[1, 1] = slope, 0.5 * slope
+    return GridStrategyN(grid, np.vstack([1.0 + 0.1 * grid.times, np.full(grid.times.size, 0.7)]),
+                         p, np.vstack([0.1 * grid.times, np.full(grid.times.size, -0.2)]))
+
+
+LAW_CASES = {**{case: (pop, make, cfg.dt) for case, (pop, make, cfg) in REFERENCE_CASES.items()},
+             "cross_on_part_of_the_grid": (TRIO, partly_cross_strategy, 0.05),
+             "decay_past_zero": (HET2, steep_strategy, 0.05)}
+
+
+def assert_law_matches_the_dense_loop(pop, strategy, e, t0, dt):
+    times, dt, steps = simulate._euler_times(t0, T, dt)
+    scheme = simulate._EulerScheme(pop, strategy, times, dt)
+    x0 = ref_x0(pop.n)
+    want, want_tails = reference_exponents(pop, strategy, e, t0, x0, dt)
+    assert rel_gap(scheme.exponents(e, x0), want) < 1e-12
+    tails = scheme.tails(e, set(range(steps + 1)))
+    assert sorted(tails) == list(range(steps + 1))
+    g, h = (np.array([tails[w][i] for w in range(steps + 1)]) for i in (0, 1))
+    want_g, want_h = (np.array([want_tails[w][i] for w in range(steps + 1)]) for i in (0, 1))
+    assert rel_gap(g, want_g) < 1e-12 and rel_gap(h, want_h) < 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(LAW_CASES))
+def test_exact_law_matches_the_dense_node_loop(case):
+    # the law summed over runs of nodes without cross slopes, against the
+    # dense per-node recursion, from two start times and on three rows
+    pop, make, dt = LAW_CASES[case]
+    strategy = make()
+    e = np.random.default_rng(5).normal(size=(3, pop.n))
+    if case == "decay_past_zero":
+        decay = 1.0 - dt * strategy.consumption_at(simulate._euler_times(0.0, T, dt)[0])[1]
+        assert np.any(decay <= 0.0)
+    for t0 in (0.0, REF_T0):
+        assert_law_matches_the_dense_loop(pop, strategy, e, t0, dt)
+
+
+def test_exact_law_blocks_of_nodes_match_the_dense_node_loop(monkeypatch):
+    # runs of nodes cut into blocks of three nodes, each scanned apart and
+    # carried into the next
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 3 * 3 * (3 + 2))
+    e = np.random.default_rng(6).normal(size=(2, 3))
+    for make in (cross_coupled_strategy, partly_cross_strategy,
+                 lambda: NAgentEquilibrium(TRIO, HYP, T)):
+        assert_law_matches_the_dense_loop(TRIO, make(), e, REF_T0, 0.05)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_exact_law_of_random_profiles_matches_the_dense_node_loop(n, points, seed):
+    # small random GridStrategyN profiles, cross slopes and all, on a
+    # population of random types
+    rng = np.random.default_rng(seed)
+    pop = Population([AgentType(*rng.uniform([0.5, 0.0, 0.1, 0.0, 0.0], [2.0, 0.9, 2.0, 1.0, 1.0]))
+                      for _ in range(n)])
+    grid = TimeGrid(0.0, T, points)
+    strategy = GridStrategyN(grid, rng.uniform(-1.0, 2.0, (n, points)),
+                             rng.uniform(-1.0, 2.0, (n, n, points)),
+                             rng.uniform(-1.0, 1.0, (n, points)))
+    e = rng.normal(size=(2, n))
+    assert_law_matches_the_dense_loop(pop, strategy, e, float(rng.uniform(0.0, 1.5)), 0.05)
+
+
 def kernel_run(pop, strategy, cfg):
     """The paths, the kernel's draws, agent 0's expected_payoff as (mean,
     standard error), and the last agent's spike arrays of spike_run."""
@@ -638,7 +751,7 @@ def priced_paths(sim, cfg):
         ("run", A), ("noise", A), ("term", A), ("delta", A * len(sim.vs)))}
     got["payoff"] = np.full((A, N), np.nan)
     for chunk, drawn, paths in simulate._chunks(sim.x0.size, cfg):
-        part = sim.on_paths(paths.size)
+        part = sim.on_paths(paths.size, sim.window_buffers(paths.size))
 
         def spy_deltas(e, *arrays, deltas=part._deltas, paths=paths):
             out = deltas(e, *arrays)
@@ -765,6 +878,30 @@ def test_exact_base_payoff_of_zero_controls():
 
 def chunk_widths(pop, cfg):
     return [drawn for _, drawn, _ in simulate._chunks(pop.n, cfg)]
+
+
+def test_the_production_chunk_layout_keeps_the_seed_to_draws_map():
+    # _BLOCK_ELEMENTS // (3n + 1) paths a chunk: at n = 2, 1e5 paths are six
+    # chunks of 16,384 and one of 1,696, each on its own substream
+    assert chunk_widths(HET2, SimConfig(100_000, 0.01, 0)) == [16_384] * 6 + [1_696]
+
+
+@pytest.mark.parametrize("case", ["cross_coupled", "two_classes"])
+def test_sparse_records_are_rows_of_the_every_node_bundle(case):
+    # consumption is formed only at the recorded nodes: the dense slopes on
+    # the recorded wealth plus the intercepts, and the wealth rows are those
+    # of the bundle that records every node, bit for bit
+    pop, make, cfg = REFERENCE_CASES[case]
+    strategy, x0 = make(), ref_x0(pop.n)
+    full = simulate_paths(pop, strategy, REF_T0, x0, T, cfg)
+    sparse = simulate_paths(pop, strategy, REF_T0, x0, T, cfg,
+                            record_times=[1.0, 1.05, 1.35, 1.4, 1.95, 2.0])
+    idx = np.round((sparse.times - REF_T0) / 0.05).astype(int)
+    assert idx.tolist() == [0, 1, 7, 8, 19, 20]
+    assert np.array_equal(sparse.times, full.times[idx])
+    assert np.array_equal(sparse.wealth, full.wealth[:, idx])
+    P, q = dense_consumption(strategy, sparse.times)
+    assert rel_gap(sparse.consumption, np.einsum("kij,pkj->pki", P, sparse.wealth) + q) < 1e-12
 
 
 # Paths a chunk: 5 divides neither the 48 paths of a reference case nor the
