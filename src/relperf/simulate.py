@@ -26,7 +26,8 @@ classes, 0 on the diagonal of a one-agent class.
 
 One scheme, built once per simulation, samples the paths of
 :func:`simulate_paths` and of the payoff simulations, and one sampler loop
-steps any number of schemes in lockstep on one chunk of paths.  Every
+steps any number of schemes as one stacked (J, n, B) state on one chunk of
+paths, one NumPy call per operation a step; a lone simulation is J = 1.  Every
 sampler cuts its paths into chunks of a fixed width, whatever the thread
 count, and chunk i draws from substream i of ``SeedSequence(seed)``: each
 step, (B, d) standard normals, one column per factor that loads, as
@@ -38,7 +39,6 @@ merge in chunk order, so results do not depend on the thread count.
 
 from __future__ import annotations
 
-import copy
 import numbers
 from collections import deque
 from collections.abc import Sized
@@ -87,7 +87,7 @@ MF_CHECKPOINTS = 9
 # stay within it too.
 _BLOCK_ELEMENTS = 7 << 14
 
-# Most spike times that step in lockstep on one chunk's draws at a time.
+# Most spike times stacked into one state on one chunk's draws at a time.
 _GROUP_TIMES = 4
 
 # Rows that export_paths_csv formats in one block.
@@ -295,47 +295,58 @@ class _EulerScheme:
     @staticmethod
     def lockstep(schemes: Sequence[_EulerScheme], stops: Sequence[int], x0: np.ndarray,
                  cfg: SimConfig, chunk: int, drawn: int):
-        """Sampled (n, B) states of the ``schemes`` of one population from x0
-        on the B paths of a chunk that draws ``drawn`` (B = 2 drawn if
-        antithetic), scheme j to node ``stops[j]``, yielding ``(j, k, X, Z)``
-        per node and live scheme j: its wealth at node k and the (B, d)
-        normals moving X on, in the columns of ``unit`` (None at the scheme's
-        stop), from substream ``chunk`` of ``cfg.seed``, negated for the
-        mirrors.  Each step's normals, loaded once as W = unit Z', step every
-        scheme still running, so a scheme's paths are bit for bit those it
-        has alone.  The step is X = D_k X + b_k + L_k Z in place: the decay
-        column, or the slopes at a node with cross slopes, then pi(t_k)
-        sqrt(dt) W, then b_k.  Buffers are reused, so copy what must outlive
+        """Sampled states of the J ``schemes`` of one population from x0 on
+        the B paths of a chunk that draws ``drawn`` (B = 2 drawn if
+        antithetic), scheme j to node ``stops[j]``; the stops must not
+        increase, so the schemes still running are a prefix.  Yields ``(k, m,
+        X, Z)`` per node k to stops[0]: the C-ordered (J, n, B) wealth, the
+        count m of schemes that step on from k, and the (B, d) normals moving
+        them, in the columns of ``unit`` (None at the last node), from
+        substream ``chunk`` of ``cfg.seed``, negated for the mirrors.  Each
+        step loads the normals once as W = unit Z' and moves X[:m] in place,
+        X = D_k X + b_k + L_k Z, one call per operation: the decay, or the
+        slopes on the slice of a scheme with cross slopes at k, then pi(t_k)
+        sqrt(dt) W, then b_k.  Every element takes the operations of a
+        one-scheme run in its order, so a scheme's paths are bit for bit
+        those it has alone.  Buffers are reused, so copy what must outlive
         the node."""
-        n, B = x0.size, 2 * drawn if cfg.antithetic else drawn
-        last = max(stops)
+        J, n, B = len(schemes), x0.size, 2 * drawn if cfg.antithetic else drawn
+        last = stops[0]
+        coef = np.zeros((3, last, J, n))  # decay, pi_sqdt and b of each scheme to its stop
+        cross = np.zeros(last, dtype=bool)  # a live scheme has cross slopes
+        for j, (s, stop) in enumerate(zip(schemes, stops)):
+            coef[:, :stop, j] = s.decay[:stop], s.pi_sqdt[:stop], s.b[:stop]
+            cross[:stop] |= s.cross[:stop]
+        decay, pi_sqdt, b = coef
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(chunk,)))
-        X = [np.repeat(x0[:, None], B, axis=1) for _ in schemes]
-        W, dX = np.empty((n, B)), np.empty((n, B))
-        Z = np.empty((B, schemes[0].unit.shape[1]))
+        X, dX = np.empty((J, n, B)), np.empty((J, n, B))
+        X[...] = x0[:, None]
+        W, Z = np.empty((n, B)), np.empty((B, schemes[0].unit.shape[1]))
+        m = J
         for k in range(last + 1):
-            if k < last:
-                rng.standard_normal(out=Z[:drawn])
-                if cfg.antithetic:
-                    np.negative(Z[:drawn], out=Z[drawn:])
-                np.matmul(schemes[0].unit, Z.T, out=W)
-            live = [j for j, stop in enumerate(stops) if k <= stop]
-            for j in live:
-                s, Zj = schemes[j], (Z if k < stops[j] else None)
-                yield j, k, X[j], Zj
-                if Zj is not None:
+            while m and stops[m - 1] <= k:
+                m -= 1
+            if not m:
+                yield k, m, X, None
+                return
+            rng.standard_normal(out=Z[:drawn])
+            if cfg.antithetic:
+                np.negative(Z[:drawn], out=Z[drawn:])
+            np.matmul(schemes[0].unit, Z.T, out=W)
+            yield k, m, X, Z
+            if cross[k]:
+                for j, s in enumerate(schemes[:m]):
                     if s.cross[k]:
-                        s.slopes(k, X[j], out=dX)
-                        dX *= s.dt
-                        X[j] -= dX
+                        s.slopes(k, X[j], out=dX[j])
+                        dX[j] *= s.dt
+                        X[j] -= dX[j]
                     else:
-                        X[j] *= s.decay[k][:, None]
-                    np.multiply(s.pi_sqdt[k][:, None], W, out=dX)
-                    X[j] += dX
-                    X[j] += s.b[k][:, None]
-            for j in live:
-                if k == stops[j]:
-                    X[j] = None
+                        X[j] *= decay[k, j, :, None]
+            else:
+                X[:m] *= decay[k, :m, :, None]
+            np.multiply(pi_sqdt[k, :m, :, None], W, out=dX[:m])
+            X[:m] += dX[:m]
+            X[:m] += b[k, :m, :, None]
 
     def tails(self, e: np.ndarray, stops) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """``{w: (g, h)}`` with E[exp(e X_T) | X_w] = exp(g X_w + h) for each
@@ -434,8 +445,8 @@ def simulate_paths(pop: Population, strategy, t0: float, x0, horizon: float,
     scheme = _EulerScheme(pop, strategy, times, dt)
 
     def record(chunk: int, drawn: int, paths: np.ndarray) -> None:
-        for _, k, X, _ in _EulerScheme.lockstep([scheme], [scheme.steps], x0, cfg,
-                                                 chunk, drawn):
+        for k, _, (X,), _ in _EulerScheme.lockstep([scheme], [scheme.steps], x0, cfg,
+                                                    chunk, drawn):
             j = rec_pos.get(k)
             if j is not None:
                 wealth[paths, j, :] = X.T
@@ -509,26 +520,34 @@ def _moments(values: np.ndarray) -> tuple:
     return values.shape[1], mean, values.sum(axis=1)
 
 
+def _clamp(arg: np.ndarray) -> int:
+    """Clip exponents to +-EXP_CLAMP in place; the count of clipped ones and NaN."""
+    if (np.minimum.reduce(arg, axis=None) >= -EXP_CLAMP
+            and np.maximum.reduce(arg, axis=None) <= EXP_CLAMP):
+        return 0
+    clipped = np.clip(arg, -EXP_CLAMP, EXP_CLAMP)
+    count = int(np.count_nonzero(clipped != arg))
+    arg[...] = clipped
+    return count
+
+
 class _PayoffSim:
     """One closed-loop base simulation from t0 with the bookkeeping that
     prices spike perturbations of the A priced ``agents`` in the directions
     ``vs`` by common random numbers.  It holds what every chunk of paths
-    shares, read-only; :meth:`on_paths` gives a chunk its own state, and
-    :func:`_simulate` runs chunks.  Per-agent arrays are (A, B) on a chunk's
-    B paths.
+    shares, read-only; :class:`_PayoffChunk` runs it on a chunk, stacked
+    with the other times of its group.
 
-    Each running-utility exponent is read from the wealth through the rows
-    (e C_k, e q_k) of :meth:`_EulerScheme.utility_rows`, a block of nodes at
-    a time.  Without spike windows the paths run to the horizon and ``run``
-    ends as each path's payoff, terminal utility included.  With them the
-    paths stop where the longest window closes, and each window is priced at
-    its own close, node w: after it a spike changes only the terminal
-    wealth, by an amount known at w, so the terminal utility is its
+    Without spike windows the paths run to the horizon and each path's
+    payoff, terminal utility included, is its running payoff there.  With
+    them the paths stop where the longest window closes, and each window is
+    priced at its own close, node w: after it a spike changes only the
+    terminal wealth, by an amount known at w, so the terminal utility is its
     conditional expectation -E[exp(e X_T) | X_w] from
     :meth:`_EulerScheme.tails`.  There the payoff change of every (agent, v)
-    spike reduces to the chunk's moments of the window's rows, formed in
-    :meth:`window_buffers`.  ``base`` holds the priced agents' expected
-    payoffs from the exact law of the Euler scheme at the same dt."""
+    spike reduces to the chunk's moments of the window's rows.  ``base``
+    holds the priced agents' expected payoffs from the exact law of the
+    Euler scheme at the same dt, and ``n_clamped`` its clamped exponents."""
 
     def __init__(self, pop: Population, discount: DiscountFunction, strategy,
                  t0: float, x0, horizon: float, cfg: SimConfig, agents: Sequence[int],
@@ -571,7 +590,8 @@ class _PayoffSim:
         self.tails = {w: (g, h[:A, None]) for w, (g, h)
                       in scheme.tails(self.expo, set(self.eps_steps) or {steps}).items()}
         if eps_list:
-            expos = self._clamp(scheme.exponents(self.expo[:A], self.x0))
+            expos = scheme.exponents(self.expo[:A], self.x0)
+            self.n_clamped = _clamp(expos)
             self.base = -(np.exp(expos) @ np.append(self.lam_dt, self.lam_T))
 
         # Window noise sums, only of the Z columns that the priced agents
@@ -581,107 +601,155 @@ class _PayoffSim:
         self.take = slice(None) if cols.size == unit.shape[1] else cols
         self.unit = unit[:, cols] * np.sqrt(dt)
 
+        # The directions as (V, 1) columns.  After the first ``lead`` rows
+        # every v1 is 0, so a (window, agent)'s terminal factor is the same
+        # on every path: its clamp and expm1 are taken here, unless it is 0,
+        # whose sign the paths would set.
+        self.v1, self.v2 = (np.array([v[i] for v in vs])[:, None] for i in (0, 1))
+        self.lead = max((r + 1 for r, v in enumerate(vs) if v[0] != 0), default=0)
+        fixed = (self.own_coef[self.priced, None, None]
+                 * (self.v1[self.lead:] * self.mu[self.priced, None, None] - self.v2[self.lead:])
+                 * np.array(self.eps_eff)[:, None, None, None])  # (E, A, V - lead, 1)
+        if (fixed == 0).any():
+            self.lead, fixed = len(vs), fixed[:, :, :0]
+        clipped = np.clip(fixed, -EXP_CLAMP, EXP_CLAMP)
+        self.fixed_clamps = np.count_nonzero(clipped != fixed, axis=(1, 2, 3))
+        self.fixed = np.expm1(clipped)
+
     def window_buffers(self, width: int):
         """Window pricing's scratch for a chunk of ``width`` paths, which the
-        chunk's simulations of one grid share: the (A, B) window noise, one
-        agent's (V, B) terminal factors and the (A V, B) delta rows; None
-        without windows."""
+        chunk's groups of one grid share: the (A, B) window noise and one
+        agent's (V, B) terminal factors and delta rows; None without windows."""
         if not self.eps_steps:
             return None
         A, V = self.priced.size, len(self.vs)
-        return np.empty((A, width)), np.empty((V, width)), np.empty((A * V, width))
+        return np.empty((A, width)), np.empty((V, width)), np.empty((V, width))
 
-    def on_paths(self, width: int, buffers) -> _PayoffSim:
-        """The simulation with its own state for the ``width`` paths of one
-        chunk, window pricing in ``buffers`` of :meth:`window_buffers`, and
-        ``rows``: :meth:`visit` fills them with the moments of each window's
-        deltas (without windows, of the payoffs)."""
-        sim = copy.copy(self)
-        sim.n_clamped = 0
-        sim.run = np.zeros((self.priced.size, width))
-        sim.expo_buf = np.empty((self.expo.shape[0], width))
-        sim.cumZ = np.zeros((width, self.unit.shape[1])) if self.eps_steps else None
-        sim.buffers = buffers
-        sim.rows = [None] * max(1, len(self.eps_steps))
-        return sim
 
-    def visit(self, k: int, X: np.ndarray, Z) -> None:
-        """Node k of the chunk: price the windows that close there, then add
-        the running utility and the window noise of the step that Z takes; at
-        the horizon, the terminal utility."""
-        for e, ks in enumerate(self.eps_steps):
-            if k == ks:
-                self.rows[e] = _moments(self._deltas(e, *self._window(e, X)))
-        u = self.expo_buf[:self.priced.size]
-        if Z is None:
-            if not self.eps_steps:
-                g, h = self.tails[k]
-                np.matmul(g, X, out=self.expo_buf)
-                u += h
-                np.exp(self._clamp(u), out=u)
-                u *= -self.lam_T
-                self.run += u
-                self.rows[0] = _moments(self.run.copy())
+class _PayoffChunk:
+    """The state on a chunk's B paths of J payoff simulations ``sims`` of one
+    grid, ordered by stop, longest first, on the (J, n, B) stack of
+    :meth:`_EulerScheme.lockstep`: the running payoffs ``run``, (J, A, B),
+    and the exponents ``expo``, (J, A', B) with A' = max(A, 2), laid out so
+    that the J A priced rows stay contiguous.  Each running-utility exponent
+    is read from the wealth through the rows (e C_k, e q_k) of
+    :meth:`_EulerScheme.utility_rows`, stacked a block of nodes at a time.
+    Every time starts at node 0 of the chunk's draws, so one window noise
+    sum ``cumZ`` serves them all.  ``rows[j][e]`` gets the moments of the
+    deltas of window e of time j, one per priced agent (without windows, of
+    its payoffs), and ``n_clamped`` counts the clamped exponents."""
+
+    def __init__(self, sims: Sequence[_PayoffSim], width: int, buffers):
+        first, J, A = sims[0], len(sims), sims[0].priced.size
+        A2 = first.expo.shape[0]
+        self.sims, self.buffers, self.n_clamped = sims, buffers, 0
+        self.run = np.zeros((J, A, width))
+        self.expo = (np.empty((A2, J, width)).transpose(1, 0, 2) if A < A2
+                     else np.empty((J, A2, width)))
+        self.cumZ = np.zeros((width, first.unit.shape[1])) if first.eps_steps else None
+        self.rows = [[None] * max(1, len(sim.eps_steps)) for sim in sims]
+        self.lam = np.zeros((first.stop, J))
+        # (time, window) priced at each node; window None: the terminal utility
+        self.closes = {}
+        for j, sim in enumerate(sims):
+            self.lam[:sim.stop, j] = -sim.lam_dt[:sim.stop]
+            for e, w in enumerate(sim.eps_steps or [sim.stop]):
+                self.closes.setdefault(w, []).append((j, e if sim.eps_steps else None))
+
+    def visit(self, k: int, m: int, X: np.ndarray, Z) -> None:
+        """Node k of the stack: price the windows that close there, or at a
+        stop without windows the terminal utility, each on its time's slice
+        of X; then add the running utility of the m times that step on and
+        the window noise of the step that Z takes."""
+        for j, e in self.closes.get(k, ()):
+            if e is None:
+                u = self._tail(j, k, X[j])
+                u *= -self.sims[j].lam_T
+                self.run[j] += u
+                self.rows[j][0] = [_moments(self.run[j].copy())]
+            else:
+                self.rows[j][e] = [_moments(rows) for rows
+                                   in self._deltas(j, e, *self._window(j, e, X[j]))]
+        if not m:
             return
-        i = k % self.block
+        A, i = self.run.shape[1], k % self.sims[0].block
         if i == 0:
-            self.F, self.s = self.scheme.utility_rows(self.expo, k,
-                                                      min(k + self.block, self.stop))
-        np.matmul(self.F[i], X, out=self.expo_buf)
-        u += self.s[i, :u.shape[0], None]
-        np.exp(self._clamp(u), out=u)
-        u *= -self.lam_dt[k]
-        self.run += u
+            self._utility_rows(k, m)
+        u = self.expo[:m, :A]
+        np.matmul(self.F[i, :m], X[:m], out=self.expo[:m])
+        u += self.s[i, :m, :A, None]
+        self.n_clamped += _clamp(u)
+        np.exp(u, out=u)
+        u *= self.lam[k, :m, None, None]
+        self.run[:m] += u
         if self.cumZ is not None:
-            self.cumZ += Z[:, self.take]
+            self.cumZ += Z[:, self.sims[0].take]
 
-    def _window(self, e: int, X: np.ndarray):
-        """At the close of window e, the priced agents' running payoff, window
-        noise nu dW + sigma dB and terminal utility -E[exp(e X_T) | X_w] on the
-        chunk's paths, each (A, B)."""
-        g, h = self.tails[self.eps_steps[e]]
-        np.matmul(g, X, out=self.expo_buf)
-        term = self.expo_buf[:self.priced.size]
-        term += h
-        np.exp(self._clamp(term), out=term)
+    def _utility_rows(self, k: int, m: int) -> None:
+        """Stack the utility rows (F, s) of the block of nodes from k of the
+        first m times, each to its own stop."""
+        first = self.sims[0]
+        size = min(first.block, first.stop - k)
+        self.F = np.empty((size, m, *first.expo.shape))
+        self.s = np.empty((size, m, first.expo.shape[0]))
+        for j, sim in enumerate(self.sims[:m]):
+            hi = min(k + first.block, sim.stop)
+            self.F[:hi - k, j], self.s[:hi - k, j] = sim.scheme.utility_rows(sim.expo, k, hi)
+
+    def _tail(self, j: int, w: int, X: np.ndarray) -> np.ndarray:
+        """E[exp(e X_T) | X_w] of time j on its slice X of the stack, for the
+        priced agents, clamped, in time j's exponent rows."""
+        g, h = self.sims[j].tails[w]
+        np.matmul(g, X, out=self.expo[j])
+        u = self.expo[j, :self.run.shape[1]]
+        u += h
+        self.n_clamped += _clamp(u)
+        return np.exp(u, out=u)
+
+    def _window(self, j: int, e: int, X: np.ndarray):
+        """At the close of window e of time j, the priced agents' running
+        payoff, window noise nu dW + sigma dB and terminal utility
+        -E[exp(e X_T) | X_w] on the chunk's paths, each (A, B)."""
+        sim = self.sims[j]
+        term = self._tail(j, sim.eps_steps[e], X)
         np.negative(term, out=term)
-        return self.run, np.matmul(self.unit, self.cumZ.T, out=self.buffers[0]), term
+        return self.run[j], np.matmul(sim.unit, self.cumZ.T, out=self.buffers[0]), term
 
-    def _deltas(self, e: int, run: np.ndarray, noise: np.ndarray,
-                term: np.ndarray) -> np.ndarray:
+    def _deltas(self, j: int, e: int, run: np.ndarray, noise: np.ndarray, term: np.ndarray):
         """Per-path payoff change (CRN-exact) of the spike in each direction v
-        on window e, one row per (priced agent, v), in the chunk's buffers."""
-        eps, V = self.eps_eff[e], len(self.vs)
-        v1, v2 = (np.array([v[i] for v in self.vs])[:, None] for i in (0, 1))
+        on window e of time j: yields each priced agent's (V, B) rows, one per
+        v, in the chunk's buffers."""
+        sim = self.sims[j]
+        eps, lead = sim.eps_eff[e], sim.lead
+        v1, v2 = sim.v1[:lead], sim.v2[:lead]
         _, fac_T, out = self.buffers
-        for r, agent in enumerate(self.priced):
-            own = self.own_coef[agent]
+        self.n_clamped += out.shape[1] * int(sim.fixed_clamps[e])
+        for r, agent in enumerate(sim.priced):
+            own = sim.own_coef[agent]
             # fac_T, in place of the spike's terminal wealth shift dx
-            np.multiply(own * v1, noise[r], out=fac_T)
-            fac_T += own * (v1 * self.mu[agent] - v2) * eps
-            np.expm1(self._clamp(fac_T), out=fac_T)
-            fac_T *= self.lam_T * term[r]
-            rows = np.multiply(run[r], np.expm1(own * v2), out=out[r * V:(r + 1) * V])
-            rows += fac_T
-        return out
-
-    def _clamp(self, arg: np.ndarray) -> np.ndarray:
-        """Clip exponents to +-EXP_CLAMP in place, counting clipped ones and NaN."""
-        if not (np.minimum.reduce(arg, axis=None) >= -EXP_CLAMP
-                and np.maximum.reduce(arg, axis=None) <= EXP_CLAMP):
-            clipped = np.clip(arg, -EXP_CLAMP, EXP_CLAMP)
-            self.n_clamped += int(np.count_nonzero(clipped != arg))
-            arg[...] = clipped
-        return arg
+            if lead:
+                fac = fac_T[:lead]
+                np.multiply(own * v1, noise[r], out=fac)
+                fac += own * (v1 * sim.mu[agent] - v2) * eps
+                self.n_clamped += _clamp(fac)
+                np.expm1(fac, out=fac)
+            fac_T[lead:] = sim.fixed[e, r]
+            fac_T *= sim.lam_T * term[r]
+            np.multiply(run[r], np.expm1(own * sim.v2), out=out)
+            out += fac_T
+            yield out
 
 
-def _simulate(sims: Sequence[_PayoffSim], cfg: SimConfig, chunk: int, drawn: int) -> None:
-    """Run the chunk states ``sims`` of payoff simulations from one x0 in
-    lockstep on the draws of chunk ``chunk``."""
-    for j, k, X, Z in _EulerScheme.lockstep(
-            [sim.scheme for sim in sims], [sim.stop for sim in sims], sims[0].x0, cfg,
-            chunk, drawn):
-        sims[j].visit(k, X, Z)
+def _simulate(sims: Sequence[_PayoffSim], cfg: SimConfig, chunk: int, drawn: int,
+              buffers) -> _PayoffChunk:
+    """The chunk state of the payoff simulations ``sims`` from one x0,
+    ordered by stop, longest first, run as one stack on the draws of chunk
+    ``chunk``, windows priced in ``buffers``."""
+    state = _PayoffChunk(sims, 2 * drawn if cfg.antithetic else drawn, buffers)
+    for node in _EulerScheme.lockstep([sim.scheme for sim in sims], [sim.stop for sim in sims],
+                                      sims[0].x0, cfg, chunk, drawn):
+        state.visit(*node)
+    return state
 
 
 def _payoff_rows(sims: Sequence[_PayoffSim], cfg: SimConfig):
@@ -689,17 +757,21 @@ def _payoff_rows(sims: Sequence[_PayoffSim], cfg: SimConfig):
     payoff simulations ``sims`` of one grid, one after another, from their
     moments merged over the chunks of paths in chunk order, and the
     exponents that the chunks clamped.  On each chunk, groups of at most
-    _GROUP_TIMES simulations run in turn, each in lockstep on the chunk's
+    _GROUP_TIMES simulations run in turn, each as one stack on the chunk's
     draws, and all of them price their windows in one set of buffers."""
+    groups = [sorted(range(g, min(g + _GROUP_TIMES, len(sims))), key=lambda i: -sims[i].stop)
+              for g in range(0, len(sims), _GROUP_TIMES)]
+
     def run(chunk: int, drawn: int, paths: np.ndarray) -> tuple[tuple, int]:
-        done, buffers = [], sims[0].window_buffers(paths.size)
-        for g in range(0, len(sims), _GROUP_TIMES):
-            group = [sim.on_paths(paths.size, buffers) for sim in sims[g:g + _GROUP_TIMES]]
-            _simulate(group, cfg, chunk, drawn)
-            done += group
-        rows = [row for sim in done for row in sim.rows]
+        rows, clamped, buffers = [None] * len(sims), 0, sims[0].window_buffers(paths.size)
+        for group in groups:
+            state = _simulate([sims[i] for i in group], cfg, chunk, drawn, buffers)
+            for i, sim_rows in zip(group, state.rows):
+                rows[i] = sim_rows
+            clamped += state.n_clamped
+        rows = [row for sim_rows in rows for window in sim_rows for row in window]
         return ((paths.size, *(np.concatenate([row[i] for row in rows]) for i in (1, 2))),
-                sum(sim.n_clamped for sim in done))
+                clamped)
 
     (n, mean, ss), clamped = (0, None, None), 0
     for part, n_clamped in _pooled(run, sims[0].x0.size, cfg):
@@ -778,8 +850,9 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
 
     One base simulation per time prices every (agent, v, eps) combination by
     common random numbers, and every time runs on the same draws: on each
-    chunk of paths the times step in lockstep, at most _GROUP_TIMES at once,
-    so a time's rows are those of a one-time call, whatever the thread count.
+    chunk of paths the times step as one stacked state, at most _GROUP_TIMES
+    at once, so a time's rows are those of a one-time call, whatever the
+    thread count.
     """
     agents = list(range(pop.n)) if agents is None else list(agents)
     for name, values in (("times", times), ("vs", vs), ("agents", agents)):
@@ -802,10 +875,13 @@ def spike_grid(pop: Population, discount: DiscountFunction, strategy,
         raise ValidationError(f"v components must be finite with |v| <= {V_BOUND}")
     if len(eps_list) == 0 or not all(0 < e <= horizon - max(times) + 1e-12 for e in eps_list):
         raise ValidationError("eps values must be > 0 and <= horizon - t")
-    sims = [_PayoffSim(pop, discount, strategy, t, x0, horizon, cfg, agents, eps_list, vs)
-            for t in times]
+    # The directions with v1 = 0 go last, where _PayoffSim prices them once.
+    order = sorted(range(len(vs)), key=lambda j: vs[j][0] == 0)
+    sims = [_PayoffSim(pop, discount, strategy, t, x0, horizon, cfg, agents, eps_list,
+                       [vs[j] for j in order]) for t in times]
     *stats, clamped = _payoff_rows(sims, cfg)
-    mean, se = (x.reshape(len(times), len(eps_list), len(agents), len(vs)) for x in stats)
+    mean, se = (x.reshape(len(times), len(eps_list), len(agents), len(vs))[..., np.argsort(order)]
+                for x in stats)
     # Per time, the exact base payoff of each agent, then one row per (agent,
     # v, eps), significant above 3 standard errors plus 1e-2 of the base's size.
     rows, bases = [], {}

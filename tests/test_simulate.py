@@ -262,7 +262,7 @@ def kernel_draws(pop, strategy, t0, cfg):
     scheme = simulate._EulerScheme(pop, strategy, times, dt)
     draws = np.empty((cfg.n_paths, steps, scheme.unit.shape[1]))
     for chunk, drawn, paths in simulate._chunks(pop.n, cfg):
-        for _, k, _, Z in simulate._EulerScheme.lockstep([scheme], [steps], np.zeros(pop.n),
+        for k, _, _, Z in simulate._EulerScheme.lockstep([scheme], [steps], np.zeros(pop.n),
                                                          cfg, chunk, drawn):
             if Z is not None:
                 draws[paths, k] = Z
@@ -751,17 +751,20 @@ def priced_paths(sim, cfg):
         ("run", A), ("noise", A), ("term", A), ("delta", A * len(sim.vs)))}
     got["payoff"] = np.full((A, N), np.nan)
     for chunk, drawn, paths in simulate._chunks(sim.x0.size, cfg):
-        part = sim.on_paths(paths.size, sim.window_buffers(paths.size))
+        part = simulate._PayoffChunk([sim], paths.size, sim.window_buffers(paths.size))
 
-        def spy_deltas(e, *arrays, deltas=part._deltas, paths=paths):
-            out = deltas(e, *arrays)
-            for name, value in zip(("run", "noise", "term", "delta"), (*arrays, out)):
+        def spy_deltas(j, e, *arrays, deltas=part._deltas, paths=paths):
+            for name, value in zip(("run", "noise", "term"), arrays):
                 got[name][e][:, paths] = value
-            return out
+            for r, rows in enumerate(deltas(j, e, *arrays)):
+                got["delta"][e][r * len(sim.vs):(r + 1) * len(sim.vs), paths] = rows
+                yield rows
 
         part._deltas = spy_deltas
-        simulate._simulate([part], cfg, chunk, drawn)
-        got["payoff"][:, paths] = part.run
+        for node in simulate._EulerScheme.lockstep([sim.scheme], [sim.stop], sim.x0, cfg,
+                                                   chunk, drawn):
+            part.visit(*node)
+        got["payoff"][:, paths] = part.run[0]
     return got
 
 
@@ -1518,6 +1521,79 @@ def test_each_time_of_a_grid_gets_the_rows_of_a_one_time_call(case, antithetic, 
         for threads in ("1", "2"):
             monkeypatch.setenv("RELPERF_THREADS", threads)
             assert one_time_reports(spike_grid(pop, HYP, strategy, times, *args)) == alone
+
+
+def sparse_cross_strategy():
+    """TRIO's consumption with cross slopes at every third point of a 0.05
+    grid only: an Euler node strictly between two slope-free points steps
+    on the decay alone, so each spike time meets its cross nodes at its own k."""
+    grid = TimeGrid(0.0, T, 41)
+    t = grid.times
+    pi = np.vstack([1.0 + 0.2 * t, 0.8 - 0.1 * t, np.full_like(t, 0.5)])
+    p = np.empty((3, 3, t.size))
+    for i in range(3):
+        for k in range(3):
+            p[i, k] = 0.5 + 0.05 * t if i == k else (0.1 * (k - i) + 0.05 * t) * (
+                np.arange(t.size) % 3 == 0)
+    return GridStrategyN(grid, pi, p, np.vstack([0.1 * t, np.full_like(t, -0.2), np.cos(t)]))
+
+
+# Six times on dt = 0.03, a stack of four and then a ragged stack of two.
+# Each time's own Euler step rounds eps 0.045 and 0.105 to 1 and 3 steps at
+# some times and to 2 and 4 at others, so the stops differ within each stack.
+STACK_TIMES = [0.13, 0.4, 0.9, 1.06, 1.37, 1.6]
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("agents", [[1], [2, 0]], ids=["one_agent", "two_agents"])
+def test_stacked_times_keep_their_own_stops_and_cross_nodes(agents, antithetic, monkeypatch):
+    # one priced agent pads its exponent rows to two; within a stack the
+    # times stop at different nodes and step on cross slopes at different
+    # nodes, yet each time's rows are == those of a call on it alone, at one
+    # and two pool threads, on one chunk of paths and on ragged 5-path chunks
+    strategy, vs, eps_list = sparse_cross_strategy(), [(1, 0), (0, -1), (-1, 1)], [0.045, 0.105]
+    cfg = SimConfig(202, 0.03, 23, antithetic)
+    sims = [simulate._PayoffSim(TRIO, HYP, strategy, t, ref_x0(3), T, cfg, agents, eps_list, vs)
+            for t in STACK_TIMES]
+    assert [sim.stop for sim in sims] == [3, 3, 4, 3, 4, 3]
+    assert [np.flatnonzero(sim.scheme.cross[:sim.stop]).tolist() for sim in sims] == [
+        [0, 1, 2], [1, 2], [0, 1], [0, 1], [0, 3], [1, 2]]
+    args = (vs, eps_list, cfg, ref_x0(3), T)
+    for elements in (simulate._BLOCK_ELEMENTS, 5 * (3 * TRIO.n + 1)):
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", elements)
+        alone = {}
+        for t in STACK_TIMES:
+            alone.update(one_time_reports(spike_grid(TRIO, HYP, strategy, [t], *args,
+                                                     agents=agents)))
+        assert len(alone) == 6
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RELPERF_THREADS", threads)
+            assert one_time_reports(spike_grid(TRIO, HYP, strategy, STACK_TIMES, *args,
+                                               agents=agents)) == alone
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3), st.integers(2, 5), st.integers(2, 6), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_stacked_grid_of_random_profiles_gets_one_time_rows(n, points, count, antithetic, seed):
+    # random GridStrategyN profiles, cross slopes and all, on random types:
+    # a grid of up to six times, priced for a random ordered subset of the
+    # agents, gives each time the rows of a call on it alone
+    rng = np.random.default_rng(seed)
+    pop = Population([AgentType(*rng.uniform([0.5, 0.0, 0.1, 0.0, 0.0], [2.0, 0.9, 2.0, 1.0, 1.0]))
+                      for _ in range(n)])
+    grid = TimeGrid(0.0, T, points)
+    strategy = GridStrategyN(grid, rng.uniform(-1.0, 2.0, (n, points)),
+                             rng.uniform(-1.0, 2.0, (n, n, points)),
+                             rng.uniform(-1.0, 1.0, (n, points)))
+    times = rng.uniform(0.0, 1.5, count).tolist()
+    agents = rng.permutation(n)[:rng.integers(1, n + 1)].tolist()
+    args = ([(1, 0), (0, 1), (-1, -1)], rng.uniform(0.06, 0.3, 2).tolist(),
+            SimConfig(24, 0.04, seed, antithetic), ref_x0(n), T)
+    alone = {}
+    for t in times:
+        alone.update(one_time_reports(spike_grid(pop, HYP, strategy, [t], *args, agents=agents)))
+    assert one_time_reports(spike_grid(pop, HYP, strategy, times, *args, agents=agents)) == alone
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
