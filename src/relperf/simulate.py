@@ -29,8 +29,8 @@ One scheme, built once per simulation, samples the paths of
 steps any number of schemes as one stacked (J, n, B) state on one chunk of
 paths, one NumPy call per operation a step; a lone simulation is J = 1.  Every
 sampler cuts its paths into chunks of a fixed width, whatever the thread
-count, and chunk i draws from substream i of ``SeedSequence(seed)``: each
-step, (B, d) standard normals, one column per factor that loads, as
+count, and chunk i draws from SFC64 on substream i of ``SeedSequence(seed)``:
+each step, (d, B) standard normals, one row per factor that loads, as
 :func:`_unit_loading` lays them out, negated for the mirrored paths of an
 antithetic run.  Pool threads take whole chunks; each chunk reduces its
 per-path values to counts, means and sums of squared deviations, which
@@ -213,10 +213,10 @@ def _pooled(run, n: int, cfg: SimConfig):
 
 
 def _unit_loading(p) -> np.ndarray:
-    """Each agent's noise per unit of investment on the drawn normals, (n, d):
-    nu_i in the column of agent i's W_i, sigma_i in the common B's.  Only the
-    factors that load are drawn: the W_i of each agent with nu_i != 0, in
-    agent order, then B if some sigma_i != 0."""
+    """Each agent's noise per unit of investment on the (d, B) drawn normals,
+    (n, d): nu_i in the column of agent i's W_i, sigma_i in the common B's.
+    Only the factors that load are drawn, one row each: the W_i of each agent
+    with nu_i != 0, in agent order, then B if some sigma_i != 0."""
     unit = np.column_stack([np.diag(p["nu"]), p["sigma"]])
     return unit[:, unit.any(axis=0)]
 
@@ -300,10 +300,11 @@ class _EulerScheme:
         antithetic), scheme j to node ``stops[j]``; the stops must not
         increase, so the schemes still running are a prefix.  Yields ``(k, m,
         X, Z)`` per node k to stops[0]: the C-ordered (J, n, B) wealth, the
-        count m of schemes that step on from k, and the (B, d) normals moving
-        them, in the columns of ``unit`` (None at the last node), from
-        substream ``chunk`` of ``cfg.seed``, negated for the mirrors.  Each
-        step loads the normals once as W = unit Z' and moves X[:m] in place,
+        count m of schemes that step on from k, and the C-ordered (d, B)
+        normals moving them, a row per column of ``unit`` (None at the last
+        node), from SFC64 on substream ``chunk`` of ``cfg.seed``: one fill, or
+        one per row of drawn paths then negated for the mirrors.  Each step
+        loads the normals once as W = unit Z and moves X[:m] in place,
         X = D_k X + b_k + L_k Z, one call per operation: the decay, or the
         slopes on the slice of a scheme with cross slopes at k, then pi(t_k)
         sqrt(dt) W, then b_k.  Every element takes the operations of a
@@ -318,10 +319,11 @@ class _EulerScheme:
             coef[:, :stop, j] = s.decay[:stop], s.pi_sqdt[:stop], s.b[:stop]
             cross[:stop] |= s.cross[:stop]
         decay, pi_sqdt, b = coef
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(chunk,)))
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(chunk,))
+        rng = np.random.Generator(np.random.SFC64(seq))
         X, dX = np.empty((J, n, B)), np.empty((J, n, B))
         X[...] = x0[:, None]
-        W, Z = np.empty((n, B)), np.empty((B, schemes[0].unit.shape[1]))
+        W, Z = np.empty((n, B)), np.empty((schemes[0].unit.shape[1], B))
         m = J
         for k in range(last + 1):
             while m and stops[m - 1] <= k:
@@ -329,10 +331,13 @@ class _EulerScheme:
             if not m:
                 yield k, m, X, None
                 return
-            rng.standard_normal(out=Z[:drawn])
             if cfg.antithetic:
-                np.negative(Z[:drawn], out=Z[drawn:])
-            np.matmul(schemes[0].unit, Z.T, out=W)
+                for row in Z:
+                    rng.standard_normal(out=row[:drawn])
+                np.negative(Z[:, :drawn], out=Z[:, drawn:])
+            else:
+                rng.standard_normal(out=Z)
+            np.matmul(schemes[0].unit, Z, out=W)
             yield k, m, X, Z
             if cross[k]:
                 for j, s in enumerate(schemes[:m]):
@@ -594,7 +599,7 @@ class _PayoffSim:
             self.n_clamped = _clamp(expos)
             self.base = -(np.exp(expos) @ np.append(self.lam_dt, self.lam_T))
 
-        # Window noise sums, only of the Z columns that the priced agents
+        # Window noise sums, only of the Z rows that the priced agents
         # load, and their loads times sqrt(dt).
         unit = scheme.unit[self.priced]
         cols = np.flatnonzero(unit.any(axis=0))
@@ -634,10 +639,11 @@ class _PayoffChunk:
     that the J A priced rows stay contiguous.  Each running-utility exponent
     is read from the wealth through the rows (e C_k, e q_k) of
     :meth:`_EulerScheme.utility_rows`, stacked a block of nodes at a time.
-    Every time starts at node 0 of the chunk's draws, so one window noise
-    sum ``cumZ`` serves them all.  ``rows[j][e]`` gets the moments of the
-    deltas of window e of time j, one per priced agent (without windows, of
-    its payoffs), and ``n_clamped`` counts the clamped exponents."""
+    Every time starts at node 0 of the chunk's draws, so one (d', B) sum
+    ``cumZ`` of the noise rows that the priced agents load serves them all.
+    ``rows[j][e]`` gets the moments of the deltas of window e of time j, one
+    per priced agent (without windows, of its payoffs), and ``n_clamped``
+    counts the clamped exponents."""
 
     def __init__(self, sims: Sequence[_PayoffSim], width: int, buffers):
         first, J, A = sims[0], len(sims), sims[0].priced.size
@@ -646,7 +652,7 @@ class _PayoffChunk:
         self.run = np.zeros((J, A, width))
         self.expo = (np.empty((A2, J, width)).transpose(1, 0, 2) if A < A2
                      else np.empty((J, A2, width)))
-        self.cumZ = np.zeros((width, first.unit.shape[1])) if first.eps_steps else None
+        self.cumZ = np.zeros((first.unit.shape[1], width)) if first.eps_steps else None
         self.rows = [[None] * max(1, len(sim.eps_steps)) for sim in sims]
         self.lam = np.zeros((first.stop, J))
         # (time, window) priced at each node; window None: the terminal utility
@@ -683,7 +689,7 @@ class _PayoffChunk:
         u *= self.lam[k, :m, None, None]
         self.run[:m] += u
         if self.cumZ is not None:
-            self.cumZ += Z[:, self.sims[0].take]
+            self.cumZ += Z[self.sims[0].take]
 
     def _utility_rows(self, k: int, m: int) -> None:
         """Stack the utility rows (F, s) of the block of nodes from k of the
@@ -713,7 +719,7 @@ class _PayoffChunk:
         sim = self.sims[j]
         term = self._tail(j, sim.eps_steps[e], X)
         np.negative(term, out=term)
-        return self.run[j], np.matmul(sim.unit, self.cumZ.T, out=self.buffers[0]), term
+        return self.run[j], np.matmul(sim.unit, self.cumZ, out=self.buffers[0]), term
 
     def _deltas(self, j: int, e: int, run: np.ndarray, noise: np.ndarray, term: np.ndarray):
         """Per-path payoff change (CRN-exact) of the spike in each direction v

@@ -257,7 +257,8 @@ def test_dt_larger_than_horizon_rejected():
 
 def kernel_draws(pop, strategy, t0, cfg):
     """The standard normals that the Euler sampler draws from t0 to T, chunk
-    by chunk, as (n_paths, steps, d): one column per noise factor that loads."""
+    by chunk, as (n_paths, steps, d): one column per noise factor that loads,
+    gathered from each step's (d, B) factor-major buffer."""
     times, dt, steps = simulate._euler_times(t0, T, cfg.dt)
     scheme = simulate._EulerScheme(pop, strategy, times, dt)
     draws = np.empty((cfg.n_paths, steps, scheme.unit.shape[1]))
@@ -265,8 +266,15 @@ def kernel_draws(pop, strategy, t0, cfg):
         for k, _, _, Z in simulate._EulerScheme.lockstep([scheme], [steps], np.zeros(pop.n),
                                                          cfg, chunk, drawn):
             if Z is not None:
-                draws[paths, k] = Z
+                draws[paths, k] = Z.T
     return draws
+
+
+def substream(seed, chunk):
+    """The SFC64 generator of chunk ``chunk``'s substream of ``seed``, child
+    ``chunk`` of ``SeedSequence(seed).spawn``."""
+    child = np.random.SeedSequence(seed).spawn(chunk + 1)[chunk]
+    return np.random.Generator(np.random.SFC64(child))
 
 
 def test_determinism_bit_identical():
@@ -295,15 +303,28 @@ def test_antithetic_runs_mirror_every_stored_column(pop):
 
 
 def test_a_population_where_every_factor_loads_keeps_the_full_stream():
-    # (N, n + 1) normals a step, n idiosyncratic then the common one, from
-    # the substream of the one chunk
+    # (n + 1, N) normals a step, factor-major: n idiosyncratic rows then the
+    # common one, from the SFC64 substream of the one chunk
     N, n, seed = 20, ALL_LOAD.n, 31
     cfg = SimConfig(N, 0.1, seed)
     draws = kernel_draws(ALL_LOAD, NAgentEquilibrium(ALL_LOAD, HYP, T), 0.0, cfg)
     steps = draws.shape[1]
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    want = np.stack([rng.standard_normal((N, n + 1)) for _ in range(steps)], axis=1)
+    rng = substream(seed, 0)
+    want = np.stack([rng.standard_normal((n + 1, N)).T for _ in range(steps)], axis=1)
     assert np.array_equal(draws, want)
+
+
+def test_an_antithetic_run_where_every_factor_loads_mirrors_row_fills():
+    # each step, every factor's row of the drawn paths is filled in turn from
+    # the chunk's substream, and the mirrored paths take their negation
+    N, n, seed = 20, ALL_LOAD.n, 31
+    cfg = SimConfig(N, 0.1, seed, antithetic=True)
+    draws = kernel_draws(ALL_LOAD, NAgentEquilibrium(ALL_LOAD, HYP, T), 0.0, cfg)
+    assert np.array_equal(draws[N // 2:], -draws[:N // 2])
+    rng = substream(seed, 0)
+    for k in range(draws.shape[1]):
+        rows = [rng.standard_normal(N // 2) for _ in range(n + 1)]
+        assert np.array_equal(draws[:N // 2, k], np.stack(rows, axis=1))
 
 
 def test_unit_loading_has_one_column_per_factor_that_loads():
@@ -483,14 +504,14 @@ def reference_paths(pop, strategy, cfg):
     P, q = dense_consumption(strategy, times)
     # one column per factor that loads: W_i where nu_i != 0, then B if any
     # sigma_i != 0; a factor that does not load gets zeros.  Chunk i draws
-    # its paths step by step from substream i, mirrored after them when
-    # antithetic.
+    # its paths step by step from SFC64 substream i, factor-major, one row of
+    # drawn paths per factor, mirrored after them when antithetic.
     cols = [*np.flatnonzero(nu != 0), *[n] * bool(np.any(sigma != 0))]
     draws = np.empty((N, steps, len(cols)))
     for chunk, drawn, paths in simulate._chunks(n, cfg):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(chunk + 1)[chunk])
+        rng = substream(cfg.seed, chunk)
         for k in range(steps):
-            half = rng.standard_normal((drawn, len(cols)))
+            half = rng.standard_normal((len(cols), drawn)).T
             draws[paths, k] = np.concatenate([half, -half]) if cfg.antithetic else half
     X = np.tile(ref_x0(n), (N, 1))
     xs, cs, zs = [], [], []
@@ -1416,6 +1437,17 @@ def test_spike_test_temporaries_are_block_sized():
                             agents=[0])
     assert len(rep.results) == 3
     assert peak < 13e6
+
+
+def test_a_four_time_grid_of_256_agents_shares_one_load():
+    # four stacked times on one (d, B) draw buffer, loaded once a step: a
+    # (steps, J, n, d + 1) load of every time would alone take 106 MB
+    pop = Population([SPIKE_PAIR.agents[k % 2] for k in range(256)])
+    eq = NAgentEquilibrium(pop, HYP, T)
+    rep, peak = traced_peak(spike_grid, pop, HYP, eq, [1.6, 1.7, 1.8, 1.9], [(1, 0), (0, 1)],
+                            [0.1], SimConfig(600, 1e-3, 0), 1.0, T, agents=[0, 1])
+    assert len(rep.results) == 16
+    assert peak < 40e6
 
 
 def test_payoff_without_spike_keeps_no_window_sums():
